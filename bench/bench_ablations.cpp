@@ -19,6 +19,7 @@
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 
@@ -27,10 +28,9 @@ namespace {
 using namespace quamax;
 using wireless::Modulation;
 
-// Batch-runtime lanes, set once in main from --threads / QUAMAX_THREADS.
-std::size_t g_threads = 1;
-std::size_t g_replicas = 8;
-anneal::AcceptMode g_accept_mode = anneal::AcceptMode::kExact;
+// Sweep-kernel settings (--threads / --replicas / --accept-mode), set once
+// in main.
+sim::KernelKnobs g_knobs{};
 
 std::vector<sim::Instance> make_instances(std::size_t users, Modulation mod,
                                           std::size_t count, std::uint64_t seed) {
@@ -44,9 +44,9 @@ std::vector<sim::Instance> make_instances(std::size_t users, Modulation mod,
 
 anneal::AnnealerConfig fix_config() {
   anneal::AnnealerConfig config;
-  config.num_threads = g_threads;
-  config.batch_replicas = g_replicas;
-  config.accept_mode = g_accept_mode;
+  config.num_threads = g_knobs.threads;
+  config.batch_replicas = g_knobs.replicas;
+  config.accept_mode = g_knobs.accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
@@ -57,9 +57,7 @@ anneal::AnnealerConfig fix_config() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_threads = sim::cli_threads(argc, argv);
-  g_replicas = sim::cli_replicas(argc, argv);
-  g_accept_mode = sim::cli_accept_mode(argc, argv);
+  g_knobs = sim::kernel_knobs(argc, argv);
   const std::size_t instances = sim::scaled(6);
   const std::size_t num_anneals = sim::scaled(400);
   sim::print_banner("Ablations", "DESIGN.md §5 (not a paper artifact)",
@@ -89,9 +87,9 @@ int main(int argc, char** argv) {
     {
       anneal::LogicalAnnealerConfig config;
       config.schedule = fix_config().schedule;
-      config.num_threads = g_threads;
-      config.batch_replicas = g_replicas;
-      config.accept_mode = g_accept_mode;
+      config.num_threads = g_knobs.threads;
+      config.batch_replicas = g_knobs.replicas;
+      config.accept_mode = g_knobs.accept_mode;
       anneal::LogicalAnnealer annealer(config);
       std::vector<double> p0, tts;
       for (const auto& inst : insts) {

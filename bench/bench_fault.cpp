@@ -39,8 +39,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,12 +46,11 @@
 #include "quamax/common/error.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/serve/load_gen.hpp"
-#include "quamax/serve/metrics_export.hpp"
+#include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 namespace {
 
@@ -91,18 +88,15 @@ struct Point {
   double availability = 1.0;
 };
 
+/// Serves one arm; a non-null `observer` traces it.
 Point run_arm(const std::string& name, const serve::LoadConfig& load,
-              const serve::ServiceConfig& service, std::size_t num_jobs,
-              double availability, obs::TraceLog* trace = nullptr) {
+              serve::ServiceConfig service, std::size_t num_jobs,
+              double availability, serve::RunObserver* observer = nullptr) {
+  if (observer != nullptr) observer->attach(service);
   const auto t0 = std::chrono::steady_clock::now();
   serve::LoadGenerator generator(load, 0xFA57);
-  serve::ServiceConfig traced = service;
-  if (trace != nullptr) {
-    trace->clear();
-    traced.trace = trace;
-  }
   const serve::ServiceReport report =
-      serve::DecodeService(traced).run(generator.open_loop(num_jobs));
+      serve::DecodeService(service).run(generator.open_loop(num_jobs));
   Point p;
   p.name = name;
   p.wall_s =
@@ -198,36 +192,23 @@ double pool_availability(const fault::FaultPlan& plan, std::size_t devices,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = sim::cli_threads(argc, argv);
-  const std::size_t replicas = sim::cli_replicas(argc, argv);
-  const std::size_t devices = sim::cli_devices(argc, argv);
-  const std::string plan_path = sim::cli_fault_plan(argc, argv);
-  const std::size_t retries_knob = sim::cli_max_retries(argc, argv);
-  const fault::FallbackMode fallback_knob =
-      fault::parse_fallback_mode(sim::cli_fallback(argc, argv));
-  const std::string trace_path = sim::cli_trace(argc, argv);
-  const bool prof = sim::cli_prof(argc, argv);
-  const std::string prof_json = sim::cli_prof_json(argc, argv);
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
-  serve::MetricsOptions metrics;
-  metrics.path = sim::cli_metrics(argc, argv);
-  metrics.window_us = sim::cli_metrics_window(argc, argv);
-  metrics.slo = sim::cli_slo(argc, argv);
-  obs::TraceLog trace_log;
+  using sim::Knob;
+  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
+  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
+  const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
+  const auto plan_path = sim::knob<std::string>(Knob::kFaultPlan, argc, argv);
+  const auto retries_knob = sim::knob<std::size_t>(Knob::kMaxRetries, argc, argv);
+  const fault::FallbackMode fallback_knob = fault::parse_fallback_mode(
+      sim::knob<std::string>(Knob::kFallback, argc, argv));
+  const auto json_path = sim::knob<std::string>(Knob::kJson, argc, argv);
 
   bool smoke = false;
-  std::string json_path;
-  const std::vector<std::string> positional = sim::positional_args(argc, argv);
-  for (std::size_t i = 0; i < positional.size(); ++i) {
-    if (positional[i] == "smoke") {
-      smoke = true;
-    } else if (positional[i] == "--json") {
-      require(i + 1 < positional.size(), "bench_fault: --json needs a path");
-      json_path = positional[++i];
-    } else if (positional[i].rfind("--json=", 0) == 0) {
-      json_path = positional[i].substr(7);
-    }
-  }
+  for (const std::string& arg : sim::positional_args(argc, argv))
+    if (arg == "smoke") smoke = true;
+  // Full mode always windows its showcase arms: a default miss-rate SLO at
+  // the acceptance bound arms the monitor even when --slo is not given.
+  serve::RunObserver observer(
+      argc, argv, smoke ? "" : "miss_rate<=" + sim::fmt_double(kMissBound, 2));
 
   serve::ServiceConfig base;
   base.annealer.schedule.anneal_time_us = 1.0;
@@ -307,8 +288,7 @@ int main(int argc, char** argv) {
     storm_cfg.max_retries = max_retries;
     storm_cfg.retry_backoff_us = 0.5 * service_us;
     storm_cfg.fallback = fallback;
-    if (!trace_path.empty() || metrics.enabled())
-      storm_cfg.trace = &trace_log;
+    observer.attach(storm_cfg);
     serve::LoadGenerator gen_c(load, 0xFA57);
     const serve::ServiceReport stormed =
         serve::DecodeService(storm_cfg).run(gen_c.open_loop(smoke_jobs));
@@ -316,43 +296,7 @@ int main(int argc, char** argv) {
                 "fallback %s):\n%s",
                 100.0 * kDowntimeFraction, max_retries,
                 fault::to_string(fallback), stormed.stats.digest().c_str());
-    int exit_code = 0;
-    if (metrics.enabled()) {
-      // Windowing + SLO evaluation run BEFORE the trace write so the alert
-      // track lands in the Chrome trace.  All notices go to stderr.
-      const serve::WindowedView view =
-          serve::window_trace(trace_log, storm_cfg, metrics, &trace_log);
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics)) {
-          std::fprintf(stderr, "metrics written to %s\n",
-                       metrics.path.c_str());
-        } else {
-          std::fprintf(stderr, "metrics: could not write %s\n",
-                       metrics.path.c_str());
-          exit_code = 1;
-        }
-      }
-    }
-    if (!trace_path.empty()) {
-      // Notice on stderr: CI byte-diffs this binary's stdout.
-      if (obs::write_chrome_trace_file(trace_log, trace_path)) {
-        std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
-      } else {
-        std::fprintf(stderr, "trace: could not write %s\n", trace_path.c_str());
-        exit_code = 1;
-      }
-    }
-    if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-    if (!prof_json.empty()) {
-      if (obs::Profiler::instance().dump_json_file(prof_json)) {
-        std::fprintf(stderr, "profile json written to %s\n",
-                     prof_json.c_str());
-      } else {
-        std::fprintf(stderr, "prof-json: could not write %s\n",
-                     prof_json.c_str());
-        exit_code = 1;
-      }
-    }
+    const int exit_code = observer.finish();
     if (stormed.stats.jobs() != smoke_jobs || stormed.stats.failed() != 0) {
       std::fprintf(stderr, "SMOKE FAILURE: %zu/%zu jobs accounted, %zu "
                            "terminal failures with the ladder armed\n",
@@ -380,12 +324,15 @@ int main(int argc, char** argv) {
   sim::print_columns({"arm", "miss rate", "BER", "retries", "fallbacks",
                       "failed", "failed waves", "achieved j/ms"});
 
-  // The fault-free and fully-mitigated arms are traced so the windowed
+  // The fault-free and fully-mitigated arms are observed so the windowed
   // showcase below can compare their series: end-of-run aggregates hide the
-  // storm dip that the per-window miss-rate makes obvious.
-  obs::TraceLog fault_free_log;
+  // storm dip that the per-window miss-rate makes obvious.  The mitigated
+  // arm runs last, so its view is the one finish() exports.
   const Point fault_free =
-      run_arm("fault_free", load, base, num_jobs, 1.0, &fault_free_log);
+      run_arm("fault_free", load, base, num_jobs, 1.0, &observer);
+  std::size_t quiet_alerts = 0;
+  for (const auto& report : observer.view().slos)
+    quiet_alerts += report.alerts.size();
 
   serve::ServiceConfig no_mitigation = base;
   no_mitigation.fault = storm;
@@ -404,7 +351,7 @@ int main(int argc, char** argv) {
   mitigated.fallback = fallback;
   const Point full =
       run_arm("storm_retries_fallback", load, mitigated, num_jobs,
-              availability, &trace_log);
+              availability, &observer);
 
   print_point(fault_free);
   print_point(unmitigated);
@@ -445,15 +392,8 @@ int main(int argc, char** argv) {
   // Windowed showcase (obs v2): the per-window miss-rate series of the
   // mitigated arm must SHOW the storm — at least one burn-rate alert fires
   // in a window overlapping a scheduled outage — while the fault-free arm
-  // stays silent under the same SLO.  A default miss-rate SLO at the
-  // acceptance bound arms the monitor even when --slo is not given.
-  serve::MetricsOptions showcase = metrics;
-  if (showcase.slo.empty())
-    showcase.slo = "miss_rate<=" + sim::fmt_double(kMissBound, 2);
-  const serve::WindowedView storm_view =
-      serve::window_trace(trace_log, mitigated, showcase, &trace_log);
-  const serve::WindowedView quiet_view =
-      serve::window_trace(fault_free_log, base, showcase, nullptr);
+  // stays silent under the same SLO.
+  const serve::WindowedView& storm_view = observer.view();
 
   std::printf("\n=== windowed series, %s (window %.0f us) ===\n",
               full.name.c_str(), storm_view.collector.width_us());
@@ -486,8 +426,6 @@ int main(int argc, char** argv) {
                   alert.end_us, alert.value, alert.long_value, alert.burn);
     }
   }
-  std::size_t quiet_alerts = 0;
-  for (const auto& report : quiet_view.slos) quiet_alerts += report.alerts.size();
 
   std::printf("storm-dip visibility: %zu alerts, %zu during scheduled "
               "outages %s\n",
@@ -502,36 +440,10 @@ int main(int argc, char** argv) {
                                 : "(acceptance: == 0, FAIL)");
   if (quiet_alerts != 0) failed = true;
 
-  if (!metrics.path.empty()) {
-    if (serve::export_metrics(storm_view, showcase)) {
-      std::fprintf(stderr, "metrics written to %s\n", metrics.path.c_str());
-    } else {
-      std::fprintf(stderr, "metrics: could not write %s\n",
-                   metrics.path.c_str());
-      failed = true;
-    }
-  }
-  if (!trace_path.empty()) {
-    // The mitigated arm's trace, alert track included.
-    if (obs::write_chrome_trace_file(trace_log, trace_path)) {
-      std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace: could not write %s\n", trace_path.c_str());
-      failed = true;
-    }
-  }
-
   if (!json_path.empty())
     write_json(json_path, {fault_free, unmitigated, ablation, full}, threads,
-               replicas, devices, prof || !prof_json.empty());
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty() &&
-      !obs::Profiler::instance().dump_json_file(prof_json)) {
-    std::fprintf(stderr, "prof-json: could not write %s\n", prof_json.c_str());
-    failed = true;
-  } else if (!prof_json.empty()) {
-    std::fprintf(stderr, "profile json written to %s\n", prof_json.c_str());
-  }
+               replicas, devices, observer.profiling());
+  if (observer.finish() != 0) failed = true;
 
   return failed ? 1 : 0;
 }

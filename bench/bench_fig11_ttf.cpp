@@ -20,16 +20,14 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
 #include "quamax/core/parallel_sampler.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
   using namespace quamax;
   using wireless::Modulation;
+  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
 
   const std::size_t instances = sim::scaled(8);
   const std::size_t num_anneals = sim::scaled(1200);

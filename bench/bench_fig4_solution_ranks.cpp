@@ -20,6 +20,7 @@
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/core/parallel_sampler.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 
@@ -48,10 +49,7 @@ void print_outcome_report(const sim::Instance& inst,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
+  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
   const std::size_t num_anneals = sim::scaled(3000);
   sim::print_banner("Energy-ranked solution distributions",
                     "Figure 4 (six 36-logical-qubit noise-free instances)",

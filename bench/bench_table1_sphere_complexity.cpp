@@ -12,8 +12,8 @@
 #include "quamax/common/rng.hpp"
 #include "quamax/common/stats.hpp"
 #include "quamax/detect/sphere.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 namespace {
 

@@ -44,6 +44,7 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/error.hpp"
 #include "quamax/core/parallel_sampler.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 #include "quamax/vpp/precode.hpp"
@@ -161,30 +162,14 @@ void write_json(const std::string& path, const std::vector<Point>& points,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
-  const double tau_override = quamax::sim::cli_tau(argc, argv);
   using namespace quamax;
+  using sim::Knob;
   using wireless::Modulation;
-
-  std::string json_path;
-  {
-    const std::vector<std::string> positional =
-        sim::positional_args(argc, argv);
-    for (std::size_t i = 0; i < positional.size(); ++i) {
-      if (positional[i] == "--json") {
-        require(i + 1 < positional.size(), "bench_vpp: --json needs a path");
-        json_path = positional[i + 1];
-        ++i;
-      } else if (positional[i].rfind("--json=", 0) == 0) {
-        json_path = positional[i].substr(7);
-      } else {
-        throw InvalidArgument("bench_vpp: unknown argument " + positional[i]);
-      }
-    }
-  }
+  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  const auto tau_override = sim::knob<double>(Knob::kTau, argc, argv);
+  const auto json_path = sim::knob<std::string>(Knob::kJson, argc, argv);
+  for (const std::string& arg : sim::positional_args(argc, argv))
+    throw InvalidArgument("bench_vpp: unknown argument " + arg);
 
   const std::size_t instances = sim::scaled(400);
   // NOT scaled: N_a is a decode-quality knob, not a suite-size knob.  The

@@ -34,22 +34,21 @@
 // `--json FILE` writes a google-benchmark-shaped record of every arm
 // (BER, miss rate, anneal quota, throughput ratios) that
 // tools/bench_to_json.py converts into the committed BENCH_warmstart.json
-// artifact format.
+// artifact format.  --trace / --metrics / --slo observe every served run in
+// either mode; the files hold the last one (the smoke run, or the warm
+// saturation arm).
 
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "quamax/common/error.hpp"
-#include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/serve/load_gen.hpp"
-#include "quamax/serve/metrics_export.hpp"
+#include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 namespace {
 
@@ -84,8 +83,11 @@ struct Point {
   std::size_t warm_waves = 0;
 };
 
+/// Serves one arm; `observer` traces it when --trace / --metrics / --slo ask.
 Point run_arm(const std::string& name, const serve::LoadConfig& load,
-              const serve::ServiceConfig& service, std::size_t num_jobs) {
+              serve::ServiceConfig service, std::size_t num_jobs,
+              serve::RunObserver& observer) {
+  observer.attach(service);
   const auto t0 = std::chrono::steady_clock::now();
   serve::LoadGenerator generator(load, 0x3A97);
   const serve::ServiceReport report =
@@ -144,35 +146,20 @@ void write_json(const std::string& path, const std::vector<Point>& points,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const std::size_t devices = quamax::sim::cli_devices(argc, argv);
-  const double coherence_knob = quamax::sim::cli_coherence(argc, argv);
+  using sim::Knob;
+  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
+  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
+  const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
+  const auto coherence_knob = sim::knob<double>(Knob::kCoherence, argc, argv);
   // Default subframe coherence: rho = 0.9 => 10-subframe blocks.
   const double coherence = coherence_knob > 0.0 ? coherence_knob : 0.9;
-  const std::string trace_path = quamax::sim::cli_trace(argc, argv);
-  const bool prof = quamax::sim::cli_prof(argc, argv);
-  const std::string prof_json = quamax::sim::cli_prof_json(argc, argv);
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
-  serve::MetricsOptions metrics;
-  metrics.path = quamax::sim::cli_metrics(argc, argv);
-  metrics.window_us = quamax::sim::cli_metrics_window(argc, argv);
-  metrics.slo = quamax::sim::cli_slo(argc, argv);
-  obs::TraceLog trace_log;
+  const auto json_path = sim::knob<std::string>(Knob::kJson, argc, argv);
+  // The files written at exit hold the LAST observed run.
+  serve::RunObserver observer(argc, argv);
 
   bool smoke = false;
-  std::string json_path;
-  const std::vector<std::string> positional = sim::positional_args(argc, argv);
-  for (std::size_t i = 0; i < positional.size(); ++i) {
-    if (positional[i] == "smoke") {
-      smoke = true;
-    } else if (positional[i] == "--json") {
-      require(i + 1 < positional.size(), "bench_warmstart: --json needs a path");
-      json_path = positional[++i];
-    } else if (positional[i].rfind("--json=", 0) == 0) {
-      json_path = positional[i].substr(7);
-    }
-  }
+  for (const std::string& arg : sim::positional_args(argc, argv))
+    if (arg == "smoke") smoke = true;
 
   serve::ServiceConfig base;
   base.annealer.schedule.anneal_time_us = 1.0;
@@ -199,10 +186,9 @@ int main(int argc, char** argv) {
         users * std::max<std::size_t>(4, sim::scaled(24));
     serve::LoadGenerator generator(
         coherent_load(coherence, 10.0 * cold_service_us, users), 0x3A97);
-    serve::ServiceConfig traced_cfg = warm_cfg;
-    if (!trace_path.empty() || metrics.enabled()) traced_cfg.trace = &trace_log;
+    observer.attach(warm_cfg);
     const serve::ServiceReport report =
-        serve::DecodeService(traced_cfg).run(generator.open_loop(num_jobs));
+        serve::DecodeService(warm_cfg).run(generator.open_loop(num_jobs));
     std::printf("ServiceStats digest (warm-start smoke, devices %zu, "
                 "coherence %.2f):\n%s",
                 devices, coherence, report.stats.digest().c_str());
@@ -210,43 +196,7 @@ int main(int argc, char** argv) {
                 generator.compile_stats().full_compiles,
                 generator.compile_stats().delta_compiles,
                 generator.coherence_block());
-    int exit_code = 0;
-    if (metrics.enabled()) {
-      // Window + evaluate SLOs before the trace write so the alert track
-      // lands in the Chrome trace.  Notices on stderr.
-      const serve::WindowedView view =
-          serve::window_trace(trace_log, traced_cfg, metrics, &trace_log);
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics)) {
-          std::fprintf(stderr, "metrics written to %s\n",
-                       metrics.path.c_str());
-        } else {
-          std::fprintf(stderr, "metrics: could not write %s\n",
-                       metrics.path.c_str());
-          exit_code = 1;
-        }
-      }
-    }
-    if (!trace_path.empty()) {
-      // Notice on stderr: CI byte-diffs this binary's stdout.
-      if (obs::write_chrome_trace_file(trace_log, trace_path)) {
-        std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
-      } else {
-        std::fprintf(stderr, "trace: could not write %s\n", trace_path.c_str());
-        exit_code = 1;
-      }
-    }
-    if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-    if (!prof_json.empty()) {
-      if (obs::Profiler::instance().dump_json_file(prof_json)) {
-        std::fprintf(stderr, "profile json written to %s\n",
-                     prof_json.c_str());
-      } else {
-        std::fprintf(stderr, "prof-json: could not write %s\n",
-                     prof_json.c_str());
-        exit_code = 1;
-      }
-    }
+    const int exit_code = observer.finish();
     if (report.stats.warm_waves() == 0) {
       std::fprintf(stderr, "SMOKE FAILURE: no warm waves on a coherent load\n");
       return 1;
@@ -288,13 +238,13 @@ int main(int argc, char** argv) {
   const serve::LoadConfig light =
       coherent_load(coherence, 8.0 * cold_service_us, users);
   const Point cold_full = run_arm("cold@" + std::to_string(kColdAnneals), light,
-                                  base, quality_jobs);
+                                  base, quality_jobs, observer);
   const Point warm = run_arm("warm@" + std::to_string(kWarmAnneals), light,
-                             warm_cfg, quality_jobs);
+                             warm_cfg, quality_jobs, observer);
   serve::ServiceConfig ablation_cfg = base;
   ablation_cfg.num_anneals = kWarmAnneals;
   const Point ablation = run_arm("cold@" + std::to_string(kWarmAnneals), light,
-                                 ablation_cfg, quality_jobs);
+                                 ablation_cfg, quality_jobs, observer);
   print_point(cold_full);
   print_point(warm);
   print_point(ablation);
@@ -340,9 +290,9 @@ int main(int argc, char** argv) {
   serve::ServiceConfig sat_warm = warm_cfg;
   sat_warm.max_wave_jobs = users;
   const Point thr_cold =
-      run_arm("sat_cold", saturating, sat_cold, saturation_jobs);
+      run_arm("sat_cold", saturating, sat_cold, saturation_jobs, observer);
   const Point thr_warm =
-      run_arm("sat_warm", saturating, sat_warm, saturation_jobs);
+      run_arm("sat_warm", saturating, sat_warm, saturation_jobs, observer);
   print_point(thr_cold);
   print_point(thr_warm);
   points.push_back(thr_cold);
@@ -363,16 +313,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty())
     write_json(json_path, points, threads, replicas, coherence);
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty()) {
-    if (obs::Profiler::instance().dump_json_file(prof_json)) {
-      std::fprintf(stderr, "profile json written to %s\n", prof_json.c_str());
-    } else {
-      std::fprintf(stderr, "prof-json: could not write %s\n",
-                   prof_json.c_str());
-      failed = true;
-    }
-  }
+  if (observer.finish() != 0) failed = true;
 
   return failed ? 1 : 0;
 }

@@ -20,55 +20,36 @@
 // All output derives from the virtual clock + counter-derived streams:
 // re-running at any --threads / --replicas setting prints identical text.
 //
-// Observability (quamax::obs): pass `--trace FILE` to record the packing-ON
-// run's job/wave timeline as Chrome trace-event JSON (open in Perfetto or
-// chrome://tracing; one track per device, flow arrows from each job's
-// arrival to its wave), and `--prof` to print the top-5 wall-clock compute
-// stages at exit (`--prof-json FILE` for the machine-readable table).  The
-// packing-ON run is always windowed (obs v2): the walkthrough prints its
-// per-window miss-rate series plus any SLO burn-rate alerts — the spec
-// defaults to `miss_rate<=0.05` and is overridden with `--slo SPEC`.
-// `--metrics FILE` additionally exports the windowed series, per-device
-// duty-cycle/energy accounting, and SLO reports as JSON (or CSV by `.csv`
-// suffix) plus a Prometheus text snapshot at FILE.prom; `--metrics-window
-// US` sets the window width (default: horizon / 20).  All file notices go
-// to stderr — stdout stays byte-identical with tracing and metrics export
-// on or off, which is the obs determinism contract.
+// Observability (serve::RunObserver): `--trace FILE` records the packing-ON
+// run as a Chrome trace, `--prof` / `--prof-json FILE` profile the compute
+// stages, and `--metrics FILE` exports the windowed series.  The packing-ON
+// run is always windowed: the walkthrough prints its per-window miss-rate
+// series plus any SLO burn-rate alerts (spec `miss_rate<=0.05` unless
+// `--slo SPEC`).  File notices go to stderr and stdout stays byte-identical
+// observed or not; a failed write makes the exit code non-zero.
 
 #include <cstdio>
-#include <iostream>
 #include <vector>
 
-#include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/sched/client.hpp"
 #include "quamax/serve/load_gen.hpp"
-#include "quamax/serve/metrics_export.hpp"
+#include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const std::optional<quamax::anneal::AcceptMode> accept_override =
-      quamax::sim::cli_accept_mode_if_set(argc, argv);
-  const std::size_t devices = quamax::sim::cli_devices(argc, argv);
-  const quamax::sched::QueuePolicy policy =
-      quamax::sched::parse_queue_policy(quamax::sim::cli_queue_policy(argc, argv));
-  const std::string trace_path = quamax::sim::cli_trace(argc, argv);
-  const bool prof = quamax::sim::cli_prof(argc, argv);
-  const std::string prof_json = quamax::sim::cli_prof_json(argc, argv);
   using namespace quamax;
-
-  serve::MetricsOptions metrics;
-  metrics.path = sim::cli_metrics(argc, argv);
-  metrics.window_us = sim::cli_metrics_window(argc, argv);
-  metrics.slo = sim::cli_slo(argc, argv);
-  if (metrics.slo.empty()) metrics.slo = "miss_rate<=0.05";
-
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
-  obs::TraceLog trace_log;
+  using sim::Knob;
+  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
+  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
+  const auto accept_override =
+      sim::knob_if_set<anneal::AcceptMode>(Knob::kAcceptMode, argc, argv);
+  const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
+  const sched::QueuePolicy policy = sched::parse_queue_policy(
+      sim::knob<std::string>(Knob::kQueuePolicy, argc, argv));
+  // The packing-ON run is always windowed, under --slo or this default.
+  serve::RunObserver observer(argc, argv, "miss_rate<=0.05");
 
   const std::size_t num_jobs = sim::scaled(160);
   sim::print_banner("C-RAN decode service walkthrough",
@@ -102,14 +83,15 @@ int main(int argc, char** argv) {
   cfg.program_overhead_us = 10.0;
 
   for (const bool packing : {true, false}) {
-    cfg.packing = packing;
-    // Trace the packing-ON run: its wave structure (8 jobs folded into one
+    serve::ServiceConfig run_cfg = cfg;
+    run_cfg.packing = packing;
+    // Observe the packing-ON run: its wave structure (8 jobs folded into one
     // chip wave per subframe) is the interesting picture, and the windowed
     // series below is derived from this event stream.  The sink is always
     // attached for that run — tracing never drifts stdout, so the walkthrough
     // prints identical text with or without --trace / --metrics.
-    cfg.trace = packing ? &trace_log : nullptr;
-    serve::DecodeService service(cfg);
+    if (packing) observer.attach(run_cfg);
+    serve::DecodeService service(run_cfg);
     serve::LoadGenerator generator(load, 0xA2905);
     const serve::ServiceReport report =
         service.run(generator.open_loop(num_jobs));
@@ -138,10 +120,9 @@ int main(int argc, char** argv) {
       // fixed virtual-clock windows and evaluate the SLO spec with
       // multi-window burn-rate alerting.  Alerts are also injected into the
       // trace (their own "slo alerts" track when --trace is set).
-      const serve::WindowedView view =
-          serve::window_trace(trace_log, cfg, metrics, &trace_log);
+      const serve::WindowedView& view = observer.view();
       std::printf("\nwindowed miss-rate series (window %.0f us, SLO %s):\n",
-                  view.collector.width_us(), metrics.slo.c_str());
+                  view.collector.width_us(), observer.slo().c_str());
       sim::print_columns({"window", "t [ms]", "miss rate", "completed",
                           "queue", "occupancy", "watts", "p99 [us]"});
       for (const auto& w : view.collector.windows()) {
@@ -166,18 +147,11 @@ int main(int argc, char** argv) {
       }
       if (alerts == 0)
         std::printf("no SLO alerts: every window held %s\n",
-                    metrics.slo.c_str());
+                    observer.slo().c_str());
       const auto& totals = view.collector.totals();
       std::printf("energy accounting: %.3f J over the run, %.6f J per "
                   "decoded bit\n",
                   totals.energy_j, totals.joules_per_bit);
-
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics))
-          std::cerr << "metrics written to " << metrics.path << "\n";
-        else
-          std::cerr << "metrics write FAILED: " << metrics.path << "\n";
-      }
     }
   }
 
@@ -230,19 +204,5 @@ int main(int argc, char** argv) {
       "The async client streams the identical schedule: submit() as\n"
       "subframes release, poll() per subframe, drain() at end of stream.\n");
 
-  if (!trace_path.empty()) {
-    if (obs::write_chrome_trace_file(trace_log, trace_path))
-      std::cerr << "trace written to " << trace_path
-                << " (open in Perfetto or chrome://tracing)\n";
-    else
-      std::cerr << "trace write FAILED: " << trace_path << "\n";
-  }
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty()) {
-    if (obs::Profiler::instance().dump_json_file(prof_json))
-      std::cerr << "profile json written to " << prof_json << "\n";
-    else
-      std::cerr << "prof-json: could not write " << prof_json << "\n";
-  }
-  return 0;
+  return observer.finish();
 }

@@ -18,14 +18,12 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/core/detector.hpp"
 #include "quamax/detect/sphere.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/runner.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
   using namespace quamax;
+  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
 
   Rng rng{2024};
   constexpr std::size_t kUsers = 4;

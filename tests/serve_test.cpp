@@ -11,18 +11,24 @@
 //     streams);
 //   * wave packing lifts achieved throughput by >= 2x at saturating load;
 //   * deadline accounting: zero misses at trivial load, drops under
-//     drop_late admission, closed-loop arrivals feed back from completions.
+//     drop_late admission, closed-loop arrivals feed back from completions;
+//   * the observed-run harness (serve::RunObserver) traces only when asked,
+//     windows each run once, and reports every failed write.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "quamax/obs/profile.hpp"
 #include "quamax/serve/load_gen.hpp"
+#include "quamax/serve/observe.hpp"
 #include "quamax/serve/packer.hpp"
 #include "quamax/serve/service.hpp"
 
@@ -472,6 +478,85 @@ TEST(LoadGeneratorTest, TraceChannelsProduceServableJobs) {
   // Trace instances are cached by id: re-requesting an id is a pure lookup.
   const serve::CellJob again = gen.job(3, 3 % cfg.users, 123.0);
   EXPECT_EQ(again.uplink().use.tx_bits, jobs[3].uplink().use.tx_bits);
+}
+
+// ---- serve::RunObserver ----------------------------------------------------
+
+/// A RunObserver built from `args` (the program name is prepended).
+struct ObservedArgs {
+  std::vector<std::string> args;
+  std::vector<char*> argv;
+  explicit ObservedArgs(std::vector<std::string> a) : args(std::move(a)) {
+    args.insert(args.begin(), "serve_test");
+    for (std::string& arg : args) argv.push_back(arg.data());
+  }
+  serve::RunObserver observer() {
+    return serve::RunObserver(static_cast<int>(argv.size()), argv.data());
+  }
+};
+
+void serve_tiny_run(serve::RunObserver& observer, serve::ServiceConfig& cfg,
+                    std::size_t jobs = 16) {
+  observer.attach(cfg);
+  serve::LoadGenerator generator(bpsk8_load(50.0), 0x0B5);
+  serve::DecodeService(cfg).run(generator.open_loop(jobs));
+}
+
+int observe_tiny_run(std::vector<std::string> args) {
+  ObservedArgs parsed(std::move(args));
+  serve::RunObserver observer = parsed.observer();
+  serve::ServiceConfig cfg = fast_service(true);
+  serve_tiny_run(observer, cfg);
+  return observer.finish();
+}
+
+TEST(RunObserverTest, FinishReportsEveryFailedWrite) {
+  const std::string unwritable = "/nonexistent-quamax-dir/out.json";
+  EXPECT_EQ(observe_tiny_run({"--trace", unwritable}), 1);
+  EXPECT_EQ(observe_tiny_run({"--metrics", unwritable}), 1);
+  EXPECT_EQ(observe_tiny_run({"--slo", "miss_rate<=0.05", "--metrics", unwritable}), 1);
+  EXPECT_EQ(observe_tiny_run({"--prof-json", unwritable}), 1);
+  obs::Profiler::instance().set_enabled(false);
+}
+
+TEST(RunObserverTest, WritesEveryRequestedFile) {
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "observer_trace.json";
+  const std::string metrics = dir + "observer_metrics.csv";
+  EXPECT_EQ(observe_tiny_run({"--trace=" + trace, "--metrics", metrics}), 0);
+  EXPECT_TRUE(std::filesystem::exists(trace));
+  EXPECT_TRUE(std::filesystem::exists(metrics));
+  EXPECT_TRUE(std::filesystem::exists(metrics + ".prom"));
+}
+
+TEST(RunObserverTest, UnobservedRunsAttachNothing) {
+  ObservedArgs parsed({});
+  serve::RunObserver observer = parsed.observer();
+  serve::ServiceConfig cfg = fast_service(true);
+  serve_tiny_run(observer, cfg);
+  EXPECT_EQ(cfg.trace, nullptr);
+  EXPECT_EQ(observer.finish(), 0);
+}
+
+TEST(RunObserverTest, AlertsAreInjectedOncePerRun) {
+  // An SLO every run breaks, so the view carries alerts.
+  ObservedArgs parsed({"--slo", "p99<=0.001"});
+  serve::RunObserver observer = parsed.observer();
+  serve::ServiceConfig cfg = fast_service(true);
+  serve_tiny_run(observer, cfg);
+  const auto* log = dynamic_cast<const obs::TraceLog*>(cfg.trace);
+  ASSERT_NE(log, nullptr);
+  std::size_t alerts = 0;
+  for (const auto& report : observer.view().slos) alerts += report.alerts.size();
+  ASSERT_GT(alerts, 0u);
+  EXPECT_EQ(&observer.view(), &observer.view());
+  EXPECT_EQ(observer.finish(), 0);
+  EXPECT_EQ(log->alerts().size(), alerts);
+
+  // A new attached run starts from a clean log and a fresh view.
+  serve::ServiceConfig next = fast_service(true);
+  serve_tiny_run(observer, next, 8);
+  EXPECT_EQ(observer.view().collector.totals().submitted, 8);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Experiment-harness tests: instance construction (ground-state anchoring),
-// run orchestration, and the Fix/Opt sweep aggregation logic of §5.3.2.
+// run orchestration, the Fix/Opt sweep aggregation logic of §5.3.2, and the
+// knob table every bench/example binary reads its settings through.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "quamax/anneal/annealer.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/runner.hpp"
 
 namespace quamax::sim {
@@ -103,79 +109,28 @@ TEST(SweepTest, RaggedMatrixThrows) {
   EXPECT_THROW(best_fixed_setting(SweepMatrix{}), InvalidArgument);
 }
 
-TEST(EnvScaleTest, DefaultsAndOverrides) {
+TEST(EnvScaleTest, DefaultsOverridesAndValidation) {
   ::unsetenv("QUAMAX_SCALE");
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(knob<double>(Knob::kScale), 1.0);
   EXPECT_EQ(scaled(10), 10u);
 
   ::setenv("QUAMAX_SCALE", "0.25", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 0.25);
+  EXPECT_DOUBLE_EQ(knob<double>(Knob::kScale), 0.25);
   EXPECT_EQ(scaled(10), 3u);   // rounded
   EXPECT_EQ(scaled(1), 1u);    // floored at 1
 
-  ::setenv("QUAMAX_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  // A malformed or non-positive scale is an error naming the knob, never a
+  // silent full-scale run.
+  for (const char* bad : {"garbage", "o.5", "0", "-1", ""}) {
+    ::setenv("QUAMAX_SCALE", bad, 1);
+    try {
+      scaled(10);
+      ADD_FAILURE() << "QUAMAX_SCALE=" << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("QUAMAX_SCALE"), std::string::npos);
+    }
+  }
   ::unsetenv("QUAMAX_SCALE");
-}
-
-TEST(CliKnobsTest, ThreadsAndReplicasFlagsParseBothSpellings) {
-  const char* argv1[] = {"bench", "--threads", "4", "--replicas", "16"};
-  EXPECT_EQ(cli_threads(5, const_cast<char**>(argv1)), 4u);
-  EXPECT_EQ(cli_replicas(5, const_cast<char**>(argv1)), 16u);
-
-  const char* argv2[] = {"bench", "--threads=0", "--replicas=1"};
-  EXPECT_EQ(cli_threads(3, const_cast<char**>(argv2)), 0u);
-  EXPECT_EQ(cli_replicas(3, const_cast<char**>(argv2)), 1u);
-}
-
-TEST(CliKnobsTest, MalformedOrZeroReplicasThrow) {
-  const char* negative[] = {"bench", "--replicas", "-2"};
-  EXPECT_THROW(cli_replicas(3, const_cast<char**>(negative)), InvalidArgument);
-  const char* garbage[] = {"bench", "--replicas=lots"};
-  EXPECT_THROW(cli_replicas(2, const_cast<char**>(garbage)), InvalidArgument);
-  const char* zero[] = {"bench", "--replicas", "0"};
-  EXPECT_THROW(cli_replicas(3, const_cast<char**>(zero)), InvalidArgument);
-  const char* missing[] = {"bench", "--replicas"};
-  EXPECT_THROW(cli_replicas(2, const_cast<char**>(missing)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, AcceptModeFlagParsesBothSpellingsAndAllModes) {
-  const char* argv1[] = {"bench", "--accept-mode", "threshold"};
-  EXPECT_EQ(cli_accept_mode(3, const_cast<char**>(argv1)),
-            anneal::AcceptMode::kThreshold);
-  const char* argv2[] = {"bench", "--accept-mode=threshold32"};
-  EXPECT_EQ(cli_accept_mode(2, const_cast<char**>(argv2)),
-            anneal::AcceptMode::kThreshold32);
-  const char* argv3[] = {"bench", "--accept-mode=exact"};
-  EXPECT_EQ(cli_accept_mode(2, const_cast<char**>(argv3)),
-            anneal::AcceptMode::kExact);
-  const char* none[] = {"bench"};
-  ::unsetenv("QUAMAX_ACCEPT_MODE");
-  EXPECT_EQ(cli_accept_mode(1, const_cast<char**>(none)),
-            anneal::AcceptMode::kExact);
-}
-
-TEST(CliKnobsTest, AcceptModeEnvFallbackAndErrors) {
-  ::setenv("QUAMAX_ACCEPT_MODE", "threshold", 1);
-  EXPECT_EQ(env_accept_mode(), anneal::AcceptMode::kThreshold);
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_accept_mode(1, const_cast<char**>(none)),
-            anneal::AcceptMode::kThreshold);
-  // An explicit flag wins over the environment.
-  const char* flagged[] = {"bench", "--accept-mode", "threshold32"};
-  EXPECT_EQ(cli_accept_mode(3, const_cast<char**>(flagged)),
-            anneal::AcceptMode::kThreshold32);
-  ::setenv("QUAMAX_ACCEPT_MODE", "metropolis", 1);
-  EXPECT_THROW(env_accept_mode(), InvalidArgument);
-  // ...but a malformed env var cannot abort a run with a valid flag.
-  EXPECT_EQ(cli_accept_mode(3, const_cast<char**>(flagged)),
-            anneal::AcceptMode::kThreshold32);
-  ::unsetenv("QUAMAX_ACCEPT_MODE");
-
-  const char* garbage[] = {"bench", "--accept-mode=fast"};
-  EXPECT_THROW(cli_accept_mode(2, const_cast<char**>(garbage)), InvalidArgument);
-  const char* missing[] = {"bench", "--accept-mode"};
-  EXPECT_THROW(cli_accept_mode(2, const_cast<char**>(missing)), InvalidArgument);
 }
 
 TEST(CliKnobsTest, AcceptModeNamesRoundTrip) {
@@ -185,100 +140,135 @@ TEST(CliKnobsTest, AcceptModeNamesRoundTrip) {
                "threshold32");
 }
 
-TEST(CliKnobsTest, AcceptModeIfSetDistinguishesAbsence) {
+/// One valid spelling per row, and a malformed one where the row validates
+/// (nullptr: the row transports any text).
+struct KnobSample {
+  const char* valid;
+  const char* malformed;
+};
+
+constexpr std::array<KnobSample, Knob::kCount> kSamples{{
+    {"0.5", "o.5"},                // kScale
+    {"4", "-2"},                   // kThreads
+    {"16", "0"},                   // kReplicas
+    {"threshold", "metropolis"},   // kAcceptMode
+    {"4", "pool"},                 // kDevices
+    {"edf", nullptr},              // kQueuePolicy
+    {"0.5", "1.5"},                // kDownlink
+    {"8", "-4"},                   // kTau
+    {"0.9", "1"},                  // kCoherence
+    {"plan.txt", ""},              // kFaultPlan
+    {"3", "lots"},                 // kMaxRetries
+    {"zf", nullptr},               // kFallback
+    {"run.json", ""},              // kTrace
+    {"0", nullptr},                // kProf
+    {"prof.json", ""},             // kProfJson
+    {"metrics.csv", ""},           // kMetrics
+    {"250", "-1"},                 // kMetricsWindow
+    {"miss_rate<=0.05", nullptr},  // kSlo
+    {"out.json", ""},              // kJson
+}};
+
+using Argv = std::vector<std::string>;
+
+std::optional<KnobValue> lookup(Knob::Id id, Argv args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return knob_lookup(id, static_cast<int>(argv.size()), argv.data());
+}
+
+Argv positionals(Argv args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return positional_args(static_cast<int>(argv.size()), argv.data());
+}
+
+/// Runs `fn`, which must throw InvalidArgument prefixed with the row label.
+template <typename Fn>
+void expect_knob_error(const Knob& row, Fn fn) {
+  try {
+    fn();
+    ADD_FAILURE() << row.label() << ": accepted a bad value";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(row.label() + ": ", 0), 0u) << e.what();
+  }
+}
+
+TEST(KnobTableTest, EveryRowHonoursTheLookupContract) {
+  ASSERT_EQ(knob_table().size(), std::size_t{Knob::kCount});
+  for (const Knob& row : knob_table()) {
+    SCOPED_TRACE(row.label());
+    ASSERT_EQ(&row, &knob_table()[row.id]);
+    ASSERT_FALSE(row.flag.empty() && row.env.empty());
+    EXPECT_FALSE(row.doc.empty());
+    const KnobSample sample = kSamples[row.id];
+    const std::string flag(row.flag);
+    const std::string env(row.env);
+    const KnobValue valid = row.rule(sample.valid, row.label());
+    // The default has the type the rule produces.
+    EXPECT_EQ(valid.index(), row.fallback.index());
+    // A value that must lose to the flag: malformed where the row
+    // validates, else merely different.
+    const std::string other = sample.malformed != nullptr && *sample.malformed
+                                  ? sample.malformed
+                                  : row.takes_value() ? "garbage" : "1";
+    if (!env.empty()) ::unsetenv(env.c_str());
+
+    if (!flag.empty()) {
+      // Both spellings; the first occurrence wins.
+      const std::string eq = flag + "=" + sample.valid;
+      EXPECT_EQ(lookup(row.id, {eq}), valid);
+      EXPECT_EQ(lookup(row.id, {eq, flag + "=" + other}), valid);
+      if (row.takes_value()) {
+        EXPECT_EQ(lookup(row.id, {flag, sample.valid}), valid);
+        expect_knob_error(row, [&] { lookup(row.id, {flag}); });
+      } else {
+        EXPECT_EQ(lookup(row.id, {flag}), KnobValue(true));
+      }
+      if (sample.malformed != nullptr)
+        expect_knob_error(row, [&] { lookup(row.id, {flag + "=" + sample.malformed}); });
+      // positional_args skips every spelling of the flag.
+      const Argv spaced = row.takes_value() ? Argv{flag, sample.valid} : Argv{flag};
+      Argv args{"alpha"};
+      args.insert(args.end(), spaced.begin(), spaced.end());
+      args.insert(args.end(), {"beta", eq, "gamma"});
+      EXPECT_EQ(positionals(args), (Argv{"alpha", "beta", "gamma"}));
+    }
+
+    EXPECT_EQ(lookup(row.id, {}), std::nullopt);
+    if (!env.empty()) {
+      ::setenv(env.c_str(), sample.valid, 1);
+      EXPECT_EQ(lookup(row.id, {}), valid);
+      ::setenv(env.c_str(), other.c_str(), 1);
+      if (!flag.empty()) {
+        // A bad environment variable never aborts a run with a valid flag.
+        EXPECT_EQ(lookup(row.id, {flag + "=" + sample.valid}), valid);
+      }
+      if (sample.malformed != nullptr && *sample.malformed)
+        expect_knob_error(row, [&] { lookup(row.id, {}); });
+      ::unsetenv(env.c_str());
+    }
+  }
+}
+
+TEST(KnobTableTest, TypedReadsFallBackToTheDefault) {
   ::unsetenv("QUAMAX_ACCEPT_MODE");
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_accept_mode_if_set(1, const_cast<char**>(none)), std::nullopt);
-  const char* flagged[] = {"bench", "--accept-mode=exact"};
-  EXPECT_EQ(cli_accept_mode_if_set(2, const_cast<char**>(flagged)),
-            anneal::AcceptMode::kExact);
-  ::setenv("QUAMAX_ACCEPT_MODE", "threshold", 1);
-  EXPECT_EQ(cli_accept_mode_if_set(1, const_cast<char**>(none)),
-            anneal::AcceptMode::kThreshold);
-  ::unsetenv("QUAMAX_ACCEPT_MODE");
-}
-
-TEST(CliKnobsTest, DevicesFlagParsesValidatesAndFallsBack) {
-  const char* argv1[] = {"bench", "--devices", "4"};
-  EXPECT_EQ(cli_devices(3, const_cast<char**>(argv1)), 4u);
-  const char* argv2[] = {"bench", "--devices=2"};
-  EXPECT_EQ(cli_devices(2, const_cast<char**>(argv2)), 2u);
-
-  ::unsetenv("QUAMAX_DEVICES");
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_devices(1, const_cast<char**>(none)), 1u);
-  ::setenv("QUAMAX_DEVICES", "8", 1);
-  EXPECT_EQ(cli_devices(1, const_cast<char**>(none)), 8u);
-  ::unsetenv("QUAMAX_DEVICES");
-
-  const char* zero[] = {"bench", "--devices", "0"};
-  EXPECT_THROW(cli_devices(3, const_cast<char**>(zero)), InvalidArgument);
-  const char* garbage[] = {"bench", "--devices=pool"};
-  EXPECT_THROW(cli_devices(2, const_cast<char**>(garbage)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, QueuePolicyFlagTransportsSpelling) {
-  const char* argv1[] = {"bench", "--queue-policy", "edf"};
-  EXPECT_EQ(cli_queue_policy(3, const_cast<char**>(argv1)), "edf");
-  const char* argv2[] = {"bench", "--queue-policy=slack"};
-  EXPECT_EQ(cli_queue_policy(2, const_cast<char**>(argv2)), "slack");
-
-  ::unsetenv("QUAMAX_QUEUE_POLICY");
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_queue_policy(1, const_cast<char**>(none)), "fifo");
-  ::setenv("QUAMAX_QUEUE_POLICY", "slack", 1);
-  EXPECT_EQ(cli_queue_policy(1, const_cast<char**>(none)), "slack");
-  ::unsetenv("QUAMAX_QUEUE_POLICY");
-}
-
-TEST(CliKnobsTest, DownlinkFlagParsesValidatesAndFallsBack) {
-  const char* argv1[] = {"bench", "--downlink", "0.5"};
-  EXPECT_DOUBLE_EQ(cli_downlink(3, const_cast<char**>(argv1)), 0.5);
-  const char* argv2[] = {"bench", "--downlink=1"};
-  EXPECT_DOUBLE_EQ(cli_downlink(2, const_cast<char**>(argv2)), 1.0);
-
-  ::unsetenv("QUAMAX_DOWNLINK");
-  const char* none[] = {"bench"};
-  EXPECT_DOUBLE_EQ(cli_downlink(1, const_cast<char**>(none)), 0.0);
-  ::setenv("QUAMAX_DOWNLINK", "0.25", 1);
-  EXPECT_DOUBLE_EQ(cli_downlink(1, const_cast<char**>(none)), 0.25);
-  ::unsetenv("QUAMAX_DOWNLINK");
-
-  const char* above[] = {"bench", "--downlink", "1.5"};
-  EXPECT_THROW(cli_downlink(3, const_cast<char**>(above)), InvalidArgument);
-  const char* garbage[] = {"bench", "--downlink=mixed"};
-  EXPECT_THROW(cli_downlink(2, const_cast<char**>(garbage)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, TauFlagParsesValidatesAndFallsBack) {
-  const char* argv1[] = {"bench", "--tau", "8"};
-  EXPECT_DOUBLE_EQ(cli_tau(3, const_cast<char**>(argv1)), 8.0);
-  const char* argv2[] = {"bench", "--tau=2.5"};
-  EXPECT_DOUBLE_EQ(cli_tau(2, const_cast<char**>(argv2)), 2.5);
-
-  ::unsetenv("QUAMAX_TAU");
-  const char* none[] = {"bench"};
-  EXPECT_DOUBLE_EQ(cli_tau(1, const_cast<char**>(none)), 0.0);
-  ::setenv("QUAMAX_TAU", "16", 1);
-  EXPECT_DOUBLE_EQ(cli_tau(1, const_cast<char**>(none)), 16.0);
-  ::unsetenv("QUAMAX_TAU");
-
-  const char* negative[] = {"bench", "--tau", "-4"};
-  EXPECT_THROW(cli_tau(3, const_cast<char**>(negative)), InvalidArgument);
-  const char* garbage[] = {"bench", "--tau=auto"};
-  EXPECT_THROW(cli_tau(2, const_cast<char**>(garbage)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, PositionalArgsSkipAllFlags) {
-  const char* argv[] = {"bench",        "alpha", "--threads",
-                        "2",            "beta",  "--replicas=8",
-                        "--accept-mode", "threshold", "gamma",
-                        "--devices", "4", "--queue-policy=edf", "delta",
-                        "--downlink", "0.5", "--tau=8", "epsilon"};
-  const std::vector<std::string> positional =
-      positional_args(17, const_cast<char**>(argv));
-  EXPECT_EQ(positional, (std::vector<std::string>{"alpha", "beta", "gamma",
-                                                  "delta", "epsilon"}));
+  ::unsetenv("QUAMAX_REPLICAS");
+  ::unsetenv("QUAMAX_PROF");
+  EXPECT_EQ(knob<std::size_t>(Knob::kReplicas), 8u);
+  EXPECT_EQ(knob<anneal::AcceptMode>(Knob::kAcceptMode), anneal::AcceptMode::kExact);
+  EXPECT_EQ(knob_if_set<anneal::AcceptMode>(Knob::kAcceptMode), std::nullopt);
+  EXPECT_FALSE(knob<bool>(Knob::kProf));
+  // An empty path variable means "off", not a malformed path.
+  ::setenv("QUAMAX_TRACE", "", 1);
+  EXPECT_EQ(knob<std::string>(Knob::kTrace), "");
+  ::unsetenv("QUAMAX_TRACE");
+  // Boolean rows: --prof=0 is parsed, not left behind as a positional.
+  const char* argv[] = {"bench", "--prof=0", "smoke", "--prof=1"};
+  EXPECT_FALSE(knob<bool>(Knob::kProf, 4, const_cast<char**>(argv)));
+  EXPECT_EQ(positional_args(4, const_cast<char**>(argv)), (Argv{"smoke"}));
 }
 
 }  // namespace

@@ -6,11 +6,12 @@ Usage:
     metrics_check.py --emit BINARY [ARG...]
 
 The first form validates a metrics file written by
-`serve::export_metrics` (the `--metrics FILE` / `QUAMAX_METRICS` knob of
-the serving binaries, JSON flavor).  The second form runs BINARY with
+`serve::RunObserver::finish` (the `--metrics FILE` / `QUAMAX_METRICS` knob
+of the serving binaries, JSON flavor).  The second form runs BINARY with
 QUAMAX_METRICS pointed at a temp file, then validates what it wrote —
-this is the `metrics_roundtrip` CTest, so a change to the windowed
-collector that breaks the accounting invariants fails the suite offline.
+this is the `metrics_roundtrip` and `warmstart_metrics_roundtrip` CTests,
+so a change to the windowed collector that breaks the accounting
+invariants fails the suite offline.
 
 Checks, in order:
 
