@@ -144,7 +144,7 @@ BENCHMARK(BM_SaSweepScalar)->Arg(1)->Arg(8)->Arg(16);
 // The same R replicas through one anneal_batch() call (bit-identical output;
 // batch_replica_test proves it).  Compare items/s against BM_SaSweepScalar
 // at the same R for the batched-kernel sweep-throughput speedup, and against
-// BM_SaSweepBatchedThreshold[32] at the same R for the accept-mode speedup.
+// BM_SaSweepBatchedThreshold32 at the same R for the accept-mode speedup.
 // items/s is spin-updates per second; the quamax_spin_updates_per_s counter
 // repeats it under a stable name (the quamax_ prefix is what
 // tools/bench_to_json.py carries into the artifact).
@@ -175,18 +175,12 @@ void BM_SaSweepBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_SaSweepBatched)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 
-// Branch-free threshold acceptance (AcceptMode::kThreshold): no exp(), no
-// data-dependent RNG consumption — the accept pass vectorizes.  The ratio
-// to BM_SaSweepBatched at equal R is the accept-mode speedup (acceptance
-// bar: >= 1.4x at R = 8; CI gates on it via tools/bench_to_json.py).
-void BM_SaSweepBatchedThreshold(benchmark::State& state) {
-  sweep_batched_mode(state, anneal::AcceptMode::kThreshold);
-}
-BENCHMARK(BM_SaSweepBatchedThreshold)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
-
-// Threshold acceptance over float32 state/coefficients (kThreshold32): the
-// serve-workload variant of the ICE-off shared-coefficient path, doubling
-// SIMD width.
+// Branch-free threshold acceptance over float32 state/coefficients
+// (AcceptMode::kThreshold32, the serving default): no exp(), no
+// data-dependent RNG consumption — the accept pass vectorizes at double
+// the float64 SIMD width.  The ratio to BM_SaSweepBatched at equal R is the
+// accept-mode speedup (acceptance bar: >= 1.4x at R = 8; CI gates on it via
+// tools/bench_to_json.py).
 void BM_SaSweepBatchedThreshold32(benchmark::State& state) {
   sweep_batched_mode(state, anneal::AcceptMode::kThreshold32);
 }

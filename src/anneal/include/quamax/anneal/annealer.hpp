@@ -68,7 +68,7 @@ struct AnnealerConfig {
   /// throughput (see bench_micro_kernels' BM_SaSweep* pair).
   std::size_t batch_replicas = 8;
   /// Acceptance rule of the sweep kernel (see anneal::AcceptMode).  kExact
-  /// preserves the v1 bit-exact contract; kThreshold/kThreshold32 trade it
+  /// preserves the v1 bit-exact contract; kThreshold32 trades it
   /// for the branch-free threshold kernel — statistically equivalent
   /// samples, still bit-identical at any num_threads/batch_replicas, but a
   /// DIFFERENT stream of results than kExact for the same seed.  Knob:

@@ -43,11 +43,11 @@
 //
 // Acceptance rules: every entry point takes an AcceptMode.  kExact is the
 // v1 Metropolis rule (bit-compatible with all historical results);
-// kThreshold/kThreshold32 replace the data-dependent exp()/RNG decision
-// with a pre-drawn, branch-free energy-threshold compare — statistically
-// equivalent, substantially faster, and bit-identical across thread and
-// replica counts under their own (v2) determinism contract.  See the
-// AcceptMode documentation below.
+// kThreshold32 replaces the data-dependent exp()/RNG decision with a
+// pre-drawn, branch-free energy-threshold compare over float32 state —
+// statistically equivalent, substantially faster, and bit-identical across
+// thread and replica counts under its own (v2) determinism contract.  See
+// the AcceptMode documentation below.
 //
 // Thread safety: after construction (and any set_groups() call), the engine
 // is immutable — anneal(), anneal_with(), anneal_batch(), and
@@ -77,30 +77,25 @@ namespace quamax::anneal {
 ///    per sweep.  Bit-compatible with every result the library has ever
 ///    produced.
 ///
-///  * kThreshold — the v2 branch-free contract: each decision PRE-DRAWS one
-///    uniform u_r per replica in a fixed, data-independent order (replica r
-///    always consumes exactly one uniform per spin and per group per sweep),
-///    transforms it once into an energy threshold t_r = -log(u_r) / beta,
-///    and accepts iff dE <= t_r (zero-cost moves use the same u_r as the
-///    coin: accept iff u_r < 1/2).  Identical acceptance probabilities, but
-///    no exp() and no data-dependent RNG branches in the inner loop — the
-///    per-replica accept pass is straight-line code the compiler can
-///    vectorize (bench_micro_kernels' BM_SaSweepBatchedThreshold proves
-///    it).  NOT bit-identical to kExact (different draws), but replica r's
-///    stream consumption is data-independent, so results remain bit-
-///    identical at any thread count or replica block size.
-///
-///  * kThreshold32 — kThreshold with float32 state and coefficients: local
-///    fields, accumulators, and coefficient reads run in single precision,
-///    doubling the SIMD width of every vector pass.  Same determinism
-///    contract as kThreshold (bit-identical at any threads/replicas for a
-///    fixed seed), statistically indistinguishable from the float64 modes
-///    (accept_mode_test enforces parity); intended for throughput-bound
-///    serve workloads on the ICE-off shared-coefficient path.
-enum class AcceptMode : std::uint8_t { kExact = 0, kThreshold = 1, kThreshold32 = 2 };
+///  * kThreshold32 — the v2 branch-free contract, and the serving default:
+///    each decision PRE-DRAWS one uniform u_r per replica in a fixed,
+///    data-independent order (replica r always consumes exactly one uniform
+///    per spin and per group per sweep), transforms it once into an energy
+///    threshold t_r = -log(u_r) / beta, and accepts iff dE <= t_r (zero-cost
+///    moves use the same u_r as the coin: accept iff u_r < 1/2).  Identical
+///    acceptance probabilities, but no exp() and no data-dependent RNG
+///    branches in the inner loop — the per-replica accept pass is
+///    straight-line code the compiler can vectorize
+///    (bench_micro_kernels' BM_SaSweepBatchedThreshold32 proves it).  Local
+///    fields, accumulators, and coefficient reads run in float32, doubling
+///    the SIMD width of every vector pass.  NOT bit-identical to kExact
+///    (different draws and precision), but replica r's stream consumption
+///    is data-independent, so results remain bit-identical at any thread
+///    count or replica block size; statistically indistinguishable from
+///    kExact (accept_mode_test enforces parity).
+enum class AcceptMode : std::uint8_t { kExact = 0, kThreshold32 = 1 };
 
-/// Canonical CLI spelling of an accept mode ("exact" / "threshold" /
-/// "threshold32").
+/// Canonical CLI spelling of an accept mode ("exact" / "threshold32").
 const char* to_string(AcceptMode mode) noexcept;
 
 class SaEngine {
@@ -184,14 +179,14 @@ class SaEngine {
   /// interleaved (entry index*R + r); with SharedCoeffs == true they are the
   /// plain flat arrays (num_spins() / num_couplings() entries) read by every
   /// replica — the ICE-off fast path that skips the O(R*(N+M)) broadcast
-  /// copy per call.  Threshold selects the branch-free threshold-acceptance
-  /// pass (AcceptMode::kThreshold / kThreshold32) over the v1 Metropolis
-  /// pass; Real is the state/coefficient scalar type (float implements
-  /// kThreshold32 — coefficients then arrive as float arrays).  `rngs`
-  /// points at R generator pointers, and the result is written replica-
-  /// interleaved into `spins_il` (R*num_spins() entries).  For R == 1 the
-  /// interleaved layout degenerates to the plain scalar arrays.
-  template <bool SharedCoeffs, bool Threshold, typename Real>
+  /// copy per call.  Real is the state/coefficient scalar type and picks
+  /// the accept pass: double runs the v1 Metropolis pass (kExact), float
+  /// the branch-free threshold pass (kThreshold32 — coefficients then
+  /// arrive as float arrays).  `rngs` points at R generator pointers, and
+  /// the result is written replica-interleaved into `spins_il`
+  /// (R*num_spins() entries).  For R == 1 the interleaved layout
+  /// degenerates to the plain scalar arrays.
+  template <bool SharedCoeffs, typename Real>
   void run_batch_kernel(std::size_t num_replicas,
                         const std::vector<double>& betas,
                         const Real* fields_il, const Real* couplings_il,

@@ -3,21 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "quamax/obs/profile.hpp"
 
 namespace quamax::anneal {
 
 const char* to_string(AcceptMode mode) noexcept {
-  switch (mode) {
-    case AcceptMode::kExact:
-      return "exact";
-    case AcceptMode::kThreshold:
-      return "threshold";
-    case AcceptMode::kThreshold32:
-      return "threshold32";
-  }
-  return "exact";
+  return mode == AcceptMode::kThreshold32 ? "threshold32" : "exact";
 }
 
 namespace {
@@ -57,6 +50,20 @@ inline double branchless_neg_log(double u) noexcept {
                                          s * -0.006006605044038654)))))));
   constexpr double kLn2 = 0.693147180559945309417232121458;
   return -(e * kLn2 + log_m);
+}
+
+/// Transposes R replica-major blocks of `count` entries (block r at
+/// rm[r*count ..)) into the kernel's replica-interleaved layout
+/// (il[i*R + r]); for Real == float the transpose doubles as the float32
+/// rounding pass.  O(R*count) once per batch — negligible against the sweep
+/// loop.
+template <typename Real>
+void interleave(const double* rm, std::size_t count, std::size_t R,
+                std::vector<Real>& il) {
+  il.resize(count * R);
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t i = 0; i < count; ++i)
+      il[i * R + r] = static_cast<Real>(rm[r * count + i]);
 }
 
 }  // namespace
@@ -130,25 +137,26 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
 // floating-point accumulations in the scalar path's order (edges within a
 // CSR row, members within a group).
 //
-// The two accept passes:
+// The two accept passes, selected by Real:
 //
-//  * Threshold == false (AcceptMode::kExact): the v1 Metropolis rule.  RNG
+//  * Real == double (AcceptMode::kExact): the v1 Metropolis rule.  RNG
 //    consumption is data-dependent (uniform only on uphill, coin only on
 //    zero cost), so the decision loop carries two unpredictable branches
 //    and a libm exp() per uphill proposal and cannot vectorize.
-//  * Threshold == true (kThreshold / kThreshold32): every replica pre-draws
-//    ONE uniform per decision in a fixed order, the draws are transformed
-//    once into energy thresholds t_r = -log(u_r)/beta by a branch-free
-//    vector pass, and acceptance is the straight-line compare
-//    delta_e <= t_r (zero-cost moves reuse u_r as the coin: u_r < 1/2).
-//    No exp(), no data-dependent RNG, no branches — the decision loop
-//    compiles to vector compares plus a branch-free index compaction.
-template <bool SharedCoeffs, bool Threshold, typename Real>
+//  * Real == float (kThreshold32): every replica pre-draws ONE uniform per
+//    decision in a fixed order, the draws are transformed once into energy
+//    thresholds t_r = -log(u_r)/beta by a branch-free vector pass, and
+//    acceptance is the straight-line compare delta_e <= t_r (zero-cost
+//    moves reuse u_r as the coin: u_r < 1/2).  No exp(), no data-dependent
+//    RNG, no branches — the decision loop compiles to vector compares plus
+//    a branch-free index compaction.
+template <bool SharedCoeffs, typename Real>
 void SaEngine::run_batch_kernel(std::size_t num_replicas,
                                 const std::vector<double>& betas,
                                 const Real* fields_il, const Real* couplings_il,
                                 Rng* const* rngs, const qubo::SpinVec* initial,
                                 std::int8_t* spins_il) const {
+  constexpr bool Threshold = std::is_same_v<Real, float>;
   const std::size_t n = num_spins();
   const std::size_t R = num_replicas;
 
@@ -396,110 +404,60 @@ std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
   std::vector<Rng*> rng_ptrs(R);
   for (std::size_t r = 0; r < R; ++r) rng_ptrs[r] = &rngs[r];
 
+  // R == 1 writes straight into the result (interleaved == flat); larger R
+  // de-interleaves below.  Scratch is thread_local for the same reason as
+  // the kernel's: the per-lane sampling loops call this once per block and
+  // every element is overwritten.
   std::vector<qubo::SpinVec> result(R, qubo::SpinVec(n));
+  thread_local std::vector<std::int8_t> spins_il;
+  std::int8_t* out = result.front().data();
+  if (R > 1) {
+    spins_il.resize(n * R);
+    out = spins_il.data();
+  }
 
   if (mode == AcceptMode::kThreshold32) {
-    // The float32 threshold kernels.  R == 1 writes straight into the
-    // result (interleaved == flat); larger R de-interleaves below.
-    thread_local std::vector<std::int8_t> spins32_il;
-    std::int8_t* out = result.front().data();
-    if (R > 1) {
-      spins32_il.resize(n * R);
-      out = spins32_il.data();
-    }
     if (!replicated_coefficients) {
       // anneal_batch (the ICE-off serve workload): the precomputed float32
       // base arrays feed the shared-coefficient kernel — no per-call
       // conversion, no broadcast.
-      run_batch_kernel<true, true, float>(R, betas, fields_f32_.data(),
-                                          couplings_f32_.data(),
-                                          rng_ptrs.data(), initial, out);
+      run_batch_kernel<true, float>(R, betas, fields_f32_.data(),
+                                    couplings_f32_.data(), rng_ptrs.data(),
+                                    initial, out);
     } else {
-      // Per-replica blocks (ICE on): the existing transpose doubles as the
-      // float32 rounding pass.
       thread_local std::vector<float> fields32_il;
       thread_local std::vector<float> couplings32_il;
-      fields32_il.resize(n * R);
-      couplings32_il.resize(m * R);
-      for (std::size_t r = 0; r < R; ++r) {
-        const double* fsrc = fields_rm + r * n;
-        const double* csrc = couplings_rm + r * m;
-        for (std::size_t i = 0; i < n; ++i)
-          fields32_il[i * R + r] = static_cast<float>(fsrc[i]);
-        for (std::size_t e = 0; e < m; ++e)
-          couplings32_il[e * R + r] = static_cast<float>(csrc[e]);
-      }
-      run_batch_kernel<false, true, float>(R, betas, fields32_il.data(),
-                                           couplings32_il.data(),
-                                           rng_ptrs.data(), initial, out);
+      interleave(fields_rm, n, R, fields32_il);
+      interleave(couplings_rm, m, R, couplings32_il);
+      run_batch_kernel<false, float>(R, betas, fields32_il.data(),
+                                     couplings32_il.data(), rng_ptrs.data(),
+                                     initial, out);
     }
-    if (R > 1)
-      for (std::size_t r = 0; r < R; ++r)
-        for (std::size_t i = 0; i < n; ++i) result[r][i] = out[i * R + r];
-    return result;
-  }
-
-  const bool thr = mode == AcceptMode::kThreshold;
-  if (R == 1) {
+  } else if (R == 1) {
     // Scalar specialization: interleaved and flat layouts coincide, so the
     // caller's arrays feed the kernel directly.
-    if (thr)
-      run_batch_kernel<false, true, double>(1, betas, fields_rm, couplings_rm,
-                                            rng_ptrs.data(), initial,
-                                            result.front().data());
-    else
-      run_batch_kernel<false, false, double>(1, betas, fields_rm, couplings_rm,
-                                             rng_ptrs.data(), initial,
-                                             result.front().data());
-    return result;
-  }
-
-  thread_local std::vector<std::int8_t> spins_il;
-  spins_il.resize(n * R);
-
-  if (!replicated_coefficients) {
+    run_batch_kernel<false, double>(1, betas, fields_rm, couplings_rm,
+                                    rng_ptrs.data(), initial, out);
+  } else if (!replicated_coefficients) {
     // Shared-coefficient fast path (the ICE-off workload): every replica
     // reads the same flat base arrays, so the O(R*(N+M)) broadcast into the
     // interleaved layout is skipped entirely.  Values are identical, so the
     // result stays bit-identical to the interleaved path.
-    if (thr)
-      run_batch_kernel<true, true, double>(R, betas, fields_rm, couplings_rm,
-                                           rng_ptrs.data(), initial,
-                                           spins_il.data());
-    else
-      run_batch_kernel<true, false, double>(R, betas, fields_rm, couplings_rm,
-                                            rng_ptrs.data(), initial,
-                                            spins_il.data());
+    run_batch_kernel<true, double>(R, betas, fields_rm, couplings_rm,
+                                   rng_ptrs.data(), initial, out);
   } else {
-    // Transpose the replica-major coefficient blocks into the kernel's
-    // replica-interleaved layout.  O(R*(N+M)) once per batch — negligible
-    // against the sweep loop.  thread_local for the same reason as the
-    // kernel scratch: the per-lane sampling loops call this once per block
-    // and every element is overwritten.
     thread_local std::vector<double> fields_il;
     thread_local std::vector<double> couplings_il;
-    fields_il.resize(n * R);
-    couplings_il.resize(m * R);
-    for (std::size_t r = 0; r < R; ++r) {
-      const double* fsrc = fields_rm + r * n;
-      const double* csrc = couplings_rm + r * m;
-      for (std::size_t i = 0; i < n; ++i) fields_il[i * R + r] = fsrc[i];
-      for (std::size_t e = 0; e < m; ++e) couplings_il[e * R + r] = csrc[e];
-    }
-    if (thr)
-      run_batch_kernel<false, true, double>(R, betas, fields_il.data(),
-                                            couplings_il.data(),
-                                            rng_ptrs.data(), initial,
-                                            spins_il.data());
-    else
-      run_batch_kernel<false, false, double>(R, betas, fields_il.data(),
-                                             couplings_il.data(),
-                                             rng_ptrs.data(), initial,
-                                             spins_il.data());
+    interleave(fields_rm, n, R, fields_il);
+    interleave(couplings_rm, m, R, couplings_il);
+    run_batch_kernel<false, double>(R, betas, fields_il.data(),
+                                    couplings_il.data(), rng_ptrs.data(),
+                                    initial, out);
   }
 
-  for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t i = 0; i < n; ++i) result[r][i] = spins_il[i * R + r];
+  if (R > 1)
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t i = 0; i < n; ++i) result[r][i] = out[i * R + r];
   return result;
 }
 
@@ -514,31 +472,20 @@ qubo::SpinVec SaEngine::anneal_with(const std::vector<double>& betas,
           "SaEngine::anneal_with: coupling array size mismatch");
   qubo::SpinVec spins(num_spins());
   Rng* rng_ptr = &rng;
-  switch (mode) {
-    case AcceptMode::kExact:
-      run_batch_kernel<false, false, double>(1, betas, fields.data(),
-                                             couplings.data(), &rng_ptr,
-                                             initial, spins.data());
-      break;
-    case AcceptMode::kThreshold:
-      run_batch_kernel<false, true, double>(1, betas, fields.data(),
-                                            couplings.data(), &rng_ptr,
-                                            initial, spins.data());
-      break;
-    case AcceptMode::kThreshold32: {
-      // Round the caller's arrays to float32 once up front — on the base
-      // arrays this reproduces the precomputed float32 images bit-for-bit,
-      // keeping the scalar path the R = 1 specialization of the batch.
-      thread_local std::vector<float> fields32;
-      thread_local std::vector<float> couplings32;
-      fields32.assign(fields.begin(), fields.end());
-      couplings32.assign(couplings.begin(), couplings.end());
-      run_batch_kernel<true, true, float>(1, betas, fields32.data(),
-                                          couplings32.data(), &rng_ptr,
-                                          initial, spins.data());
-      break;
-    }
+  if (mode == AcceptMode::kExact) {
+    run_batch_kernel<false, double>(1, betas, fields.data(), couplings.data(),
+                                    &rng_ptr, initial, spins.data());
+    return spins;
   }
+  // Round the caller's arrays to float32 once up front — on the base arrays
+  // this reproduces the precomputed float32 images bit-for-bit, keeping the
+  // scalar path the R = 1 specialization of the batch.
+  thread_local std::vector<float> fields32;
+  thread_local std::vector<float> couplings32;
+  fields32.assign(fields.begin(), fields.end());
+  couplings32.assign(couplings.begin(), couplings.end());
+  run_batch_kernel<true, float>(1, betas, fields32.data(), couplings32.data(),
+                                &rng_ptr, initial, spins.data());
   return spins;
 }
 

@@ -64,9 +64,12 @@ FaultPlan load_fault_plan(const std::string& path) {
       throw InvalidArgument("fault plan " + path + ":" +
                             std::to_string(lineno) + ": " + what);
     };
+    // Every directive must consume its whole line: a trailing token or a
+    // number with junk glued on is an error, never silently dropped.
+    const auto line_done = [&ls] { return (ls >> std::ws).eof(); };
     if (word == "outage") {
       OutageWindow w;
-      if (!(ls >> w.device >> w.start_us >> w.end_us))
+      if (!(ls >> w.device >> w.start_us >> w.end_us) || !line_done())
         fail("expected 'outage DEVICE START_US END_US'");
       plan.outages.push_back(w);
     } else if (word == "defects") {
@@ -75,14 +78,17 @@ FaultPlan load_fault_plan(const std::string& path) {
         fail("expected 'defects DEVICE TIME_US QUBIT...'");
       chimera::Qubit q = 0;
       while (ls >> q) g.qubits.push_back(q);
+      if (!ls.eof()) fail("expected 'defects DEVICE TIME_US QUBIT...'");
       if (g.qubits.empty()) fail("defect growth lists no qubits");
       plan.growths.push_back(std::move(g));
     } else if (word == "annealfail") {
-      if (!(ls >> plan.anneal_failure_prob)) fail("expected 'annealfail P'");
+      if (!(ls >> plan.anneal_failure_prob) || !line_done())
+        fail("expected 'annealfail P'");
     } else if (word == "readoutfail") {
-      if (!(ls >> plan.readout_failure_prob)) fail("expected 'readoutfail P'");
+      if (!(ls >> plan.readout_failure_prob) || !line_done())
+        fail("expected 'readoutfail P'");
     } else if (word == "seed") {
-      if (!(ls >> plan.seed)) fail("expected 'seed S'");
+      if (!(ls >> plan.seed) || !line_done()) fail("expected 'seed S'");
     } else {
       fail("unknown directive");
     }

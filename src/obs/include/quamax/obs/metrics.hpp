@@ -1,15 +1,12 @@
-// Metrics exporters: windowed time-series dump (JSON or CSV) and a
-// Prometheus-style text exposition of a Registry snapshot.
+// Metrics exporters: the windowed time-series dump, as JSON or CSV.
 //
 // write_metrics_file is the `--metrics FILE` / QUAMAX_METRICS backend the
-// serving binaries share: it writes the finalized WindowedCollector's
-// per-window series, per-device duty-cycle/energy accounting, totals, and
-// the SLO breach summary.  A `.csv` suffix selects the flat CSV time
-// series (one row per window — plots straight into any spreadsheet);
-// anything else gets the structured JSON ("quamax-metrics-v1" schema, what
-// tools/metrics_check.py validates).  Alongside either, a Prometheus text
-// exposition of the collector's Registry snapshot is written to
-// FILE + ".prom".
+// serving binaries share: it writes the WindowedCollector's per-window
+// series, per-device duty-cycle/energy accounting, totals, and the SLO
+// breach summary.  A `.csv` suffix selects the flat CSV time series (one
+// row per window — plots straight into any spreadsheet); anything else gets
+// the structured JSON ("quamax-metrics-v1" schema, what
+// tools/metrics_check.py validates).
 //
 // Exporters never touch stdout (serving binaries byte-diff their stdout in
 // CI) and format doubles with %.17g so every number round-trips exactly —
@@ -21,15 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "quamax/obs/registry.hpp"
 #include "quamax/obs/slo.hpp"
 #include "quamax/obs/window.hpp"
 
 namespace quamax::obs {
 
 /// Structured JSON dump (schema "quamax-metrics-v1"): config, totals,
-/// windows[], devices[], slos[] (with per-alert detail).  Requires a
-/// finalized collector.
+/// windows[], devices[], slos[] (with per-alert detail).
 void write_metrics_json(const WindowedCollector& collector,
                         const std::vector<SloReport>& slos, std::ostream& out);
 
@@ -37,19 +32,10 @@ void write_metrics_json(const WindowedCollector& collector,
 /// detail are JSON-only; CSV is the quick-plot format.
 void write_metrics_csv(const WindowedCollector& collector, std::ostream& out);
 
-/// Prometheus text exposition (one `# TYPE` line + sample per metric;
-/// sketches expand to _count/_sum/_min/_max plus p50/p95/p99 quantile
-/// samples).  Registry iteration is name-sorted, so the output is
-/// byte-stable.
-void write_prometheus(const Registry& registry, std::ostream& out);
-
 /// The shared `--metrics FILE` backend: writes JSON (or CSV when `path`
-/// ends in ".csv") to `path` and the Prometheus exposition of the
-/// collector's Registry snapshot (plus `extra`, merged in when non-null)
-/// to `path` + ".prom".  Returns false if either file cannot be written.
+/// ends in ".csv") to `path`.  Returns false if the file cannot be written.
 bool write_metrics_file(const WindowedCollector& collector,
                         const std::vector<SloReport>& slos,
-                        const std::string& path,
-                        const Registry* extra = nullptr);
+                        const std::string& path);
 
 }  // namespace quamax::obs

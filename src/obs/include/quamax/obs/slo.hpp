@@ -10,12 +10,11 @@
 // the trailing depth to the windows that exist, so a storm in window 0 can
 // still alert.
 //
-// Determinism: evaluation is a pure fold over a finalized
-// WindowedCollector — no RNG, no clocks, no state outside the series — so
-// the alert list is exactly as reproducible as the serving digest.  Alerts
-// can be injected into any TraceSink (rendered by write_chrome_trace as a
-// dedicated "slo alerts" track) and summarized machine-readably in the
-// --metrics file.
+// Determinism: evaluation is a pure fold over a WindowedCollector — no RNG,
+// no clocks, no state outside the series — so the alert list is exactly as
+// reproducible as the serving digest.  Alerts can be injected into the run's
+// TraceLog (rendered by write_chrome_trace as a dedicated "slo alerts"
+// track) and summarized machine-readably in the --metrics file.
 //
 // Spec text grammar (comma-separated list, whitespace ignored):
 //   miss_rate<=0.05          miss rate over trailing windows, defaults @4/1
@@ -60,7 +59,7 @@ struct SloReport {
   double worst_burn = 0.0;  ///< max short-window value / threshold
 };
 
-/// Evaluates specs against a finalized collector.  Stateless beyond the
+/// Evaluates specs against a windowed collector.  Stateless beyond the
 /// spec list; evaluate() may be called on any number of collectors.
 class SloMonitor {
  public:
@@ -68,14 +67,14 @@ class SloMonitor {
 
   const std::vector<SloSpec>& specs() const { return specs_; }
 
-  /// Burn-rate evaluation over `collector.windows()` (requires finalize()).
+  /// Burn-rate evaluation over `collector.windows()`.
   /// Reports come back in spec order; alerts within a report in window
   /// order.
   std::vector<SloReport> evaluate(const WindowedCollector& collector) const;
 
-  /// Injects every alert into `sink` (e.g. the TraceLog about to be written
+  /// Injects every alert into `log` (e.g. the TraceLog about to be written
   /// as a Chrome trace), in (spec, window) order.
-  static void annotate(const std::vector<SloReport>& reports, TraceSink& sink);
+  static void annotate(const std::vector<SloReport>& reports, TraceLog& log);
 
  private:
   std::vector<SloSpec> specs_;

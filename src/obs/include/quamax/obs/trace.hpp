@@ -1,15 +1,15 @@
-// Virtual-clock job tracing: sinks, the in-memory log, and the
+// Virtual-clock job tracing: the in-memory event log and the
 // Chrome/Perfetto trace-event JSON exporter.
 //
 // The scheduler's virtual clock is a discrete-event timeline computed
 // serially on the driver thread — every queueing decision, wave dispatch,
-// and completion time is a pure function of config + workload.  A TraceSink
-// taps that timeline: the scheduler calls it at job admission, wave
+// and completion time is a pure function of config + workload.  A TraceLog
+// taps that timeline: the scheduler appends to it at job admission, wave
 // dispatch (which fixes each member job's dispatch AND completion time —
 // the wave cost model is closed-form), and deadline drops.  Because all
-// emission happens on the driver thread inside virtual-clock code, sinks
-// need no locks, consume no RNG, and cannot perturb any result: the decode
-// compute running on ThreadPool lanes never touches them.  The v2 contract
+// emission happens on the driver thread inside virtual-clock code, the log
+// needs no locks, consumes no RNG, and cannot perturb any result: the decode
+// compute running on ThreadPool lanes never touches it.  The v2 contract
 // is therefore preserved by construction — reports are bit-identical with
 // tracing on or off — and tests/CI gate it anyway.
 //
@@ -152,47 +152,23 @@ struct AlertEvent {
   double burn = 0.0;          ///< value / threshold (burn rate, short window)
 };
 
-/// Sink interface the scheduler emits into.  All callbacks run on the
-/// driver thread inside virtual-clock code; implementations must not
-/// consume RNG or block.  Default implementations ignore everything, so a
-/// sink overrides only what it needs.
-class TraceSink {
+/// In-memory event log the scheduler emits into: appends events in
+/// emission order (which is itself deterministic — the driver thread
+/// advances the virtual clock serially).  Every append runs on the driver
+/// thread inside virtual-clock code and consumes no RNG.
+class TraceLog {
  public:
-  virtual ~TraceSink() = default;
-  virtual void on_job_submit(const JobSubmitEvent&) {}
-  virtual void on_job_dispatch(const JobDispatchEvent&) {}
-  virtual void on_job_drop(const JobDropEvent&) {}
-  virtual void on_wave(const WaveEvent&) {}
-  virtual void on_device_down(const DeviceDownEvent&) {}
-  virtual void on_device_up(const DeviceUpEvent&) {}
-  virtual void on_job_retry(const JobRetryEvent&) {}
-  virtual void on_job_fallback(const JobFallbackEvent&) {}
+  void on_job_submit(const JobSubmitEvent& e) { submits_.push_back(e); }
+  void on_job_dispatch(const JobDispatchEvent& e) { dispatches_.push_back(e); }
+  void on_job_drop(const JobDropEvent& e) { drops_.push_back(e); }
+  void on_wave(const WaveEvent& e) { waves_.push_back(e); }
+  void on_device_down(const DeviceDownEvent& e) { downs_.push_back(e); }
+  void on_device_up(const DeviceUpEvent& e) { ups_.push_back(e); }
+  void on_job_retry(const JobRetryEvent& e) { retries_.push_back(e); }
+  void on_job_fallback(const JobFallbackEvent& e) { fallbacks_.push_back(e); }
   /// Unlike the scheduler events above, alerts are injected AFTER the run
   /// by SloMonitor (still driver-thread, still RNG-free).
-  virtual void on_alert(const AlertEvent&) {}
-};
-
-/// In-memory sink: appends events in emission order (which is itself
-/// deterministic — the driver thread advances the virtual clock serially).
-class TraceLog final : public TraceSink {
- public:
-  void on_job_submit(const JobSubmitEvent& e) override {
-    submits_.push_back(e);
-  }
-  void on_job_dispatch(const JobDispatchEvent& e) override {
-    dispatches_.push_back(e);
-  }
-  void on_job_drop(const JobDropEvent& e) override { drops_.push_back(e); }
-  void on_wave(const WaveEvent& e) override { waves_.push_back(e); }
-  void on_device_down(const DeviceDownEvent& e) override {
-    downs_.push_back(e);
-  }
-  void on_device_up(const DeviceUpEvent& e) override { ups_.push_back(e); }
-  void on_job_retry(const JobRetryEvent& e) override { retries_.push_back(e); }
-  void on_job_fallback(const JobFallbackEvent& e) override {
-    fallbacks_.push_back(e);
-  }
-  void on_alert(const AlertEvent& e) override { alerts_.push_back(e); }
+  void on_alert(const AlertEvent& e) { alerts_.push_back(e); }
 
   const std::vector<JobSubmitEvent>& submits() const { return submits_; }
   const std::vector<JobDispatchEvent>& dispatches() const {

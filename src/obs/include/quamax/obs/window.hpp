@@ -1,5 +1,5 @@
-// Windowed telemetry: tumbling virtual-clock windows over the TraceSink
-// event stream (obs v2).
+// Windowed telemetry: tumbling virtual-clock windows over a finished
+// TraceLog (obs v2).
 //
 // PR 8's tracing answers "what happened to job 17"; the end-of-run digest
 // answers "how did the run do on average".  Neither shows miss rate or p99
@@ -13,18 +13,13 @@
 // energy accounting.
 //
 // Determinism contract (the PR 8 hard rule, unchanged):
-//   * The collector is a TraceSink — it only BUFFERS events when attached
-//     live, or replays a finished TraceLog via ingest().  It consumes no
-//     RNG, takes no lock, and alters no virtual-clock decision; serving
-//     digests are byte-identical with windowing on or off (CI gates it).
-//   * finalize() canonicalizes: every event vector is sorted by
+//   * The collector is a value computed once from a finished TraceLog.  It
+//     consumes no RNG and never touches the scheduler; serving digests are
+//     byte-identical with windowing on or off (CI gates it).
+//   * Construction canonicalizes: every event vector is sorted by
 //     (timestamp, id) before any accumulation, so the windowed series is a
 //     pure function of the event SET — independent of emission order,
-//     shard interleaving, threads, replicas, or poll cadence.
-//   * merge() concatenates raw event buffers; finalize() then re-derives
-//     from the canonical order.  merge is therefore associative and
-//     commutative BIT-FOR-BIT: merging per-shard/per-device collectors in
-//     any grouping yields the identical series (tests pin this).
+//     threads, replicas, or poll cadence (tests permute a log to pin it).
 //
 // Duty-cycle / energy model (arXiv 2109.01465, "A Cost and Power
 // Feasibility Analysis of Quantum Annealing for NextG Cellular Wireless
@@ -43,10 +38,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "quamax/obs/registry.hpp"
 #include "quamax/obs/sketch.hpp"
 #include "quamax/obs/trace.hpp"
 
@@ -64,8 +57,8 @@ struct DevicePower {
 };
 
 /// One tumbling window's accumulated series point.  Counters bucket events
-/// by timestamp; rates are derived at finalize() from the window's own
-/// counts (miss_rate over RESOLVED jobs, occupancy over device-time).
+/// by timestamp; rates are derived from the window's own counts (miss_rate
+/// over RESOLVED jobs, occupancy over device-time).
 struct WindowStats {
   std::size_t index = 0;
   double start_us = 0.0;
@@ -142,80 +135,31 @@ struct WindowedTotals {
   QuantileSketch latency;
 };
 
-struct WindowedConfig {
-  /// Tumbling window width in virtual-clock microseconds; 0 picks
-  /// horizon / 20 automatically at finalize().
-  double window_us = 0.0;
-};
-
-/// Buffers trace events (live as a TraceSink, or replayed via ingest) and
-/// derives the windowed series + device accounting at finalize().  See the
+/// The windowed series and device accounting of one finished run.  See the
 /// header comment for the determinism contract.
-class WindowedCollector final : public TraceSink {
+class WindowedCollector {
  public:
-  explicit WindowedCollector(WindowedConfig config = {}) : config_(config) {}
+  /// Windows `log` over a pool of `num_devices` devices (stretched to cover
+  /// every device index the events name, so a short count cannot drop
+  /// events; idle devices that never saw a wave still need declaring).
+  /// `power` entries map by device index; a short (or empty) vector is
+  /// padded with the default 25 kW model.  `window_us` is the tumbling
+  /// window width in virtual-clock microseconds; 0 picks horizon / 20.  The
+  /// horizon is the latest event timestamp, and the window count is
+  /// ceil(horizon / width) with the last window padded so N * width tiles
+  /// [0, H] exactly.
+  WindowedCollector(const TraceLog& log, std::size_t num_devices,
+                    std::vector<DevicePower> power = {},
+                    double window_us = 0.0);
 
-  // -- event intake (driver thread; buffer-only, nothing derived here) ----
-  void on_job_submit(const JobSubmitEvent& e) override { log_.on_job_submit(e); }
-  void on_job_dispatch(const JobDispatchEvent& e) override {
-    log_.on_job_dispatch(e);
-  }
-  void on_job_drop(const JobDropEvent& e) override { log_.on_job_drop(e); }
-  void on_wave(const WaveEvent& e) override { log_.on_wave(e); }
-  void on_device_down(const DeviceDownEvent& e) override {
-    log_.on_device_down(e);
-  }
-  void on_device_up(const DeviceUpEvent& e) override { log_.on_device_up(e); }
-  void on_job_retry(const JobRetryEvent& e) override { log_.on_job_retry(e); }
-  void on_job_fallback(const JobFallbackEvent& e) override {
-    log_.on_job_fallback(e);
-  }
-
-  /// Replays a finished TraceLog into the buffer, so binaries can keep ONE
-  /// sink attached to the scheduler (the TraceLog they already write
-  /// Chrome traces from) and window it after the run.
-  void ingest(const TraceLog& log);
-
-  /// Declares the device-pool size and per-device power model.  Without
-  /// this the pool size is inferred from the events — which under-counts
-  /// idle devices that never saw a wave, so serving binaries always call
-  /// it.  `power` entries map by device index; a short (or empty) vector is
-  /// padded with the default 25 kW model.
-  void set_devices(std::size_t count, std::vector<DevicePower> power = {});
-
-  /// Derives windows, device usage, and totals from the buffered events.
-  /// `horizon_us` fixes the accounting horizon; 0 infers the latest event
-  /// timestamp.  The window count is ceil(horizon / width) with the last
-  /// window padded so N * width tiles [0, H] exactly.  Idempotent: calling
-  /// again re-derives from scratch (e.g. after a merge).
-  void finalize(double horizon_us = 0.0);
-
-  /// Folds another collector's RAW event buffer (and device declarations)
-  /// into this one.  Call finalize() afterwards; because finalize sorts
-  /// canonically, merge order cannot change any derived byte.
-  void merge(const WindowedCollector& other);
-
-  bool finalized() const noexcept { return finalized_; }
   double width_us() const noexcept { return width_us_; }
   double horizon_us() const noexcept { return horizon_us_; }
   std::size_t num_devices() const noexcept { return devices_.size(); }
   const std::vector<WindowStats>& windows() const { return windows_; }
   const std::vector<DeviceUsage>& devices() const { return devices_; }
   const WindowedTotals& totals() const { return totals_; }
-  const std::vector<DevicePower>& power() const { return power_; }
-
-  /// Snapshots totals + per-device accounting into `reg` as
-  /// `quamax_windowed_*` counters/gauges/sketches (the Prometheus-style
-  /// exposition reads this).  Requires finalize().
-  void export_registry(Registry& reg) const;
 
  private:
-  WindowedConfig config_;
-  TraceLog log_;  ///< raw event buffer (reused as storage; order irrelevant)
-  std::size_t declared_devices_ = 0;
-  std::vector<DevicePower> power_;
-
-  bool finalized_ = false;
   double width_us_ = 0.0;
   double horizon_us_ = 0.0;
   std::vector<WindowStats> windows_;

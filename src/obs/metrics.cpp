@@ -163,59 +163,19 @@ void write_metrics_csv(const WindowedCollector& collector, std::ostream& out) {
   }
 }
 
-void write_prometheus(const Registry& registry, std::ostream& out) {
-  for (const auto& [name, value] : registry.counters()) {
-    out << "# TYPE " << name << " counter\n" << name << " " << value << "\n";
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    out << "# TYPE " << name << " gauge\n" << name << " " << num(value)
-        << "\n";
-  }
-  for (const auto& [name, sketch] : registry.sketches()) {
-    out << "# TYPE " << name << " summary\n";
-    out << name << "{quantile=\"0.5\"} " << num(sketch.quantile(50.0)) << "\n";
-    out << name << "{quantile=\"0.95\"} " << num(sketch.quantile(95.0))
-        << "\n";
-    out << name << "{quantile=\"0.99\"} " << num(sketch.quantile(99.0))
-        << "\n";
-    out << name << "_count " << sketch.count() << "\n";
-    out << name << "_sum " << num(sketch.mean() *
-                                  static_cast<double>(sketch.count()))
-        << "\n";
-    out << name << "_min " << num(sketch.min()) << "\n";
-    out << name << "_max " << num(sketch.max()) << "\n";
-  }
-}
-
 bool write_metrics_file(const WindowedCollector& collector,
                         const std::vector<SloReport>& slos,
-                        const std::string& path, const Registry* extra) {
-  {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) return false;
-    const bool csv =
-        path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (csv) {
-      write_metrics_csv(collector, out);
-    } else {
-      write_metrics_json(collector, slos, out);
-    }
-    if (!out.good()) return false;
+                        const std::string& path) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) return false;
+  const bool csv =
+      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+  if (csv) {
+    write_metrics_csv(collector, out);
+  } else {
+    write_metrics_json(collector, slos, out);
   }
-  Registry registry;
-  collector.export_registry(registry);
-  for (const auto& r : slos) {
-    const std::string base =
-        "quamax_slo_" + std::to_string(&r - slos.data()) + "_";
-    registry.gauge(base + "breached_windows") =
-        static_cast<double>(r.breached_windows);
-    registry.gauge(base + "worst_burn") = r.worst_burn;
-  }
-  if (extra != nullptr) registry.merge(*extra);
-  std::ofstream prom(path + ".prom", std::ios::trunc);
-  if (!prom) return false;
-  write_prometheus(registry, prom);
-  return prom.good();
+  return out.good();
 }
 
 }  // namespace quamax::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -51,8 +52,10 @@ bool parse_clause(const std::string& clause, SloSpec* spec,
     rest = strip(rest.substr(0, at));
     const auto slash = win.find('/');
     if (slash == std::string::npos) return fail("expected LONG/SHORT after @");
+    // Named strings: `end` points into them after strtol returns.
+    const std::string long_str = win.substr(0, slash);
     char* end = nullptr;
-    const long lw = std::strtol(win.substr(0, slash).c_str(), &end, 10);
+    const long lw = std::strtol(long_str.c_str(), &end, 10);
     if (end == nullptr || *end != '\0' || lw <= 0)
       return fail("bad long-window count");
     const std::string short_str = win.substr(slash + 1);
@@ -70,8 +73,10 @@ bool parse_clause(const std::string& clause, SloSpec* spec,
 
   char* end = nullptr;
   spec->threshold = std::strtod(rest.c_str(), &end);
+  // isfinite rejects nan, inf and overflow (1e999): a NaN threshold
+  // compares false against everything, and neither prints as valid JSON.
   if (end == nullptr || *end != '\0' || rest.empty() ||
-      spec->threshold <= 0.0) {
+      !std::isfinite(spec->threshold) || spec->threshold <= 0.0) {
     std::string why = "bad threshold '";
     why += rest;
     why += "'";
@@ -161,9 +166,9 @@ std::vector<SloReport> SloMonitor::evaluate(
 }
 
 void SloMonitor::annotate(const std::vector<SloReport>& reports,
-                          TraceSink& sink) {
+                          TraceLog& log) {
   for (const auto& report : reports)
-    for (const auto& alert : report.alerts) sink.on_alert(alert);
+    for (const auto& alert : report.alerts) log.on_alert(alert);
 }
 
 }  // namespace quamax::obs

@@ -9,7 +9,7 @@
 namespace quamax::obs {
 namespace {
 
-/// Number of auto-sized windows when WindowedConfig::window_us is 0: wide
+/// Number of auto-sized windows when the window width is 0: wide
 /// enough to resolve a storm dip, coarse enough that smoke-scale runs keep
 /// a few jobs per window.
 constexpr double kAutoWindows = 20.0;
@@ -40,40 +40,19 @@ std::vector<std::pair<double, double>> union_intervals(
 
 }  // namespace
 
-void WindowedCollector::ingest(const TraceLog& log) {
-  for (const auto& e : log.submits()) log_.on_job_submit(e);
-  for (const auto& e : log.dispatches()) log_.on_job_dispatch(e);
-  for (const auto& e : log.drops()) log_.on_job_drop(e);
-  for (const auto& e : log.waves()) log_.on_wave(e);
-  for (const auto& e : log.downs()) log_.on_device_down(e);
-  for (const auto& e : log.ups()) log_.on_device_up(e);
-  for (const auto& e : log.retries()) log_.on_job_retry(e);
-  for (const auto& e : log.fallbacks()) log_.on_job_fallback(e);
-  finalized_ = false;
-}
-
-void WindowedCollector::set_devices(std::size_t count,
-                                    std::vector<DevicePower> power) {
-  declared_devices_ = std::max(declared_devices_, count);
-  if (power.size() > power_.size()) power_ = std::move(power);
-  finalized_ = false;
-}
-
-void WindowedCollector::merge(const WindowedCollector& other) {
-  ingest(other.log_);
-  set_devices(other.declared_devices_, other.power_);
-}
-
-void WindowedCollector::finalize(double horizon_us) {
+WindowedCollector::WindowedCollector(const TraceLog& log,
+                                     std::size_t num_devices,
+                                     std::vector<DevicePower> power,
+                                     double window_us) {
   // ---- canonicalize: sort every event vector by (timestamp, id) so the
   // series is a pure function of the event set, not the emission order.
-  auto submits = log_.submits();
-  auto dispatches = log_.dispatches();
-  auto drops = log_.drops();
-  auto waves = log_.waves();
-  auto downs = log_.downs();
-  auto retries = log_.retries();
-  auto fallbacks = log_.fallbacks();
+  auto submits = log.submits();
+  auto dispatches = log.dispatches();
+  auto drops = log.drops();
+  auto waves = log.waves();
+  auto downs = log.downs();
+  auto retries = log.retries();
+  auto fallbacks = log.fallbacks();
   std::sort(submits.begin(), submits.end(), [](const auto& a, const auto& b) {
     return std::tie(a.submit_us, a.job_id) < std::tie(b.submit_us, b.job_id);
   });
@@ -102,7 +81,7 @@ void WindowedCollector::finalize(double horizon_us) {
             });
 
   // ---- horizon and window grid.
-  double latest = horizon_us;
+  double latest = 0.0;
   auto stretch = [&latest](double t) { latest = std::max(latest, t); };
   for (const auto& e : submits) stretch(e.submit_us);
   for (const auto& e : dispatches) stretch(e.completion_us);
@@ -112,8 +91,7 @@ void WindowedCollector::finalize(double horizon_us) {
   for (const auto& e : fallbacks) stretch(e.fallback_us);
   if (latest <= 0.0) latest = 1.0;  // empty run: one degenerate window
 
-  width_us_ = config_.window_us > 0.0 ? config_.window_us
-                                      : latest / kAutoWindows;
+  width_us_ = window_us > 0.0 ? window_us : latest / kAutoWindows;
   const std::size_t n = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(latest / width_us_)));
   horizon_us_ = static_cast<double>(n) * width_us_;
@@ -131,10 +109,8 @@ void WindowedCollector::finalize(double horizon_us) {
     windows_[i].start_us = static_cast<double>(i) * width_us_;
     windows_[i].end_us = static_cast<double>(i + 1) * width_us_;
   }
-  totals_ = WindowedTotals{};
 
   // ---- device pool size: declared count, stretched by observed indices.
-  std::size_t num_devices = declared_devices_;
   for (const auto& e : dispatches)
     num_devices = std::max(num_devices, static_cast<std::size_t>(e.device) + 1);
   for (const auto& e : waves)
@@ -143,7 +119,6 @@ void WindowedCollector::finalize(double horizon_us) {
     num_devices = std::max(num_devices, static_cast<std::size_t>(e.device) + 1);
   devices_.assign(num_devices, DeviceUsage{});
   for (std::size_t d = 0; d < num_devices; ++d) devices_[d].device = d;
-  std::vector<DevicePower> power = power_;
   power.resize(num_devices);  // pad with default 25 kW model
 
   // ---- per-job terminal bookkeeping: submit time and deadline by id.
@@ -367,38 +342,6 @@ void WindowedCollector::finalize(double horizon_us) {
     cum_bits += w.bits;
     w.cum_joules_per_bit =
         cum_bits > 0 ? cum_energy / static_cast<double>(cum_bits) : 0.0;
-  }
-
-  finalized_ = true;
-}
-
-void WindowedCollector::export_registry(Registry& reg) const {
-  reg.counter("quamax_windowed_jobs_submitted_total") += totals_.submitted;
-  reg.counter("quamax_windowed_jobs_completed_total") += totals_.completed;
-  reg.counter("quamax_windowed_jobs_fallback_total") += totals_.fallbacks;
-  reg.counter("quamax_windowed_jobs_dropped_total") += totals_.dropped;
-  reg.counter("quamax_windowed_jobs_failed_total") += totals_.failed;
-  reg.counter("quamax_windowed_jobs_missed_total") += totals_.missed;
-  reg.counter("quamax_windowed_retries_total") += totals_.retries;
-  reg.counter("quamax_windowed_waves_total") += totals_.waves;
-  reg.counter("quamax_windowed_waves_failed_total") += totals_.failed_waves;
-  reg.counter("quamax_windowed_bits_total") += totals_.bits;
-  reg.gauge("quamax_windowed_window_us") = width_us_;
-  reg.gauge("quamax_windowed_horizon_us") = horizon_us_;
-  reg.gauge("quamax_windowed_windows") = static_cast<double>(windows_.size());
-  reg.gauge("quamax_windowed_energy_joules") = totals_.energy_j;
-  reg.gauge("quamax_windowed_joules_per_bit") = totals_.joules_per_bit;
-  reg.gauge("quamax_windowed_wave_busy_us") = totals_.wave_busy_us;
-  reg.sketch("quamax_windowed_latency_us").merge(totals_.latency);
-  for (const auto& dev : devices_) {
-    const std::string p =
-        "quamax_device_" + std::to_string(dev.device) + "_";
-    reg.gauge(p + "busy_us") = dev.busy_us();
-    reg.gauge(p + "idle_us") = dev.idle_us;
-    reg.gauge(p + "outage_us") = dev.outage_us;
-    reg.gauge(p + "energy_joules") = dev.energy_j;
-    reg.gauge(p + "duty_cycle") =
-        horizon_us_ > 0.0 ? dev.busy_us() / horizon_us_ : 0.0;
   }
 }
 

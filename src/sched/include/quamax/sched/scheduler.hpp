@@ -150,13 +150,13 @@ struct SchedConfig {
   /// over drop_late for doomed jobs).  kNone preserves historical behavior.
   fault::FallbackMode fallback = fault::FallbackMode::kNone;
 
-  /// Optional trace sink (non-owning; nullptr = tracing off).  The engine
+  /// Optional trace log (non-owning; nullptr = tracing off).  The engine
   /// emits job-submit / wave-dispatch / job-drop events from the
   /// virtual-clock code paths, which all run serially on the driver thread
-  /// — so the sink needs no locks and the decode compute never touches it.
+  /// — so the log needs no locks and the decode compute never touches it.
   /// Emission reads already-computed values only and consumes no RNG:
   /// records/waves are bit-identical with tracing on or off.
-  obs::TraceSink* trace = nullptr;
+  obs::TraceLog* trace = nullptr;
 };
 
 class Scheduler {

@@ -3,8 +3,8 @@
 // examples/cran_service), once.
 //
 // A RunObserver reads the --trace, --metrics, --metrics-window, --slo,
-// --prof and --prof-json knobs, attaches its ONE sink (a TraceLog) to the
-// service runs the binary chooses to observe, and derives everything else
+// --prof and --prof-json knobs, attaches its one TraceLog to the service
+// runs the binary chooses to observe, and derives everything else
 // offline after the run: the windowed series on the service's device pool,
 // the SLO burn-rate alerts (injected back into the log, so the Chrome trace
 // grows its "slo alerts" track), and the exported files.  Observing never
@@ -57,9 +57,9 @@ class RunObserver {
   /// was attached.
   const WindowedView& view();
 
-  /// Writes the metrics file (JSON, or CSV for a ".csv" path, plus the
-  /// ".prom" snapshot), then the Chrome trace, then the profiler table to
-  /// stderr and the prof-json file.  Returns 0, or 1 when any write failed.
+  /// Writes the metrics file (JSON, or CSV for a ".csv" path), then the
+  /// Chrome trace, then the profiler table to stderr and the prof-json
+  /// file.  Returns 0, or 1 when any write failed.
   int finish();
 
  private:

@@ -127,10 +127,11 @@ struct ServiceConfig {
   /// Knob: --fallback / QUAMAX_FALLBACK (none|zf|mmse).
   fault::FallbackMode fallback = fault::FallbackMode::kNone;
 
-  /// Optional trace sink forwarded to sched::SchedConfig::trace (non-owning;
-  /// nullptr = off).  Sinks observe the virtual-clock timeline only — every
-  /// report is bit-identical with tracing on or off (obs_test gates this).
-  obs::TraceSink* trace = nullptr;
+  /// Optional trace log forwarded to sched::SchedConfig::trace (non-owning;
+  /// nullptr = off).  The log observes the virtual-clock timeline only —
+  /// every report is bit-identical with tracing on or off (obs_test gates
+  /// this).
+  obs::TraceLog* trace = nullptr;
 };
 
 /// Everything a service run produced: aggregate stats, per-job records (in

@@ -48,16 +48,13 @@ const WindowedView& RunObserver::view() {
     if (specs.empty()) throw InvalidArgument("--slo: " + error);
   }
 
-  WindowedView& view =
-      view_.emplace(WindowedView{obs::WindowedCollector({window_us_}), {}});
-  view.collector.ingest(log_);
   const std::size_t devices =
       cfg_.device_specs.empty() ? cfg_.num_devices : cfg_.device_specs.size();
   std::vector<obs::DevicePower> power;
   power.reserve(cfg_.device_specs.size());
   for (const auto& spec : cfg_.device_specs) power.push_back(spec.power);
-  view.collector.set_devices(devices, std::move(power));
-  view.collector.finalize();
+  WindowedView& view = view_.emplace(WindowedView{
+      obs::WindowedCollector(log_, devices, std::move(power), window_us_), {}});
 
   if (!specs.empty()) {
     const obs::SloMonitor monitor(std::move(specs));

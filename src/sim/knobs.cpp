@@ -78,10 +78,9 @@ KnobValue boolean(const std::string& text, const std::string&) {
 
 KnobValue accept_mode(const std::string& text, const std::string& label) {
   if (text == "exact") return anneal::AcceptMode::kExact;
-  if (text == "threshold") return anneal::AcceptMode::kThreshold;
   if (text == "threshold32") return anneal::AcceptMode::kThreshold32;
   throw InvalidArgument(label +
-                        ": expected exact, threshold, or threshold32, got '" +
+                        ": expected exact or threshold32, got '" +
                         text + "'");
 }
 
@@ -101,7 +100,7 @@ const std::array<Knob, Knob::kCount>& table() {
        "replicas per batched SA kernel call; 1 = scalar path"},
       {Knob::kAcceptMode, "--accept-mode", "QUAMAX_ACCEPT_MODE",
        anneal::AcceptMode::kExact, accept_mode,
-       "sweep-kernel acceptance rule: exact, threshold, threshold32"},
+       "sweep-kernel acceptance rule: exact or threshold32"},
       {Knob::kDevices, "--devices", "QUAMAX_DEVICES", size_t{1}, at_least_one,
        "modeled QA processors in the decode scheduler's pool"},
       {Knob::kQueuePolicy, "--queue-policy", "QUAMAX_QUEUE_POLICY", string("fifo"),
@@ -125,7 +124,7 @@ const std::array<Knob, Knob::kCount>& table() {
       {Knob::kProfJson, "--prof-json", "QUAMAX_PROF_JSON", string(), path,
        "per-stage profile as JSON; implies --prof"},
       {Knob::kMetrics, "--metrics", "QUAMAX_METRICS", string(), path,
-       "windowed telemetry JSON (.csv for CSV) plus FILE.prom; empty = off"},
+       "windowed telemetry JSON (.csv for CSV); empty = off"},
       {Knob::kMetricsWindow, "--metrics-window", "QUAMAX_METRICS_WINDOW", 0.0,
        nonnegative, "tumbling-window width in virtual us; 0 = horizon / 20"},
       {Knob::kSlo, "--slo", "QUAMAX_SLO", string(), text,

@@ -1,13 +1,12 @@
-// AcceptMode::kThreshold / kThreshold32 — the v2 branch-free acceptance
-// contract (ISSUE 4):
+// AcceptMode::kThreshold32 — the v2 branch-free acceptance contract:
 //
-//   * threshold modes are bit-identical at any replica blocking: an
+//   * the threshold mode is bit-identical at any replica blocking: an
 //     anneal_batch(R) replica equals the scalar threshold anneal with the
 //     matched stream, for shared and per-replica (ICE) coefficients, with
 //     collective groups, and with warm starts — so annealer samples cannot
 //     depend on --replicas or --threads;
-//   * annealer-level invariance across batch_replicas x num_threads for
-//     both threshold modes, end to end through embedding and unembedding;
+//   * annealer-level invariance across batch_replicas x num_threads, end to
+//     end through embedding and unembedding;
 //   * statistical parity with kExact: the threshold rule realizes the SAME
 //     acceptance probabilities, so ground-state rate, expected BER, and TTB
 //     agree within sampling tolerance (they are different sample streams,
@@ -26,6 +25,9 @@ namespace quamax {
 namespace {
 
 using anneal::AcceptMode;
+
+/// The branch-free threshold rule under test (the serving default).
+constexpr AcceptMode kThr = AcceptMode::kThreshold32;
 
 /// Dense random Ising problem of `n` spins (deterministic in `seed`).
 qubo::IsingModel random_clique(std::size_t n, std::uint64_t seed) {
@@ -55,19 +57,17 @@ TEST(AcceptModeTest, ThresholdBatchMatchesScalarAtAnyReplicaCount) {
   const anneal::SaEngine engine(problem);
   const std::vector<double> betas = short_betas();
 
-  for (const AcceptMode mode : {AcceptMode::kThreshold, AcceptMode::kThreshold32}) {
-    for (const std::size_t R : {1ul, 2ul, 8ul, 11ul}) {
-      std::vector<Rng> batch_rngs = streams(0x5EED, R);
-      const auto batched = engine.anneal_batch(betas, batch_rngs, nullptr, mode);
-      ASSERT_EQ(batched.size(), R);
-      for (std::size_t r = 0; r < R; ++r) {
-        Rng scalar_rng = Rng::for_stream(0x5EED, r);
-        EXPECT_EQ(batched[r], engine.anneal(betas, scalar_rng, nullptr, mode))
-            << to_string(mode) << ": replica " << r << " of " << R;
-        // The replica's generator must land in the scalar call's final state.
-        EXPECT_EQ(batch_rngs[r](), scalar_rng())
-            << to_string(mode) << ": replica " << r << " left its rng elsewhere";
-      }
+  for (const std::size_t R : {1ul, 2ul, 8ul, 11ul}) {
+    std::vector<Rng> batch_rngs = streams(0x5EED, R);
+    const auto batched = engine.anneal_batch(betas, batch_rngs, nullptr, kThr);
+    ASSERT_EQ(batched.size(), R);
+    for (std::size_t r = 0; r < R; ++r) {
+      Rng scalar_rng = Rng::for_stream(0x5EED, r);
+      EXPECT_EQ(batched[r], engine.anneal(betas, scalar_rng, nullptr, kThr))
+          << "replica " << r << " of " << R;
+      // The replica's generator must land in the scalar call's final state.
+      EXPECT_EQ(batch_rngs[r](), scalar_rng())
+          << "replica " << r << " left its rng elsewhere";
     }
   }
 }
@@ -79,47 +79,43 @@ TEST(AcceptModeTest, ThresholdBatchMatchesScalarWithCollectiveGroups) {
   const std::vector<double> betas = short_betas();
 
   const std::size_t R = 7;
-  for (const AcceptMode mode : {AcceptMode::kThreshold, AcceptMode::kThreshold32}) {
-    std::vector<Rng> batch_rngs = streams(0xC0DE, R);
-    const auto batched = engine.anneal_batch(betas, batch_rngs, nullptr, mode);
-    for (std::size_t r = 0; r < R; ++r) {
-      Rng scalar_rng = Rng::for_stream(0xC0DE, r);
-      EXPECT_EQ(batched[r], engine.anneal(betas, scalar_rng, nullptr, mode))
-          << to_string(mode) << ": replica " << r;
-    }
+  std::vector<Rng> batch_rngs = streams(0xC0DE, R);
+  const auto batched = engine.anneal_batch(betas, batch_rngs, nullptr, kThr);
+  for (std::size_t r = 0; r < R; ++r) {
+    Rng scalar_rng = Rng::for_stream(0xC0DE, r);
+    EXPECT_EQ(batched[r], engine.anneal(betas, scalar_rng, nullptr, kThr))
+        << "replica " << r;
   }
 }
 
 TEST(AcceptModeTest, ThresholdSharedFastPathMatchesReplicatedBlocks) {
-  // anneal_batch reads the flat base arrays (float32 images for
-  // kThreshold32); anneal_batch_with on R verbatim copies must coincide
+  // anneal_batch reads the flat float32 images of the base arrays;
+  // anneal_batch_with on R verbatim copies must coincide
   // bit-for-bit, with and without collective groups.
   const qubo::IsingModel problem = random_clique(20, 0xAC03);
-  for (const AcceptMode mode : {AcceptMode::kThreshold, AcceptMode::kThreshold32}) {
-    for (const bool grouped : {false, true}) {
-      anneal::SaEngine engine(problem);
-      if (grouped) engine.set_groups({{0, 1, 2, 3}, {4, 5, 6}, {12, 13}});
-      const std::vector<double> betas = short_betas();
+  for (const bool grouped : {false, true}) {
+    anneal::SaEngine engine(problem);
+    if (grouped) engine.set_groups({{0, 1, 2, 3}, {4, 5, 6}, {12, 13}});
+    const std::vector<double> betas = short_betas();
 
-      const std::size_t R = 6;
-      const std::size_t nf = engine.base_fields().size();
-      const std::size_t nc = engine.base_couplings().size();
-      std::vector<double> fields(R * nf);
-      std::vector<double> couplings(R * nc);
-      for (std::size_t r = 0; r < R; ++r) {
-        std::copy(engine.base_fields().begin(), engine.base_fields().end(),
-                  fields.begin() + static_cast<std::ptrdiff_t>(r * nf));
-        std::copy(engine.base_couplings().begin(), engine.base_couplings().end(),
-                  couplings.begin() + static_cast<std::ptrdiff_t>(r * nc));
-      }
-
-      std::vector<Rng> shared_rngs = streams(0xFA57, R);
-      std::vector<Rng> block_rngs = streams(0xFA57, R);
-      EXPECT_EQ(engine.anneal_batch(betas, shared_rngs, nullptr, mode),
-                engine.anneal_batch_with(betas, fields, couplings, block_rngs,
-                                         nullptr, mode))
-          << to_string(mode) << ": grouped=" << grouped;
+    const std::size_t R = 6;
+    const std::size_t nf = engine.base_fields().size();
+    const std::size_t nc = engine.base_couplings().size();
+    std::vector<double> fields(R * nf);
+    std::vector<double> couplings(R * nc);
+    for (std::size_t r = 0; r < R; ++r) {
+      std::copy(engine.base_fields().begin(), engine.base_fields().end(),
+                fields.begin() + static_cast<std::ptrdiff_t>(r * nf));
+      std::copy(engine.base_couplings().begin(), engine.base_couplings().end(),
+                couplings.begin() + static_cast<std::ptrdiff_t>(r * nc));
     }
+
+    std::vector<Rng> shared_rngs = streams(0xFA57, R);
+    std::vector<Rng> block_rngs = streams(0xFA57, R);
+    EXPECT_EQ(engine.anneal_batch(betas, shared_rngs, nullptr, kThr),
+              engine.anneal_batch_with(betas, fields, couplings, block_rngs,
+                                       nullptr, kThr))
+        << "grouped=" << grouped;
   }
 }
 
@@ -130,14 +126,12 @@ TEST(AcceptModeTest, ThresholdBatchMatchesScalarWithWarmStart) {
   const qubo::SpinVec initial(12, 1);
 
   const std::size_t R = 5;
-  for (const AcceptMode mode : {AcceptMode::kThreshold, AcceptMode::kThreshold32}) {
-    std::vector<Rng> batch_rngs = streams(0x7A57, R);
-    const auto batched = engine.anneal_batch(betas, batch_rngs, &initial, mode);
-    for (std::size_t r = 0; r < R; ++r) {
-      Rng scalar_rng = Rng::for_stream(0x7A57, r);
-      EXPECT_EQ(batched[r], engine.anneal(betas, scalar_rng, &initial, mode))
-          << to_string(mode) << ": replica " << r;
-    }
+  std::vector<Rng> batch_rngs = streams(0x7A57, R);
+  const auto batched = engine.anneal_batch(betas, batch_rngs, &initial, kThr);
+  for (std::size_t r = 0; r < R; ++r) {
+    Rng scalar_rng = Rng::for_stream(0x7A57, r);
+    EXPECT_EQ(batched[r], engine.anneal(betas, scalar_rng, &initial, kThr))
+        << "replica " << r;
   }
 }
 
@@ -150,51 +144,46 @@ TEST(AcceptModeTest, ModesProduceDistinctSampleStreams) {
   std::vector<Rng> a = streams(0xD1FF, 16);
   std::vector<Rng> b = streams(0xD1FF, 16);
   EXPECT_NE(engine.anneal_batch(betas, a, nullptr, AcceptMode::kExact),
-            engine.anneal_batch(betas, b, nullptr, AcceptMode::kThreshold));
+            engine.anneal_batch(betas, b, nullptr, kThr));
 }
 
 TEST(AcceptModeTest, ChimeraSamplesInvariantUnderThreadsAndReplicas) {
   // End to end through embedding, collective moves, and majority-vote
   // unembedding: sample `a` must not depend on the replica blocking or the
-  // thread count, in either threshold mode.  This is the v2 determinism
+  // thread count in the threshold mode.  This is the v2 determinism
   // contract the serve layer and every bench rely on.
   const qubo::IsingModel problem = random_clique(10, 0xAC06);
-  for (const AcceptMode mode : {AcceptMode::kThreshold, AcceptMode::kThreshold32}) {
-    std::vector<std::vector<qubo::SpinVec>> runs;
-    for (const auto& [threads, replicas] :
-         std::vector<std::pair<std::size_t, std::size_t>>{
-             {1, 1}, {1, 8}, {4, 8}, {2, 64}}) {
-      anneal::AnnealerConfig config;
-      config.num_threads = threads;
-      config.batch_replicas = replicas;
-      config.accept_mode = mode;
-      anneal::ChimeraAnnealer annealer(config);
-      Rng rng{17};
-      runs.push_back(annealer.sample(problem, 50, rng));
-    }
-    for (std::size_t v = 1; v < runs.size(); ++v)
-      EXPECT_EQ(runs[v], runs[0])
-          << to_string(mode) << ": threads/replicas variant " << v;
+  std::vector<std::vector<qubo::SpinVec>> runs;
+  for (const auto& [threads, replicas] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {1, 8}, {4, 8}, {2, 64}}) {
+    anneal::AnnealerConfig config;
+    config.num_threads = threads;
+    config.batch_replicas = replicas;
+    config.accept_mode = kThr;
+    anneal::ChimeraAnnealer annealer(config);
+    Rng rng{17};
+    runs.push_back(annealer.sample(problem, 50, rng));
   }
+  for (std::size_t v = 1; v < runs.size(); ++v)
+    EXPECT_EQ(runs[v], runs[0]) << "threads/replicas variant " << v;
 }
 
 TEST(AcceptModeTest, ThresholdIceBlocksInvariantUnderReplicas) {
   // ICE on (per-replica coefficient blocks, the interleaved kernel): the
-  // threshold modes must stay invariant under replica blocking there too.
+  // threshold mode must stay invariant under replica blocking there too.
   const qubo::IsingModel problem = random_clique(10, 0xAC07);
-  for (const AcceptMode mode : {AcceptMode::kThreshold, AcceptMode::kThreshold32}) {
-    std::vector<std::vector<qubo::SpinVec>> runs;
-    for (const std::size_t replicas : {1ul, 8ul}) {
-      anneal::AnnealerConfig config;
-      config.batch_replicas = replicas;
-      config.accept_mode = mode;
-      config.ice.enabled = true;
-      anneal::ChimeraAnnealer annealer(config);
-      Rng rng{23};
-      runs.push_back(annealer.sample(problem, 30, rng));
-    }
-    EXPECT_EQ(runs[1], runs[0]) << to_string(mode);
+  std::vector<std::vector<qubo::SpinVec>> runs;
+  for (const std::size_t replicas : {1ul, 8ul}) {
+    anneal::AnnealerConfig config;
+    config.batch_replicas = replicas;
+    config.accept_mode = kThr;
+    config.ice.enabled = true;
+    anneal::ChimeraAnnealer annealer(config);
+    Rng rng{23};
+    runs.push_back(annealer.sample(problem, 30, rng));
   }
+  EXPECT_EQ(runs[1], runs[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,15 +216,12 @@ TEST(AcceptModeParityTest, GroundStateRateMatchesExact) {
   const qubo::IsingModel problem = random_clique(14, 0xAC08);
   const std::size_t num_anneals = 600;
   const double p_exact = ground_state_rate(problem, AcceptMode::kExact, num_anneals);
-  const double p_thr = ground_state_rate(problem, AcceptMode::kThreshold, num_anneals);
-  const double p_t32 =
-      ground_state_rate(problem, AcceptMode::kThreshold32, num_anneals);
+  const double p_thr = ground_state_rate(problem, kThr, num_anneals);
   // The rate must be informative (not saturated) for the comparison to mean
   // anything.
   EXPECT_GT(p_exact, 0.15);
   EXPECT_LT(p_exact, 0.995);
   EXPECT_NEAR(p_thr, p_exact, 0.12);
-  EXPECT_NEAR(p_t32, p_exact, 0.12);
 }
 
 sim::RunOutcome decode_outcome(const sim::Instance& inst, AcceptMode mode,
@@ -261,30 +247,23 @@ TEST(AcceptModeParityTest, DetectorBerAndTtbMatchExact) {
       inst_rng);
   const std::size_t num_anneals = 400;
   const sim::RunOutcome exact = decode_outcome(inst, AcceptMode::kExact, num_anneals);
-  const sim::RunOutcome thr = decode_outcome(inst, AcceptMode::kThreshold, num_anneals);
-  const sim::RunOutcome t32 =
-      decode_outcome(inst, AcceptMode::kThreshold32, num_anneals);
+  const sim::RunOutcome thr = decode_outcome(inst, kThr, num_anneals);
 
   // Per-anneal BER at a mid-curve anneal budget (where differences show).
   const double ber_exact = exact.stats.expected_ber(20);
   EXPECT_GT(ber_exact, 0.0);
   EXPECT_NEAR(thr.stats.expected_ber(20), ber_exact, 0.05);
-  EXPECT_NEAR(t32.stats.expected_ber(20), ber_exact, 0.05);
 
   // P0 parity on the embedded pipeline.
   EXPECT_NEAR(thr.stats.p0(), exact.stats.p0(), 0.12);
-  EXPECT_NEAR(t32.stats.p0(), exact.stats.p0(), 0.12);
 
-  // TTB(1e-6): reached by every mode, and within a small factor (TTB is a
+  // TTB(1e-6): reached by both modes, and within a small factor (TTB is a
   // nonlinear function of the sampled distribution, so compare in ratio).
   const auto ttb_exact = sim::outcome_ttb_us(exact, 1e-6, 1 << 20);
   const auto ttb_thr = sim::outcome_ttb_us(thr, 1e-6, 1 << 20);
-  const auto ttb_t32 = sim::outcome_ttb_us(t32, 1e-6, 1 << 20);
   ASSERT_TRUE(ttb_exact.has_value());
   ASSERT_TRUE(ttb_thr.has_value());
-  ASSERT_TRUE(ttb_t32.has_value());
   EXPECT_LT(std::abs(std::log(*ttb_thr / *ttb_exact)), std::log(3.0));
-  EXPECT_LT(std::abs(std::log(*ttb_t32 / *ttb_exact)), std::log(3.0));
 }
 
 TEST(AcceptModeParityTest, BrokenChainDiagnosticsStayComparable) {
@@ -294,7 +273,7 @@ TEST(AcceptModeParityTest, BrokenChainDiagnosticsStayComparable) {
   const qubo::IsingModel problem = random_clique(12, 0xAC0A);
   double broken[2] = {0.0, 0.0};
   int k = 0;
-  for (const AcceptMode mode : {AcceptMode::kExact, AcceptMode::kThreshold}) {
+  for (const AcceptMode mode : {AcceptMode::kExact, kThr}) {
     anneal::AnnealerConfig config;
     config.embed.jf = 0.2;  // weak chains: breaking is common
     config.accept_mode = mode;

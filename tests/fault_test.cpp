@@ -144,12 +144,23 @@ TEST(FaultPlanTest, LoadParsesDirectivesCommentsAndRejectsGarbage) {
     EXPECT_NE(std::string(err.what()).find(":2:"), std::string::npos)
         << err.what();
   }
-  // Truncated directives fail too, and a missing file is reported cleanly.
-  {
-    std::ofstream out(path);
-    out << "outage 0 100\n";
+  // Truncated directives fail too, and so does any token a directive leaves
+  // unread — trailing, glued onto a number, or breaking a qubit list.
+  for (const char* line : {"outage 0 100", "outage 0 100 250 300",
+                           "annealfail 0.25x", "defects 1 300 5 6 x7",
+                           "seed 42 43"}) {
+    {
+      std::ofstream out(path);
+      out << "readoutfail 0.1\n" << line << "\n";
+    }
+    try {
+      fault::load_fault_plan(path);
+      ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const InvalidArgument& err) {
+      EXPECT_NE(std::string(err.what()).find(":2:"), std::string::npos)
+          << err.what();
+    }
   }
-  EXPECT_THROW(fault::load_fault_plan(path), InvalidArgument);
   EXPECT_THROW(fault::load_fault_plan(path + ".does-not-exist"),
                InvalidArgument);
 }

@@ -9,7 +9,7 @@
 //   * QuantileSketch keeps count/sum/min/max exact, answers p50/p95/p99
 //     within the gated 1% relative error, and merges deterministically —
 //     a sketch merged from shards equals the sketch of the whole stream;
-//   * attaching a trace sink changes NOTHING: the full ServiceReport digest
+//   * attaching a trace log changes NOTHING: the full ServiceReport digest
 //     is byte-identical traced vs untraced across threads x replicas x
 //     devices, and the async SchedClient path (a different poll cadence
 //     over the same virtual clock) emits the identical event stream.
@@ -20,6 +20,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,7 +30,6 @@
 #include "quamax/common/stats.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/metrics.hpp"
-#include "quamax/obs/registry.hpp"
 #include "quamax/obs/sketch.hpp"
 #include "quamax/obs/slo.hpp"
 #include "quamax/obs/trace.hpp"
@@ -129,27 +129,8 @@ TEST(SketchTest, MergeOfShardsEqualsWholeStream) {
   EXPECT_EQ(merged.count(), whole.count());
 }
 
-TEST(RegistryTest, NamedInstrumentsAndMerge) {
-  obs::Registry a;
-  EXPECT_TRUE(a.empty());
-  a.counter("waves") += 3;
-  a.gauge("occupancy") = 7.5;
-  a.sketch("latency_us").add(100.0);
-
-  obs::Registry b;
-  b.counter("waves") += 2;
-  b.gauge("occupancy") = 8.0;
-  b.sketch("latency_us").add(300.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("waves"), 5);
-  EXPECT_DOUBLE_EQ(a.gauge("occupancy"), 8.0);  // gauges: last writer wins
-  EXPECT_EQ(a.sketch("latency_us").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.sketch("latency_us").mean(), 200.0);
-}
-
 // ---------------------------------------------------------------------------
-// Trace sink completeness.
+// Trace log completeness.
 
 serve::ServiceConfig fast_service(std::size_t threads = 1,
                                   std::size_t replicas = 8,
@@ -178,7 +159,7 @@ serve::LoadConfig bpsk8_load(double jobs_per_ms, double deadline_us = 1000.0) {
   return cfg;
 }
 
-TEST(TraceSinkTest, LifecycleCompleteAndConsistentWithRecords) {
+TEST(TraceLogTest, LifecycleCompleteAndConsistentWithRecords) {
   obs::TraceLog log;
   serve::ServiceConfig cfg = fast_service();
   cfg.trace = &log;
@@ -231,7 +212,7 @@ TEST(TraceSinkTest, LifecycleCompleteAndConsistentWithRecords) {
   }
 }
 
-TEST(TraceSinkTest, DropsEmitDropEventsNotDispatches) {
+TEST(TraceLogTest, DropsEmitDropEventsNotDispatches) {
   obs::TraceLog log;
   serve::ServiceConfig cfg = fast_service();
   cfg.drop_late = true;
@@ -260,15 +241,15 @@ TEST(TraceSinkTest, DropsEmitDropEventsNotDispatches) {
 // The zero-drift contract.
 
 std::string run_digest(std::size_t threads, std::size_t replicas,
-                       std::size_t devices, obs::TraceSink* sink) {
+                       std::size_t devices, obs::TraceLog* log) {
   serve::ServiceConfig cfg = fast_service(threads, replicas, devices);
-  cfg.trace = sink;
+  cfg.trace = log;
   serve::DecodeService service(cfg);
   serve::LoadGenerator gen(bpsk8_load(120.0), 0xB0B);
   return service.run(gen.open_loop(40)).stats.digest();
 }
 
-TEST(TraceSinkTest, DigestBitIdenticalTracedOrNot) {
+TEST(TraceLogTest, DigestBitIdenticalTracedOrNot) {
   for (const std::size_t devices : {std::size_t{1}, std::size_t{3}}) {
     const std::string baseline = run_digest(1, 1, devices, nullptr);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -283,7 +264,7 @@ TEST(TraceSinkTest, DigestBitIdenticalTracedOrNot) {
   }
 }
 
-TEST(TraceSinkTest, AsyncClientEmitsIdenticalEventStream) {
+TEST(TraceLogTest, AsyncClientEmitsIdenticalEventStream) {
   // The same workload through the batch service and through SchedClient
   // with an aggressive poll cadence (poll after every submit).  Both drive
   // the same virtual clock, so the traces must match event for event.
@@ -336,23 +317,13 @@ TEST(TraceSinkTest, AsyncClientEmitsIdenticalEventStream) {
 // ---------------------------------------------------------------------------
 // Windowed telemetry, duty-cycle/energy accounting, and SLO alerts (obs v2).
 
-/// Serializes every derived byte of a finalized collector (windows, devices,
-/// totals, SLO reports) — the bit-identity oracle for the tests below.
+/// Serializes every derived byte of a collector (windows, devices, totals,
+/// SLO reports) — the bit-identity oracle for the tests below.
 std::string windowed_digest(const obs::WindowedCollector& collector,
                             const std::vector<obs::SloReport>& slos = {}) {
   std::ostringstream out;
   obs::write_metrics_json(collector, slos, out);
   return out.str();
-}
-
-/// Windows a finished trace the way the serving binaries do.
-obs::WindowedCollector window_log(const obs::TraceLog& log,
-                                  std::size_t devices) {
-  obs::WindowedCollector collector;
-  collector.ingest(log);
-  collector.set_devices(devices);
-  collector.finalize();
-  return collector;
 }
 
 /// fast_service under a scripted mid-run outage with retries + classical
@@ -371,22 +342,25 @@ serve::ServiceConfig storm_service(std::size_t threads = 1,
   return cfg;
 }
 
-obs::TraceLog trace_storm(std::size_t threads = 1, std::size_t replicas = 8) {
+obs::TraceLog trace_storm(std::size_t threads = 1, std::size_t replicas = 8,
+                          std::size_t jobs = 48) {
   obs::TraceLog log;
   serve::ServiceConfig cfg = storm_service(threads, replicas);
   cfg.trace = &log;
   serve::DecodeService service(cfg);
   serve::LoadGenerator gen(bpsk8_load(120.0, /*deadline_us=*/200.0), 0x57043);
-  service.run(gen.open_loop(48));
+  service.run(gen.open_loop(jobs));
   return log;
 }
 
 TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossThreadsAndReplicas) {
-  const std::string baseline = windowed_digest(window_log(trace_storm(), 1));
+  const std::string baseline =
+      windowed_digest(obs::WindowedCollector(trace_storm(), 1));
   EXPECT_NE(baseline.find("\"windows\":"), std::string::npos);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const std::size_t replicas : {std::size_t{1}, std::size_t{16}}) {
-      EXPECT_EQ(windowed_digest(window_log(trace_storm(threads, replicas), 1)),
+      EXPECT_EQ(windowed_digest(
+                    obs::WindowedCollector(trace_storm(threads, replicas), 1)),
                 baseline)
           << "windowed series drifted at threads=" << threads
           << " replicas=" << replicas;
@@ -402,7 +376,8 @@ TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossPollCadence) {
   serve::ServiceConfig cfg = fast_service();
   cfg.trace = &batch_log;
   serve::DecodeService(cfg).run(jobs);
-  const std::string baseline = windowed_digest(window_log(batch_log, 1));
+  const std::string baseline =
+      windowed_digest(obs::WindowedCollector(batch_log, 1));
 
   for (const std::size_t cadence : {std::size_t{1}, std::size_t{7}}) {
     obs::TraceLog async_log;
@@ -419,63 +394,47 @@ TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossPollCadence) {
       if ((i + 1) % cadence == 0) client.poll();
     }
     client.drain();
-    EXPECT_EQ(windowed_digest(window_log(async_log, 1)), baseline)
+    EXPECT_EQ(windowed_digest(obs::WindowedCollector(async_log, 1)), baseline)
         << "windowed series drifted at poll cadence " << cadence;
   }
 }
 
-TEST(WindowedCollectorTest, MergeIsAssociativeBitForBit) {
-  const obs::TraceLog log = trace_storm();
+TEST(WindowedCollectorTest, SeriesIndependentOfEventOrder) {
+  // A long run packs enough waves into each window that the floating-point
+  // busy/energy sums depend on accumulation order: without the canonical
+  // sort, the shuffled log below windows to different bytes.
+  const obs::TraceLog log = trace_storm(1, 8, /*jobs=*/400);
   ASSERT_FALSE(log.retries().empty()) << "storm produced no retries";
   ASSERT_FALSE(log.fallbacks().empty()) << "storm produced no fallbacks";
 
-  // Scatter the event stream round-robin across three shards — the shape a
-  // per-device or per-shard deployment would hand back.
-  obs::TraceLog shards[3];
-  std::size_t turn = 0;
-  const auto pick = [&]() -> obs::TraceLog& { return shards[turn++ % 3]; };
-  for (const auto& e : log.submits()) pick().on_job_submit(e);
-  for (const auto& e : log.dispatches()) pick().on_job_dispatch(e);
-  for (const auto& e : log.drops()) pick().on_job_drop(e);
-  for (const auto& e : log.waves()) pick().on_wave(e);
-  for (const auto& e : log.downs()) pick().on_device_down(e);
-  for (const auto& e : log.ups()) pick().on_device_up(e);
-  for (const auto& e : log.retries()) pick().on_job_retry(e);
-  for (const auto& e : log.fallbacks()) pick().on_job_fallback(e);
+  // The same event set in a shuffled emission order — the shape a sharded
+  // or per-device collection would hand back.  The collector sorts every
+  // event vector canonically, so not one derived byte may change.
+  std::mt19937_64 rng(0x5E7);
+  obs::TraceLog shuffled;
+  const auto replay = [&](auto events, auto append) {
+    std::shuffle(events.begin(), events.end(), rng);
+    for (const auto& e : events) (shuffled.*append)(e);
+  };
+  replay(log.submits(), &obs::TraceLog::on_job_submit);
+  replay(log.dispatches(), &obs::TraceLog::on_job_dispatch);
+  replay(log.drops(), &obs::TraceLog::on_job_drop);
+  replay(log.waves(), &obs::TraceLog::on_wave);
+  replay(log.downs(), &obs::TraceLog::on_device_down);
+  replay(log.ups(), &obs::TraceLog::on_device_up);
+  replay(log.retries(), &obs::TraceLog::on_job_retry);
+  replay(log.fallbacks(), &obs::TraceLog::on_job_fallback);
+  ASSERT_NE(shuffled.dispatches().front().job_id,
+            log.dispatches().front().job_id)
+      << "the shuffle left the emission order in place";
 
-  const std::string whole = windowed_digest(window_log(log, 1));
-
-  // (A + B) + C and A + (B + C), with finalize() already run on the inputs:
-  // merge folds raw buffers, so stale derived state cannot leak through.
-  obs::WindowedCollector left;
-  left.ingest(shards[0]);
-  left.finalize();
-  obs::WindowedCollector mid;
-  mid.ingest(shards[1]);
-  left.merge(mid);
-  obs::WindowedCollector right;
-  right.ingest(shards[2]);
-  left.merge(right);
-  left.set_devices(1);
-  left.finalize();
-  EXPECT_EQ(windowed_digest(left), whole);
-
-  obs::WindowedCollector bc;
-  bc.ingest(shards[1]);
-  obs::WindowedCollector c;
-  c.ingest(shards[2]);
-  bc.merge(c);
-  obs::WindowedCollector a;
-  a.ingest(shards[0]);
-  a.merge(bc);
-  a.set_devices(1);
-  a.finalize();
-  EXPECT_EQ(windowed_digest(a), whole);
+  EXPECT_EQ(windowed_digest(obs::WindowedCollector(shuffled, 1)),
+            windowed_digest(obs::WindowedCollector(log, 1)));
 }
 
 TEST(WindowedCollectorTest, DutyCycleAndEnergyConserve) {
   const obs::TraceLog log = trace_storm();
-  const obs::WindowedCollector collector = window_log(log, 1);
+  const obs::WindowedCollector collector(log, 1);
   const obs::WindowedTotals& totals = collector.totals();
   const double horizon = collector.horizon_us();
 
@@ -547,7 +506,8 @@ TEST(SloMonitorTest, SpecGrammarParsesAndRejects) {
   EXPECT_EQ(specs[2].name, "miss_rate<=0.1@6/2");
 
   for (const char* bad : {"latency<=5", "miss_rate<0.05", "miss_rate<=-1",
-                          "miss_rate<=0.05@1/2", "p99<=2500@4/0", "p99<="}) {
+                          "miss_rate<=0.05@1/2", "p99<=2500@4/0", "p99<=",
+                          "miss_rate<=nan", "p99<=inf", "p99<=1e999"}) {
     error.clear();
     EXPECT_TRUE(obs::parse_slo_specs(bad, &error).empty()) << bad;
     EXPECT_FALSE(error.empty()) << bad;
@@ -559,7 +519,7 @@ TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
 
   // The storm arm must alert, identically on every evaluation and at any
   // thread count; alerts carry the breaching window's exact bounds.
-  const obs::WindowedCollector storm = window_log(trace_storm(), 1);
+  const obs::WindowedCollector storm(trace_storm(), 1);
   const std::vector<obs::SloReport> first = monitor.evaluate(storm);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_GE(first[0].alerts.size(), 1u) << "storm did not breach the SLO";
@@ -573,7 +533,7 @@ TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
   }
   EXPECT_EQ(windowed_digest(storm, monitor.evaluate(storm)),
             windowed_digest(storm, first));
-  const obs::WindowedCollector threaded = window_log(trace_storm(8, 16), 1);
+  const obs::WindowedCollector threaded(trace_storm(8, 16), 1);
   EXPECT_EQ(windowed_digest(threaded, monitor.evaluate(threaded)),
             windowed_digest(storm, first));
 
@@ -584,7 +544,7 @@ TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
   serve::LoadGenerator gen(bpsk8_load(120.0, /*deadline_us=*/200.0), 0x57043);
   serve::DecodeService(quiet).run(gen.open_loop(48));
   const std::vector<obs::SloReport> clean =
-      monitor.evaluate(window_log(quiet_log, 1));
+      monitor.evaluate(obs::WindowedCollector(quiet_log, 1));
   ASSERT_EQ(clean.size(), 1u);
   EXPECT_TRUE(clean[0].alerts.empty()) << "fault-free arm raised alerts";
   EXPECT_EQ(clean[0].breached_windows, 0u);

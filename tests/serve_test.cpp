@@ -519,14 +519,19 @@ TEST(RunObserverTest, FinishReportsEveryFailedWrite) {
   obs::Profiler::instance().set_enabled(false);
 }
 
-TEST(RunObserverTest, WritesEveryRequestedFile) {
-  const std::string dir = ::testing::TempDir();
-  const std::string trace = dir + "observer_trace.json";
-  const std::string metrics = dir + "observer_metrics.csv";
+TEST(RunObserverTest, WritesExactlyTheRequestedFiles) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "quamax_observer_files";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string trace = (dir / "trace.json").string();
+  const std::string metrics = (dir / "metrics.csv").string();
   EXPECT_EQ(observe_tiny_run({"--trace=" + trace, "--metrics", metrics}), 0);
-  EXPECT_TRUE(std::filesystem::exists(trace));
-  EXPECT_TRUE(std::filesystem::exists(metrics));
-  EXPECT_TRUE(std::filesystem::exists(metrics + ".prom"));
+  std::set<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    written.insert(entry.path().string());
+  EXPECT_EQ(written, (std::set<std::string>{trace, metrics}));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunObserverTest, UnobservedRunsAttachNothing) {
@@ -544,7 +549,7 @@ TEST(RunObserverTest, AlertsAreInjectedOncePerRun) {
   serve::RunObserver observer = parsed.observer();
   serve::ServiceConfig cfg = fast_service(true);
   serve_tiny_run(observer, cfg);
-  const auto* log = dynamic_cast<const obs::TraceLog*>(cfg.trace);
+  const obs::TraceLog* log = cfg.trace;
   ASSERT_NE(log, nullptr);
   std::size_t alerts = 0;
   for (const auto& report : observer.view().slos) alerts += report.alerts.size();

@@ -135,7 +135,6 @@ TEST(EnvScaleTest, DefaultsOverridesAndValidation) {
 
 TEST(CliKnobsTest, AcceptModeNamesRoundTrip) {
   EXPECT_STREQ(anneal::to_string(anneal::AcceptMode::kExact), "exact");
-  EXPECT_STREQ(anneal::to_string(anneal::AcceptMode::kThreshold), "threshold");
   EXPECT_STREQ(anneal::to_string(anneal::AcceptMode::kThreshold32),
                "threshold32");
 }
@@ -151,7 +150,7 @@ constexpr std::array<KnobSample, Knob::kCount> kSamples{{
     {"0.5", "o.5"},                // kScale
     {"4", "-2"},                   // kThreads
     {"16", "0"},                   // kReplicas
-    {"threshold", "metropolis"},   // kAcceptMode
+    {"threshold32", "threshold"},  // kAcceptMode
     {"4", "pool"},                 // kDevices
     {"edf", nullptr},              // kQueuePolicy
     {"0.5", "1.5"},                // kDownlink

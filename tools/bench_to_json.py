@@ -57,9 +57,9 @@ def record_of(bench):
         "iterations": bench.get("iterations"),
     }
     # Every bench binary publishes its domain counters under a quamax_
-    # prefix (obs::Registry naming convention), so the record carries them
-    # through without a hand-maintained whitelist: adding a counter to a
-    # bench is enough to land it in the artifact.
+    # prefix, so the record carries them through without a hand-maintained
+    # whitelist: adding a counter to a bench is enough to land it in the
+    # artifact.
     for counter, value in bench.items():
         if counter.startswith("quamax_"):
             rec[counter] = value

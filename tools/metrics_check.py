@@ -40,9 +40,7 @@ Checks, in order:
      total, and joules_per_bit is energy / bits;
   7. SLO reports are coherent: each alert's window index is in range,
      its interval matches that window's bounds, breached_windows equals
-     the alert count, and worst_burn is the max alert burn;
-  8. the Prometheus snapshot (METRICS.json.prom) exists next to the file
-     and carries the quamax_windowed_* families.
+     the alert count, and worst_burn is the max alert burn.
 
 Float sums (time/energy) use a 1e-9 relative tolerance: windows clip
 spans at their bounds, so re-addition crosses windows in a different
@@ -206,16 +204,6 @@ def validate(path):
                 problems.append(f"slo {slo.get('name')}: alert at window "
                                 f"{a['window']} with value {a['value']} <= "
                                 f"threshold {slo.get('threshold')}")
-
-    # -- 8. Prometheus snapshot ---------------------------------------------
-    prom_path = path + ".prom"
-    try:
-        with open(prom_path) as f:
-            prom = f.read()
-        if "quamax_windowed_" not in prom:
-            problems.append(f"{prom_path} lacks quamax_windowed_* families")
-    except OSError:
-        problems.append(f"Prometheus snapshot {prom_path} missing")
 
     if problems:
         return fail(problems)
