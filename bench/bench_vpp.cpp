@@ -106,18 +106,12 @@ PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
         best_energy = energy;
       }
     }
-    // The scheduler's jobwise clip: never transmit a perturbation worse
-    // than none.
-    qubo::SpinVec zero;
-    if (best_energy > inst.zf_energy) {
-      zero = vpp::zero_perturbation_spins(inst.problem);
-      best = &zero;
-      best_energy = inst.zf_energy;
-    }
-    vpp_errors += vpp::downlink_bit_errors(inst, *best);
+    const qubo::SpinVec sent =
+        vpp::clip_to_zero_forcing(inst, *best, best_energy);
+    vpp_errors += vpp::downlink_bit_errors(inst, sent);
     zf_errors += vpp::zero_forcing_bit_errors(inst);
     out.point.bits += inst.tx_bits.size();
-    const double vpp_power = ising.absolute_energy(*best);
+    const double vpp_power = ising.absolute_energy(sent);
     gain_db_sum += 10.0 * std::log10(inst.zf_power / vpp_power);
   }
   out.point.wall_s =

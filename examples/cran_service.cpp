@@ -5,7 +5,7 @@
 // detection job per user per LTE subframe, with channels drawn from the
 // synthetic Argos-like 96-antenna trace campaign.  A pool of --devices
 // modeled QA processors decodes the cluster under the --queue-policy
-// dispatch discipline: jobs queue, the packer merges same-shape jobs into
+// dispatch discipline: jobs queue, the scheduler packs same-shape jobs into
 // chip waves, and every job's queueing/service/total latency is scored
 // against a HARQ-style deadline.  The run then repeats with packing
 // disabled to show what §4 parallelization buys a serving system.

@@ -27,12 +27,17 @@
 //     draws.
 //
 // Every fault decision is a pure function of (plan, wave id, virtual-clock
-// schedule): faulty runs keep the v2 determinism contract — bit-identical
-// at any --threads/--replicas/poll cadence per device count.
+// schedule), evaluated by fault::Timeline below: faulty runs keep the v2
+// determinism contract — bit-identical at any --threads/--replicas/poll
+// cadence per device count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -120,5 +125,77 @@ FaultPlan storm_plan(std::size_t devices, double horizon_us,
 /// windows are unioned) — the denominator check for availability sweeps.
 double scheduled_downtime_us(const FaultPlan& plan, std::size_t device,
                              double horizon_us);
+
+/// A plan's meaning on the virtual clock: the per-device outage windows,
+/// the fault RNG key, the applied-growth flags and the one (time,
+/// insertion)-ordered event queue the scheduler drains.  It answers the two
+/// questions dispatch asks — when is device d up after t, and at what
+/// instant does wave w on d abort; what to DO about each event stays with
+/// sched::Scheduler.  A null or empty plan builds the inactive timeline: no
+/// events, every device always up, no wave ever aborts, no RNG drawn.
+class Timeline {
+ public:
+  enum class Kind : std::uint8_t {
+    kOutageStart, kOutageEnd, kGrowth, kWaveFail
+  };
+  /// Outage start/end events exist so each window is traced once, in time
+  /// order; scheduling reads the windows through up_at/abort_us instead.
+  struct Event {
+    double t_us = 0.0;
+    std::size_t order = 0;  ///< insertion tie-break at equal times
+    Kind kind = Kind::kOutageStart;
+    std::size_t index = 0;  ///< outage/growth index in the plan, or wave id
+    bool operator>(const Event& other) const {
+      if (t_us != other.t_us) return t_us > other.t_us;
+      return order > other.order;
+    }
+  };
+
+  Timeline() = default;
+  /// Validates `plan` against a pool whose device d has device_qubits[d]
+  /// qubits (growth qubit ids included, so a bad id fails before anything
+  /// is served) and queues every outage and growth event.  Throws
+  /// InvalidArgument.
+  Timeline(std::shared_ptr<const FaultPlan> plan,
+           const std::vector<std::size_t>& device_qubits);
+
+  bool active() const noexcept { return plan_ != nullptr; }
+  /// Requires active().
+  const FaultPlan& plan() const noexcept { return *plan_; }
+  bool has_growths() const noexcept {
+    return active() && !plan_->growths.empty();
+  }
+
+  /// Time of the earliest queued event; +infinity when none.
+  double next_us() const;
+  /// Pops the earliest event if it is due by `t_us`.  Popping a growth
+  /// marks it applied: from then on it aborts no wave.
+  std::optional<Event> pop_due(double t_us);
+  /// Queues the abort of wave `wave_id` at `fail_us`.
+  void push_wave_fail(double fail_us, std::size_t wave_id);
+
+  /// End of the outage (union of overlapping or adjacent windows) covering
+  /// `t_us` on `device`; `t_us` itself when the device is up.
+  double up_at(std::size_t device, double t_us) const;
+  /// The instant a wave on `device` spanning [dispatch, completion) aborts,
+  /// or +infinity: the earliest outage start or unapplied defect growth
+  /// hitting the span (clamped to dispatch), or an injected failure drawn
+  /// from the wave's fault stream — an anneal failure ends the wave at
+  /// `readout_start_us`, a readout failure at `completion_us`.  Both
+  /// uniforms are always drawn when either probability is set, so toggling
+  /// one injection never shifts the other's draw.
+  double abort_us(std::size_t device, std::size_t wave_id, double dispatch_us,
+                  double readout_start_us, double completion_us) const;
+
+ private:
+  void push(double t_us, Kind kind, std::size_t index);
+
+  std::shared_ptr<const FaultPlan> plan_;
+  std::uint64_t key_ = 0;  ///< keyed by the PLAN's seed, never the decode seed
+  std::vector<std::vector<OutageWindow>> windows_;  ///< per device, by start
+  std::vector<char> growth_applied_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+  std::size_t order_ = 0;
+};
 
 }  // namespace quamax::fault

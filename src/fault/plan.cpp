@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "quamax/common/error.hpp"
 #include "quamax/common/rng.hpp"
 
 namespace quamax::fault {
+namespace {
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+}  // namespace
 
 FallbackMode parse_fallback_mode(const std::string& text) {
   if (text == "none") return FallbackMode::kNone;
@@ -144,6 +149,97 @@ double scheduled_downtime_us(const FaultPlan& plan, std::size_t device,
     }
   }
   return total;
+}
+
+Timeline::Timeline(std::shared_ptr<const FaultPlan> plan,
+                   const std::vector<std::size_t>& device_qubits) {
+  if (plan == nullptr || plan->empty()) return;
+  plan->validate(device_qubits.size());
+  for (std::size_t i = 0; i < plan->growths.size(); ++i) {
+    const DefectGrowth& g = plan->growths[i];
+    for (const chimera::Qubit q : g.qubits)
+      if (q >= device_qubits[g.device])
+        throw InvalidArgument(
+            "FaultPlan: defect growth " + std::to_string(i) +
+            " disables qubit " + std::to_string(q) + ", outside device " +
+            std::to_string(g.device) + "'s " +
+            std::to_string(device_qubits[g.device]) + "-qubit chip");
+  }
+  plan_ = std::move(plan);
+  key_ = Rng(plan_->seed)();
+  windows_.assign(device_qubits.size(), {});
+  for (std::size_t i = 0; i < plan_->outages.size(); ++i) {
+    const OutageWindow& w = plan_->outages[i];
+    windows_[w.device].push_back(w);
+    push(w.start_us, Kind::kOutageStart, i);
+    push(w.end_us, Kind::kOutageEnd, i);
+  }
+  for (auto& windows : windows_)
+    std::sort(windows.begin(), windows.end(),
+              [](const OutageWindow& a, const OutageWindow& b) {
+                return a.start_us < b.start_us;
+              });
+  growth_applied_.assign(plan_->growths.size(), 0);
+  for (std::size_t i = 0; i < plan_->growths.size(); ++i)
+    push(plan_->growths[i].time_us, Kind::kGrowth, i);
+}
+
+void Timeline::push(double t_us, Kind kind, std::size_t index) {
+  events_.push({t_us, order_++, kind, index});
+}
+
+void Timeline::push_wave_fail(double fail_us, std::size_t wave_id) {
+  push(fail_us, Kind::kWaveFail, wave_id);
+}
+
+double Timeline::next_us() const {
+  return events_.empty() ? kInfinity : events_.top().t_us;
+}
+
+std::optional<Timeline::Event> Timeline::pop_due(double t_us) {
+  if (events_.empty() || events_.top().t_us > t_us) return std::nullopt;
+  const Event ev = events_.top();
+  events_.pop();
+  if (ev.kind == Kind::kGrowth) growth_applied_[ev.index] = 1;
+  return ev;
+}
+
+double Timeline::up_at(std::size_t device, double t_us) const {
+  if (!active()) return t_us;
+  // Extend past every window covering t until a fixpoint; the list is
+  // start-sorted, so one forward pass suffices.
+  double t = t_us;
+  for (const OutageWindow& w : windows_[device])
+    if (w.start_us <= t && t < w.end_us) t = w.end_us;
+  return t;
+}
+
+double Timeline::abort_us(std::size_t device, std::size_t wave_id,
+                          double dispatch_us, double readout_start_us,
+                          double completion_us) const {
+  if (!active()) return kInfinity;
+  double fail = kInfinity;
+  for (const OutageWindow& w : windows_[device])
+    if (w.start_us < completion_us && w.end_us > dispatch_us)
+      fail = std::min(fail, std::max(dispatch_us, w.start_us));
+  for (std::size_t i = 0; i < plan_->growths.size(); ++i) {
+    const DefectGrowth& g = plan_->growths[i];
+    // A device may pop with a free time predating an already-applied
+    // growth, but its wave anneals on the post-growth topology.
+    if (growth_applied_[i] == 0 && g.device == device &&
+        g.time_us < completion_us)
+      fail = std::min(fail, std::max(dispatch_us, g.time_us));
+  }
+  if (plan_->anneal_failure_prob > 0.0 || plan_->readout_failure_prob > 0.0) {
+    Rng draw = Rng::for_stream(key_, wave_id);
+    const double u_anneal = draw.uniform();
+    const double u_readout = draw.uniform();
+    if (u_anneal < plan_->anneal_failure_prob)
+      fail = std::min(fail, readout_start_us);
+    else if (u_readout < plan_->readout_failure_prob)
+      fail = std::min(fail, completion_us);
+  }
+  return fail;
 }
 
 }  // namespace quamax::fault

@@ -84,7 +84,7 @@ struct WaveEvent {
   int num_anneals = 0;
   std::size_t num_jobs = 0;
   std::string policy;  ///< queue policy name: "fifo", "edf", "slack"
-  std::string shape;   ///< block-shape label, e.g. "4u x 2x2"
+  std::string shape;   ///< logical variable count of the wave, e.g. "16"
   double dispatch_us = 0.0;
   double program_end_us = 0.0;
   double readout_start_us = 0.0;

@@ -65,7 +65,6 @@
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/serve/job.hpp"
-#include "quamax/serve/packer.hpp"
 
 namespace quamax::sched {
 
@@ -82,7 +81,7 @@ inline anneal::AnnealerConfig serving_annealer_defaults() {
 }
 
 /// The one wave-sizing rule shared by the engine's dispatch
-/// (Scheduler::effective_capacity) and the serve layer's public capacity
+/// (Scheduler::dispatch_wave) and the serve layer's public capacity
 /// accessor (DecodeService::wave_capacity): packing off = one job per wave;
 /// otherwise the chip capacity, clamped by max_wave_jobs (0 = no extra cap).
 inline std::size_t clamp_wave_jobs(std::size_t chip_capacity, bool packing,
@@ -134,6 +133,8 @@ struct SchedConfig {
   /// bit-for-bit: the fault path consumes no RNG (injection draws come from
   /// the plan's OWN seed via a dedicated stream family keyed by wave id,
   /// never from `seed`'s root stream) and adds no virtual-clock events.
+  /// The plan is checked against the pool — growth qubit ids included —
+  /// when the Scheduler is built (fault::Timeline).
   std::shared_ptr<const fault::FaultPlan> fault;
   /// Retry budget per job: a member of a failed wave is re-queued (policy
   /// re-sorted, earliest re-dispatch fail + retry_backoff_us) at most this
@@ -171,14 +172,20 @@ class Scheduler {
   explicit Scheduler(SchedConfig config,
                      std::shared_ptr<DeviceSet> devices = nullptr);
 
-  const SchedConfig& config() const noexcept { return config_; }
-  const std::shared_ptr<DeviceSet>& device_set() const noexcept { return devices_; }
-
+  /// The config checks every front end of this engine shares (the
+  /// constructor runs them; DecodeService runs them at its own
+  /// construction).  Throws InvalidArgument.
+  static void validate(const SchedConfig& config);
   /// Virtual-clock cost of one COLD wave, any occupancy or device (also the
   /// conservative service estimate drop_late sweeps and the slack policy
   /// use: a job that would only survive if it drew a warm wave is treated
   /// as doomed, deterministically).
-  double wave_service_us() const;
+  static double wave_service_us(const SchedConfig& config);
+
+  const SchedConfig& config() const noexcept { return config_; }
+  const std::shared_ptr<DeviceSet>& device_set() const noexcept { return devices_; }
+
+  double wave_service_us() const { return wave_service_us(config_); }
 
   /// Virtual-clock cost of one warm wave: program overhead plus the warm
   /// anneal quota at the (unchanged) per-anneal duration — the reverse
@@ -234,15 +241,14 @@ class Scheduler {
  private:
   /// kInFlight: member of a wave pre-decided to fail — in limbo between the
   /// wave's dispatch and the kWaveFail event at its abort instant, when the
-  /// retry/fallback ladder resolves it.  kFailed/kFallback are terminal.
+  /// retry/fallback ladder resolves it.  kFinalized: ended without a
+  /// successful wave (dropped, failed, or served by the fallback).
   enum class JobState : std::uint8_t {
-    kQueued,
-    kDispatched,
-    kDropped,
-    kInFlight,
-    kFailed,
-    kFallback
+    kQueued, kDispatched, kInFlight, kFinalized
   };
+  /// How a job the annealing path gives up on ends when no fallback is
+  /// configured: shed by the doom sweep, or terminally failed.
+  enum class Miss : std::uint8_t { kDropped, kFailed };
   /// kDeferred: the popped device sits inside an outage window; it was
   /// re-queued at the window's end without advancing any other state.
   enum class Round {
@@ -253,28 +259,6 @@ class Scheduler {
     kDispatched,
     kDeferred
   };
-  /// Virtual-clock fault timeline entries, processed in (time, insertion)
-  /// order by the first round whose effective time reaches them.  Outage
-  /// start/end entries are trace-only (scheduling reads the window list
-  /// directly); growth applies the defect map; wave-fail runs the
-  /// retry/fallback ladder for the failed wave's members.
-  enum class FaultKind : std::uint8_t {
-    kOutageStart,
-    kOutageEnd,
-    kGrowth,
-    kWaveFail
-  };
-  struct FaultEvent {
-    double t_us = 0.0;
-    std::size_t order = 0;  ///< insertion tie-break at equal times
-    FaultKind kind = FaultKind::kOutageStart;
-    std::size_t index = 0;  ///< outage/growth index in the plan, or wave id
-    bool operator>(const FaultEvent& other) const {
-      if (t_us != other.t_us) return t_us > other.t_us;
-      return order > other.order;
-    }
-  };
-
   Round round(double horizon_us);
   void admit_up_to(double t_us);
   void sweep_doomed(double t_free_us);
@@ -282,23 +266,17 @@ class Scheduler {
   /// when a job was FINALIZED (fallback or terminal failure) — progress a
   /// closed-loop driver must observe.
   bool process_faults(double t_us);
-  /// End of the outage (union of overlapping windows) covering `t_us` on
-  /// `device`; returns t_us when the device is up.
-  double outage_until(std::size_t device, double t_us) const;
-  /// The instant a wave on `device` spanning [dispatch, completion) would
-  /// abort, or +infinity: the earliest unprocessed outage start / defect
-  /// growth hitting the span (clamped to dispatch), or an injected
-  /// anneal/readout failure drawn from the wave's dedicated fault stream.
-  double wave_fail_us(std::size_t device, std::size_t wave_id,
-                      double dispatch_us, double completion_us);
-  /// Terminal outcomes.  `dispatch_us` is the failed wave's dispatch (==
-  /// t_us for never-dispatched jobs); completion is t_us in both cases.
-  /// `mid_flight` marks the failed-wave ladder (the job already left the
-  /// queue at its wave's dispatch) for the trace events only.
-  void finalize_fallback(std::size_t seq, double dispatch_us, double t_us,
-                         bool mid_flight = false);
-  void finalize_failed(std::size_t seq, double dispatch_us, double t_us,
-                       bool mid_flight = false);
+  /// The one terminal path for a job the annealing path gives up on: the
+  /// configured fallback serves it, else it ends as `miss`.  `dispatch_us`
+  /// is the failed wave's dispatch (== t_us for never-dispatched jobs);
+  /// completion is t_us.  `mid_flight` marks the failed-wave ladder (the
+  /// job already left the queue at its wave's dispatch) for the trace only.
+  void finalize(std::size_t seq, Miss miss, double dispatch_us, double t_us,
+                bool mid_flight = false);
+  /// Re-arms every parked device: new or re-queued work may fit it.
+  void rearm_parked();
+  /// Removes every job no longer kQueued from pending_, keeping its order.
+  void prune_pending();
   /// Job `seq`'s earliest legal service start at dispatch instant `t_us`
   /// (arrival and retry-backoff readiness both bound it) — the doom
   /// predicate's start time.
@@ -313,7 +291,6 @@ class Scheduler {
   /// `t_free_us` on the virtual clock.  A pure virtual-clock predicate, so
   /// wave membership is identical at any poll cadence or thread count.
   bool warm_eligible(std::size_t seq, double t_free_us) const;
-  std::size_t effective_capacity(std::size_t device, std::size_t shape);
   /// Policy order at dispatch instant `t_us`: feasibility class (slack
   /// only), then deadline (edf/slack), then sequence.
   bool policy_before(std::size_t a, std::size_t b, double t_us) const;
@@ -326,17 +303,9 @@ class Scheduler {
   core::ThreadPool pool_;
   std::uint64_t decode_key_ = 0;
   std::uint64_t warm_key_ = 0;  ///< disjoint stream family for warm waves
-  /// Normalized fault plan: nullptr when config_.fault is null or empty, so
-  /// `plan_ == nullptr` IS the fault-free fast path everywhere.
-  std::shared_ptr<const fault::FaultPlan> plan_;
-  std::uint64_t fault_key_ = 0;  ///< keyed by the PLAN's seed, not config seed
-  std::vector<std::vector<fault::OutageWindow>> outage_windows_;  ///< per device
-  std::priority_queue<FaultEvent, std::vector<FaultEvent>, std::greater<>>
-      fault_events_;
-  std::size_t fault_event_order_ = 0;
-  /// Growth i has been applied to devices_ — wave-fail pre-decision must
-  /// only charge waves for growths still ahead of the virtual clock.
-  std::vector<char> growth_applied_;
+  /// The fault plan on the virtual clock; inactive (the fault-free path)
+  /// when config_.fault is null or empty.
+  fault::Timeline faults_;
   std::vector<double> job_ready_us_;      ///< retry backoff gate, by seq
   std::vector<std::size_t> job_retries_;  ///< failed attempts, by seq
   anneal::Schedule warm_schedule_;  ///< reverse schedule warm waves run

@@ -24,32 +24,48 @@ bool reaches_ground(double best_energy, double ground_energy) {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+/// The reverse schedule warm waves run.
+anneal::Schedule warm_schedule_of(const SchedConfig& config) {
+  anneal::Schedule schedule = config.annealer.schedule;
+  schedule.reverse = true;
+  schedule.reverse_depth = config.warm_reverse_depth;
+  return schedule;
+}
+
 }  // namespace
+
+void Scheduler::validate(const SchedConfig& config) {
+  require(config.num_anneals >= 1, "Scheduler: need at least one anneal");
+  require(config.program_overhead_us >= 0.0,
+          "Scheduler: negative program overhead");
+  config.annealer.schedule.validate();
+  require(!config.annealer.schedule.reverse,
+          "Scheduler: reverse annealing is single-problem only");
+  require(config.warm_num_anneals <= config.num_anneals,
+          "Scheduler: the warm quota is a CUT of the cold quota");
+  // Checked even when warm_start is off, so a config error surfaces
+  // immediately.
+  warm_schedule_of(config).validate();
+}
+
+double Scheduler::wave_service_us(const SchedConfig& config) {
+  return config.program_overhead_us +
+         static_cast<double>(config.num_anneals) *
+             config.annealer.schedule.duration_us();
+}
 
 Scheduler::Scheduler(SchedConfig config, std::shared_ptr<DeviceSet> devices)
     : config_(std::move(config)),
       devices_(std::move(devices)),
-      pool_(config_.num_threads) {
-  require(config_.num_anneals >= 1, "Scheduler: need at least one anneal");
-  require(config_.program_overhead_us >= 0.0,
-          "Scheduler: negative program overhead");
-  config_.annealer.schedule.validate();
-  require(!config_.annealer.schedule.reverse,
-          "Scheduler: reverse annealing is single-problem only");
+      pool_(config_.num_threads),
+      warm_schedule_(warm_schedule_of(config_)) {
+  validate(config_);
   if (config_.devices.empty())
     config_.devices = uniform_devices(config_.annealer, 1);
   if (devices_ == nullptr)
     devices_ = std::make_shared<DeviceSet>(config_.annealer, config_.devices);
   require(devices_->size() == config_.devices.size(),
           "Scheduler: device set size does not match the device specs");
-  require(config_.warm_num_anneals <= config_.num_anneals,
-          "Scheduler: the warm quota is a CUT of the cold quota");
-  // The warm reverse schedule is fixed at construction; validate it even
-  // when warm_start is off so a config error surfaces immediately.
-  warm_schedule_ = config_.annealer.schedule;
-  warm_schedule_.reverse = true;
-  warm_schedule_.reverse_depth = config_.warm_reverse_depth;
-  warm_schedule_.validate();
   for (std::size_t d = 0; d < devices_->size(); ++d)
     free_devices_.emplace(0.0, d);
   workers_.resize(pool_.size());
@@ -61,44 +77,18 @@ Scheduler::Scheduler(SchedConfig config, std::shared_ptr<DeviceSet> devices)
   decode_key_ = root();
   warm_key_ = root();
 
-  // Fault plan (normalized: an empty plan IS the fault-free path).  The
-  // fault stream family is keyed by the PLAN's own seed — the root draws
-  // above never move, so attaching a plan keeps every decode and warm
+  // The fault stream family is keyed by the PLAN's own seed — the root
+  // draws above never move, so attaching a plan keeps every decode and warm
   // stream bit-compatible with history.
-  if (config_.fault != nullptr && !config_.fault->empty()) {
-    config_.fault->validate(devices_->size());
-    plan_ = config_.fault;
-    fault_key_ = Rng(plan_->seed)();
-    // Defect growth mutates the device pool mid-run; a caller-shared
-    // DeviceSet must never see that, so take a private pool built from the
-    // same specs (placements recompile — correctness over reuse here).
-    if (!plan_->growths.empty())
-      devices_ = std::make_shared<DeviceSet>(config_.annealer, config_.devices);
-    outage_windows_.assign(devices_->size(), {});
-    for (std::size_t i = 0; i < plan_->outages.size(); ++i) {
-      const fault::OutageWindow& w = plan_->outages[i];
-      outage_windows_[w.device].push_back(w);
-      fault_events_.push(
-          {w.start_us, fault_event_order_++, FaultKind::kOutageStart, i});
-      fault_events_.push(
-          {w.end_us, fault_event_order_++, FaultKind::kOutageEnd, i});
-    }
-    for (auto& windows : outage_windows_)
-      std::sort(windows.begin(), windows.end(),
-                [](const fault::OutageWindow& a, const fault::OutageWindow& b) {
-                  return a.start_us < b.start_us;
-                });
-    growth_applied_.assign(plan_->growths.size(), 0);
-    for (std::size_t i = 0; i < plan_->growths.size(); ++i)
-      fault_events_.push({plan_->growths[i].time_us, fault_event_order_++,
-                          FaultKind::kGrowth, i});
-  }
-}
-
-double Scheduler::wave_service_us() const {
-  return config_.program_overhead_us +
-         static_cast<double>(config_.num_anneals) *
-             config_.annealer.schedule.duration_us();
+  std::vector<std::size_t> qubits;
+  for (std::size_t d = 0; d < devices_->size(); ++d)
+    qubits.push_back(devices_->graph(d).num_qubits());
+  faults_ = fault::Timeline(config_.fault, qubits);
+  // Defect growth mutates the device pool mid-run; a caller-shared
+  // DeviceSet must never see that, so take a private pool built from the
+  // same specs (placements recompile — correctness over reuse here).
+  if (faults_.has_growths())
+    devices_ = std::make_shared<DeviceSet>(config_.annealer, config_.devices);
 }
 
 std::size_t Scheduler::warm_quota() const {
@@ -118,7 +108,7 @@ std::size_t Scheduler::submit(serve::CellJob job) {
   // the last embedding mid-run) rides the fallback ladder below instead of
   // throwing; without one the historical contract holds.
   const bool servable = devices_->max_capacity(job.shape()) > 0;
-  if (!servable && plan_ == nullptr)
+  if (!servable && !faults_.active())
     throw CapacityError("Scheduler::submit: no device can embed shape " +
                         std::to_string(job.shape()));
   advance_to(job.arrival_us);
@@ -139,22 +129,14 @@ std::size_t Scheduler::submit(serve::CellJob job) {
   states_.push_back(JobState::kQueued);
   job_ready_us_.push_back(0.0);
   job_retries_.push_back(0);
-  if (config_.trace != nullptr) {
-    obs::JobSubmitEvent event;
-    event.job_id = job.id;
-    event.user = static_cast<int>(job.user);
-    event.direction = job.downlink() ? 1 : 0;
-    event.submit_us = job.arrival_us;
-    event.deadline_us = job.deadline_us;
-    config_.trace->on_job_submit(event);
-  }
+  if (config_.trace != nullptr)
+    config_.trace->on_job_submit(
+        {.job_id = job.id, .user = static_cast<int>(job.user),
+         .direction = job.downlink() ? 1 : 0, .submit_us = job.arrival_us,
+         .deadline_us = job.deadline_us});
   jobs_.push_back(std::move(job));
-  if (!servable) {
-    if (config_.fallback != fault::FallbackMode::kNone)
-      finalize_fallback(seq, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
-    else
-      finalize_failed(seq, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
-  }
+  if (!servable)
+    finalize(seq, Miss::kFailed, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
   return seq;
 }
 
@@ -201,8 +183,7 @@ Scheduler::Round Scheduler::round(double horizon_us) {
       double next = kInfinity;
       if (admit_cursor_ < jobs_.size())
         next = jobs_[admit_cursor_].arrival_us;
-      if (!fault_events_.empty() && fault_events_.top().t_us < next)
-        next = fault_events_.top().t_us;
+      next = std::min(next, faults_.next_us());
       if (next == kInfinity) {
         free_devices_.emplace(finalized ? t_free : freed_us, device);
         return finalized ? Round::kSwept : Round::kNoWork;
@@ -230,7 +211,7 @@ Scheduler::Round Scheduler::round(double horizon_us) {
     if (process_faults(t_free)) finalized = true;
 
     // A device inside an outage window serves nothing until it ends.
-    const double up_us = outage_until(device, t_free);
+    const double up_us = faults_.up_at(device, t_free);
     if (up_us > t_free) {
       free_devices_.emplace(up_us, device);
       return finalized ? Round::kSwept : Round::kDeferred;
@@ -285,22 +266,29 @@ void Scheduler::admit_up_to(double t_us) {
     if (states_[seq] != JobState::kQueued) continue;
     // Defect growth between staging and admission may have eaten the last
     // embedding for this shape; resolve at admission instead of routing.
-    if (plan_ != nullptr && !plan_->growths.empty() &&
+    if (faults_.has_growths() &&
         devices_->max_capacity(jobs_[seq].shape()) == 0) {
-      if (config_.fallback != fault::FallbackMode::kNone)
-        finalize_fallback(seq, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
-      else
-        finalize_failed(seq, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
+      finalize(seq, Miss::kFailed, jobs_[seq].arrival_us,
+               jobs_[seq].arrival_us);
       continue;
     }
     pending_.push_back(seq);
     admitted = true;
   }
-  if (admitted && !parked_.empty()) {
-    // New work may fit a parked device; re-arm the whole bench.
-    for (const Device& d : parked_) free_devices_.push(d);
-    parked_.clear();
-  }
+  if (admitted) rearm_parked();
+}
+
+void Scheduler::rearm_parked() {
+  for (const Device& d : parked_) free_devices_.push(d);
+  parked_.clear();
+}
+
+void Scheduler::prune_pending() {
+  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                [&](std::size_t seq) {
+                                  return states_[seq] != JobState::kQueued;
+                                }),
+                 pending_.end());
 }
 
 // Deadline-aware admission (ServiceConfig::drop_late and the fallback
@@ -312,98 +300,54 @@ void Scheduler::admit_up_to(double t_us) {
 // (HARQ class mixes).
 void Scheduler::sweep_doomed(double t_free_us) {
   const double service_us = wave_service_us();
-  std::vector<std::size_t> survivors;
-  survivors.reserve(pending_.size());
   for (const std::size_t seq : pending_) {
     const double start_us = start_at(seq, t_free_us);
-    if (jobs_[seq].deadline_us >= start_us + service_us) {
-      survivors.push_back(seq);
-      continue;
-    }
-    if (config_.fallback != fault::FallbackMode::kNone) {
-      finalize_fallback(seq, start_us, start_us);
-      continue;
-    }
-    records_[seq].dropped = true;
-    records_[seq].retries = job_retries_[seq];
-    records_[seq].dispatch_us = start_us;
-    records_[seq].completion_us = start_us;
-    states_[seq] = JobState::kDropped;
-    undelivered_.emplace(start_us, seq);
-    if (config_.trace != nullptr) {
-      obs::JobDropEvent event;
-      event.job_id = jobs_[seq].id;
-      event.drop_us = start_us;
-      event.deadline_us = jobs_[seq].deadline_us;
-      config_.trace->on_job_drop(event);
-    }
-    if (hook_) hook_(jobs_[seq], start_us);
+    if (jobs_[seq].deadline_us < start_us + service_us)
+      finalize(seq, Miss::kDropped, start_us, start_us);
   }
-  pending_ = std::move(survivors);
+  prune_pending();
 }
 
 bool Scheduler::process_faults(double t_us) {
   bool finalized = false;
-  while (!fault_events_.empty() && fault_events_.top().t_us <= t_us) {
-    const FaultEvent ev = fault_events_.top();
-    fault_events_.pop();
-    switch (ev.kind) {
-      case FaultKind::kOutageStart: {
-        // Scheduling reads the window list directly (outage_until,
-        // wave_fail_us); the timeline entry exists so the down-mark lands
-        // in the trace exactly once, in global time order, in every driver.
-        if (config_.trace != nullptr) {
-          const fault::OutageWindow& w = plan_->outages[ev.index];
-          obs::DeviceDownEvent event;
-          event.device = static_cast<int>(w.device);
-          event.down_us = w.start_us;
-          event.up_us = w.end_us;
-          config_.trace->on_device_down(event);
-        }
+  while (const std::optional<fault::Timeline::Event> ev =
+             faults_.pop_due(t_us)) {
+    switch (ev->kind) {
+      case fault::Timeline::Kind::kOutageStart:
+      case fault::Timeline::Kind::kOutageEnd: {
+        if (config_.trace == nullptr) break;
+        const fault::OutageWindow& w = faults_.plan().outages[ev->index];
+        const int device = static_cast<int>(w.device);
+        if (ev->kind == fault::Timeline::Kind::kOutageStart)
+          config_.trace->on_device_down(
+              {.device = device, .down_us = w.start_us, .up_us = w.end_us});
+        else
+          config_.trace->on_device_up({.device = device, .up_us = w.end_us});
         break;
       }
-      case FaultKind::kOutageEnd: {
-        if (config_.trace != nullptr) {
-          const fault::OutageWindow& w = plan_->outages[ev.index];
-          obs::DeviceUpEvent event;
-          event.device = static_cast<int>(w.device);
-          event.up_us = w.end_us;
-          config_.trace->on_device_up(event);
-        }
-        break;
-      }
-      case FaultKind::kGrowth: {
-        const fault::DefectGrowth& growth = plan_->growths[ev.index];
+      case fault::Timeline::Kind::kGrowth: {
+        const fault::DefectGrowth& growth = faults_.plan().growths[ev->index];
         // Flush every decode due by the growth instant FIRST: those waves
         // annealed on the pre-growth topology and must sample it.
         execute_due(growth.time_us);
         devices_->grow_defects(growth.device, growth.qubits);
-        growth_applied_[ev.index] = 1;
         // Lane workers cached the old chip; rebuild lazily on next use.
         for (auto& lane : workers_) lane[growth.device].reset();
         // Pending jobs whose shape the shrunken pool can no longer embed
         // anywhere resolve now (fallback or terminal failure).
-        std::vector<std::size_t> survivors;
-        survivors.reserve(pending_.size());
         for (const std::size_t seq : pending_) {
-          if (devices_->max_capacity(jobs_[seq].shape()) > 0) {
-            survivors.push_back(seq);
-            continue;
-          }
+          if (devices_->max_capacity(jobs_[seq].shape()) > 0) continue;
           const double at = std::max(growth.time_us, jobs_[seq].arrival_us);
-          if (config_.fallback != fault::FallbackMode::kNone)
-            finalize_fallback(seq, at, at);
-          else
-            finalize_failed(seq, at, at);
+          finalize(seq, Miss::kFailed, at, at);
           finalized = true;
         }
-        pending_ = std::move(survivors);
+        prune_pending();
         break;
       }
-      case FaultKind::kWaveFail: {
+      case fault::Timeline::Kind::kWaveFail: {
         // The failed wave's members (in sequence order — canonical wave
         // membership order) ride the retry/fallback ladder.
-        const serve::Wave& wave = waves_[ev.index];
+        const serve::Wave& wave = waves_[ev->index];
         bool requeued = false;
         for (const std::size_t seq : wave.jobs) {
           if (states_[seq] != JobState::kInFlight) continue;
@@ -425,31 +369,19 @@ bool Scheduler::process_faults(double t_us) {
             pending_.insert(
                 std::lower_bound(pending_.begin(), pending_.end(), seq), seq);
             requeued = true;
-            if (config_.trace != nullptr) {
-              obs::JobRetryEvent event;
-              event.job_id = jobs_[seq].id;
-              event.wave_id = wave.id;
-              event.device = static_cast<int>(wave.device);
-              event.fail_us = wave.fail_us;
-              event.ready_us = ready;
-              event.retry = static_cast<int>(job_retries_[seq]);
-              config_.trace->on_job_retry(event);
-            }
+            if (config_.trace != nullptr)
+              config_.trace->on_job_retry(
+                  {.job_id = jobs_[seq].id, .wave_id = wave.id,
+                   .device = static_cast<int>(wave.device),
+                   .fail_us = wave.fail_us, .ready_us = ready,
+                   .retry = static_cast<int>(job_retries_[seq])});
             continue;
           }
-          if (config_.fallback != fault::FallbackMode::kNone)
-            finalize_fallback(seq, wave.dispatch_us, wave.fail_us,
-                              /*mid_flight=*/true);
-          else
-            finalize_failed(seq, wave.dispatch_us, wave.fail_us,
-                            /*mid_flight=*/true);
+          finalize(seq, Miss::kFailed, wave.dispatch_us, wave.fail_us,
+                   /*mid_flight=*/true);
           finalized = true;
         }
-        if (requeued && !parked_.empty()) {
-          // Re-queued work may fit a parked device; re-arm the bench.
-          for (const Device& d : parked_) free_devices_.push(d);
-          parked_.clear();
-        }
+        if (requeued) rearm_parked();
         break;
       }
     }
@@ -457,95 +389,37 @@ bool Scheduler::process_faults(double t_us) {
   return finalized;
 }
 
-double Scheduler::outage_until(std::size_t device, double t_us) const {
-  if (plan_ == nullptr) return t_us;
-  // Union of overlapping/adjacent windows: extend past every window
-  // covering t until a fixpoint (the per-device list is start-sorted, so
-  // one forward pass suffices).
-  double t = t_us;
-  for (const fault::OutageWindow& w : outage_windows_[device])
-    if (w.start_us <= t && t < w.end_us) t = w.end_us;
-  return t;
-}
-
-double Scheduler::wave_fail_us(std::size_t device, std::size_t wave_id,
-                               double dispatch_us, double completion_us) {
-  double fail = kInfinity;
-  for (const fault::OutageWindow& w : outage_windows_[device])
-    if (w.start_us < completion_us && w.end_us > dispatch_us)
-      fail = std::min(fail, std::max(dispatch_us, w.start_us));
-  for (std::size_t i = 0; i < plan_->growths.size(); ++i) {
-    const fault::DefectGrowth& g = plan_->growths[i];
-    // Only growths NOT yet applied to the pool can abort this wave: a
-    // parked device may pop with a free time predating an already-applied
-    // growth, but its wave anneals on the post-growth topology.
-    if (growth_applied_[i] == 0 && g.device == device &&
-        g.time_us < completion_us)
-      fail = std::min(fail, std::max(dispatch_us, g.time_us));
-  }
-  if (plan_->anneal_failure_prob > 0.0 || plan_->readout_failure_prob > 0.0) {
-    // Both uniforms are ALWAYS drawn when either probability is set, so
-    // toggling one injection never shifts the other's draw for any wave.
-    Rng draw = Rng::for_stream(fault_key_, wave_id);
-    const double u_anneal = draw.uniform();
-    const double u_readout = draw.uniform();
-    const double half_overhead = config_.program_overhead_us / 2.0;
-    if (u_anneal < plan_->anneal_failure_prob)
-      fail = std::min(fail, completion_us - half_overhead);
-    else if (u_readout < plan_->readout_failure_prob)
-      fail = std::min(fail, completion_us);
-  }
-  return fail;
-}
-
-void Scheduler::finalize_fallback(std::size_t seq, double dispatch_us,
-                                  double t_us, bool mid_flight) {
-  const fault::ClassicalDecode decode =
-      fault::classical_decode(jobs_[seq], config_.fallback);
+void Scheduler::finalize(std::size_t seq, Miss miss, double dispatch_us,
+                         double t_us, bool mid_flight) {
+  const serve::CellJob& job = jobs_[seq];
   serve::JobRecord& record = records_[seq];
-  record.fallback = true;
   record.retries = job_retries_[seq];
   record.dispatch_us = dispatch_us;
   record.completion_us = t_us;
-  record.bit_errors = decode.bit_errors;
-  record.num_bits = decode.num_bits;
-  record.ground_state = false;
-  states_[seq] = JobState::kFallback;
+  states_[seq] = JobState::kFinalized;
   undelivered_.emplace(t_us, seq);
-  if (config_.trace != nullptr) {
-    obs::JobFallbackEvent event;
-    event.job_id = jobs_[seq].id;
-    event.direction = jobs_[seq].downlink() ? 1 : 0;
-    event.fallback_us = t_us;
-    event.deadline_us = jobs_[seq].deadline_us;
-    event.bit_errors = decode.bit_errors;
-    event.num_bits = decode.num_bits;
-    event.mid_flight = mid_flight;
-    config_.trace->on_job_fallback(event);
-  }
-  if (hook_) hook_(jobs_[seq], t_us);
-}
-
-void Scheduler::finalize_failed(std::size_t seq, double dispatch_us,
-                                double t_us, bool mid_flight) {
-  serve::JobRecord& record = records_[seq];
-  record.failed = true;
-  record.retries = job_retries_[seq];
-  record.dispatch_us = dispatch_us;
-  record.completion_us = t_us;
-  states_[seq] = JobState::kFailed;
-  undelivered_.emplace(t_us, seq);
-  if (config_.trace != nullptr) {
+  if (config_.fallback != fault::FallbackMode::kNone) {
+    const fault::ClassicalDecode decode =
+        fault::classical_decode(job, config_.fallback);
+    record.fallback = true;
+    record.bit_errors = decode.bit_errors;
+    record.num_bits = decode.num_bits;
+    if (config_.trace != nullptr)
+      config_.trace->on_job_fallback(
+          {.job_id = job.id, .direction = job.downlink() ? 1 : 0,
+           .fallback_us = t_us, .deadline_us = job.deadline_us,
+           .bit_errors = decode.bit_errors, .num_bits = decode.num_bits,
+           .mid_flight = mid_flight});
+  } else {
+    (miss == Miss::kDropped ? record.dropped : record.failed) = true;
     // A terminal failure is a miss the same way a drop is; it shares the
     // drop event so downstream tooling needs no third terminal kind.
-    obs::JobDropEvent event;
-    event.job_id = jobs_[seq].id;
-    event.drop_us = t_us;
-    event.deadline_us = jobs_[seq].deadline_us;
-    event.mid_flight = mid_flight;
-    config_.trace->on_job_drop(event);
+    if (config_.trace != nullptr)
+      config_.trace->on_job_drop({.job_id = job.id, .drop_us = t_us,
+                                  .deadline_us = job.deadline_us,
+                                  .mid_flight = mid_flight});
   }
-  if (hook_) hook_(jobs_[seq], t_us);
+  if (hook_) hook_(job, t_us);
 }
 
 bool Scheduler::warm_eligible(std::size_t seq, double t_free_us) const {
@@ -566,11 +440,6 @@ bool Scheduler::warm_eligible(std::size_t seq, double t_free_us) const {
   // wave completed by it on the VIRTUAL clock.  (The wave's decode may
   // still be pending on the wall clock — execute_due orders it first.)
   return records_[pred].completion_us <= t_free_us;
-}
-
-std::size_t Scheduler::effective_capacity(std::size_t device, std::size_t shape) {
-  return clamp_wave_jobs(devices_->capacity(device, shape), config_.packing,
-                         config_.max_wave_jobs);
 }
 
 bool Scheduler::policy_before(std::size_t a, std::size_t b, double t_us) const {
@@ -606,7 +475,9 @@ bool Scheduler::policy_before(std::size_t a, std::size_t b, double t_us) const {
 void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
                               std::size_t seed_seq) {
   const std::size_t shape = jobs_[seed_seq].shape();
-  const std::size_t cap = effective_capacity(device, shape);
+  const std::size_t cap =
+      clamp_wave_jobs(devices_->capacity(device, shape), config_.packing,
+                      config_.max_wave_jobs);
   // Warmness homogeneity: the whole wave runs ONE anneal program (one
   // schedule, one quota), so only jobs matching the seed job's warmness at
   // this instant may fill it; the others stay queued for a later wave.
@@ -645,100 +516,75 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
     wave.dispatch_us = std::max(wave.dispatch_us, start_at(seq, t_free_us));
   wave.completion_us =
       wave.dispatch_us + (warm ? warm_wave_service_us() : wave_service_us());
+  // program_overhead_us covers programming + readout, so it brackets the
+  // anneal span half-and-half.
+  const double half_overhead = config_.program_overhead_us / 2.0;
+  const double readout_start_us = wave.completion_us - half_overhead;
 
   // Fault pre-decision: the wave's fate is fixed AT DISPATCH on the virtual
   // clock (the fail instant is a pure function of the plan and the wave id),
   // so the decode lanes never see failed waves and the wall clock stays
   // fault-blind.
-  if (plan_ != nullptr) {
-    const double fail =
-        wave_fail_us(device, wave.id, wave.dispatch_us, wave.completion_us);
-    if (fail <= wave.completion_us) {
-      wave.failed = true;
-      wave.fail_us = fail;
-    }
+  const double fail = faults_.abort_us(device, wave.id, wave.dispatch_us,
+                                       readout_start_us, wave.completion_us);
+  if (fail <= wave.completion_us) {
+    wave.failed = true;
+    wave.fail_us = fail;
   }
 
-  if (config_.trace != nullptr) {
-    // The trace decomposition reproduces QuAMax §7's latency split from the
-    // wave cost model: program_overhead_us covers programming + readout, so
-    // it brackets the anneal span half-and-half; the anneal span itself is
-    // exactly quota * schedule duration.  The four spans tile
-    // [dispatch, completion], so per-job span sums equal the virtual-clock
-    // service time bit-for-bit (the round-trip CTest re-adds them).
-    obs::WaveEvent event;
-    event.wave_id = wave.id;
-    event.device = static_cast<int>(device);
-    event.warm = warm;
-    event.num_anneals =
-        static_cast<int>(warm ? warm_quota() : config_.num_anneals);
-    event.num_jobs = wave.jobs.size();
-    event.policy = to_string(config_.policy);
-    event.shape = std::to_string(shape);
-    event.dispatch_us = wave.dispatch_us;
-    const double half_overhead = config_.program_overhead_us / 2.0;
-    event.program_end_us = wave.dispatch_us + half_overhead;
-    event.readout_start_us = wave.completion_us - half_overhead;
-    event.completion_us = wave.completion_us;
-    event.failed = wave.failed;
-    event.fail_us = wave.fail_us;
-    config_.trace->on_wave(event);
-  }
+  // The trace decomposition reproduces QuAMax §7's latency split from the
+  // wave cost model; the anneal span is exactly quota * schedule duration.
+  // The four spans tile [dispatch, completion], so per-job span sums equal
+  // the virtual-clock service time bit-for-bit (the round-trip CTest
+  // re-adds them).
+  if (config_.trace != nullptr)
+    config_.trace->on_wave(
+        {.wave_id = wave.id, .device = static_cast<int>(device), .warm = warm,
+         .num_anneals =
+             static_cast<int>(warm ? warm_quota() : config_.num_anneals),
+         .num_jobs = wave.jobs.size(), .policy = to_string(config_.policy),
+         .shape = std::to_string(shape), .dispatch_us = wave.dispatch_us,
+         .program_end_us = wave.dispatch_us + half_overhead,
+         .readout_start_us = readout_start_us,
+         .completion_us = wave.completion_us, .failed = wave.failed,
+         .fail_us = wave.fail_us});
 
-  if (wave.failed) {
-    // A failed wave yields no samples: members go in-flight until the
-    // kWaveFail event at the abort instant runs their retry/fallback
-    // ladder.  No completion record, no delivery, no dispatch trace, no
-    // hook — on the virtual clock nothing has been promised yet.  The
-    // device is occupied only until the abort.
-    for (const std::size_t seq : wave.jobs) {
-      records_[seq].wave_id = wave.id;
-      states_[seq] = JobState::kInFlight;
-    }
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [&](std::size_t seq) {
-                                    return states_[seq] != JobState::kQueued;
-                                  }),
-                   pending_.end());
-    free_devices_.emplace(wave.fail_us, device);
-    fault_events_.push(
-        {wave.fail_us, fault_event_order_++, FaultKind::kWaveFail, wave.id});
-    wave_executed_.push_back(1);  // never decodes
-    waves_.push_back(std::move(wave));
-    return;
-  }
-
+  // A failed wave yields no samples: members go in-flight until the
+  // kWaveFail event at the abort instant runs their retry/fallback ladder.
+  // No completion record, no delivery, no dispatch trace, no hook — on the
+  // virtual clock nothing has been promised yet.
   for (const std::size_t seq : wave.jobs) {
     records_[seq].wave_id = wave.id;
+    if (wave.failed) {
+      states_[seq] = JobState::kInFlight;
+      continue;
+    }
     records_[seq].retries = job_retries_[seq];
     records_[seq].dispatch_us = wave.dispatch_us;
     records_[seq].completion_us = wave.completion_us;
     states_[seq] = JobState::kDispatched;
     undelivered_.emplace(wave.completion_us, seq);
-    if (config_.trace != nullptr) {
-      obs::JobDispatchEvent event;
-      event.job_id = jobs_[seq].id;
-      event.wave_id = wave.id;
-      event.device = static_cast<int>(device);
-      event.dispatch_us = wave.dispatch_us;
-      event.completion_us = wave.completion_us;
-      event.num_bits = jobs_[seq].downlink()
+    if (config_.trace != nullptr)
+      config_.trace->on_job_dispatch(
+          {.job_id = jobs_[seq].id, .wave_id = wave.id,
+           .device = static_cast<int>(device), .dispatch_us = wave.dispatch_us,
+           .completion_us = wave.completion_us,
+           .num_bits = jobs_[seq].downlink()
                            ? jobs_[seq].precode().tx_bits.size()
-                           : jobs_[seq].uplink().use.tx_bits.size();
-      config_.trace->on_job_dispatch(event);
-    }
+                           : jobs_[seq].uplink().use.tx_bits.size()});
     if (hook_) hook_(jobs_[seq], wave.completion_us);
   }
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [&](std::size_t seq) {
-                                  return states_[seq] != JobState::kQueued;
-                                }),
-                 pending_.end());
+  prune_pending();
 
-  // The device idles from t_free to the (possibly later) dispatch.
-  free_devices_.emplace(wave.completion_us, device);
-  unexecuted_waves_.emplace(wave.completion_us, wave.id);
-  wave_executed_.push_back(0);
+  // The device idles from t_free to the (possibly later) dispatch, and is
+  // occupied only until the abort when the wave fails.
+  if (wave.failed)
+    faults_.push_wave_fail(wave.fail_us, wave.id);
+  else
+    unexecuted_waves_.emplace(wave.completion_us, wave.id);
+  free_devices_.emplace(wave.failed ? wave.fail_us : wave.completion_us,
+                        device);
+  wave_executed_.push_back(wave.failed ? 1 : 0);  // failed waves never decode
   waves_.push_back(std::move(wave));
 }
 
@@ -859,22 +705,14 @@ void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
     }
 
     if (job.downlink()) {
-      // Downlink: the sample is a perturbation vector.  A precoder never
-      // sends a perturbation worse than none, so clip to v = 0 (classic
-      // zero-forcing) when the anneal did not beat it — the jobwise VPP <=
-      // ZF guarantee bench_vpp and the full-duplex experiment gate on.
+      // Downlink: the sample is a perturbation vector, clipped so the job
+      // never transmits worse than zero-forcing.
       const vpp::PrecodeInstance& instance = job.precode();
-      const qubo::SpinVec* chosen = best;
-      double chosen_energy = best_energy;
-      qubo::SpinVec zero;
-      if (chosen_energy > instance.zf_energy) {
-        zero = vpp::zero_perturbation_spins(instance.problem);
-        chosen = &zero;
-        chosen_energy = instance.zf_energy;
-      }
-      record.bit_errors = vpp::downlink_bit_errors(instance, *chosen);
+      record.bit_errors = vpp::downlink_bit_errors(
+          instance, vpp::clip_to_zero_forcing(instance, *best, best_energy));
       record.num_bits = instance.tx_bits.size();
-      record.ground_state = reaches_ground(chosen_energy, instance.ground_energy);
+      record.ground_state = reaches_ground(
+          std::min(best_energy, instance.zf_energy), instance.ground_energy);
       continue;
     }
 

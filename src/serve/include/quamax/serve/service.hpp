@@ -3,40 +3,23 @@
 // The paper's deployment story is a centralized RAN where ONE annealing
 // processor absorbs the uplink detection load of many base stations,
 // amortizing anneals by §4-packing several users' problems into each chip
-// wave while HARQ-style deadlines bound per-job latency.  DecodeService
-// models that serving loop end to end:
+// wave while HARQ-style deadlines bound per-job latency.  DecodeService is
+// the batch (run-to-completion) front end of that serving loop:
 //
-//   arrivals ──► FIFO queue ──► WavePacker (first-fit, shape-keyed) ──►
-//   modeled QA devices (virtual clock) ──► ChimeraAnnealer workers on a
-//   core::ThreadPool (real compute) ──► unembed + decode ──► ServiceStats
+//   arrivals ──► sched::Scheduler (policy queue, same-shape wave packing,
+//   shape-aware routing, fault timeline) ──► modeled QA devices (virtual
+//   clock) ──► ChimeraAnnealer workers on a core::ThreadPool (real
+//   compute) ──► unembed + decode ──► ServiceStats
 //
-// Two clocks, strictly separated:
-//
-//   * The VIRTUAL clock drives every latency number.  Job arrivals,
-//     dispatches, and completions advance a discrete-event timeline where a
-//     wave occupies one of `num_devices` modeled QA processors for
-//     program_overhead_us + num_anneals * (T_a + T_p) microseconds — the
-//     figure the paper charges per anneal batch.  The timeline is computed
-//     serially and is a pure function of (config, jobs), so queueing /
-//     service / total latencies and the deadline-miss rate are EXACTLY
-//     reproducible.
-//
-//   * The WALL clock only pays for the decode compute: after the timeline
-//     fixes each wave's membership, the waves fan out across a ThreadPool of
-//     lane-local ChimeraAnnealer workers (sharing one shape-keyed
-//     EmbeddingCache) that actually anneal, unembed, and decode bits.  Wave
-//     w draws all randomness from the counter-derived stream
-//     Rng::for_stream(key, w), so decode results — and therefore the full
-//     ServiceReport — are bit-identical at ANY num_threads setting
-//     (tests/serve_test.cpp enforces this).
-//
-// Since PR 5 the dispatch engine itself lives in quamax::sched: the service
-// builds a sched::Scheduler per run and feeds it arrivals, which is where
-// multi-chip sharding (per-device defect maps + device-affine embedding
-// caches, ServiceConfig::device_specs), pluggable queue policies
-// (ServiceConfig::queue_policy), and the async submit/poll API
-// (sched::SchedClient) come from.  DecodeService remains the batch
-// (run-to-completion) front end over that engine.
+// The VIRTUAL clock drives every latency number: a wave occupies a modeled
+// device for program_overhead_us + num_anneals * (T_a + T_p), and the
+// timeline is a pure function of (config, jobs).  The WALL clock only pays
+// for decode compute; wave w draws all randomness from
+// Rng::for_stream(key, w), so the full ServiceReport is bit-identical at
+// ANY num_threads setting (tests/serve_test.cpp enforces this).  The engine
+// itself — multi-chip sharding, queue policies, faults, and the async
+// submit/poll API (sched::SchedClient) — is sched::Scheduler; its header
+// has the two-clock details.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +35,6 @@
 #include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/job.hpp"
 #include "quamax/serve/load_gen.hpp"
-#include "quamax/serve/packer.hpp"
 #include "quamax/serve/stats.hpp"
 
 namespace quamax::serve {
@@ -60,14 +42,8 @@ namespace quamax::serve {
 struct ServiceConfig {
   /// Chip, schedule, ICE, and replica configuration of every worker.  The
   /// worker's own num_threads is forced to 1 — the service parallelizes
-  /// across waves, not inside them.
-  ///
-  /// The serve-layer DEFAULT accept mode is kThreshold32 (not the
-  /// library-wide kExact): bench_serve_load's soak gate holds the
-  /// miss-rate / goodput / BER curves of threshold32 and exact to parity
-  /// at paper-scale load, and the float32 branch-free kernel is the
-  /// throughput winner for the ICE-off shared-coefficient serving path.
-  /// Override via --accept-mode / QUAMAX_ACCEPT_MODE or directly here.
+  /// across waves, not inside them.  Defaults to threshold32 acceptance
+  /// (see sched::serving_annealer_defaults for why).
   anneal::AnnealerConfig annealer = sched::serving_annealer_defaults();
   std::size_t num_anneals = 50;  ///< N_a per wave (every member shares it)
   /// Modeled QA processors serving waves on the VIRTUAL clock.  This is

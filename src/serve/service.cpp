@@ -98,12 +98,7 @@ class DecodeService::ClosedLoopFeed final : public DecodeService::ArrivalFeed {
 
 DecodeService::DecodeService(ServiceConfig config) : config_(std::move(config)) {
   require(config_.num_devices >= 1, "DecodeService: need at least one device");
-  require(config_.num_anneals >= 1, "DecodeService: need at least one anneal");
-  require(config_.program_overhead_us >= 0.0,
-          "DecodeService: negative program overhead");
-  config_.annealer.schedule.validate();
-  require(!config_.annealer.schedule.reverse,
-          "DecodeService: reverse annealing is single-problem only");
+  sched::Scheduler::validate(sched_config());
   if (config_.device_specs.empty())
     config_.device_specs =
         sched::uniform_devices(config_.annealer, config_.num_devices);
@@ -146,9 +141,7 @@ std::size_t DecodeService::wave_capacity(std::size_t shape) {
 }
 
 double DecodeService::wave_service_us() const {
-  return config_.program_overhead_us +
-         static_cast<double>(config_.num_anneals) *
-             config_.annealer.schedule.duration_us();
+  return sched::Scheduler::wave_service_us(sched_config());
 }
 
 ServiceReport DecodeService::run(std::vector<CellJob> jobs) {

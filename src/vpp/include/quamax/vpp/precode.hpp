@@ -156,6 +156,14 @@ wireless::BitVec decode_downlink(const PrecodeInstance& instance,
 std::size_t downlink_bit_errors(const PrecodeInstance& instance,
                                 const qubo::SpinVec& spins);
 
+/// The perturbation a precoder actually transmits for an anneal whose best
+/// sample is `best` (energy `best_energy`): `best`, unless it scores worse
+/// than the v = 0 energy, in which case v = 0 (classic zero-forcing) — the
+/// jobwise VPP <= ZF guarantee the scheduler and bench_vpp both rely on.
+qubo::SpinVec clip_to_zero_forcing(const PrecodeInstance& instance,
+                                   const qubo::SpinVec& best,
+                                   double best_energy);
+
 /// The non-perturbed baseline on the SAME noise draw: plain zero-forcing
 /// (v = 0, gamma = zf_power) with a direct slicer — no modulo at the
 /// receiver, which is exactly the classic ZF downlink.

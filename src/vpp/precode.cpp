@@ -176,6 +176,14 @@ qubo::SpinVec zero_perturbation_spins(const PrecodeProblem& problem) {
   return qubo::SpinVec(problem.num_vars(), -1);
 }
 
+qubo::SpinVec clip_to_zero_forcing(const PrecodeInstance& instance,
+                                   const qubo::SpinVec& best,
+                                   double best_energy) {
+  if (best_energy > instance.zf_energy)
+    return zero_perturbation_spins(instance.problem);
+  return best;
+}
+
 double transmit_power(const linalg::CMat& p, const linalg::CVec& u,
                       const linalg::CVec& v, double tau) {
   require(u.size() == v.size(), "transmit_power: size mismatch");

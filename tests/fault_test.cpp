@@ -24,6 +24,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -34,6 +36,7 @@
 #include "quamax/common/error.hpp"
 #include "quamax/fault/fallback.hpp"
 #include "quamax/fault/plan.hpp"
+#include "quamax/obs/trace.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/service.hpp"
@@ -61,6 +64,77 @@ serve::ServiceConfig fast_service(std::size_t threads = 1) {
   cfg.num_threads = threads;
   cfg.program_overhead_us = 10.0;
   return cfg;
+}
+
+/// FNV-1a fingerprint of a served fault timeline: every record's identity,
+/// timing (%.17g), terminal flags, retries and fallback bit errors; every
+/// wave's device, timing, failure and membership; and the fault ladder's
+/// trace events (drops, fallbacks, retries, device down/up) in emission
+/// order.  Any drift in when or how a job ends moves the hash.
+std::string timeline_hash(const serve::ServiceReport& report,
+                          const obs::TraceLog& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const char* format, auto... args) {
+    char buf[256];
+    const int n = std::snprintf(buf, sizeof buf, format, args...);
+    for (int i = 0; i < n; ++i) {
+      h ^= static_cast<unsigned char>(buf[i]);
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const serve::JobRecord& r : report.jobs) {
+    mix("J%zu w%zu d%.17g c%.17g %d%d%d r%zu", r.job_id, r.wave_id,
+        r.dispatch_us, r.completion_us, int{r.dropped}, int{r.fallback},
+        int{r.failed}, r.retries);
+    if (r.fallback) mix(" e%zu/%zu", r.bit_errors, r.num_bits);
+  }
+  for (const serve::Wave& w : report.waves) {
+    mix("W%zu s%zu D%zu d%.17g c%.17g f%d %.17g:", w.id, w.shape, w.device,
+        w.dispatch_us, w.completion_us, int{w.failed}, w.fail_us);
+    for (const std::size_t seq : w.jobs) mix(" %zu", seq);
+  }
+  for (const obs::JobDropEvent& e : trace.drops())
+    mix("X%llu %.17g %d", static_cast<unsigned long long>(e.job_id), e.drop_us,
+        int{e.mid_flight});
+  for (const obs::JobFallbackEvent& e : trace.fallbacks())
+    mix("F%llu %.17g %d %zu", static_cast<unsigned long long>(e.job_id),
+        e.fallback_us, int{e.mid_flight}, e.bit_errors);
+  for (const obs::JobRetryEvent& e : trace.retries())
+    mix("R%llu w%llu %.17g %.17g %d", static_cast<unsigned long long>(e.job_id),
+        static_cast<unsigned long long>(e.wave_id), e.fail_us, e.ready_us,
+        e.retry);
+  for (const obs::DeviceDownEvent& e : trace.downs())
+    mix("V%d %.17g %.17g", e.device, e.down_us, e.up_us);
+  for (const obs::DeviceUpEvent& e : trace.ups())
+    mix("U%d %.17g", e.device, e.up_us);
+  char out[17];
+  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
+  return out;
+}
+
+/// The ladder-pinning plan for two devices: overlapping plus adjacent
+/// outages on device 0, a shape-8-preserving growth on device 0 and then
+/// the same growth on device 1 — after which shape 16 (the downlink VPP
+/// problems) embeds nowhere — plus anneal and readout failure injection.
+std::shared_ptr<const fault::FaultPlan> ladder_plan() {
+  const std::vector<chimera::Qubit> dead =
+      sched::dead_row_fault_map(chimera::ChimeraGraph(), 4);
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->outages = {{0, 100.0, 220.0}, {0, 180.0, 300.0}, {0, 300.0, 360.0},
+                   {1, 400.0, 470.0}};
+  plan->growths = {{0, 450.0, dead}, {1, 520.0, dead}};
+  plan->anneal_failure_prob = 0.2;
+  plan->readout_failure_prob = 0.2;
+  return plan;
+}
+
+/// Two-shape full-duplex mix: 8-variable uplink BPSK and 16-variable
+/// downlink VPP jobs.
+std::vector<serve::CellJob> ladder_jobs(double deadline_us) {
+  serve::LoadConfig load = bpsk8_load(80.0, deadline_us);
+  load.downlink_fraction = 0.5;
+  serve::LoadGenerator gen(load, 0xFA0C);
+  return gen.open_loop(60);
 }
 
 /// Every wave's anneal draw fails: the pure retry/fallback-ladder driver.
@@ -429,6 +503,80 @@ TEST(FaultServeTest, DefectGrowthStrandsShapeAndFallbackServesIt) {
   // Without a plan the same growth topology would reject at submit; with
   // the plan every job is accounted for instead.
   EXPECT_EQ(report.stats.failed(), 0u);
+}
+
+TEST(FaultServeTest, GrowthQubitOutsideTheChipIsRejectedBeforeDispatch) {
+  // A growth far past the last job never fires, but its qubit id is still
+  // checked against the chip before anything is served.
+  const std::string path = testing::TempDir() + "quamax_bad_growth_plan.txt";
+  {
+    std::ofstream out(path);
+    out << "outage 0 10 20\ndefects 0 1e9 99999\n";
+  }
+  serve::LoadGenerator gen(bpsk8_load(60.0), 0xFA07);
+  serve::ServiceConfig cfg = fast_service();
+  cfg.fault = std::make_shared<fault::FaultPlan>(fault::load_fault_plan(path));
+  obs::TraceLog trace;
+  cfg.trace = &trace;
+  try {
+    serve::DecodeService(cfg).run(gen.open_loop(8));
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& err) {
+    EXPECT_NE(std::string(err.what()).find("growth 0"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_TRUE(trace.submits().empty());
+  EXPECT_TRUE(trace.waves().empty());
+}
+
+// The ladder's virtual-clock timeline, pinned by hash: outage union and
+// adjacency, growth stranding shape 16, anneal/readout aborts, retries with
+// backoff and the ZF fallback.  The hash was recorded before the fault
+// timeline moved out of the scheduler; it must never need editing for a
+// refactor.
+TEST(FaultServeTest, LadderTimelineWithFallbackIsPinned) {
+  const std::vector<serve::CellJob> jobs = ladder_jobs(1000.0);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    serve::ServiceConfig cfg = fast_service(threads);
+    cfg.num_devices = 2;
+    cfg.fault = ladder_plan();
+    cfg.max_retries = 2;
+    cfg.retry_backoff_us = 5.0;
+    cfg.fallback = fault::FallbackMode::kZf;
+    obs::TraceLog trace;
+    cfg.trace = &trace;
+    const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+    EXPECT_GT(report.stats.retries(), 0u);
+    EXPECT_GT(report.stats.fallbacks(), 0u);
+    EXPECT_GT(report.stats.failed_waves(), 0u);
+    EXPECT_EQ(report.stats.failed(), 0u);
+    EXPECT_EQ(timeline_hash(report, trace), "731a704882ebe67a")
+        << "threads=" << threads;
+  }
+}
+
+// Same plan with no fallback and drop_late on: doomed jobs drop, exhausted
+// and stranded jobs fail terminally.
+TEST(FaultServeTest, LadderTimelineWithDropLateIsPinned) {
+  const std::vector<serve::CellJob> jobs = ladder_jobs(90.0);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    serve::ServiceConfig cfg = fast_service(threads);
+    cfg.num_devices = 2;
+    cfg.fault = ladder_plan();
+    cfg.queue_policy = sched::QueuePolicy::kEdf;
+    cfg.max_retries = 1;
+    cfg.retry_backoff_us = 5.0;
+    cfg.drop_late = true;
+    obs::TraceLog trace;
+    cfg.trace = &trace;
+    const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+    EXPECT_GT(report.stats.retries(), 0u);
+    EXPECT_GT(report.stats.drops(), 0u);
+    EXPECT_GT(report.stats.failed(), 0u);
+    EXPECT_EQ(report.stats.fallbacks(), 0u);
+    EXPECT_EQ(timeline_hash(report, trace), "26f5e8afccfe2759")
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // quamax::serve — wave packing and service determinism.
 //
 // The contracts under test (ISSUE 3):
-//   * the first-fit packer never exceeds chip capacity, never mixes shapes
-//     in a wave, and serves every job exactly once;
+//   * live wave packing never exceeds the wave capacity, never mixes shapes
+//     in a wave, lists members in sequence order, and serves every job
+//     exactly once;
 //   * the service preserves the job -> solution mapping across waves (each
 //     job's decoded bits match ITS OWN transmitted bits, which differ from
 //     its wave-mates');
@@ -29,7 +30,6 @@
 #include "quamax/obs/profile.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/observe.hpp"
-#include "quamax/serve/packer.hpp"
 #include "quamax/serve/service.hpp"
 
 namespace quamax {
@@ -60,39 +60,51 @@ serve::LoadConfig bpsk8_load(double jobs_per_ms, double deadline_us = 1000.0) {
   return cfg;
 }
 
-TEST(WavePackerTest, FirstFitRespectsCapacityAndShapes) {
-  auto cache = std::make_shared<chimera::EmbeddingCache>(chimera::ChimeraGraph());
-  serve::WavePacker packer(cache, 0);
+TEST(ServeTest, LivePackingIsShapePureCappedAndExhaustive) {
+  // Interleave two shapes (8- and 12-user BPSK), released 2 us apart so the
+  // FIFO queue backs up and waves fill; capacities differ per shape.
+  auto load12 = bpsk8_load(1.0);
+  load12.problem.users = 12;
+  serve::LoadGenerator gen8(bpsk8_load(1.0), 0xFAC8);
+  serve::LoadGenerator gen12(load12, 0xFAC12);
+  const std::vector<std::size_t> users = {8, 12, 8, 8, 12, 8, 12, 12, 8, 8,
+                                          12, 8, 12, 8, 8, 8, 12, 12, 8, 12};
+  std::vector<serve::CellJob> jobs;
+  for (std::size_t j = 0; j < users.size(); ++j)
+    jobs.push_back((users[j] == 8 ? gen8 : gen12).job(j, j % 8, 2.0 * j));
 
-  // Interleave two shapes; capacities differ per shape.
-  const std::vector<std::size_t> shapes = {8, 12, 8, 8, 12, 8, 12, 12, 8, 8,
-                                           12, 8, 12, 8, 8, 8, 12, 12, 8, 12};
-  for (std::size_t j = 0; j < shapes.size(); ++j) packer.enqueue(j, shapes[j]);
+  serve::DecodeService service(fast_service(/*packing=*/true));
+  ASSERT_EQ(service.config().queue_policy, sched::QueuePolicy::kFifo);
+  const serve::ServiceReport report = service.run(jobs);
 
+  // Arrivals are already sorted, so sequence number == index into `jobs`.
   std::set<std::size_t> served;
-  while (!packer.empty()) {
-    const serve::Wave wave = packer.pack_next();
+  std::set<std::size_t> packed_shapes;
+  for (const serve::Wave& wave : report.waves) {
     ASSERT_FALSE(wave.jobs.empty());
-    EXPECT_LE(wave.jobs.size(), packer.capacity(wave.shape));
+    EXPECT_LE(wave.jobs.size(), service.wave_capacity(wave.shape));
+    if (wave.jobs.size() > 1) packed_shapes.insert(wave.shape);
     for (std::size_t idx = 0; idx + 1 < wave.jobs.size(); ++idx)
-      EXPECT_LT(wave.jobs[idx], wave.jobs[idx + 1]) << "FIFO order broken";
+      EXPECT_LT(wave.jobs[idx], wave.jobs[idx + 1]) << "sequence order broken";
     for (const std::size_t j : wave.jobs) {
-      EXPECT_EQ(shapes[j], wave.shape) << "mixed shapes in one wave";
+      EXPECT_EQ(jobs[j].shape(), wave.shape) << "mixed shapes in one wave";
       EXPECT_TRUE(served.insert(j).second) << "job " << j << " served twice";
     }
   }
-  EXPECT_EQ(served.size(), shapes.size());
+  EXPECT_EQ(served.size(), jobs.size());
+  EXPECT_EQ(packed_shapes, (std::set<std::size_t>{8, 12}))
+      << "both shapes must form multi-job waves";
 }
 
-TEST(WavePackerTest, MaxWaveJobsCapsBelowChipCapacity) {
-  auto cache = std::make_shared<chimera::EmbeddingCache>(chimera::ChimeraGraph());
-  serve::WavePacker chip_cap(cache, 0);
-  ASSERT_GE(chip_cap.capacity(8), 2u)
+TEST(ServeTest, WaveCapacityFollowsPackingConfig) {
+  auto cfg = fast_service(/*packing=*/true);
+  serve::DecodeService chip_cap(cfg);
+  ASSERT_GE(chip_cap.wave_capacity(8), 2u)
       << "8-var problems must pack at least 2 per wave on the 2000Q chip";
-  serve::WavePacker capped(cache, 3);
-  EXPECT_EQ(capped.capacity(8), 3u);
-  serve::WavePacker unpacked(cache, 1);
-  EXPECT_EQ(unpacked.capacity(8), 1u);
+  EXPECT_EQ(chip_cap.wave_capacity(8), chip_cap.embedding_cache()->capacity(8));
+  cfg.max_wave_jobs = 3;
+  EXPECT_EQ(serve::DecodeService(cfg).wave_capacity(8), 3u);
+  EXPECT_EQ(serve::DecodeService(fast_service(false)).wave_capacity(8), 1u);
 }
 
 TEST(ServeTest, PreservesJobSolutionMappingAcrossWaves) {
