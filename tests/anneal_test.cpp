@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <string>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/qubo/ising.hpp"
@@ -295,6 +298,115 @@ TEST(ChimeraAnnealerTest, CollectiveMovesOffStillProducesValidSamples) {
   for (const auto& s : samples) {
     EXPECT_EQ(s.size(), 8u);
     for (const auto spin : s) EXPECT_TRUE(spin == 1 || spin == -1);
+  }
+}
+
+/// FNV-1a over everything one sample() call returns: the sample count, each
+/// logical configuration, last_broken_chain_fraction() and the caller's
+/// next RNG draw (which pins how many draws sample() consumed).
+std::string sample_hash(ChimeraAnnealer& annealer,
+                        const qubo::IsingModel& problem,
+                        std::size_t num_anneals, std::uint64_t seed) {
+  Rng rng{seed};
+  const std::vector<qubo::SpinVec> samples =
+      annealer.sample(problem, num_anneals, rng);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const char* format, auto... args) {
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, format, args...);
+    for (int i = 0; i < n; ++i) {
+      h ^= static_cast<unsigned char>(buf[i]);
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix("n%zu", samples.size());
+  for (const qubo::SpinVec& s : samples) {
+    mix("|");
+    for (const auto spin : s) mix(spin > 0 ? "+" : "-");
+  }
+  mix("b%.17g r%llu", annealer.last_broken_chain_fraction(),
+      static_cast<unsigned long long>(rng()));
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// sample() values pinned by hash across the single-problem configurations
+// the figure benches reach: ICE on/off, both accept modes, a reverse anneal,
+// the two ablations and a defective chip whose clique placement is not the
+// wave tiling's slot 0.  The hashes were recorded before sample() became a
+// one-slot call of the wave path; they must never need editing for a
+// refactor.
+TEST(ChimeraAnnealerTest, SampleOutputsArePinned) {
+  Rng setup{123};
+  const qubo::IsingModel problem = random_clique(12, setup);
+  qubo::SpinVec seed(12);
+  for (auto& s : seed) s = setup.coin() ? 1 : -1;
+
+  AnnealerConfig base;
+  base.schedule.anneal_time_us = 1.0;
+  base.embed.jf = 0.3;  // weak enough that some chains break
+
+  struct Case {
+    const char* name;
+    std::function<void(AnnealerConfig&)> edit;
+    const char* hash;
+  };
+  const std::vector<Case> cases = {
+      {"ice_exact", [](AnnealerConfig&) {}, "2c57041a7381afca"},
+      {"no_ice", [](AnnealerConfig& c) { c.ice.enabled = false; },
+       "80889292252a1fc5"},
+      {"threshold32",
+       [](AnnealerConfig& c) { c.accept_mode = AcceptMode::kThreshold32; },
+       "3567c173d3c98fda"},
+      {"no_ice_threshold32",
+       [](AnnealerConfig& c) {
+         c.ice.enabled = false;
+         c.accept_mode = AcceptMode::kThreshold32;
+       },
+       "f615ceecb3958a99"},
+      {"improved_range",
+       [](AnnealerConfig& c) { c.embed.improved_range = true; },
+       "4a9138f80cae438a"},
+      {"reverse",
+       [](AnnealerConfig& c) {
+         c.schedule.reverse = true;
+         c.schedule.reverse_depth = 0.6;
+       },
+       "aec304cfcae24526"},
+      {"discard_broken",
+       [](AnnealerConfig& c) { c.discard_broken_chain_samples = true; },
+       "1d241937c206e2a7"},
+      {"no_collective",
+       [](AnnealerConfig& c) { c.chain_collective_moves = false; },
+       "4c259b720afa1501"},
+      // The embedded model is index-compact, so a shifted placement samples
+      // exactly like the defect-free one.
+      {"defects",
+       [](AnnealerConfig& c) {
+         c.chip_defects = 40;
+         c.chip_seed = 1;
+       },
+       "2c57041a7381afca"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    AnnealerConfig config = base;
+    c.edit(config);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      config.num_threads = threads;
+      config.batch_replicas = threads == 1 ? 8 : 5;
+      ChimeraAnnealer annealer(config);
+      if (config.schedule.reverse) annealer.set_initial_state(seed);
+      if (config.chip_defects > 0) {
+        // The defect-aware offset search lands off the tiling's slot 0.
+        const auto clique = annealer.embedding_cache()->clique(12);
+        const auto slots = annealer.embedding_cache()->parallel(12);
+        ASSERT_NE(clique->chains, slots->front().chains);
+      }
+      const std::string hash = sample_hash(annealer, problem, 24, 77);
+      EXPECT_EQ(hash, c.hash) << "threads=" << threads;
+    }
   }
 }
 
