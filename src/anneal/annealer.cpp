@@ -5,24 +5,27 @@
 namespace quamax::anneal {
 namespace {
 
-/// Packs one ICE realization per replica into replica-major coefficient
-/// blocks for SaEngine::anneal_batch_with: replica j draws its fields then
-/// its couplings from streams[j], exactly the scalar path's order, so the
-/// batched samples stay bit-identical to per-sample anneals.  `fields` /
-/// `couplings` receive the blocks; `f1` / `c1` are per-replica scratch —
-/// callers pass lane-local thread_locals to keep the hot loop
-/// allocation-free.
-void perturb_replica_blocks(const IceConfig& ice, const SaEngine& engine,
-                            std::vector<Rng>& streams,
-                            std::vector<double>& fields,
-                            std::vector<double>& couplings,
-                            std::vector<double>& f1, std::vector<double>& c1) {
+/// Anneals one replica block of the batch runtime: replica j draws its ICE
+/// realization (fields, then couplings) from streams[j], exactly the scalar
+/// path's order, so the batched samples stay bit-identical to per-sample
+/// anneals.  ICE off skips the perturbation: a disabled ICE copies the base
+/// arrays and draws no RNG, so the shared-coefficient fast path is
+/// bit-identical while skipping the O(R*(N+M)) block copies.
+std::vector<qubo::SpinVec> anneal_block(const SaEngine& engine,
+                                        const IceConfig& ice,
+                                        const std::vector<double>& betas,
+                                        std::vector<Rng>& streams,
+                                        const qubo::SpinVec* initial,
+                                        AcceptMode mode) {
+  if (!ice.enabled) return engine.anneal_batch(betas, streams, initial, mode);
+  // Lane-local scratch: every element is overwritten per block, so reuse
+  // across blocks is safe and keeps the hot loop allocation-free.
+  thread_local std::vector<double> fields, couplings, f1, c1;
   const std::size_t nf = engine.base_fields().size();
   const std::size_t nc = engine.base_couplings().size();
-  const std::size_t R = streams.size();
-  fields.resize(R * nf);
-  couplings.resize(R * nc);
-  for (std::size_t j = 0; j < R; ++j) {
+  fields.resize(streams.size() * nf);
+  couplings.resize(streams.size() * nc);
+  for (std::size_t j = 0; j < streams.size(); ++j) {
     ice.perturb_fields(engine.base_fields(), f1, streams[j]);
     ice.perturb_couplings(engine.base_couplings(), c1, streams[j]);
     std::copy(f1.begin(), f1.end(),
@@ -30,6 +33,8 @@ void perturb_replica_blocks(const IceConfig& ice, const SaEngine& engine,
     std::copy(c1.begin(), c1.end(),
               couplings.begin() + static_cast<std::ptrdiff_t>(j * nc));
   }
+  return engine.anneal_batch_with(betas, fields, couplings, streams, initial,
+                                  mode);
 }
 
 }  // namespace
@@ -82,69 +87,23 @@ void ChimeraAnnealer::set_config(const AnnealerConfig& config) {
 std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& problem,
                                                    std::size_t num_anneals,
                                                    Rng& rng) {
-  require(num_anneals >= 1, "ChimeraAnnealer::sample: need at least one anneal");
-
-  const std::shared_ptr<const chimera::Embedding> embedding =
-      embeddings_->clique(problem.num_spins());
-  const chimera::EmbeddedProblem embedded =
-      chimera::embed(problem, *embedding, graph_, config_.embed);
-
-  SaEngine engine(embedded.physical);
-  // Chain-collective moves: the classical counterpart of the annealer's
-  // coherent multi-qubit dynamics (see sa_engine.hpp).
-  if (config_.chain_collective_moves) engine.set_groups(embedded.chains);
-  const std::vector<double> betas = config_.schedule.betas();
-
-  // Reverse annealing: broadcast the logical warm-start state along chains.
-  qubo::SpinVec physical_initial;
-  const qubo::SpinVec* initial = nullptr;
+  // Reverse annealing starts every anneal from the logical warm-start state.
+  std::vector<const qubo::SpinVec*> seed;
   if (config_.schedule.reverse) {
     require(initial_state_.has_value(),
             "ChimeraAnnealer: reverse annealing needs set_initial_state()");
     require(initial_state_->size() == problem.num_spins(),
             "ChimeraAnnealer: initial state size does not match the problem");
-    physical_initial.resize(embedded.physical.num_spins());
-    for (std::size_t i = 0; i < embedded.chains.size(); ++i)
-      for (const std::uint32_t q : embedded.chains[i])
-        physical_initial[q] = (*initial_state_)[i];
-    initial = &physical_initial;
+    seed.push_back(&*initial_state_);
   }
 
-  // Standard dynamic range + gauge averaging cancel the ICE mean shift.
-  IceConfig ice = config_.ice;
-  ice.suppress_bias =
-      ice.suppress_bias || (config_.gauge_averaging && !config_.embed.improved_range);
-
-  // Fan the anneals across the batch runtime in replica blocks: anneal `a`
-  // draws its ICE realization, SA trajectory, and tie-breaks from stream
-  // `a` whatever block it lands in, so samples are bit-identical at any
-  // batch_replicas/num_threads setting — the engine is shared read-only.
-  std::vector<qubo::SpinVec> raw(num_anneals);
-  std::vector<std::size_t> broken(num_anneals, 0);
-  batch().run_blocks(
-      num_anneals, config_.batch_replicas, rng,
-      [&](std::size_t begin, std::vector<Rng>& streams) {
-        std::vector<qubo::SpinVec> physical;
-        if (ice.enabled) {
-          // Lane-local scratch: every element is overwritten per block, so
-          // reuse across blocks is safe and keeps the hot loop
-          // allocation-free.
-          thread_local std::vector<double> fields, couplings, f1, c1;
-          perturb_replica_blocks(ice, engine, streams, fields, couplings, f1,
-                                 c1);
-          physical = engine.anneal_batch_with(betas, fields, couplings, streams,
-                                              initial, config_.accept_mode);
-        } else {
-          // ICE off: disabled perturbation copies the base arrays and draws
-          // no RNG, so the shared-coefficient fast path is bit-identical
-          // while skipping the O(R*(N+M)) block copies.
-          physical =
-              engine.anneal_batch(betas, streams, initial, config_.accept_mode);
-        }
-        for (std::size_t j = 0; j < streams.size(); ++j)
-          raw[begin + j] = chimera::unembed(physical[j], embedded, streams[j],
-                                            &broken[begin + j]);
-      });
+  // A one-slot wave on the defect-aware clique placement.
+  std::vector<std::size_t> broken;
+  std::vector<qubo::SpinVec> raw = std::move(
+      sample_waves({&problem}, {*embeddings_->clique(problem.num_spins())},
+                   seed.empty() ? nullptr : &seed, config_.schedule,
+                   num_anneals, rng, &broken)
+          .front());
 
   std::size_t broken_total = 0;
   for (const std::size_t b : broken) broken_total += b;
@@ -166,8 +125,10 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch(
   require(!config_.schedule.reverse,
           "sample_batch: reverse annealing needs per-problem seeds; use "
           "sample_batch_seeded");
-  return sample_batch_impl(problems, nullptr, config_.schedule, num_anneals,
-                           rng);
+  require(!problems.empty(), "sample_batch: no problems");
+  return sample_waves(problems,
+                      *embeddings_->parallel(problems.front()->num_spins()),
+                      nullptr, config_.schedule, num_anneals, rng);
 }
 
 std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_seeded(
@@ -185,34 +146,36 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_seeded(
                 initial_states[s]->size() == problems[s]->num_spins(),
             "sample_batch_seeded: each initial state must match its problem's "
             "variable count");
-  return sample_batch_impl(problems, &initial_states, schedule, num_anneals,
-                           rng);
+  require(!problems.empty(), "sample_batch: no problems");
+  return sample_waves(problems,
+                      *embeddings_->parallel(problems.front()->num_spins()),
+                      &initial_states, schedule, num_anneals, rng);
 }
 
-std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
+std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
     const std::vector<const qubo::IsingModel*>& problems,
+    const std::vector<chimera::Embedding>& slots,
     const std::vector<const qubo::SpinVec*>* initial_states,
-    const Schedule& schedule, std::size_t num_anneals, Rng& rng) {
-  require(!problems.empty(), "sample_batch: no problems");
-  require(num_anneals >= 1, "sample_batch: need at least one anneal");
+    const Schedule& schedule, std::size_t num_anneals, Rng& rng,
+    std::vector<std::size_t>* broken) {
+  require(num_anneals >= 1, "ChimeraAnnealer: need at least one anneal");
   const std::size_t n = problems.front()->num_spins();
   for (const auto* p : problems)
     require(p != nullptr && p->num_spins() == n,
             "sample_batch: all problems must have the same variable count");
 
-  // Placements come from the shape-keyed cache at full chip capacity; a
-  // prefix of the maximal tiling equals what a smaller compilation would
-  // return, so only min(capacity, wave size) slots are used per wave.
-  const std::shared_ptr<const std::vector<chimera::Embedding>> slots_all =
-      embeddings_->parallel(n);
-  const std::size_t num_slots = std::min(slots_all->size(), problems.size());
+  // Only min(placements, problems) slots are used per wave: a prefix of the
+  // maximal tiling equals what a smaller compilation would return.
+  const std::size_t num_slots = std::min(slots.size(), problems.size());
   const std::vector<double> betas = schedule.betas();
 
+  // Standard dynamic range + gauge averaging cancel the ICE mean shift.
   IceConfig ice = config_.ice;
   ice.suppress_bias =
       ice.suppress_bias || (config_.gauge_averaging && !config_.embed.improved_range);
 
   std::vector<std::vector<qubo::SpinVec>> results(problems.size());
+  if (broken != nullptr) broken->assign(num_anneals, 0);
 
   // Process the problems in waves of `num_slots` instances per chip anneal.
   for (std::size_t wave_start = 0; wave_start < problems.size();
@@ -222,20 +185,22 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
 
     // Compile every slot (fanned across the batch runtime: each slot's
     // compilation is a pure function of its problem and placement, written
-    // to a per-index slot) and merge into one chip-wide Ising problem.
+    // to a per-index slot) and merge into one chip-wide Ising problem.  A
+    // one-slot merge reproduces the embedded model exactly.
     std::vector<chimera::EmbeddedProblem> embedded(wave_size);
     batch().for_each(wave_size, [&](std::size_t s) {
-      embedded[s] = chimera::embed(*problems[wave_start + s], (*slots_all)[s],
-                                   graph_, config_.embed);
+      embedded[s] = chimera::embed(*problems[wave_start + s], slots[s], graph_,
+                                   config_.embed);
     });
     const chimera::MergedWave wave = chimera::merge_embedded(embedded);
 
     SaEngine engine(wave.physical);
+    // Chain-collective moves: the classical counterpart of the annealer's
+    // coherent multi-qubit dynamics (see sa_engine.hpp).
     if (config_.chain_collective_moves) engine.set_groups(wave.chains);
 
     // Warm start: broadcast every slot's logical seed along its chains into
-    // the merged physical wave, offset to the slot's qubit range — the
-    // multi-problem analogue of sample()'s reverse-annealing setup.  Every
+    // the merged physical wave, offset to the slot's qubit range.  Every
     // replica starts from this configuration.
     qubo::SpinVec physical_initial;
     const qubo::SpinVec* initial = nullptr;
@@ -253,37 +218,29 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
 
     // One chip anneal decodes the whole wave; the anneal loop fans across
     // the batch runtime in replica blocks of per-anneal streams, each block
-    // writing slots [begin, begin + R) of every problem in the wave.
+    // writing slots [begin, begin + R) of every problem in the wave.  Anneal
+    // `a` draws its ICE realization, SA trajectory, and tie-breaks from
+    // stream `a` whatever block it lands in, so samples are bit-identical at
+    // any batch_replicas/num_threads setting — the engine is shared
+    // read-only.
     for (std::size_t s = 0; s < wave_size; ++s)
       results[wave_start + s].resize(num_anneals);
     batch().run_blocks(
         num_anneals, config_.batch_replicas, rng,
         [&](std::size_t begin, std::vector<Rng>& streams) {
-          std::vector<qubo::SpinVec> physical;
-          if (ice.enabled) {
-            thread_local std::vector<double> fields, couplings, f1, c1;
-            perturb_replica_blocks(ice, engine, streams, fields, couplings, f1,
-                                   c1);
-            physical = engine.anneal_batch_with(betas, fields, couplings,
-                                                streams, initial,
-                                                config_.accept_mode);
-          } else {
-            // Same fast-path equivalence as sample() above.
-            physical = engine.anneal_batch(betas, streams, initial,
-                                           config_.accept_mode);
-          }
+          const std::vector<qubo::SpinVec> physical = anneal_block(
+              engine, ice, betas, streams, initial, config_.accept_mode);
           qubo::SpinVec slice;
           for (std::size_t j = 0; j < streams.size(); ++j) {
             for (std::size_t s = 0; s < wave_size; ++s) {
-              const auto& ep = embedded[s];
-              slice.assign(
-                  physical[j].begin() +
-                      static_cast<std::ptrdiff_t>(wave.offsets[s]),
-                  physical[j].begin() + static_cast<std::ptrdiff_t>(
-                                            wave.offsets[s] +
-                                            ep.physical.num_spins()));
-              results[wave_start + s][begin + j] =
-                  chimera::unembed(slice, ep, streams[j]);
+              const auto first = physical[j].begin() +
+                                 static_cast<std::ptrdiff_t>(wave.offsets[s]);
+              slice.assign(first, first + static_cast<std::ptrdiff_t>(
+                                              embedded[s].physical.num_spins()));
+              std::size_t chains_broken = 0;
+              results[wave_start + s][begin + j] = chimera::unembed(
+                  slice, embedded[s], streams[j], &chains_broken);
+              if (broken != nullptr) (*broken)[begin + j] += chains_broken;
             }
           }
         });
@@ -319,17 +276,8 @@ std::vector<qubo::SpinVec> LogicalAnnealer::sample(const qubo::IsingModel& probl
   batch_->run_blocks(
       num_anneals, config_.batch_replicas, rng,
       [&](std::size_t begin, std::vector<Rng>& streams) {
-        std::vector<qubo::SpinVec> block;
-        if (config_.ice.enabled) {
-          thread_local std::vector<double> fields, couplings, f1, c1;
-          perturb_replica_blocks(config_.ice, engine, streams, fields,
-                                 couplings, f1, c1);
-          block = engine.anneal_batch_with(betas, fields, couplings, streams,
-                                           nullptr, config_.accept_mode);
-        } else {
-          block = engine.anneal_batch(betas, streams, nullptr,
-                                      config_.accept_mode);
-        }
+        std::vector<qubo::SpinVec> block = anneal_block(
+            engine, config_.ice, betas, streams, nullptr, config_.accept_mode);
         for (std::size_t j = 0; j < streams.size(); ++j)
           samples[begin + j] = std::move(block[j]);
       });

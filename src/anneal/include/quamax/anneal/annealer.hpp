@@ -80,6 +80,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
  public:
   explicit ChimeraAnnealer(AnnealerConfig config);
 
+  /// One problem: a one-slot wave of the sample_batch path, placed by the
+  /// defect-aware clique search (EmbeddingCache::clique).
   std::vector<qubo::SpinVec> sample(const qubo::IsingModel& problem,
                                     std::size_t num_anneals, Rng& rng) override;
 
@@ -156,13 +158,19 @@ class ChimeraAnnealer final : public core::IsingSampler {
  private:
   core::ParallelBatchSampler& batch();
 
-  /// Shared wave loop behind sample_batch / sample_batch_seeded:
-  /// `initial_states` null => cold forward anneal (bit-identical to the
-  /// historical sample_batch, including RNG draw order).
-  std::vector<std::vector<qubo::SpinVec>> sample_batch_impl(
+  /// The one anneal path behind sample, sample_batch and
+  /// sample_batch_seeded: embeds `problems` onto `slots` (placements, used
+  /// as a prefix), anneals them in waves of min(slots, problems) and
+  /// unembeds.  sample() is a one-slot wave on the clique placement.
+  /// `initial_states` null => cold anneal from random states.  `broken`,
+  /// when non-null, receives per anneal the broken chains summed over the
+  /// problems.
+  std::vector<std::vector<qubo::SpinVec>> sample_waves(
       const std::vector<const qubo::IsingModel*>& problems,
+      const std::vector<chimera::Embedding>& slots,
       const std::vector<const qubo::SpinVec*>* initial_states,
-      const Schedule& schedule, std::size_t num_anneals, Rng& rng);
+      const Schedule& schedule, std::size_t num_anneals, Rng& rng,
+      std::vector<std::size_t>* broken = nullptr);
 
   AnnealerConfig config_;
   chimera::ChimeraGraph graph_;

@@ -95,8 +95,8 @@ class ParallelBatchSampler {
   /// same-size problems pays a sampler construction + embedding compilation
   /// once per lane instead of once per problem; samplers are required to be
   /// pure in (problem, num_anneals, stream), so the cache cannot change
-  /// results (set_sampler_cache(false) restores one fresh sampler per
-  /// problem, and batch_replica_test.cpp checks the two paths coincide).
+  /// results (batch_replica_test.cpp checks them against fresh per-problem
+  /// samplers).
   /// The cache lives for one call — factories may differ between calls.
   /// Returns one sample set per problem, in input order.
   std::vector<std::vector<qubo::SpinVec>> sample_problems(
@@ -104,14 +104,8 @@ class ParallelBatchSampler {
       const std::vector<const qubo::IsingModel*>& problems,
       std::size_t num_anneals, Rng& rng, const ProblemHook& after = nullptr);
 
-  /// Toggles the lane-local sampler cache in sample_problems (default on).
-  void set_sampler_cache(bool enabled) noexcept { cache_samplers_ = enabled; }
-  /// Whether sample_problems reuses cached samplers across same-shape problems.
-  bool sampler_cache() const noexcept { return cache_samplers_; }
-
  private:
   ThreadPool pool_;
-  bool cache_samplers_ = true;
 };
 
 }  // namespace quamax::core

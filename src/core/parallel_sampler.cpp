@@ -65,12 +65,6 @@ std::vector<std::vector<qubo::SpinVec>> ParallelBatchSampler::sample_problems(
   const std::uint64_t key = rng();
   pool_.parallel_for_lanes(problems.size(), [&](std::size_t lane, std::size_t p) {
     Rng stream = Rng::for_stream(key, p);
-    if (!cache_samplers_) {
-      const std::unique_ptr<IsingSampler> sampler = factory();
-      results[p] = sampler->sample(*problems[p], num_anneals, stream);
-      if (after) after(p, *sampler);
-      return;
-    }
     std::unique_ptr<IsingSampler>& sampler = caches[lane][problems[p]->num_spins()];
     if (sampler == nullptr) sampler = factory();
     results[p] = sampler->sample(*problems[p], num_anneals, stream);

@@ -25,11 +25,10 @@
 // Feasibility Analysis of Quantum Annealing for NextG Cellular Wireless
 // Networks"): a QA data-center unit draws ~25 kW essentially constantly —
 // the cryogenic plant dominates and does not modulate with load — so every
-// DevicePower phase rate defaults to 25 kW and the interesting output is
-// joules-per-decoded-bit, which improves only by decoding MORE BITS per
-// wall-second, exactly the paper's throughput argument.  Phase rates are
-// still separate knobs so experiments can model gated readout electronics
-// or powered-down outages.  Each device's horizon is tiled exactly:
+// phase of every device is priced at kDeviceWatts and the interesting
+// output is joules-per-decoded-bit, which improves only by decoding MORE
+// BITS per wall-second, exactly the paper's throughput argument.  Each
+// device's horizon is tiled exactly:
 // program + anneal + readout spans from live waves, aborted spans from
 // failed waves ([dispatch, fail], costed at the anneal rate), outage time
 // (unioned DeviceDown windows), and idle = the remainder — metrics_check.py
@@ -45,16 +44,11 @@
 
 namespace quamax::obs {
 
-/// Per-phase electrical power of one modeled device, in watts.  Defaults
-/// follow arXiv 2109.01465's ~25 kW constant-draw annealing unit (cryogenic
-/// plant dominated, load-independent).
-struct DevicePower {
-  double idle_w = 25000.0;     ///< no wave in flight, device up
-  double program_w = 25000.0;  ///< programming half of the wave overhead
-  double anneal_w = 25000.0;   ///< annealing span (and aborted failed waves)
-  double readout_w = 25000.0;  ///< readout half of the wave overhead
-  double outage_w = 25000.0;   ///< inside a fault::OutageWindow
-};
+/// Electrical power of one modeled device in every phase (idle, program,
+/// anneal, readout, aborted, outage), in watts: arXiv 2109.01465's ~25 kW
+/// constant-draw annealing unit (cryogenic plant dominated,
+/// load-independent).
+inline constexpr double kDeviceWatts = 25000.0;
 
 /// One tumbling window's accumulated series point.  Counters bucket events
 /// by timestamp; rates are derived from the window's own counts (miss_rate
@@ -142,14 +136,12 @@ class WindowedCollector {
   /// Windows `log` over a pool of `num_devices` devices (stretched to cover
   /// every device index the events name, so a short count cannot drop
   /// events; idle devices that never saw a wave still need declaring).
-  /// `power` entries map by device index; a short (or empty) vector is
-  /// padded with the default 25 kW model.  `window_us` is the tumbling
+  /// `window_us` is the tumbling
   /// window width in virtual-clock microseconds; 0 picks horizon / 20.  The
   /// horizon is the latest event timestamp, and the window count is
   /// ceil(horizon / width) with the last window padded so N * width tiles
   /// [0, H] exactly.
   WindowedCollector(const TraceLog& log, std::size_t num_devices,
-                    std::vector<DevicePower> power = {},
                     double window_us = 0.0);
 
   double width_us() const noexcept { return width_us_; }

@@ -42,7 +42,6 @@ std::vector<std::pair<double, double>> union_intervals(
 
 WindowedCollector::WindowedCollector(const TraceLog& log,
                                      std::size_t num_devices,
-                                     std::vector<DevicePower> power,
                                      double window_us) {
   // ---- canonicalize: sort every event vector by (timestamp, id) so the
   // series is a pure function of the event set, not the emission order.
@@ -119,7 +118,6 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
     num_devices = std::max(num_devices, static_cast<std::size_t>(e.device) + 1);
   devices_.assign(num_devices, DeviceUsage{});
   for (std::size_t d = 0; d < num_devices; ++d) devices_[d].device = d;
-  power.resize(num_devices);  // pad with default 25 kW model
 
   // ---- per-job terminal bookkeeping: submit time and deadline by id.
   std::map<std::uint64_t, std::pair<double, double>> job_info;  // id -> (submit, deadline)
@@ -245,7 +243,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
       num_devices, std::vector<double>(n, 0.0));
   std::vector<double> win_energy(n, 0.0);
 
-  auto cost_span = [&](std::size_t device, double s0, double s1, double watts,
+  auto cost_span = [&](std::size_t device, double s0, double s1,
                        double* usage_us) {
     if (s1 <= s0) return;
     *usage_us += s1 - s0;
@@ -255,24 +253,20 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
       const double us = overlap(s0, s1, windows_[i].start_us,
                                 windows_[i].end_us);
       dev_win_busy[device][i] += us;
-      win_energy[i] += watts * us * 1e-6;
+      win_energy[i] += kDeviceWatts * us * 1e-6;
     }
   };
 
   for (const auto& e : waves) {
     const auto d = static_cast<std::size_t>(e.device);
-    const auto& p = power[d];
     auto& dev = devices_[d];
     if (e.failed) {
-      cost_span(d, e.dispatch_us, e.fail_us, p.anneal_w, &dev.aborted_us);
+      cost_span(d, e.dispatch_us, e.fail_us, &dev.aborted_us);
       continue;
     }
-    cost_span(d, e.dispatch_us, e.program_end_us, p.program_w,
-              &dev.program_us);
-    cost_span(d, e.program_end_us, e.readout_start_us, p.anneal_w,
-              &dev.anneal_us);
-    cost_span(d, e.readout_start_us, e.completion_us, p.readout_w,
-              &dev.readout_us);
+    cost_span(d, e.dispatch_us, e.program_end_us, &dev.program_us);
+    cost_span(d, e.program_end_us, e.readout_start_us, &dev.anneal_us);
+    cost_span(d, e.readout_start_us, e.completion_us, &dev.readout_us);
   }
 
   for (std::size_t d = 0; d < num_devices; ++d) {
@@ -285,7 +279,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
         const double us = overlap(span.first, span.second,
                                   windows_[i].start_us, windows_[i].end_us);
         dev_win_outage[d][i] += us;
-        win_energy[i] += power[d].outage_w * us * 1e-6;
+        win_energy[i] += kDeviceWatts * us * 1e-6;
       }
     }
   }
@@ -297,22 +291,21 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
       const double idle =
           std::max(0.0, width_us_ - dev_win_busy[d][i] - dev_win_outage[d][i]);
       idle_total += idle;
-      win_energy[i] += power[d].idle_w * idle * 1e-6;
+      win_energy[i] += kDeviceWatts * idle * 1e-6;
       win_busy[i] += dev_win_busy[d][i];
       win_outage[i] += dev_win_outage[d][i];
     }
     devices_[d].idle_us = idle_total;
   }
 
-  // Per-device energy from the phase totals (same rates as the window path;
-  // the two aggregations agree up to FP association).
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    auto& dev = devices_[d];
-    const auto& p = power[d];
-    dev.energy_j = 1e-6 * (p.program_w * dev.program_us +
-                           p.anneal_w * (dev.anneal_us + dev.aborted_us) +
-                           p.readout_w * dev.readout_us +
-                           p.outage_w * dev.outage_us + p.idle_w * dev.idle_us);
+  // Per-device energy from the phase totals, phase by phase like the window
+  // path (the two aggregations agree up to FP association).
+  for (auto& dev : devices_) {
+    dev.energy_j = 1e-6 * (kDeviceWatts * dev.program_us +
+                           kDeviceWatts * (dev.anneal_us + dev.aborted_us) +
+                           kDeviceWatts * dev.readout_us +
+                           kDeviceWatts * dev.outage_us +
+                           kDeviceWatts * dev.idle_us);
     totals_.energy_j += dev.energy_j;
   }
   totals_.joules_per_bit =

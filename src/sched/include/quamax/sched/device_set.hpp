@@ -29,7 +29,6 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/chimera/embedding_cache.hpp"
 #include "quamax/chimera/graph.hpp"
-#include "quamax/obs/window.hpp"
 
 namespace quamax::sched {
 
@@ -41,10 +40,6 @@ struct DeviceSpec {
   std::size_t defects = 0;        ///< random disabled qubits (0 = none)
   std::uint64_t defect_seed = 7;  ///< seed of the random defect draw
   std::vector<chimera::Qubit> disabled;  ///< explicit fault map
-  /// Electrical model for the obs energy accounting (arXiv 2109.01465's
-  /// ~25 kW constant-draw unit by default).  Pure observability input —
-  /// never read by scheduling, so it cannot perturb any digest.
-  obs::DevicePower power = {};
 
   /// True when the spec leaves the base chip untouched.
   bool pristine() const noexcept { return defects == 0 && disabled.empty(); }

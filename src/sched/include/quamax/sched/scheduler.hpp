@@ -51,7 +51,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -162,11 +161,6 @@ struct SchedConfig {
 
 class Scheduler {
  public:
-  /// Called at each job's dispatch (or drop) with its wave completion (or
-  /// drop) time — the closed-loop feedback edge DecodeService's feeds use.
-  using DispatchHook =
-      std::function<void(const serve::CellJob&, double completion_us)>;
-
   /// `devices` may share a prebuilt DeviceSet (compiled placements persist
   /// across scheduler instances); nullptr builds one from the config.
   explicit Scheduler(SchedConfig config,
@@ -196,8 +190,6 @@ class Scheduler {
   /// num_anneals when 0).
   std::size_t warm_quota() const;
 
-  void set_dispatch_hook(DispatchHook hook) { hook_ = std::move(hook); }
-
   /// Stages one job — either direction, implicitly converted from a
   /// DecodeJob or PrecodeJob — and advances the virtual clock to its
   /// arrival (rounds strictly before it are dispatched first).  Jobs must
@@ -209,13 +201,8 @@ class Scheduler {
 
   /// Dispatches every round whose time lies strictly before `horizon_us`.
   /// submit() calls this implicitly; explicit calls let a driver flush the
-  /// timeline up to a known-quiet instant (e.g. the feed's next release).
+  /// timeline up to a known-quiet instant (e.g. its next release).
   void advance_to(double horizon_us);
-
-  /// Unbounded-horizon variant for closed loops stalled on feedback: runs
-  /// rounds until at least one job dispatches or drops (firing the hook),
-  /// returning false when no work remains.
-  bool advance_until_dispatch();
 
   /// Runs every remaining round and executes every wave's decode; after
   /// this, records() is complete and final.
@@ -249,22 +236,16 @@ class Scheduler {
   /// How a job the annealing path gives up on ends when no fallback is
   /// configured: shed by the doom sweep, or terminally failed.
   enum class Miss : std::uint8_t { kDropped, kFailed };
-  /// kDeferred: the popped device sits inside an outage window; it was
-  /// re-queued at the window's end without advancing any other state.
-  enum class Round {
-    kNoWork,
-    kHorizon,
-    kParked,
-    kSwept,
-    kDispatched,
-    kDeferred
-  };
-  Round round(double horizon_us);
+  /// One dispatch attempt for the earliest-free device.  Returns whether
+  /// another round may run before `horizon_us`: false once no device has
+  /// work left or the next one would reach the horizon.
+  bool round(double horizon_us);
   void admit_up_to(double t_us);
   void sweep_doomed(double t_free_us);
   /// Pops and applies every fault event with time <= t_us.  Returns true
-  /// when a job was FINALIZED (fallback or terminal failure) — progress a
-  /// closed-loop driver must observe.
+  /// when a job was FINALIZED (fallback or terminal failure); round() then
+  /// re-queues its device at the instant it advanced to, not at its free
+  /// time, because device tie-breaking depends on it.
   bool process_faults(double t_us);
   /// The one terminal path for a job the annealing path gives up on: the
   /// configured fallback serves it, else it ends as `miss`.  `dispatch_us`
@@ -313,7 +294,6 @@ class Scheduler {
   /// (recorded from decode lanes, read when a dependent warm wave runs).
   anneal::WarmStartPlanner planner_;
   std::unordered_map<std::size_t, std::size_t> id_to_seq_;  ///< job id -> seq
-  DispatchHook hook_;
 
   std::vector<serve::CellJob> jobs_;  ///< by sequence number
   std::vector<serve::JobRecord> records_;

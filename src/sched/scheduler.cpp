@@ -141,17 +141,7 @@ std::size_t Scheduler::submit(serve::CellJob job) {
 }
 
 void Scheduler::advance_to(double horizon_us) {
-  while (true) {
-    const Round result = round(horizon_us);
-    if (result == Round::kNoWork || result == Round::kHorizon) return;
-  }
-}
-
-bool Scheduler::advance_until_dispatch() {
-  while (true) {
-    const Round result = round(kInfinity);
-    if (result == Round::kDispatched || result == Round::kSwept) return true;
-    if (result == Round::kNoWork) return false;
+  while (round(horizon_us)) {
   }
 }
 
@@ -167,17 +157,16 @@ void Scheduler::finish() {
 // round's effective time never reaches `horizon_us`: every arrival a round
 // could admit has already been submitted, which is what makes the async
 // timeline identical to a batch run of the same workload.
-Scheduler::Round Scheduler::round(double horizon_us) {
-  if (free_devices_.empty()) return Round::kNoWork;
+bool Scheduler::round(double horizon_us) {
+  if (free_devices_.empty()) return false;
   const auto [freed_us, device] = free_devices_.top();
   free_devices_.pop();
   double t_free = freed_us;
-  bool finalized = false;  // process_faults ended a job (hook fired)
+  bool finalized = false;  // process_faults ended a job
 
   while (true) {
-    // An idle device jumps to the next submitted arrival (the batch loop
-    // jumped to the feed's next release) or the next fault event —
-    // whichever comes first, so fault processing stays globally
+    // An idle device jumps to the next submitted arrival or the next fault
+    // event — whichever comes first, so fault processing stays globally
     // time-ordered against every dispatch decision.
     if (pending_.empty()) {
       double next = kInfinity;
@@ -185,8 +174,10 @@ Scheduler::Round Scheduler::round(double horizon_us) {
         next = jobs_[admit_cursor_].arrival_us;
       next = std::min(next, faults_.next_us());
       if (next == kInfinity) {
+        // A round whose fault processing finalized a job re-queues its
+        // device at t_free, not freed_us: device tie-breaking depends on it.
         free_devices_.emplace(finalized ? t_free : freed_us, device);
-        return finalized ? Round::kSwept : Round::kNoWork;
+        return finalized;
       }
       t_free = std::max(t_free, next);
     }
@@ -194,13 +185,13 @@ Scheduler::Round Scheduler::round(double horizon_us) {
       // Re-queue at the ORIGINAL free time, not the jumped one: a round
       // that does nothing must leave no trace, or device tie-breaking
       // would depend on how many advance_to() calls a driver happens to
-      // make (the batch loop advances once per release on top of
-      // submit()'s internal advance, the streaming client only via
-      // submit()) — and the async == batch contract would break the
-      // moment two devices go free at the same instant
-      // (tests/sched_property_test.cpp caught exactly this).
+      // make (bench drivers advance once per release on top of submit()'s
+      // internal advance, the streaming client only via submit()) — and
+      // the async == batch contract would break the moment two devices go
+      // free at the same instant (tests/sched_property_test.cpp caught
+      // exactly this).
       free_devices_.emplace(freed_us, device);
-      return Round::kHorizon;
+      return false;
     }
 
     // Apply the fault timeline up to this instant: defect growth, outage
@@ -214,7 +205,7 @@ Scheduler::Round Scheduler::round(double horizon_us) {
     const double up_us = faults_.up_at(device, t_free);
     if (up_us > t_free) {
       free_devices_.emplace(up_us, device);
-      return finalized ? Round::kSwept : Round::kDeferred;
+      return true;
     }
 
     // Admit everything released by t_free, then shed doomed jobs (the doom
@@ -226,9 +217,9 @@ Scheduler::Round Scheduler::round(double horizon_us) {
       sweep_doomed(t_free);
       if (pending_.empty() && before > 0) {
         // The sweep emptied the queue: requeue the device and let the next
-        // round (any device) jump forward, exactly like the batch loop.
+        // round (any device) jump forward.
         free_devices_.emplace(t_free, device);
-        return Round::kSwept;
+        return true;
       }
     }
     if (pending_.empty()) continue;  // nothing admitted yet; jump again
@@ -248,11 +239,11 @@ Scheduler::Round Scheduler::round(double horizon_us) {
       // Every pending job needs some other device; park until the next
       // admission re-arms us.
       parked_.emplace_back(t_free, device);
-      return Round::kParked;
+      return true;
     }
 
     dispatch_wave(device, t_free, seed_seq);
-    return Round::kDispatched;
+    return true;
   }
 }
 
@@ -419,7 +410,6 @@ void Scheduler::finalize(std::size_t seq, Miss miss, double dispatch_us,
                                   .deadline_us = job.deadline_us,
                                   .mid_flight = mid_flight});
   }
-  if (hook_) hook_(job, t_us);
 }
 
 bool Scheduler::warm_eligible(std::size_t seq, double t_free_us) const {
@@ -551,7 +541,7 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
 
   // A failed wave yields no samples: members go in-flight until the
   // kWaveFail event at the abort instant runs their retry/fallback ladder.
-  // No completion record, no delivery, no dispatch trace, no hook — on the
+  // No completion record, no delivery, no dispatch trace — on the
   // virtual clock nothing has been promised yet.
   for (const std::size_t seq : wave.jobs) {
     records_[seq].wave_id = wave.id;
@@ -572,7 +562,6 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
            .num_bits = jobs_[seq].downlink()
                            ? jobs_[seq].precode().tx_bits.size()
                            : jobs_[seq].uplink().use.tx_bits.size()});
-    if (hook_) hook_(jobs_[seq], wave.completion_us);
   }
   prune_pending();
 

@@ -70,7 +70,6 @@ struct LoadConfig {
   double subframe_period_us = 1000.0;     ///< tick spacing (kSubframe)
   std::size_t users = 8;     ///< distinct uplink streams (round-robin owners)
   double deadline_us = 1000.0;   ///< per-job budget: deadline = arrival + this
-  double think_time_us = 0.0;    ///< closed loop: completion -> next release gap
 
   /// Instance source: trace_channels selects the Argos-like trace campaign,
   /// otherwise `problem` describes the random instance family.
@@ -117,10 +116,10 @@ class LoadGenerator {
   /// the direction's budget.  Pure in (config, seed, num_jobs).
   std::vector<CellJob> open_loop(std::size_t num_jobs);
 
-  /// Job `id` for `user`, released at `release_us` — the closed-loop entry
-  /// point DecodeService::run_closed_loop drives.  Instances are keyed by
-  /// `id` alone, so the job content is independent of the release time the
-  /// service's feedback loop produces.  Trace-mode instances are produced
+  /// Job `id` for `user`, released at `release_us` — the single-job entry
+  /// point open_loop() is built on, and what streaming drivers call.
+  /// Instances are keyed by `id` alone, so the job content is independent
+  /// of the release time.  Trace-mode instances are produced
   /// sequentially (the fading process has state) and retained in a sliding
   /// window of the most recent kTraceWindow ids, keeping memory bounded on
   /// arbitrarily long serving runs; requesting an id that slid out of the

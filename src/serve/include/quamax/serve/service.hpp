@@ -4,7 +4,8 @@
 // processor absorbs the uplink detection load of many base stations,
 // amortizing anneals by §4-packing several users' problems into each chip
 // wave while HARQ-style deadlines bound per-job latency.  DecodeService is
-// the batch (run-to-completion) front end of that serving loop:
+// the open-loop, run-to-completion front end of that serving loop (uplink
+// frames arrive on the air interface's schedule, never on the annealer's):
 //
 //   arrivals ──► sched::Scheduler (policy queue, same-shape wave packing,
 //   shape-aware routing, fault timeline) ──► modeled QA devices (virtual
@@ -145,26 +146,16 @@ class DecodeService {
   /// num_anneals * (T_a + T_p).  Occupancy-independence is the packing win.
   double wave_service_us() const;
 
-  /// Open-loop run: serves `jobs` (any order; the service sorts by arrival)
+  /// Serves `jobs` (any order; the service stable-sorts them by arrival)
   /// to completion and returns the full report.  Jobs may mix directions —
   /// LoadGenerator::open_loop with downlink_fraction > 0 produces the
-  /// full-duplex workload.
+  /// full-duplex workload.  Arrivals are open-loop: release times never
+  /// depend on service latency, as for uplink frames on the air
+  /// interface's schedule.
   ServiceReport run(std::vector<CellJob> jobs);
 
-  /// Closed-loop run: a fixed population of generator.config().users
-  /// streams, each releasing its next job think_time_us after its previous
-  /// job's wave completes, until `num_jobs` jobs have been issued.  Arrival
-  /// times therefore FEED BACK from service latency — the closed-loop load
-  /// the bench's saturation sweeps rely on.
-  ServiceReport run_closed_loop(LoadGenerator& generator, std::size_t num_jobs);
-
  private:
-  class ArrivalFeed;
-  class OpenLoopFeed;
-  class ClosedLoopFeed;
-
   sched::SchedConfig sched_config() const;
-  ServiceReport serve(ArrivalFeed& feed);
 
   ServiceConfig config_;
   std::shared_ptr<sched::DeviceSet> devices_;

@@ -50,11 +50,8 @@ const WindowedView& RunObserver::view() {
 
   const std::size_t devices =
       cfg_.device_specs.empty() ? cfg_.num_devices : cfg_.device_specs.size();
-  std::vector<obs::DevicePower> power;
-  power.reserve(cfg_.device_specs.size());
-  for (const auto& spec : cfg_.device_specs) power.push_back(spec.power);
   WindowedView& view = view_.emplace(WindowedView{
-      obs::WindowedCollector(log_, devices, std::move(power), window_us_), {}});
+      obs::WindowedCollector(log_, devices, window_us_), {}});
 
   if (!specs.empty()) {
     const obs::SloMonitor monitor(std::move(specs));

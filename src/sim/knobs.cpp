@@ -40,7 +40,8 @@ KnobValue nonnegative(const std::string& text, const std::string& label) {
   } catch (const std::exception&) {
     pos = 0;
   }
-  require(pos == text.size() && !text.empty() && v >= 0.0,
+  // stod parses "inf"; no knob means anything by an infinite value.
+  require(pos == text.size() && !text.empty() && std::isfinite(v) && v >= 0.0,
           label + ": expected a non-negative number, got '" + text + "'");
   return v;
 }

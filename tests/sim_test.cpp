@@ -121,7 +121,7 @@ TEST(EnvScaleTest, DefaultsOverridesAndValidation) {
 
   // A malformed or non-positive scale is an error naming the knob, never a
   // silent full-scale run.
-  for (const char* bad : {"garbage", "o.5", "0", "-1", ""}) {
+  for (const char* bad : {"garbage", "o.5", "0", "-1", "", "inf"}) {
     ::setenv("QUAMAX_SCALE", bad, 1);
     try {
       scaled(10);
@@ -249,6 +249,15 @@ TEST(KnobTableTest, EveryRowHonoursTheLookupContract) {
         expect_knob_error(row, [&] { lookup(row.id, {}); });
       ::unsetenv(env.c_str());
     }
+  }
+}
+
+TEST(CliKnobsTest, InfinityIsRejected) {
+  // std::stod parses "inf"; a numeric row must still reject it.
+  for (const Knob::Id id : {Knob::kMetricsWindow, Knob::kTau}) {
+    const Knob& row = knob_table()[id];
+    SCOPED_TRACE(row.label());
+    expect_knob_error(row, [&] { lookup(id, {std::string(row.flag) + "=inf"}); });
   }
 }
 
