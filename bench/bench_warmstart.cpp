@@ -4,11 +4,12 @@
 // Real channels are coherent subframe-to-subframe: within a coherence
 // block the channel and the HARQ payload repeat and only the noise is
 // fresh, so the previous subframe's decode is a near-ground warm start and
-// the cached Ising couplings need only their fields rebuilt
-// (anneal::WarmStartPlanner).  The serving claim under test: threading
-// those seeds into REVERSE anneals lets warm waves run a fraction of the
-// cold anneal quota at matched BER, which on the virtual clock is an
-// effective-throughput win for the whole device pool.
+// the cached Ising couplings need only their fields rebuilt (each
+// serve::LoadGenerator chain keeps its block's reduction).  The serving
+// claim under test: threading those seeds into REVERSE anneals lets warm
+// waves run a fraction of the cold anneal quota at matched BER, which on
+// the virtual clock is an effective-throughput win for the whole device
+// pool.
 //
 // Experiments (every number from the virtual clock + counter-derived
 // decode streams — BIT-IDENTICAL at any --threads/--replicas per
@@ -27,8 +28,8 @@
 //      show the quota cut as >= 1.3x sustained throughput (exit code).
 //
 // `bench_warmstart smoke` serves one trivial coherent workload with
-// warm-start on and prints the ServiceStats digest plus the planner's
-// compile counters — CI diffs the output across --threads/--replicas per
+// warm-start on and prints the ServiceStats digest plus the load
+// generator's full/delta compile counters (the "planner compiles" line) — CI diffs the output across --threads/--replicas per
 // --devices setting and fails the run on any deadline miss.
 //
 // `--json FILE` writes a google-benchmark-shaped record of every arm

@@ -107,7 +107,7 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// families (sched::Scheduler's warm_key_ vs decode_key_).
   /// `initial_states` must parallel `problems` with non-null entries of
   /// matching variable count.  Used by the coherent serving path
-  /// (anneal::WarmStartPlanner supplies the seeds).
+  /// (sched::Scheduler supplies each member's predecessor decode).
   std::vector<std::vector<qubo::SpinVec>> sample_batch_seeded(
       const std::vector<const qubo::IsingModel*>& problems,
       const std::vector<const qubo::SpinVec*>& initial_states,

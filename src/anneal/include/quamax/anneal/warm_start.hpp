@@ -1,121 +1,24 @@
-// Warm-start planning for coherent subframe chains (ROADMAP open item #1;
-// paper §8's reverse-annealing outlook + the SIGMOD26-MQO incremental-
-// annealing idea).
+// Warm-start compile counters for coherent subframe chains (paper §8's
+// reverse-annealing outlook).
 //
-// Real channels are coherent subframe-to-subframe, but the serving stack
-// historically annealed every job from scratch.  Two amortization levers
-// follow from the reduction's structure (core/reduction.hpp):
-//
-//   * COEFFICIENT DELTAS — the Ising couplings g_bc = 2 Re(A^H A)_bc depend
-//     only on the channel H, while the linear fields f_b = -2 Re(y^H A)_b
-//     and the offset ||y||^2 + tr(Re(A^H A)) depend on the received vector
-//     y.  Within a coherence block (same H, fresh noise/payload
-//     realization) a cached reduction therefore needs only its fields
-//     rebuilt (core::update_ml_fields) — an O(Nt Nr) update instead of the
-//     O(Nt^2 Nr) full reduce, with NO re-embed either: chimera placements
-//     are shape-keyed (EmbeddingCache) and coefficients are compiled per
-//     wave regardless.
-//
-//   * SEED REUSE — the previous subframe's best spin configuration is a
-//     near-ground warm start for the next subframe of the same chain
-//     (HARQ-style retransmission of the block payload under fresh noise),
-//     so a REVERSE anneal from it needs a fraction of the cold anneal
-//     quota at matched BER (bench_warmstart measures the cut; §8 /
-//     bench_reverse_annealing established the single-problem version).
-//
-// WarmStartPlanner packages both: a per-chain reduction cache with delta
-// application, and a thread-safe registry of solved configurations keyed by
-// job id that sched::Scheduler threads into sample_batch_seeded as
-// per-problem warm-start seeds.
-//
-// Determinism: the planner holds no RNG and makes no stochastic choice.
-// compile() is a pure function of (cached chain state, h, y); the seed
-// registry is keyed by job id, so record()/seed() results are independent
-// of the (parallel) recording order as long as a seed is recorded before it
-// is read — which the scheduler's dependency-leveled wave execution
-// guarantees on the virtual-clock order "predecessor wave completed before
-// dependent wave dispatched".
+// Within a coherence block the channel H is constant, so the Ising
+// couplings g_bc = 2 Re(A^H A)_bc carry over and only the linear fields
+// and offset depend on the fresh received vector y.  serve::LoadGenerator
+// keeps each chain's block reduction and refreshes just those terms
+// (core::update_ml_fields, bit-equal to a full core::reduce_ml); the
+// counters below say how often that delta applied.  The other warm-start
+// lever, reverse annealing from the predecessor's decode, lives in
+// sched::Scheduler's per-sequence seed slots.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
-
-#include "quamax/core/reduction.hpp"
-#include "quamax/linalg/matrix.hpp"
-#include "quamax/qubo/ising.hpp"
-#include "quamax/wireless/modulation.hpp"
 
 namespace quamax::anneal {
 
 /// Compile-path counters: how often the delta shortcut applied.
 struct WarmStartStats {
-  std::size_t full_compiles = 0;   ///< fresh reduce_*_to_ising runs
+  std::size_t full_compiles = 0;   ///< fresh core::reduce_ml runs
   std::size_t delta_compiles = 0;  ///< field-only rebuilds over a cached reduction
-};
-
-class WarmStartPlanner {
- public:
-  /// `seed_window` bounds the solved-configuration registry: after a
-  /// record(id, ...), every entry with id <= max recorded id - window is
-  /// evicted (0 = unlimited, the scheduler's setting — its memory is
-  /// already O(jobs)).  Eviction is a pure function of the recorded ids,
-  /// never of wall-clock insertion timing.
-  explicit WarmStartPlanner(std::size_t seed_window = 0)
-      : seed_window_(seed_window) {}
-
-  // -- Coefficient deltas ---------------------------------------------------
-
-  /// Reduces (h, y, mod) to an MlProblem for chain `chain` (one chain per
-  /// coherent user stream).  When `channel_changed` is false and the chain
-  /// has a cached reduction of matching shape/modulation, only the
-  /// y-dependent terms are recomputed on a copy of the cache
-  /// (core::update_ml_fields — exact same arithmetic as a full rebuild, so
-  /// the returned coefficients are bit-identical to reducing from scratch);
-  /// otherwise a full reduction runs and refreshes the cache.  Matches
-  /// sim::make_instance_from_use's reducer choice (closed form except
-  /// 64-QAM).  Not thread-safe against itself — workload generation is
-  /// serial by construction (LoadGenerator materializes ids in order).
-  core::MlProblem compile(std::uint64_t chain, const linalg::CMat& h,
-                          const linalg::CVec& y, wireless::Modulation mod,
-                          bool channel_changed);
-
-  /// Drops every cached chain reduction (compile stats are kept).
-  void reset_chains();
-
-  const WarmStartStats& stats() const noexcept { return stats_; }
-
-  // -- Seed registry --------------------------------------------------------
-
-  /// Registers job `id`'s best decoded logical configuration as a future
-  /// warm-start seed.  Thread-safe (the scheduler records from parallel
-  /// decode lanes); re-recording an id overwrites.
-  void record(std::uint64_t id, qubo::SpinVec best);
-
-  /// The registered configuration for job `id`, or nullopt when it was
-  /// never recorded or slid out of the seed window.  Returns a copy so the
-  /// caller never holds a reference across concurrent record() calls.
-  std::optional<qubo::SpinVec> seed(std::uint64_t id) const;
-
-  /// Registered (unevicted) seed count.
-  std::size_t seeds_held() const;
-
- private:
-  struct ChainCache {
-    linalg::CMat h;  ///< channel the cached reduction was built for
-    core::MlProblem problem;
-  };
-
-  std::size_t seed_window_;
-  WarmStartStats stats_;
-  std::map<std::uint64_t, ChainCache> chains_;
-
-  mutable std::mutex seeds_mutex_;
-  std::map<std::uint64_t, qubo::SpinVec> seeds_;
-  std::uint64_t max_recorded_ = 0;
-  bool any_recorded_ = false;
 };
 
 }  // namespace quamax::anneal

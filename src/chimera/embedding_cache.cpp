@@ -46,11 +46,6 @@ void EmbeddingCache::invalidate(ChimeraGraph graph) {
   infeasible_.clear();
 }
 
-void EmbeddingCache::clear_negative() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  infeasible_.clear();
-}
-
 std::size_t EmbeddingCache::try_capacity(std::size_t num_logical) {
   {
     const std::lock_guard<std::mutex> lock(mu_);

@@ -68,11 +68,6 @@ class EmbeddingCache {
   /// to it — survives the swap.
   void invalidate(ChimeraGraph graph);
 
-  /// Drops only the negative try_capacity entries, keeping compiled
-  /// placements.  For callers that learned the infeasibility verdicts under
-  /// transient conditions and want them re-tested.
-  void clear_negative();
-
  private:
   ChimeraGraph graph_;
   std::mutex mu_;

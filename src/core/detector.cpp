@@ -8,12 +8,9 @@ namespace quamax::core {
 
 DetectionResult QuAMaxDetector::detect(const wireless::ChannelUse& use,
                                        Rng& rng) const {
-  const bool closed_form_available = config_.use_closed_form &&
-                                     use.mod != wireless::Modulation::kQam64;
-  const MlProblem problem =
-      closed_form_available
-          ? reduce_ml_to_ising_closed_form(use.h, use.y, use.mod)
-          : reduce_ml_to_ising(use.h, use.y, use.mod);
+  const MlProblem problem = config_.use_closed_form
+                                ? reduce_ml(use.h, use.y, use.mod)
+                                : reduce_ml_to_ising(use.h, use.y, use.mod);
   return run(problem, rng);
 }
 

@@ -54,6 +54,12 @@ MlProblem reduce_ml_to_ising(const CMat& h, const CVec& y, Modulation mod);
 MlProblem reduce_ml_to_ising_closed_form(const CMat& h, const CVec& y,
                                          Modulation mod);
 
+/// The serving reducer: the paper's closed form for BPSK/QPSK/16-QAM, the
+/// generic path for 64-QAM (which has no published closed form).  Every
+/// instance builder and the coherent delta path reduce through this one
+/// choice, so update_ml_fields always meets the reducer it must match.
+MlProblem reduce_ml(const CMat& h, const CVec& y, Modulation mod);
+
 /// QUBO form of the same reduction (Eq. 3/5), via Ising -> QUBO.
 qubo::QuboModel reduce_ml_to_qubo(const CMat& h, const CVec& y, Modulation mod);
 
@@ -62,11 +68,10 @@ qubo::QuboModel reduce_ml_to_qubo(const CMat& h, const CVec& y, Modulation mod);
 /// f_b = -2 Re(y^H A)_b and the offset ||y||^2 + tr(Re(A^H A)) — for a new
 /// received vector over the SAME channel, leaving the couplings
 /// g_bc = 2 Re(A^H A)_bc untouched (they depend only on H).  The update
-/// runs the exact arithmetic of the full rebuild the problem came from
-/// (closed form for BPSK/QPSK/16-QAM, the generic norm-expansion path for
-/// 64-QAM), so updated coefficients equal a from-scratch reduction
-/// bit-for-bit — the delta contract anneal::WarmStartPlanner's tests
-/// enforce.  `problem` must have been produced by the matching reducer for
+/// runs the exact arithmetic of reduce_ml, the full rebuild the problem
+/// came from, so updated coefficients equal a from-scratch reduction
+/// bit-for-bit — the delta contract serve::LoadGenerator's coherent path
+/// relies on.  `problem` must have been produced by reduce_ml for
 /// (h, `problem.mod`); only y may have changed.
 void update_ml_fields(MlProblem& problem, const CMat& h, const CVec& y);
 

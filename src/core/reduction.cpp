@@ -299,6 +299,11 @@ MlProblem reduce_ml_to_ising_closed_form(const CMat& h, const CVec& y,
   throw InvalidArgument("reduce_ml_to_ising_closed_form: unknown modulation");
 }
 
+MlProblem reduce_ml(const CMat& h, const CVec& y, Modulation mod) {
+  return mod == Modulation::kQam64 ? reduce_ml_to_ising(h, y, mod)
+                                   : reduce_ml_to_ising_closed_form(h, y, mod);
+}
+
 qubo::QuboModel reduce_ml_to_qubo(const CMat& h, const CVec& y, Modulation mod) {
   return qubo::to_qubo(reduce_ml_to_ising(h, y, mod).ising);
 }

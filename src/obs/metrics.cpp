@@ -1,42 +1,15 @@
 #include "quamax/obs/metrics.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
+
+#include "json.hpp"
 
 namespace quamax::obs {
 namespace {
 
-/// %.17g, same rationale as the trace exporter: the validator does exact
-/// arithmetic on these values.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using json::escaped;
+using json::num;
 
 void write_sketch_json(const QuantileSketch& s, std::ostream& out) {
   out << "{\"count\":" << s.count() << ",\"mean\":" << num(s.mean())

@@ -1,44 +1,16 @@
 #include "quamax/obs/trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string>
 
+#include "json.hpp"
+
 namespace quamax::obs {
 namespace {
 
-/// Doubles are written with %.17g so the JSON round-trips the exact binary
-/// value — the round-trip CTest re-adds span durations and compares against
-/// the virtual-clock total, which only works if nothing is rounded away.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using json::escaped;
+using json::num;
 
 class EventWriter {
  public:

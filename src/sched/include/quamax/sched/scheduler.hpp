@@ -43,7 +43,10 @@
 // virtual-clock cost.  Warm eligibility is a pure virtual-clock predicate
 // and warm waves draw from their own RNG key family, so both clocks keep
 // every determinism contract above (see ARCHITECTURE.md "Warm-start
-// serving").
+// serving").  The seed is a per-sequence slot next to the job's record:
+// the decode lane that fills the record writes it, and execute_due's
+// dependency levels finish that lane before a dependent warm wave reads
+// it, so the slots need no lock.
 //
 // serve::DecodeService delegates its dispatch to this engine; SchedClient
 // (client.hpp) is the streaming front end.
@@ -57,7 +60,6 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/anneal/warm_start.hpp"
 #include "quamax/core/thread_pool.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/trace.hpp"
@@ -290,13 +292,14 @@ class Scheduler {
   std::vector<double> job_ready_us_;      ///< retry backoff gate, by seq
   std::vector<std::size_t> job_retries_;  ///< failed attempts, by seq
   anneal::Schedule warm_schedule_;  ///< reverse schedule warm waves run
-  /// Seed registry: best decoded configuration per uplink sequence number
-  /// (recorded from decode lanes, read when a dependent warm wave runs).
-  anneal::WarmStartPlanner planner_;
   std::unordered_map<std::size_t, std::size_t> id_to_seq_;  ///< job id -> seq
 
   std::vector<serve::CellJob> jobs_;  ///< by sequence number
   std::vector<serve::JobRecord> records_;
+  /// Warm-start seeds by sequence number: an uplink job's best decoded
+  /// configuration, written by the decode lane that fills its record
+  /// (warm_start only; empty until then) and read by dependent warm waves.
+  std::vector<qubo::SpinVec> seeds_;
   std::vector<JobState> states_;
   std::size_t admit_cursor_ = 0;        ///< first staged (unadmitted) seq
   std::vector<std::size_t> pending_;    ///< admitted, undispatched; seq order

@@ -126,6 +126,7 @@ std::size_t Scheduler::submit(serve::CellJob job) {
   // numbers so warm dispatch can find the prior record.
   if (config_.warm_start && !job.downlink()) id_to_seq_[job.id] = seq;
   records_.push_back(record);
+  seeds_.emplace_back();
   states_.push_back(JobState::kQueued);
   job_ready_us_.push_back(0.0);
   job_retries_.push_back(0);
@@ -658,15 +659,13 @@ void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
     // Reverse anneal from each member's predecessor configuration, at the
     // warm quota, on the warm key family — cold waves' streams are never
     // touched by this draw.
-    std::vector<qubo::SpinVec> seeds(wave.jobs.size());
     std::vector<const qubo::SpinVec*> initial(wave.jobs.size());
     for (std::size_t s = 0; s < wave.jobs.size(); ++s) {
-      std::optional<qubo::SpinVec> seed = planner_.seed(wave.seeds[s]);
-      require(seed.has_value(),
+      const qubo::SpinVec& seed = seeds_[wave.seeds[s]];
+      require(!seed.empty(),
               "Scheduler::run_wave: warm wave executed before its "
               "predecessor's decode was recorded");
-      seeds[s] = std::move(*seed);
-      initial[s] = &seeds[s];
+      initial[s] = &seed;
     }
     Rng stream = Rng::for_stream(warm_key_, wave.id);
     samples = worker->sample_batch_seeded(problems, initial, warm_schedule_,
@@ -707,10 +706,10 @@ void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
 
     // Uplink: post-translate the decoded configuration to Gray bits.
     const sim::Instance& instance = job.uplink();
-    // Register the best configuration as a potential warm-start seed for a
-    // dependent subframe (keyed by sequence number; thread-safe — the
-    // dependent wave runs in a later execute_due level).
-    if (config_.warm_start) planner_.record(wave.jobs[s], *best);
+    // Keep the best configuration as the warm-start seed of a dependent
+    // subframe.  Only this lane writes the slot, and the dependent wave
+    // reads it in a later execute_due level.
+    if (config_.warm_start) seeds_[wave.jobs[s]] = *best;
     const wireless::BitVec decoded = core::gray_bits_from_spins(
         *best, instance.use.h.cols(), instance.use.mod);
     record.bit_errors =

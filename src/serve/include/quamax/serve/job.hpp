@@ -182,7 +182,7 @@ struct Wave {
   /// warmness-homogeneous — cold members never share a wave with warm ones.
   bool warm = false;
   /// Warm waves only: each member's predecessor SEQUENCE number, aligned
-  /// with `jobs` (the scheduler's seed-registry keys).  Empty when cold.
+  /// with `jobs`; the scheduler reads that job's seed slot.  Empty when cold.
   std::vector<std::size_t> seeds;
   /// Fault injection (sched::SchedConfig::fault): the wave aborted at
   /// fail_us — its device hit an outage or defect growth mid-flight, or its

@@ -37,11 +37,12 @@
 // realization is fresh per job; at block boundaries the channel takes a
 // Gauss-Markov step H <- rho H + sqrt(1-rho^2) W (Rayleigh innovation W)
 // and the payload is redrawn.  Same-block successors carry
-// CellJob::predecessor so the scheduler can warm-start them, and their
-// reductions reuse the block's couplings through anneal::WarmStartPlanner
-// (only the received-vector-dependent fields are recomputed — bit-equal
-// to a full reduction).  The coherent keys are drawn AFTER every existing
-// key family, so coherence = 0 reproduces prior workloads bit-for-bit.
+// CellJob::predecessor so the scheduler can warm-start them.  Each chain
+// keeps its block's reduction, so a same-block successor recomputes only
+// the received-vector fields (core::update_ml_fields on a copy — bit-equal
+// to a full core::reduce_ml).  The coherent keys are drawn AFTER every
+// existing key family, so coherence = 0 reproduces prior workloads
+// bit-for-bit.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +53,7 @@
 #include <vector>
 
 #include "quamax/anneal/warm_start.hpp"
+#include "quamax/core/reduction.hpp"
 #include "quamax/serve/job.hpp"
 #include "quamax/sim/instance.hpp"
 #include "quamax/vpp/precode.hpp"
@@ -119,11 +121,11 @@ class LoadGenerator {
   /// Job `id` for `user`, released at `release_us` — the single-job entry
   /// point open_loop() is built on, and what streaming drivers call.
   /// Instances are keyed by `id` alone, so the job content is independent
-  /// of the release time.  Trace-mode instances are produced
-  /// sequentially (the fading process has state) and retained in a sliding
-  /// window of the most recent kTraceWindow ids, keeping memory bounded on
-  /// arbitrarily long serving runs; requesting an id that slid out of the
-  /// window throws InvalidArgument.
+  /// of the release time.  Trace-mode and coherent instances are produced
+  /// sequentially (the fading process and the channel chains have state)
+  /// and retained in a sliding window of the most recent kTraceWindow ids,
+  /// keeping memory bounded on arbitrarily long serving runs; requesting
+  /// an id that slid out of the window throws InvalidArgument.
   CellJob job(std::size_t id, std::size_t user, double release_us);
 
   /// Whether job `id` is a downlink job under the configured mix (a pure
@@ -142,11 +144,12 @@ class LoadGenerator {
   /// Reduction-compiler counters for the coherent path (how many jobs took
   /// the field-only delta vs a full reduce).
   const anneal::WarmStartStats& compile_stats() const noexcept {
-    return planner_.stats();
+    return compile_stats_;
   }
 
-  /// Trace-mode retention window (see job()).  Far larger than any queue a
-  /// service run sustains — the service consumes ids almost in order.
+  /// Retention window of the sequential instance sources (see job()).  Far
+  /// larger than any queue a service run sustains — the service consumes
+  /// ids almost in order.
   static constexpr std::size_t kTraceWindow = 4096;
 
  private:
@@ -160,8 +163,9 @@ class LoadGenerator {
   std::uint64_t downlink_key_ = 0;
   std::unique_ptr<wireless::TraceChannelModel> trace_model_;
   Rng trace_rng_;
-  std::deque<sim::Instance> trace_window_;  ///< ids [trace_base_, trace_base_ + size)
-  std::size_t trace_base_ = 0;
+  /// Sequential-source instances with ids [window_base_, + size).
+  std::deque<sim::Instance> window_;
+  std::size_t window_base_ = 0;
 
   /// One Gauss-Markov channel chain per user (coherence > 0).  Blocks are
   /// materialized strictly in order, so H_u(block) is a pure function of
@@ -171,16 +175,16 @@ class LoadGenerator {
     wireless::BitVec bits;      ///< the block payload (retransmitted per subframe)
     linalg::CVec symbols;       ///< Gray-modulated payload
     std::size_t blocks_done = 0;  ///< blocks materialized so far
-    bool compiled = false;        ///< planner holds this block's reduction
-    std::size_t compiled_block = 0;
+    /// Full reduction of block `reduced_block`'s first job; its couplings
+    /// serve every job of that block.
+    std::optional<core::MlProblem> reduced;
+    std::size_t reduced_block = 0;
   };
 
   std::uint64_t coherent_channel_key_ = 0;  ///< per-(user, block) draws
   std::uint64_t coherent_use_key_ = 0;      ///< per-id noise draws
   std::vector<ChainState> chains_;
-  anneal::WarmStartPlanner planner_;  ///< compile side only (no seeds here)
-  std::deque<sim::Instance> coherent_window_;  ///< ids [coherent_base_, ...)
-  std::size_t coherent_base_ = 0;
+  anneal::WarmStartStats compile_stats_;
 };
 
 }  // namespace quamax::serve

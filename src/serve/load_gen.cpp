@@ -125,54 +125,49 @@ sim::Instance LoadGenerator::make_coherent_instance(std::size_t id) {
   // Same-block successors reuse the cached couplings (they depend only on
   // H) and recompute just the received-vector fields — bit-equal to a full
   // reduction, so the instance is independent of the compile path taken.
-  const bool channel_changed = !chain.compiled || chain.compiled_block != block;
-  core::MlProblem problem =
-      planner_.compile(user, use.h, use.y, use.mod, channel_changed);
-  chain.compiled = true;
-  chain.compiled_block = block;
+  core::MlProblem problem;
+  if (chain.reduced.has_value() && chain.reduced_block == block) {
+    ++compile_stats_.delta_compiles;
+    problem = *chain.reduced;
+    core::update_ml_fields(problem, use.h, use.y);
+  } else {
+    ++compile_stats_.full_compiles;
+    problem = core::reduce_ml(use.h, use.y, use.mod);
+    chain.reduced = problem;
+    chain.reduced_block = block;
+  }
   return sim::make_instance_with_problem(std::move(use), std::move(problem),
                                          config_.ml_oracle);
 }
 
 sim::Instance LoadGenerator::instance_for(std::size_t id) {
-  if (config_.coherence > 0.0) {
-    // Coherent instances are produced sequentially (the channel chains have
-    // state) and retained in the same sliding window the trace mode uses.
-    require(id >= coherent_base_,
-            "LoadGenerator: coherent instance " + std::to_string(id) +
-                " slid out of the retention window");
-    while (coherent_base_ + coherent_window_.size() <= id) {
-      coherent_window_.push_back(
-          make_coherent_instance(coherent_base_ + coherent_window_.size()));
-      if (coherent_window_.size() > kTraceWindow) {
-        coherent_window_.pop_front();
-        ++coherent_base_;
-      }
-    }
-    return coherent_window_[id - coherent_base_];
-  }
-  if (trace_model_ == nullptr) {
+  if (config_.coherence <= 0.0 && trace_model_ == nullptr) {
     Rng stream = Rng::for_stream(instance_key_, id);
     return sim::make_instance(config_.problem, stream, config_.ml_oracle);
   }
-  // The trace's Gauss-Markov fading is sequential: materialize frames up to
-  // `id` once, retaining only a sliding window of recent instances so a
-  // long serving run does not accumulate every channel use ever drawn.
-  require(id >= trace_base_,
-          "LoadGenerator: trace instance " + std::to_string(id) +
+  // The trace's fading and the coherent channel chains are sequential (the
+  // constructor admits at most one of them): materialize instances up to
+  // `id` once, retaining only a sliding window of recent ones so a long
+  // serving run does not accumulate every channel use ever drawn.
+  require(id >= window_base_,
+          "LoadGenerator: instance " + std::to_string(id) +
               " slid out of the retention window");
-  while (trace_base_ + trace_window_.size() <= id) {
-    trace_model_->advance_frame();
-    trace_window_.push_back(sim::make_instance_from_use(
-        trace_model_->sample_use(config_.trace_pick, config_.trace_mod,
-                                 trace_rng_),
-        config_.ml_oracle));
-    if (trace_window_.size() > kTraceWindow) {
-      trace_window_.pop_front();
-      ++trace_base_;
+  while (window_base_ + window_.size() <= id) {
+    if (config_.coherence > 0.0) {
+      window_.push_back(make_coherent_instance(window_base_ + window_.size()));
+    } else {
+      trace_model_->advance_frame();
+      window_.push_back(sim::make_instance_from_use(
+          trace_model_->sample_use(config_.trace_pick, config_.trace_mod,
+                                   trace_rng_),
+          config_.ml_oracle));
+    }
+    if (window_.size() > kTraceWindow) {
+      window_.pop_front();
+      ++window_base_;
     }
   }
-  return trace_window_[id - trace_base_];
+  return window_[id - window_base_];
 }
 
 std::vector<CellJob> LoadGenerator::open_loop(std::size_t num_jobs) {

@@ -48,11 +48,11 @@ Instance make_instance_from_use(wireless::ChannelUse use, bool ml_oracle = true)
 
 /// Instance from a channel use whose reduction was produced elsewhere —
 /// the coherence path: within a coherence block only y changes, so
-/// anneal::WarmStartPlanner rebuilds just the linear fields of a cached
-/// reduction (core::update_ml_fields) and hands the result here, skipping
-/// the O(Nt^2 Nr) coupling recompute.  `problem` must be the reduction of
-/// (use.h, use.y, use.mod); everything else (tx energy, ground anchor)
-/// is derived exactly as make_instance_from_use does.
+/// serve::LoadGenerator rebuilds just the linear fields of its chain's
+/// cached reduction (core::update_ml_fields) and hands the result here,
+/// skipping the O(Nt^2 Nr) coupling recompute.  `problem` must equal
+/// core::reduce_ml(use.h, use.y, use.mod); everything else (tx energy,
+/// ground anchor) is derived exactly as make_instance_from_use does.
 Instance make_instance_with_problem(wireless::ChannelUse use,
                                     core::MlProblem problem,
                                     bool ml_oracle = true);

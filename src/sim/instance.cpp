@@ -5,10 +5,7 @@
 namespace quamax::sim {
 
 Instance make_instance_from_use(wireless::ChannelUse use, bool ml_oracle) {
-  core::MlProblem problem =
-      (use.mod == wireless::Modulation::kQam64)
-          ? core::reduce_ml_to_ising(use.h, use.y, use.mod)
-          : core::reduce_ml_to_ising_closed_form(use.h, use.y, use.mod);
+  core::MlProblem problem = core::reduce_ml(use.h, use.y, use.mod);
   return make_instance_with_problem(std::move(use), std::move(problem),
                                     ml_oracle);
 }

@@ -157,17 +157,6 @@ TEST(EmbeddingCacheTest, InvalidateSwapsTopologyAndPreservesHandedOutPointers) {
   EXPECT_EQ(cache.try_capacity(16), 0u);
 }
 
-TEST(EmbeddingCacheTest, ClearNegativeDropsOnlyInfeasibilityEntries) {
-  EmbeddingCache cache{dead_row_graph()};
-  EXPECT_EQ(cache.try_capacity(16), 0u);  // pays the failed search
-  const auto parallel8 = cache.parallel(8);
-  cache.clear_negative();
-  // Positive entries survive (same shared object); the negative entry is
-  // re-probed from scratch (and, topology unchanged, re-fails).
-  EXPECT_EQ(cache.parallel(8), parallel8);
-  EXPECT_EQ(cache.try_capacity(16), 0u);
-}
-
 TEST(EmbeddingCacheTest, AnnealerRejectsTopologyMismatchedCache) {
   anneal::AnnealerConfig config;
   anneal::ChimeraAnnealer annealer(config);

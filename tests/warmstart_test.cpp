@@ -1,20 +1,20 @@
-// Warm-start incremental annealing (ISSUE 7): the determinism / parity
-// test layer for anneal::WarmStartPlanner and the coherent serving path.
+// Warm-start incremental annealing: the determinism / parity test layer
+// for the coherent serving path.
 //
 // Contracts under test:
 //
-//   * the planner's seed registry round-trips configurations by job id and
-//     evicts purely by id window (never by insertion timing);
-//   * compile() with channel_changed=false produces coefficients that are
-//     BIT-IDENTICAL to a from-scratch reduction — fields, couplings, and
-//     offset, across all four modulations (the delta contract);
+//   * the load generator's coherent reductions — a full core::reduce_ml on
+//     a chain's first job of each block, core::update_ml_fields on a copy
+//     of it afterwards — are BIT-IDENTICAL to reducing every job from
+//     scratch: fields, couplings, and offset, across all four modulations
+//     (the delta contract);
 //   * cold-start bit-compatibility: with coherence=0 a warm_start=true
 //     service is a no-op — reports equal the warm_start=false run field by
 //     field (no job ever has a predecessor, so no stream is perturbed);
 //   * warm-start bit-identity: on a coherent workload the full report is
 //     unchanged across --threads x --replicas combinations at a fixed
 //     device count (warm waves decode from counter-derived streams keyed
-//     by wave id, seeds travel by job id).
+//     by wave id, seeds travel by sequence number).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "quamax/anneal/warm_start.hpp"
+#include "quamax/common/error.hpp"
 #include "quamax/common/rng.hpp"
 #include "quamax/core/reduction.hpp"
 #include "quamax/linalg/matrix.hpp"
@@ -33,44 +33,6 @@
 
 namespace quamax {
 namespace {
-
-TEST(WarmStartPlannerTest, SeedRegistryRoundTrips) {
-  anneal::WarmStartPlanner planner;
-  EXPECT_EQ(planner.seeds_held(), 0u);
-  EXPECT_FALSE(planner.seed(5).has_value());
-
-  planner.record(5, qubo::SpinVec{+1, -1, +1});
-  planner.record(7, qubo::SpinVec{-1, -1});
-  ASSERT_TRUE(planner.seed(5).has_value());
-  EXPECT_EQ(*planner.seed(5), (qubo::SpinVec{+1, -1, +1}));
-  ASSERT_TRUE(planner.seed(7).has_value());
-  EXPECT_EQ(*planner.seed(7), (qubo::SpinVec{-1, -1}));
-  EXPECT_FALSE(planner.seed(6).has_value());
-  EXPECT_EQ(planner.seeds_held(), 2u);
-
-  // Re-recording an id overwrites (a chain's latest decode wins).
-  planner.record(5, qubo::SpinVec{-1, +1, -1});
-  EXPECT_EQ(*planner.seed(5), (qubo::SpinVec{-1, +1, -1}));
-  EXPECT_EQ(planner.seeds_held(), 2u);
-}
-
-TEST(WarmStartPlannerTest, SeedWindowEvictsByIdOnly) {
-  anneal::WarmStartPlanner planner(/*seed_window=*/4);
-  for (std::uint64_t id = 0; id < 10; ++id)
-    planner.record(id, qubo::SpinVec{static_cast<std::int8_t>(id % 2 ? 1 : -1)});
-
-  // max recorded = 9, window = 4: ids <= 5 are gone, 6..9 remain.
-  EXPECT_EQ(planner.seeds_held(), 4u);
-  EXPECT_FALSE(planner.seed(5).has_value());
-  ASSERT_TRUE(planner.seed(6).has_value());
-  ASSERT_TRUE(planner.seed(9).has_value());
-
-  // Late out-of-order recording below the watermark is evicted immediately:
-  // eviction depends on the id set, not on arrival timing.
-  planner.record(2, qubo::SpinVec{+1});
-  EXPECT_FALSE(planner.seed(2).has_value());
-  EXPECT_EQ(planner.seeds_held(), 4u);
-}
 
 void expect_problems_identical(const core::MlProblem& a,
                                const core::MlProblem& b) {
@@ -88,57 +50,53 @@ void expect_problems_identical(const core::MlProblem& a,
   EXPECT_EQ(a.ising.offset(), b.ising.offset());
 }
 
-TEST(WarmStartPlannerTest, DeltaCompileEqualsFullRebuildBitForBit) {
+TEST(WarmStartDeltaTest, CoherentUplinkProblemsEqualFullReduceBitForBit) {
   const wireless::Modulation mods[] = {
       wireless::Modulation::kBpsk, wireless::Modulation::kQpsk,
       wireless::Modulation::kQam16, wireless::Modulation::kQam64};
   for (const wireless::Modulation mod : mods) {
-    Rng rng = Rng::for_stream(0xDE17A, static_cast<std::uint64_t>(mod));
-    const std::size_t n = 4;
-    const linalg::CMat h = wireless::rayleigh_channel(n, n, rng);
-    const auto draw_y = [&] {
-      linalg::CVec y(n);
-      for (auto& v : y) v = linalg::cplx{rng.normal(), rng.normal()};
-      return y;
-    };
-    const linalg::CVec y1 = draw_y();
-    const linalg::CVec y2 = draw_y();
+    serve::LoadConfig load;
+    load.arrivals = serve::ArrivalKind::kSubframe;
+    load.users = 3;
+    load.problem.users = 3;
+    load.problem.mod = mod;
+    load.problem.kind = wireless::ChannelKind::kRayleigh;
+    load.problem.snr_db = 10.0;
+    load.coherence = 0.75;  // blocks of 4 subframes
+    load.downlink_fraction = 0.25;
+    serve::LoadGenerator gen(load, /*seed=*/0xDE17A);
+    ASSERT_EQ(gen.coherence_block(), 4u);
 
-    // The reference reducer compile() mirrors: paper closed forms except
-    // 64-QAM (which has none published).
-    const auto reduce = [&](const linalg::CVec& y) {
-      return mod == wireless::Modulation::kQam64
-                 ? core::reduce_ml_to_ising(h, y, mod)
-                 : core::reduce_ml_to_ising_closed_form(h, y, mod);
-    };
+    const std::vector<serve::CellJob> jobs = gen.open_loop(48);
+    std::size_t uplink = 0;
+    std::size_t generated = 0;
+    for (const serve::CellJob& job : jobs) {
+      if (job.downlink()) continue;
+      ++uplink;
+      // Coherent instances are materialized in id order, downlink ids
+      // included, up to the last uplink id requested.
+      generated = job.id + 1;
+      const sim::Instance& inst = job.uplink();
+      expect_problems_identical(
+          inst.problem, core::reduce_ml(inst.use.h, inst.use.y, mod));
+    }
+    ASSERT_GT(uplink, 0u);
+    ASSERT_LT(uplink, jobs.size()) << "the mix must hold downlink jobs";
 
-    anneal::WarmStartPlanner planner;
-    const core::MlProblem full1 = planner.compile(0, h, y1, mod, true);
-    expect_problems_identical(full1, reduce(y1));
-    EXPECT_EQ(planner.stats().full_compiles, 1u);
-
-    // Same channel, new received vector: the delta path must be bit-equal
-    // to reducing from scratch.
-    const core::MlProblem delta2 = planner.compile(0, h, y2, mod, false);
-    expect_problems_identical(delta2, reduce(y2));
-    EXPECT_EQ(planner.stats().delta_compiles, 1u);
-
-    // And back: the delta is not a one-way street within the block.
-    const core::MlProblem delta1 = planner.compile(0, h, y1, mod, false);
-    expect_problems_identical(delta1, reduce(y1));
-
-    // channel_changed forces a full rebuild even with a warm cache.
-    planner.compile(0, h, y2, mod, true);
-    EXPECT_EQ(planner.stats().full_compiles, 2u);
-    EXPECT_EQ(planner.stats().delta_compiles, 2u);
+    // Every generated id took exactly one compile path, and both paths ran.
+    const anneal::WarmStartStats& stats = gen.compile_stats();
+    EXPECT_EQ(stats.full_compiles + stats.delta_compiles, generated);
+    EXPECT_GT(stats.full_compiles, 0u);
+    EXPECT_GT(stats.delta_compiles, 0u);
   }
 }
 
-TEST(WarmStartPlannerTest, UpdateMlFieldsMatchesFullReduceDirectly) {
+TEST(WarmStartDeltaTest, UpdateMlFieldsMatchesFullReduceDirectly) {
   // The core-layer primitive on its own.  update_ml_fields reruns the exact
-  // arithmetic of the MATCHING reducer (closed form for BPSK/QPSK/16-QAM,
-  // the generic norm-expansion path for 64-QAM) — bit-equality only holds
-  // against that reducer, which is the contract the planner relies on.
+  // arithmetic of the MATCHING reducer (core::reduce_ml: closed form for
+  // BPSK/QPSK/16-QAM, the generic norm-expansion path for 64-QAM) —
+  // bit-equality only holds against that reducer, which is the contract
+  // the load generator relies on.
   const wireless::Modulation mods[] = {
       wireless::Modulation::kBpsk, wireless::Modulation::kQpsk,
       wireless::Modulation::kQam16, wireless::Modulation::kQam64};
@@ -150,17 +108,12 @@ TEST(WarmStartPlannerTest, UpdateMlFieldsMatchesFullReduceDirectly) {
     for (auto& v : y1) v = linalg::cplx{rng.normal(), rng.normal()};
     for (auto& v : y2) v = linalg::cplx{rng.normal(), rng.normal()};
 
-    const auto reduce = [&](const linalg::CVec& y) {
-      return mod == wireless::Modulation::kQam64
-                 ? core::reduce_ml_to_ising(h, y, mod)
-                 : core::reduce_ml_to_ising_closed_form(h, y, mod);
-    };
-    core::MlProblem updated = reduce(y1);
+    core::MlProblem updated = core::reduce_ml(h, y1, mod);
     core::update_ml_fields(updated, h, y2);
-    expect_problems_identical(updated, reduce(y2));
+    expect_problems_identical(updated, core::reduce_ml(h, y2, mod));
     // Repeated application keeps converging on the same coefficients.
     core::update_ml_fields(updated, h, y1);
-    expect_problems_identical(updated, reduce(y1));
+    expect_problems_identical(updated, core::reduce_ml(h, y1, mod));
   }
 }
 
@@ -297,6 +250,19 @@ TEST(WarmStartServeTest, CoherentGenerationUsesDeltaCompiles) {
   EXPECT_EQ(*gen.predecessor(3), 0u);
   ASSERT_TRUE(gen.predecessor(17).has_value());
   EXPECT_EQ(*gen.predecessor(17), 14u);
+}
+
+TEST(WarmStartServeTest, CoherentInstancesSlideOutOfTheRetentionWindow) {
+  serve::LoadConfig load = coherent_load(0.5);
+  load.users = 1;
+  load.problem.users = 2;
+  serve::LoadGenerator gen(load, 0x7E57);
+  const linalg::CVec first = gen.job(1, 0, 0.0).uplink().use.y;
+  gen.job(serve::LoadGenerator::kTraceWindow, 0, 0.0);
+  // The window keeps the kTraceWindow most recent ids: id 1 is still the
+  // instance drawn first, and id 0 slid out and is refused, not redrawn.
+  EXPECT_EQ(gen.job(1, 0, 0.0).uplink().use.y, first);
+  EXPECT_THROW(gen.job(0, 0, 0.0), InvalidArgument);
 }
 
 }  // namespace
