@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "quamax/chimera/embedding.hpp"
+#include "quamax/chimera/embedding_cache.hpp"
 #include "quamax/chimera/graph.hpp"
+#include "quamax/core/reduction.hpp"
+#include "quamax/vpp/precode.hpp"
+#include "quamax/wireless/channel.hpp"
 
 namespace quamax::chimera {
 namespace {
@@ -308,6 +315,147 @@ TEST(EmbedTest, FieldsAreSplitAcrossChains) {
   for (auto q : ep.chains[0])
     EXPECT_NEAR(ep.physical.field(q), expected_share, 1e-12);
   for (auto q : ep.chains[2]) EXPECT_NEAR(ep.physical.field(q), 0.0, 1e-12);
+}
+
+/// FNV-1a over everything embed() returns for `logical` on `placement`, at
+/// both dynamic ranges and two |J_F| values: the compact index, the chains,
+/// the bits of logical_scale, every field's bits and every coupling's
+/// (i, j, bits of g) in stored order.
+std::string embed_hash(const qubo::IsingModel& logical, const Embedding& placement,
+                       const ChimeraGraph& graph) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const bool improved : {false, true}) {
+    for (const double jf : {0.5, 2.0}) {
+      const EmbeddedProblem ep =
+          embed(logical, placement, graph, {.jf = jf, .improved_range = improved});
+      mix(ep.compact_to_qubit.size());
+      for (const Qubit q : ep.compact_to_qubit) mix(q);
+      mix(ep.chains.size());
+      for (const auto& chain : ep.chains) {
+        mix(chain.size());
+        for (const std::uint32_t q : chain) mix(q);
+      }
+      mix(std::bit_cast<std::uint64_t>(ep.logical_scale));
+      mix(ep.physical.num_spins());
+      for (const double f : ep.physical.fields()) mix(std::bit_cast<std::uint64_t>(f));
+      mix(ep.physical.couplings().size());
+      for (const qubo::Coupling& c : ep.physical.couplings()) {
+        mix(c.i);
+        mix(c.j);
+        mix(std::bit_cast<std::uint64_t>(c.g));
+      }
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+qubo::IsingModel ml_problem(std::size_t users, wireless::Modulation mod,
+                            std::uint64_t seed) {
+  Rng rng{seed};
+  const wireless::ChannelUse use = wireless::make_channel_use(
+      users, users, mod, wireless::ChannelKind::kRayleigh, 15.0, rng);
+  return core::reduce_ml(use.h, use.y, use.mod).ising;
+}
+
+/// True when some logical pair has no coupling entry.
+bool has_missing_pair(const qubo::IsingModel& model) {
+  const std::size_t n = model.num_spins();
+  return model.couplings().size() < n * (n - 1) / 2;
+}
+
+// embed() values pinned by hash on every served shape: BPSK at n = 8, 16
+// and 48, QPSK (whose I/Q structure leaves exact-zero pairs out), 16-QAM,
+// a VPP downlink problem and a hand-built model with duplicate and
+// cancelling couplings; on the clique placement, a tiling slot k > 0, a
+// defective chip whose clique placement is shifted, and a cache rebuilt
+// after defect growth.  The hashes were recorded before embed() was split
+// into a per-placement compile and a per-job fill; they must never need
+// editing for a refactor.
+TEST(EmbedTest, OutputsArePinned) {
+  const ChimeraGraph chip(16);
+  const ChimeraGraph defective = ChimeraGraph::with_defects(16, 17, 146);
+
+  const qubo::IsingModel bpsk8 = ml_problem(8, wireless::Modulation::kBpsk, 11);
+  const qubo::IsingModel bpsk16 = ml_problem(16, wireless::Modulation::kBpsk, 12);
+  const qubo::IsingModel bpsk48 = ml_problem(48, wireless::Modulation::kBpsk, 13);
+  const qubo::IsingModel qpsk8 = ml_problem(8, wireless::Modulation::kQpsk, 14);
+  const qubo::IsingModel qam16 = ml_problem(4, wireless::Modulation::kQam16, 15);
+  Rng vpp_rng{16};
+  const qubo::IsingModel vpp4 =
+      vpp::make_precode_instance(vpp::VppConfig{}, vpp_rng).problem.ising;
+  ASSERT_TRUE(has_missing_pair(qpsk8));  // I/Q zeros are never stored
+
+  // Duplicate (i, j) entries, one given as (j, i); a pair summing to
+  // exactly zero; an explicit zero coupling; a negative-zero field.
+  qubo::IsingModel hand(6);
+  hand.field(0) = 0.75;
+  hand.field(3) = -0.0;
+  hand.field(5) = -1.25;
+  hand.add_coupling(0, 1, 0.5);
+  hand.add_coupling(2, 3, 0.375);
+  hand.add_coupling(1, 0, -0.125);
+  hand.add_coupling(4, 5, 0.0);
+  hand.add_coupling(2, 3, -0.375);
+  hand.add_coupling(0, 5, 1.5);
+  hand.add_coupling(0, 1, 0.0625);
+  hand.add_coupling(3, 4, -0.25);
+
+  // Growth: kill a qubit of the 16-variable clique and rebuild the cache.
+  EmbeddingCache cache{chip};
+  ChimeraGraph grown = chip;
+  grown.disable_qubit(cache.clique(16)->chains[5][2]);
+  cache.invalidate(grown);
+
+  const auto clique_on_defects = find_clique_embedding(48, defective);
+  ASSERT_NE(clique_on_defects.chains[0][0], defective.qubit_id(0, 0, 1, 0));
+
+  struct Case {
+    const char* name;
+    const qubo::IsingModel* logical;
+    Embedding placement;
+    const ChimeraGraph* graph;
+    const char* hash;
+  };
+  const std::vector<Case> cases = {
+      {"bpsk8", &bpsk8, find_clique_embedding(8, chip), &chip,
+       "63b4e062424de4ad"},
+      {"bpsk16", &bpsk16, find_clique_embedding(16, chip), &chip,
+       "f8ebbce1fe00c2a5"},
+      {"bpsk48", &bpsk48, find_clique_embedding(48, chip), &chip,
+       "60632061604372c5"},
+      {"qpsk8", &qpsk8, find_clique_embedding(16, chip), &chip,
+       "4391ec937b25743d"},
+      {"qam16", &qam16, find_clique_embedding(16, chip), &chip,
+       "3b0cedcf6e910fc5"},
+      {"vpp4", &vpp4, find_clique_embedding(vpp4.num_spins(), chip), &chip,
+       "4f31af1bc51674f5"},
+      {"hand", &hand, find_clique_embedding(6, chip), &chip,
+       "57b3460070dab7dd"},
+      {"bpsk8_slot5", &bpsk8, find_parallel_embeddings(8, 64, chip)[5], &chip,
+       "350341370c0ff6ad"},
+      {"qpsk8_slot3", &qpsk8, find_parallel_embeddings(16, 16, chip)[3], &chip,
+       "8df7a79a4dd3917d"},
+      {"bpsk48_defects", &bpsk48, clique_on_defects, &defective,
+       "1ba9ebc185f38545"},
+      {"bpsk16_defects", &bpsk16, find_clique_embedding(16, defective),
+       &defective, "c40e059836907d65"},
+      {"qpsk8_grown", &qpsk8, *cache.clique(16), &grown,
+       "6d5ef5b9f4ba997d"},
+      {"qpsk8_grown_slot1", &qpsk8, (*cache.parallel(16))[1], &grown,
+       "d56ac357f66dd43d"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(embed_hash(*c.logical, c.placement, *c.graph), c.hash);
+  }
 }
 
 }  // namespace
