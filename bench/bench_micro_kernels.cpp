@@ -3,7 +3,7 @@
 //   * §3.2.2: the closed-form Ising coefficients make the ML->QA conversion
 //     cheap ("computational time ... can be neglected") — compare generic
 //     norm expansion against the closed forms;
-//   * embedding compilation and unembedding costs;
+//   * embedding costs (per-placement compile, per-job fill) and unembedding;
 //   * the SA substitute's per-anneal cost (the classical analog of Ta), in
 //     both the scalar and the multi-replica batched kernel (BM_SaSweep*:
 //     the items/s column is spin-updates per second, so the batched-kernel
@@ -47,15 +47,18 @@ void BM_ReductionClosedForm(benchmark::State& state) {
 }
 BENCHMARK(BM_ReductionClosedForm)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_CliqueEmbedding(benchmark::State& state) {
+// Embedding cost in its two halves: the placement search plus its layout
+// compile, paid once per (shape, chip) and cached; and the per-job
+// scale-and-scatter of one problem's coefficients onto that layout.
+void BM_PlacementCompile(benchmark::State& state) {
   const chimera::ChimeraGraph chip(16);
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
     benchmark::DoNotOptimize(chimera::find_clique_embedding(n, chip));
 }
-BENCHMARK(BM_CliqueEmbedding)->Arg(16)->Arg(36)->Arg(60);
+BENCHMARK(BM_PlacementCompile)->Arg(16)->Arg(36)->Arg(60);
 
-void BM_EmbedCompile(benchmark::State& state) {
+void BM_EmbedFill(benchmark::State& state) {
   const chimera::ChimeraGraph chip(16);
   const auto use = make_use(static_cast<std::size_t>(state.range(0)),
                             Modulation::kBpsk, 20.0);
@@ -63,9 +66,9 @@ void BM_EmbedCompile(benchmark::State& state) {
   const auto embedding = chimera::find_clique_embedding(problem.num_vars(), chip);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        chimera::embed(problem.ising, embedding, chip, chimera::EmbedParams{}));
+        chimera::embed(problem.ising, embedding, chimera::EmbedParams{}));
 }
-BENCHMARK(BM_EmbedCompile)->Arg(16)->Arg(36)->Arg(60);
+BENCHMARK(BM_EmbedFill)->Arg(16)->Arg(36)->Arg(60);
 
 void BM_SaAnnealEmbedded(benchmark::State& state) {
   // One anneal at Ta = 1 us on the embedded problem (per-anneal CPU cost of
@@ -76,7 +79,7 @@ void BM_SaAnnealEmbedded(benchmark::State& state) {
   const auto problem = core::reduce_ml_to_ising(use.h, use.y, use.mod);
   const auto embedding = chimera::find_clique_embedding(problem.num_vars(), chip);
   const auto embedded =
-      chimera::embed(problem.ising, embedding, chip, chimera::EmbedParams{});
+      chimera::embed(problem.ising, embedding, chimera::EmbedParams{});
   const anneal::SaEngine engine(embedded.physical);
   const anneal::Schedule schedule;
   const std::vector<double> betas = schedule.betas();
@@ -98,17 +101,17 @@ const chimera::MergedWave& merged_wave_problem() {
     const std::size_t n = 16;  // logical variables per slot (16-user BPSK)
     const auto slots = chimera::find_parallel_embeddings(n, 64, chip);
     Rng rng{0x3A7E};
-    std::vector<chimera::EmbeddedProblem> embedded;
-    for (const auto& slot : slots) {
-      // One random clique instance per slot ("identical or not" — §4).
-      qubo::IsingModel logical(n);
-      for (std::size_t i = 0; i < n; ++i) logical.field(i) = rng.normal();
+    // One random clique instance per slot ("identical or not" — §4).
+    std::vector<qubo::IsingModel> logical(slots.size(), qubo::IsingModel(n));
+    std::vector<const qubo::IsingModel*> problems;
+    for (qubo::IsingModel& problem : logical) {
+      for (std::size_t i = 0; i < n; ++i) problem.field(i) = rng.normal();
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i + 1; j < n; ++j)
-          logical.add_coupling(i, j, rng.normal());
-      embedded.push_back(chimera::embed(logical, slot, chip, chimera::EmbedParams{}));
+          problem.add_coupling(i, j, rng.normal());
+      problems.push_back(&problem);
     }
-    return chimera::merge_embedded(embedded);
+    return chimera::merge_embedded(problems, slots, chimera::EmbedParams{});
   }();
   return wave;
 }
@@ -205,16 +208,12 @@ void BM_ChimeraSampleBatchedPath(benchmark::State& state) {
 BENCHMARK(BM_ChimeraSampleBatchedPath);
 
 void BM_Unembed(benchmark::State& state) {
-  const chimera::ChimeraGraph chip(16);
-  const auto use = make_use(36, Modulation::kBpsk, 20.0);
-  const auto problem = core::reduce_ml_to_ising(use.h, use.y, use.mod);
-  const auto embedding = chimera::find_clique_embedding(problem.num_vars(), chip);
-  const auto embedded =
-      chimera::embed(problem.ising, embedding, chip, chimera::EmbedParams{});
-  qubo::SpinVec physical(embedded.physical.num_spins(), 1);
+  const auto embedding = chimera::find_clique_embedding(36, chimera::ChimeraGraph(16));
+  qubo::SpinVec physical(embedding.compact_to_qubit.size(), 1);
   Rng rng{2};
   for (auto _ : state)
-    benchmark::DoNotOptimize(chimera::unembed(physical, embedded, rng));
+    benchmark::DoNotOptimize(
+        chimera::unembed(physical, embedding.compact_chains, rng));
 }
 BENCHMARK(BM_Unembed);
 

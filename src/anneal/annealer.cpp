@@ -1,6 +1,7 @@
 #include "quamax/anneal/annealer.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace quamax::anneal {
 namespace {
@@ -183,16 +184,14 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
     const std::size_t wave_size =
         std::min(num_slots, problems.size() - wave_start);
 
-    // Compile every slot (fanned across the batch runtime: each slot's
-    // compilation is a pure function of its problem and placement, written
-    // to a per-index slot) and merge into one chip-wide Ising problem.  A
-    // one-slot merge reproduces the embedded model exactly.
-    std::vector<chimera::EmbeddedProblem> embedded(wave_size);
-    batch().for_each(wave_size, [&](std::size_t s) {
-      embedded[s] = chimera::embed(*problems[wave_start + s], slots[s], graph_,
-                                   config_.embed);
-    });
-    const chimera::MergedWave wave = chimera::merge_embedded(embedded);
+    // Embed every slot straight into one chip-wide Ising problem: each
+    // slot's placement was compiled with the cache entry, so this is the
+    // per-job scale-and-scatter only.  A one-slot merge reproduces the
+    // embedded model exactly.
+    const chimera::MergedWave wave = chimera::merge_embedded(
+        {problems.begin() + static_cast<std::ptrdiff_t>(wave_start),
+         problems.begin() + static_cast<std::ptrdiff_t>(wave_start + wave_size)},
+        slots, config_.embed);
 
     SaEngine engine(wave.physical);
     // Chain-collective moves: the classical counterpart of the annealer's
@@ -208,9 +207,9 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
       physical_initial.resize(wave.physical.num_spins());
       for (std::size_t s = 0; s < wave_size; ++s) {
         const qubo::SpinVec& seed = *(*initial_states)[wave_start + s];
-        const chimera::EmbeddedProblem& ep = embedded[s];
-        for (std::size_t i = 0; i < ep.chains.size(); ++i)
-          for (const std::uint32_t q : ep.chains[i])
+        const auto& chains = slots[s].compact_chains;
+        for (std::size_t i = 0; i < chains.size(); ++i)
+          for (const std::uint32_t q : chains[i])
             physical_initial[wave.offsets[s] + q] = seed[i];
       }
       initial = &physical_initial;
@@ -230,16 +229,14 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
         [&](std::size_t begin, std::vector<Rng>& streams) {
           const std::vector<qubo::SpinVec> physical = anneal_block(
               engine, ice, betas, streams, initial, config_.accept_mode);
-          qubo::SpinVec slice;
           for (std::size_t j = 0; j < streams.size(); ++j) {
             for (std::size_t s = 0; s < wave_size; ++s) {
-              const auto first = physical[j].begin() +
-                                 static_cast<std::ptrdiff_t>(wave.offsets[s]);
-              slice.assign(first, first + static_cast<std::ptrdiff_t>(
-                                              embedded[s].physical.num_spins()));
+              const std::span<const std::int8_t> slice(
+                  physical[j].data() + wave.offsets[s],
+                  slots[s].compact_to_qubit.size());
               std::size_t chains_broken = 0;
               results[wave_start + s][begin + j] = chimera::unembed(
-                  slice, embedded[s], streams[j], &chains_broken);
+                  slice, slots[s].compact_chains, streams[j], &chains_broken);
               if (broken != nullptr) (*broken)[begin + j] += chains_broken;
             }
           }

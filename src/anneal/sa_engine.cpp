@@ -114,9 +114,16 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
       require(m < num_spins(), "SaEngine::set_groups: member out of range");
       member_of[m] = 1u;
     }
-    for (std::uint32_t e = 0; e < coupling_values_.size(); ++e)
-      if (member_of[edge_i_[e]] && member_of[edge_j_[e]])
-        group.internal_edges.push_back(e);
+    // Walk each member's CSR row, taking an edge from its i endpoint only;
+    // ascending edge order keeps the kernel's accumulation order.
+    for (const std::uint32_t m : members)
+      for (std::uint32_t k = row_offset_[m]; k < row_offset_[m + 1]; ++k)
+        if (member_of[neighbor_[k]] && edge_i_[coupling_index_[k]] == m)
+          group.internal_edges.push_back(coupling_index_[k]);
+    std::sort(group.internal_edges.begin(), group.internal_edges.end());
+    group.internal_edges.erase(
+        std::unique(group.internal_edges.begin(), group.internal_edges.end()),
+        group.internal_edges.end());
     for (const std::uint32_t m : members) member_of[m] = 0u;
     group.members = std::move(members);
     groups_.push_back(std::move(group));

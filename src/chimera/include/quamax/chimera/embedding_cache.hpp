@@ -1,19 +1,21 @@
-// Shape-keyed cache of compiled Chimera embeddings.
+// Shape-keyed cache of compiled Chimera placements.
 //
-// Embedding compilation (the placement search of find_clique_embedding /
-// find_parallel_embeddings) depends only on the problem SHAPE — its logical
-// variable count — and the chip graph, never on the problem's coefficients.
-// A C-RAN decode service repeats the same handful of shapes (one per
-// modulation x user-count combination) millions of times, so the placements
-// are computed once and shared: by all worker lanes of serve::DecodeService,
-// and by every ChimeraAnnealer wired to the same cache
-// (ChimeraAnnealer::set_embedding_cache).
+// A compiled placement (find_clique_embedding / find_parallel_embeddings:
+// the placement search plus its layout — compact index, chain-bond and
+// logical-pair coupler slots, sorted coupler order) depends only on the
+// problem SHAPE — its logical variable count — and the chip graph, never on
+// the problem's coefficients.  A C-RAN decode service repeats the same
+// handful of shapes (one per modulation x user-count combination) millions
+// of times, so placements are compiled once and shared: by all worker lanes
+// of serve::DecodeService, and by every ChimeraAnnealer wired to the same
+// cache (ChimeraAnnealer::set_embedding_cache).  Per job, embed() only
+// scatters coefficients into a cached layout.
 //
 // Thread safety: all lookup methods are safe for concurrent callers.  Cached
 // values are immutable and returned as shared_ptr-to-const, so a reference
 // obtained by one lane stays valid while other lanes insert new shapes.
 // Compilation happens under the cache lock — the first caller of a shape
-// pays it, everyone after hits the table.
+// pays it, everyone after hits the table and reads the layout lock-free.
 #pragma once
 
 #include <cstddef>
@@ -38,12 +40,14 @@ class EmbeddingCache {
   /// The chip graph the cached placements were compiled for.
   const ChimeraGraph& graph() const noexcept { return graph_; }
 
-  /// The single triangle clique embedding for `num_logical` variables
-  /// (find_clique_embedding).  Throws CapacityError when it does not fit.
+  /// The single compiled triangle clique placement for `num_logical`
+  /// variables (find_clique_embedding).  Throws CapacityError when it does
+  /// not fit.
   std::shared_ptr<const Embedding> clique(std::size_t num_logical);
 
-  /// The maximal set of disjoint clique embeddings for `num_logical`
-  /// variables (find_parallel_embeddings at full chip capacity).  Callers
+  /// The maximal set of disjoint compiled clique placements for
+  /// `num_logical` variables (find_parallel_embeddings at full chip
+  /// capacity).  Callers
   /// wanting fewer slots use a prefix — the tiling is deterministic, so a
   /// prefix of the maximal set equals a smaller compilation's result.
   std::shared_ptr<const std::vector<Embedding>> parallel(std::size_t num_logical);
@@ -59,10 +63,11 @@ class EmbeddingCache {
   std::size_t try_capacity(std::size_t num_logical);
 
   /// Rebinds the cache to a new chip topology and discards every cached
-  /// placement — positive AND negative (try_capacity) entries, which would
-  /// otherwise go stale in both directions when a defect map changes
-  /// (placements routed through now-dead qubits; shapes marked infeasible
-  /// that the new topology might serve).  Values already handed out stay
+  /// placement with its compiled layout — positive AND negative
+  /// (try_capacity) entries, which would otherwise go stale in both
+  /// directions when a defect map changes (placements routed through
+  /// now-dead qubits; shapes marked infeasible that the new topology might
+  /// serve).  Values already handed out stay
   /// valid for their holders (shared_ptr-to-const); only the table forgets
   /// them, so the cache object's identity — and every ChimeraAnnealer wired
   /// to it — survives the swap.

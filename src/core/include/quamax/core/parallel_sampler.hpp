@@ -41,14 +41,6 @@ class ParallelBatchSampler {
   /// Lanes available to run(), run_blocks(), and sample_problems().
   std::size_t num_threads() const noexcept { return pool_.size(); }
 
-  /// Plain deterministic parallel map — no randomness involved.  Runs
-  /// job(i) for every i in [0, count) across the pool and blocks until all
-  /// complete.  Jobs must confine writes to per-index slots; the result is
-  /// then independent of thread count.  Used for per-index work that is a
-  /// pure function of its inputs (e.g. compiling one wave slot's embedding),
-  /// where drawing RNG streams would be noise in the determinism contract.
-  void for_each(std::size_t count, const std::function<void(std::size_t)>& job);
-
   /// The deterministic fan-out primitive.  Draws one key from `rng` (exactly
   /// one draw, regardless of thread count), then runs job(a, stream_a) for
   /// every a in [0, count) with stream_a = Rng::for_stream(key, a).  Jobs

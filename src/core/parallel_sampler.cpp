@@ -10,12 +10,6 @@ namespace quamax::core {
 ParallelBatchSampler::ParallelBatchSampler(std::size_t num_threads)
     : pool_(num_threads) {}
 
-void ParallelBatchSampler::for_each(
-    std::size_t count, const std::function<void(std::size_t)>& job) {
-  if (count == 0) return;
-  pool_.parallel_for(count, job);
-}
-
 void ParallelBatchSampler::run(std::size_t count, Rng& rng,
                                const std::function<void(std::size_t, Rng&)>& job) {
   if (count == 0) return;

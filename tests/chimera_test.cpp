@@ -165,14 +165,15 @@ TEST(EmbeddedEnergyTest, EmbeddedGroundStateMatchesLogicalGroundState) {
 
   const ChimeraGraph g(4);
   const Embedding e = find_clique_embedding(n, g);
-  const EmbeddedProblem ep = embed(logical, e, g, EmbedParams{.jf = 4.0});
+  const EmbeddedProblem ep = embed(logical, e, EmbedParams{.jf = 4.0});
 
   const qubo::GroundState logical_gs = qubo::brute_force_ground_state(logical);
   const qubo::GroundState embedded_gs = qubo::brute_force_ground_state(ep.physical);
 
   std::size_t broken = 0;
   Rng tie_rng{1};
-  const qubo::SpinVec unembedded = unembed(embedded_gs.spins, ep, tie_rng, &broken);
+  const qubo::SpinVec unembedded =
+      unembed(embedded_gs.spins, ep.chains, tie_rng, &broken);
   EXPECT_EQ(broken, 0u) << "ground state should satisfy all chains at JF=4";
   EXPECT_NEAR(logical.energy(unembedded), logical_gs.energy, 1e-9);
 }
@@ -190,7 +191,7 @@ TEST(EmbeddedEnergyTest, ChainSatisfiedEmbeddedEnergyIsAffineInLogicalEnergy) {
   const ChimeraGraph g(4);
   const Embedding e = find_clique_embedding(n, g);
   const EmbedParams params{.jf = 3.0};
-  const EmbeddedProblem ep = embed(logical, e, g, params);
+  const EmbeddedProblem ep = embed(logical, e, params);
 
   const std::size_t chain_len = e.chain_length();
   const double chain_bonds =
@@ -220,14 +221,14 @@ TEST(UnembedTest, MajorityVoteAndTieRandomization) {
   Rng rng{5};
   std::size_t broken = 0;
   const qubo::SpinVec logical =
-      unembed(qubo::SpinVec{1, 1, -1, 1, -1}, ep, rng, &broken);
+      unembed(qubo::SpinVec{1, 1, -1, 1, -1}, ep.chains, rng, &broken);
   EXPECT_EQ(broken, 2u);
   EXPECT_EQ(logical[0], 1);  // majority 2:1
 
   // Tie outcomes must eventually produce both values (randomized).
   bool saw_plus = false, saw_minus = false;
   for (int i = 0; i < 64; ++i) {
-    const auto l = unembed(qubo::SpinVec{1, 1, -1, 1, -1}, ep, rng, nullptr);
+    const auto l = unembed(qubo::SpinVec{1, 1, -1, 1, -1}, ep.chains, rng, nullptr);
     (l[1] > 0 ? saw_plus : saw_minus) = true;
   }
   EXPECT_TRUE(saw_plus);
@@ -286,9 +287,9 @@ TEST(EmbedTest, ImprovedRangeDoublesChainCoupling) {
   const ChimeraGraph g(4);
   const Embedding e = find_clique_embedding(2, g);
 
-  const EmbeddedProblem std_range = embed(logical, e, g, {.jf = 2.0});
+  const EmbeddedProblem std_range = embed(logical, e, {.jf = 2.0});
   const EmbeddedProblem imp_range =
-      embed(logical, e, g, {.jf = 2.0, .improved_range = true});
+      embed(logical, e, {.jf = 2.0, .improved_range = true});
 
   double std_chain = 0.0, imp_chain = 0.0;
   for (const auto& c : std_range.physical.couplings())
@@ -307,7 +308,7 @@ TEST(EmbedTest, FieldsAreSplitAcrossChains) {
   logical.add_coupling(1, 2, -0.5);
   const ChimeraGraph g(4);
   const Embedding e = find_clique_embedding(3, g);
-  const EmbeddedProblem ep = embed(logical, e, g, {.jf = 5.0});
+  const EmbeddedProblem ep = embed(logical, e, {.jf = 5.0});
 
   EXPECT_DOUBLE_EQ(ep.logical_scale, 2.0);
   const double expected_share =
@@ -320,9 +321,12 @@ TEST(EmbedTest, FieldsAreSplitAcrossChains) {
 /// FNV-1a over everything embed() returns for `logical` on `placement`, at
 /// both dynamic ranges and two |J_F| values: the compact index, the chains,
 /// the bits of logical_scale, every field's bits and every coupling's
-/// (i, j, bits of g) in stored order.
+/// (i, j, bits of g) in stored order.  The placement must sit on working
+/// qubits of `graph`, the chip it was found on.
 std::string embed_hash(const qubo::IsingModel& logical, const Embedding& placement,
                        const ChimeraGraph& graph) {
+  for (const auto& chain : placement.chains)
+    for (const Qubit q : chain) EXPECT_TRUE(graph.is_working(q));
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
@@ -333,7 +337,7 @@ std::string embed_hash(const qubo::IsingModel& logical, const Embedding& placeme
   for (const bool improved : {false, true}) {
     for (const double jf : {0.5, 2.0}) {
       const EmbeddedProblem ep =
-          embed(logical, placement, graph, {.jf = jf, .improved_range = improved});
+          embed(logical, placement, {.jf = jf, .improved_range = improved});
       mix(ep.compact_to_qubit.size());
       for (const Qubit q : ep.compact_to_qubit) mix(q);
       mix(ep.chains.size());

@@ -5,7 +5,9 @@
 // interleaved clique/parallel/capacity lookups for a handful of shapes, and
 // a multi-device scheduler keys one cache per chip topology.  Contracts:
 //   * concurrent mixed-shape insert/lookup returns ONE immutable placement
-//     object per (cache, shape) — every caller sees the same pointer;
+//     object per (cache, shape) — every caller sees the same pointer — and
+//     a compiled placement read by many threads fills exactly as it does
+//     on one;
 //   * placements compiled for defect-distinct graphs differ (per-device
 //     keying is real, not cosmetic), and same_topology gates cache sharing;
 //   * try_capacity caches infeasibility (0) without throwing, while
@@ -38,29 +40,75 @@ ChimeraGraph dead_row_graph() {
   return graph;
 }
 
+/// A fixed random clique problem of `n` variables.
+qubo::IsingModel fixed_problem(std::size_t n) {
+  Rng rng{n};
+  qubo::IsingModel problem(n);
+  for (std::size_t i = 0; i < n; ++i) problem.field(i) = rng.normal();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) problem.add_coupling(i, j, rng.normal());
+  return problem;
+}
+
+bool same_fill(const EmbeddedProblem& a, const EmbeddedProblem& b) {
+  if (a.physical.fields() != b.physical.fields() ||
+      a.compact_to_qubit != b.compact_to_qubit || a.chains != b.chains ||
+      a.physical.couplings().size() != b.physical.couplings().size())
+    return false;
+  for (std::size_t k = 0; k < a.physical.couplings().size(); ++k) {
+    const qubo::Coupling& x = a.physical.couplings()[k];
+    const qubo::Coupling& y = b.physical.couplings()[k];
+    if (x.i != y.i || x.j != y.j || x.g != y.g) return false;
+  }
+  return true;
+}
+
 TEST(EmbeddingCacheTest, ConcurrentMixedShapeInsertAndLookupAgree) {
   EmbeddingCache cache{ChimeraGraph()};
   const std::vector<std::size_t> shapes{6, 8, 12, 16, 24, 36};
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRounds = 25;
 
+  // Single-threaded reference fills of one fixed problem per shape, on the
+  // clique placement and the tiling's last slot.
+  const EmbedParams params;
+  std::vector<qubo::IsingModel> problems;
+  std::vector<EmbeddedProblem> clique_fills, slot_fills;
+  for (const std::size_t shape : shapes) {
+    problems.push_back(fixed_problem(shape));
+    clique_fills.push_back(
+        embed(problems.back(), find_clique_embedding(shape, cache.graph()), params));
+    slot_fills.push_back(embed(
+        problems.back(),
+        find_parallel_embeddings(shape, cache.graph().num_qubits(), cache.graph())
+            .back(),
+        params));
+  }
+
   // Every thread loops over every shape repeatedly, mixing first-insert
-  // compilation with cache hits; all observed pointers per shape must
-  // coincide and every capacity must match its placement count.
+  // compilation with cache hits, and fills the fixed problem on each
+  // placement it gets back; all observed pointers per shape must coincide,
+  // every capacity must match its placement count and every fill must
+  // match the single-threaded one.
   std::vector<std::vector<std::shared_ptr<const Embedding>>> cliques(kThreads);
   std::vector<std::vector<std::shared_ptr<const std::vector<Embedding>>>>
       parallels(kThreads);
   std::atomic<std::size_t> capacity_mismatches{0};
+  std::atomic<std::size_t> fill_mismatches{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t round = 0; round < kRounds; ++round) {
         // Stagger shape order per thread so first-compilations collide.
         for (std::size_t i = 0; i < shapes.size(); ++i) {
-          const std::size_t shape = shapes[(i + t) % shapes.size()];
+          const std::size_t s = (i + t) % shapes.size();
+          const std::size_t shape = shapes[s];
           const auto clique = cache.clique(shape);
           const auto parallel = cache.parallel(shape);
           if (cache.capacity(shape) != parallel->size()) ++capacity_mismatches;
+          if (!same_fill(embed(problems[s], *clique, params), clique_fills[s]) ||
+              !same_fill(embed(problems[s], parallel->back(), params), slot_fills[s]))
+            ++fill_mismatches;
           if (round == 0) {
             cliques[t].push_back(clique);
             parallels[t].push_back(parallel);
@@ -72,6 +120,7 @@ TEST(EmbeddingCacheTest, ConcurrentMixedShapeInsertAndLookupAgree) {
   for (std::thread& thread : threads) thread.join();
 
   EXPECT_EQ(capacity_mismatches.load(), 0u);
+  EXPECT_EQ(fill_mismatches.load(), 0u);
   for (const std::size_t shape : shapes) {
     const auto clique = cache.clique(shape);
     const auto parallel = cache.parallel(shape);

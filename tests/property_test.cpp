@@ -116,7 +116,7 @@ TEST(EmbeddingProperty, ChainIntactEnergiesAreAffineInLogicalEnergies) {
         .improved_range = rng.coin(),
     };
     const auto embedding = chimera::find_clique_embedding(n, graph);
-    const auto embedded = chimera::embed(logical, embedding, graph, params);
+    const auto embedded = chimera::embed(logical, embedding, params);
 
     const double chain_strength = params.improved_range ? 2.0 : 1.0;
     double chain_bonds = 0.0;
@@ -255,7 +255,7 @@ TEST(UnembedProperty, IntactChainsRecoverExactly) {
     const auto embedding = chimera::find_clique_embedding(n, graph);
     qubo::IsingModel logical(n);
     const auto embedded =
-        chimera::embed(logical, embedding, graph, chimera::EmbedParams{});
+        chimera::embed(logical, embedding, chimera::EmbedParams{});
 
     qubo::SpinVec logical_spins(n);
     qubo::SpinVec physical(embedded.physical.num_spins());
@@ -264,7 +264,7 @@ TEST(UnembedProperty, IntactChainsRecoverExactly) {
       for (const auto q : embedded.chains[i]) physical[q] = logical_spins[i];
     }
     std::size_t broken = 7;
-    EXPECT_EQ(chimera::unembed(physical, embedded, rng, &broken), logical_spins);
+    EXPECT_EQ(chimera::unembed(physical, embedded.chains, rng, &broken), logical_spins);
     EXPECT_EQ(broken, 0u);
   }
 }
