@@ -4,19 +4,17 @@
 // within the paper's 10 ms deadline are reported as "unreached" (the paper
 // restricts the plot to instances that reach 1e-6 within 10 ms).
 //
-// Each class's instances decode through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems, lane-local ChimeraAnnealers
-// sharing one shape-keyed embedding cache), as bench_fig9/fig15 do —
-// output is bit-identical at any --threads setting.
+// Each class's instances decode through one sim::run_instances sweep on a
+// single annealer whose shape-keyed embedding cache persists across the
+// classes, as in bench_fig9/fig15 — output is bit-identical at any
+// --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -41,24 +39,14 @@ int main(int argc, char** argv) {
       {18, Modulation::kQpsk}, {4, Modulation::kQam16}, {5, Modulation::kQam16}};
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  config.num_threads = threads;
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
   config.embed.jf = 0.5;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the factory builds.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(config);
 
   sim::print_columns({"class", "p5", "q1", "median", "q3", "p95", "reached"});
   for (const auto& [users, mod] : classes) {
@@ -68,7 +56,7 @@ int main(int argc, char** argv) {
       insts.push_back(sim::make_instance(
           {.users = users, .mod = mod, .kind = {}, .snr_db = {}}, rng));
     const std::vector<sim::RunOutcome> outcomes =
-        sim::run_instances(insts, batch, factory, num_anneals, rng);
+        sim::run_instances(insts, annealer, num_anneals, rng);
     std::vector<double> ttb_reached;
     std::size_t reached = 0;
     for (const sim::RunOutcome& outcome : outcomes) {

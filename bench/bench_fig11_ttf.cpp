@@ -6,20 +6,17 @@
 // 60-user BPSK / 18-user QPSK / 4-user 16-QAM, and sensitivity to frame
 // size is LOW (the curves for 50 B and 1,500 B stay close).
 //
-// Each (class, jf) sweep decodes through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems, lane-local ChimeraAnnealers
-// sharing one shape-keyed embedding cache — placements do not depend on
-// |J_F|, so the cache is shared across the whole jf grid as bench_fig5
-// does) — output is bit-identical at any --threads setting.
+// Each (class, jf) sweep decodes through sim::run_instances on one
+// annealer whose config is set per jf — placements do not depend on |J_F|,
+// so its shape-keyed embedding cache persists across the whole grid, as in
+// bench_fig5 — output is bit-identical at any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -42,18 +39,13 @@ int main(int argc, char** argv) {
   const std::vector<double> jf_grid{0.35, 0.5, 0.75};  // Opt searches these
 
   anneal::AnnealerConfig base;
-  base.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  base.num_threads = threads;
   base.batch_replicas = replicas;
   base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   base.schedule.pause_time_us = 1.0;
   base.embed.improved_range = true;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker across the whole jf sweep.
-  anneal::ChimeraAnnealer probe(base);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(base);
 
   for (const auto& [users, mod] : classes) {
     Rng rng{0xF171 + users * 11 + static_cast<std::size_t>(mod)};
@@ -67,13 +59,8 @@ int main(int argc, char** argv) {
     for (const double jf : jf_grid) {
       anneal::AnnealerConfig config = base;
       config.embed.jf = jf;
-      const auto factory = [&config,
-                            &cache]() -> std::unique_ptr<core::IsingSampler> {
-        auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-        annealer->set_embedding_cache(cache);
-        return annealer;
-      };
-      runs.push_back(sim::run_instances(insts, batch, factory, num_anneals, rng));
+      annealer.set_config(config);
+      runs.push_back(sim::run_instances(insts, annealer, num_anneals, rng));
     }
     sim::SweepMatrix ttf_1500;
     for (const auto& row : runs) {

@@ -7,19 +7,16 @@
 // the relative energy gap between rank 1 and rank 2 both grow; at 10 dB
 // the gap narrows to a few percent, "leaving minimal room for error".
 //
-// Each SNR's noise draws decode through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems, lane-local ChimeraAnnealers
-// sharing one shape-keyed embedding cache) — output is bit-identical at
-// any --threads setting.
+// Each SNR's noise draws decode through one sim::run_instances sweep on a
+// single annealer (one shape-keyed embedding cache for the whole run) —
+// output is bit-identical at any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -42,24 +39,14 @@ int main(int argc, char** argv) {
       18, 18, Modulation::kQpsk, wireless::ChannelKind::kRandomPhase, 40.0, rng);
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  config.num_threads = threads;
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
   config.embed.jf = 0.5;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the factory builds.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(config);
 
   sim::print_columns({"SNR dB", "P0 mean", "rank2 gap med", "BER(best) med",
                       "tx==ML frac"});
@@ -74,7 +61,7 @@ int main(int argc, char** argv) {
         ++tx_is_ml;
     }
     const std::vector<sim::RunOutcome> outcomes =
-        sim::run_instances(insts, batch, factory, num_anneals, rng);
+        sim::run_instances(insts, annealer, num_anneals, rng);
     for (const sim::RunOutcome& outcome : outcomes) {
       p0s.push_back(outcome.stats.p0());
       const auto& ranked = outcome.stats.ranked();

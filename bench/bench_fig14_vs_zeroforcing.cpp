@@ -8,19 +8,17 @@
 // faster, while the Sphere Decoder (comparable BER to QuAMax) cannot go
 // below a few hundred microseconds at these sizes.
 //
-// Each configuration's instances decode through the §4 multi-problem
-// runtime (ParallelBatchSampler::sample_problems, lane-local
-// ChimeraAnnealers sharing one shape-keyed embedding cache) — output is
-// bit-identical at any --threads setting.
+// Each configuration's instances decode through one sim::run_instances
+// sweep on a single annealer whose shape-keyed embedding cache persists
+// across the configurations — output is bit-identical at any --threads
+// setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/detect/linear.hpp"
 #include "quamax/detect/sphere.hpp"
 #include "quamax/sim/knobs.hpp"
@@ -53,25 +51,14 @@ int main(int argc, char** argv) {
       {14, Modulation::kQpsk, 11.0}, {16, Modulation::kQpsk, 11.0}};
 
   anneal::AnnealerConfig annealer_config;
-  annealer_config.num_threads = 1;  // the batch runtime spans instances
+  annealer_config.num_threads = threads;
   annealer_config.batch_replicas = replicas;
   annealer_config.accept_mode = accept_mode;
   annealer_config.schedule.anneal_time_us = 1.0;
   annealer_config.schedule.pause_time_us = 1.0;
   annealer_config.embed.improved_range = true;
   annealer_config.embed.jf = 0.5;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the factory builds.
-  anneal::ChimeraAnnealer probe(annealer_config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  const auto factory = [&annealer_config,
-                        &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(annealer_config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(annealer_config);
 
   sim::print_columns({"config", "ZF BER", "ZF time us", "QuAMax us",
                       "speedup", "QuAMax BER@ZFtime"});
@@ -101,7 +88,7 @@ int main(int argc, char** argv) {
                               .snr_db = config.snr_db},
                              rng, /*ml_oracle=*/false));
     const std::vector<sim::RunOutcome> outcomes =
-        sim::run_instances(insts, batch, factory, num_anneals, rng);
+        sim::run_instances(insts, annealer, num_anneals, rng);
     std::vector<double> ttb_to_zf, ber_at_zf_time;
     for (const sim::RunOutcome& outcome : outcomes) {
       ttb_to_zf.push_back(

@@ -7,20 +7,18 @@
 // same within an amortized ~2 us — i.e. the minimum Ta + Tp, enabled by
 // running many identical/different problems on the chip at once.
 //
-// This bench exercises the §4 multi-problem runtime end to end: all channel
-// uses of a sweep point decode through
-// ParallelBatchSampler::sample_problems (lane-local ChimeraAnnealer workers
-// sharing one shape-keyed embedding cache), with counter-derived per-problem
-// streams — so output is bit-identical at any --threads setting.
+// All channel uses of a sweep point decode through one sim::run_instances
+// sweep (ChimeraAnnealer::sample_each) on one annealer whose config is set
+// per |J_F|, so its shape-keyed embedding cache persists across the sweep;
+// per-problem streams are counter-derived — so output is bit-identical at
+// any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -43,19 +41,13 @@ int main(int argc, char** argv) {
   const std::vector<double> jf_grid{0.35, 0.5, 0.75};
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS problems
+  config.num_threads = threads;
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every worker the sweep's factories build.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(config);
 
   Rng rng{0xF175};
   for (const Modulation mod : {Modulation::kBpsk, Modulation::kQpsk}) {
@@ -69,13 +61,9 @@ int main(int argc, char** argv) {
     for (const double jf : jf_grid) {
       anneal::AnnealerConfig setting = config;
       setting.embed.jf = jf;
-      const auto factory = [&setting, &cache]() -> std::unique_ptr<core::IsingSampler> {
-        auto annealer = std::make_unique<anneal::ChimeraAnnealer>(setting);
-        annealer->set_embedding_cache(cache);
-        return annealer;
-      };
+      annealer.set_config(setting);
       const std::vector<sim::RunOutcome> outcomes =
-          sim::run_instances(insts, batch, factory, num_anneals, rng);
+          sim::run_instances(insts, annealer, num_anneals, rng);
 
       std::vector<double> ttb_row, ttf_row;
       for (const sim::RunOutcome& outcome : outcomes) {
@@ -98,7 +86,7 @@ int main(int argc, char** argv) {
                 wireless::to_string(mod).c_str(),
                 core::num_solution_variables(8, mod),
                 chimera::parallelization_factor(
-                    core::num_solution_variables(8, mod), probe.graph()));
+                    core::num_solution_variables(8, mod), annealer.graph()));
     sim::print_columns({"metric", "median us", "mean us", "p85 us"});
     const auto row = [&](const char* name, const std::vector<double>& v) {
       const Summary s = summarize(v);

@@ -8,18 +8,16 @@
 //   * as modulation order rises (and users fall), P0 drops;
 //   * higher-energy ranks can carry FEW bit errors (why TTB != TTS).
 //
-// All six instances share one 36-logical-qubit shape, so they decode in ONE
-// ParallelBatchSampler::sample_problems call (the §4 multi-problem runtime;
-// each lane's sampler cache compiles the clique embedding once) — output is
-// bit-identical at any --threads setting.
+// All six instances share one 36-logical-qubit shape and decode in ONE
+// sim::run_instances sweep (ChimeraAnnealer::sample_each; the clique
+// placement is compiled once) — output is bit-identical at any --threads
+// setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -57,24 +55,14 @@ int main(int argc, char** argv) {
                         " (paper: 50,000); Ta = 1 us, |J_F| Fix");
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  config.num_threads = threads;
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;  // the Fix default (§5.3.2)
   config.embed.improved_range = true;
   config.embed.jf = 0.35;  // Fix value serving all three modulations
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the factory builds.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(config);
 
   Rng rng{0xF164};
   std::vector<sim::Instance> insts;
@@ -90,7 +78,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nP0 trend across modulations (expect decreasing):");
   const std::vector<sim::RunOutcome> outcomes =
-      sim::run_instances(insts, batch, factory, num_anneals, rng);
+      sim::run_instances(insts, annealer, num_anneals, rng);
   for (std::size_t i = 0; i < insts.size(); ++i)
     print_outcome_report(insts[i], outcomes[i], static_cast<int>(i + 1));
 

@@ -9,20 +9,17 @@
 // see EXPERIMENTS.md.)
 //
 // Every (range, class, |J_F|) sweep point decodes its instances in ONE
-// ParallelBatchSampler::sample_problems call: lane-local workers share one
-// shape-keyed embedding cache (placements do not depend on |J_F| or the
-// range), and the per-instance broken-chain fraction is harvested through
-// the per-problem diagnostic hook — output is bit-identical at any
+// sim::run_instances sweep on one annealer whose config is set per point:
+// its shape-keyed embedding cache persists across the sweep (placements do
+// not depend on |J_F| or the range) — output is bit-identical at any
 // --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -53,17 +50,11 @@ int main(int argc, char** argv) {
       {18, Modulation::kQpsk}};
 
   anneal::AnnealerConfig base;
-  base.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  base.num_threads = threads;
   base.batch_replicas = replicas;
   base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker across the whole sweep (the
-  // placements depend only on the shape, never on |J_F| or the range).
-  anneal::ChimeraAnnealer probe(base);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(base);
 
   for (const bool improved : {false, true}) {
     std::printf("\n--- %s dynamic range ---\n",
@@ -85,14 +76,10 @@ int main(int argc, char** argv) {
         anneal::AnnealerConfig config = base;
         config.embed.improved_range = improved;
         config.embed.jf = jf;
-        const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-          auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-          annealer->set_embedding_cache(cache);
-          return annealer;
-        };
+        annealer.set_config(config);
 
         const std::vector<sim::RunOutcome> outcomes =
-            sim::run_instances(insts, batch, factory, num_anneals, rng);
+            sim::run_instances(insts, annealer, num_anneals, rng);
         std::vector<double> tts;
         double broken = 0.0;
         for (const sim::RunOutcome& outcome : outcomes) {

@@ -6,19 +6,17 @@
 // regardless of problem size — longer anneals raise per-anneal success
 // probability but not enough to pay for their own duration.
 //
-// Every (Ta, |J_F|) setting decodes all instances through the §4 multi-
-// problem runtime (ParallelBatchSampler::sample_problems, lane-local
-// ChimeraAnnealer workers sharing one shape-keyed embedding cache), as
-// bench_fig15 does — output is bit-identical at any --threads setting.
+// Every (Ta, |J_F|) setting decodes all instances through sim::run_instances
+// on one annealer whose config is set per setting, so its shape-keyed
+// embedding cache persists across the sweep, as in bench_fig15 — output is
+// bit-identical at any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -41,16 +39,11 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> user_grid{6, 12, 18};
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  config.num_threads = threads;
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.embed.improved_range = true;
-
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the sweep's factories build.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(config);
 
   for (const std::size_t users : user_grid) {
     Rng rng{0xF166 + users};
@@ -73,14 +66,9 @@ int main(int argc, char** argv) {
         anneal::AnnealerConfig setting = config;
         setting.schedule.anneal_time_us = ta;
         setting.embed.jf = jf;
-        const auto factory = [&setting,
-                              &cache]() -> std::unique_ptr<core::IsingSampler> {
-          auto annealer = std::make_unique<anneal::ChimeraAnnealer>(setting);
-          annealer->set_embedding_cache(cache);
-          return annealer;
-        };
+        annealer.set_config(setting);
         const std::vector<sim::RunOutcome> outcomes =
-            sim::run_instances(insts, batch, factory, num_anneals, rng);
+            sim::run_instances(insts, annealer, num_anneals, rng);
 
         std::vector<double> tts, p0;
         for (const sim::RunOutcome& outcome : outcomes) {

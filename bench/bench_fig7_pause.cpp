@@ -6,20 +6,18 @@
 // circle in the paper marks the best s_p); (2) as T_p grows, TTS grows —
 // the pause pays for itself only when short (the paper picks T_p = 1 us).
 //
-// Every sweep point decodes its instances in ONE
-// ParallelBatchSampler::sample_problems call with lane-local workers
-// sharing a single embedding cache (placements are schedule-independent) —
-// output is bit-identical at any --threads setting.
+// Every sweep point decodes its instances in ONE sim::run_instances sweep
+// on one annealer whose config is set per point, so its embedding cache
+// persists (placements are schedule-independent) — output is
+// bit-identical at any --threads setting.
 
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -43,31 +41,25 @@ int main(int argc, char** argv) {
         {.users = 18, .mod = Modulation::kQpsk, .kind = {}, .snr_db = {}}, rng));
 
   anneal::AnnealerConfig base;
-  base.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  base.num_threads = threads;
   base.batch_replicas = replicas;
   base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   base.embed.improved_range = true;
 
-  anneal::ChimeraAnnealer probe(base);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(base);
 
   // Median TTS across the instances for one (pause, |J_F|) setting, all
-  // instances decoded through one sample_problems fan-out.
+  // instances decoded through one run_instances sweep.
   const auto median_tts = [&](double tp, double sp, double jf) {
     anneal::AnnealerConfig config = base;
     config.schedule.pause_time_us = tp;
     config.schedule.pause_position = sp;
     config.embed.jf = jf;
-    const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-      auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-      annealer->set_embedding_cache(cache);
-      return annealer;
-    };
+    annealer.set_config(config);
     std::vector<double> tts;
     for (const sim::RunOutcome& outcome :
-         sim::run_instances(insts, batch, factory, num_anneals, rng))
+         sim::run_instances(insts, annealer, num_anneals, rng))
       tts.push_back(sim::outcome_tts_us(outcome));
     return median(tts);
   };

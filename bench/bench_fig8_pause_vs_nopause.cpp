@@ -8,19 +8,16 @@
 // though each pausing anneal takes (Ta + Tp) = 2x as long (paper §5.3.2) —
 // this is the experiment that led QuAMax to adopt the pause.
 //
-// Each setting decodes all instances in ONE
-// ParallelBatchSampler::sample_problems call with lane-local workers
-// sharing one embedding cache — output is bit-identical at any --threads
-// setting.
+// Each setting decodes all instances in ONE sim::run_instances sweep on
+// one annealer whose config is set per setting, so its embedding cache
+// persists — output is bit-identical at any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -61,18 +58,16 @@ int main(int argc, char** argv) {
   }
 
   anneal::AnnealerConfig base;
-  base.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  base.num_threads = threads;
   base.batch_replicas = replicas;
   base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   base.embed.improved_range = true;
 
-  anneal::ChimeraAnnealer probe(base);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(base);
 
   // Run every (setting, instance) pair once; Eq. 9 then evaluates any N_a.
-  // Each setting's instances decode through one sample_problems fan-out.
+  // Each setting's instances decode through one run_instances sweep.
   const auto run_settings = [&](const std::vector<Setting>& settings) {
     std::vector<std::vector<sim::RunOutcome>> outcomes;  // [setting][instance]
     for (const Setting& s : settings) {
@@ -80,13 +75,8 @@ int main(int argc, char** argv) {
       config.embed.jf = s.jf;
       config.schedule.pause_time_us = s.tp;
       config.schedule.pause_position = s.sp;
-      const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-        auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-        annealer->set_embedding_cache(cache);
-        return annealer;
-      };
-      outcomes.push_back(
-          sim::run_instances(insts, batch, factory, num_anneals, rng));
+      annealer.set_config(config);
+      outcomes.push_back(sim::run_instances(insts, annealer, num_anneals, rng));
     }
     return outcomes;
   };

@@ -23,10 +23,9 @@
 // receivers, not an annealer artifact (verified against BruteForceSampler
 // at 4x4 QPSK: optimal VPP is ABOVE ZF at 6 and 9 dB, below from 12 dB on).
 //
-// Instances decode through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems, lane-local ChimeraAnnealers
-// sharing one shape-keyed embedding cache) — bit-identical at any
-// --threads / --replicas setting.
+// Instances decode through ChimeraAnnealer::sample_each (one annealer, its
+// problems spread over --threads lanes sharing one shape-keyed embedding
+// cache) — bit-identical at any --threads / --replicas setting.
 //
 // `--json FILE` additionally writes a google-benchmark-shaped record
 // (one entry per experiment point, items_per_second = precoded payload
@@ -37,13 +36,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/error.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -68,13 +65,12 @@ struct PointResult {
   Point point;
 };
 
-/// Draws `count` instances of `cls`, decodes them best-of-N_a through the
-/// batch runtime with the v = 0 clip, and accumulates both decoders' errors.
+/// Draws `count` instances of `cls`, decodes them best-of-N_a through
+/// `annealer`'s sweep fan-out with the v = 0 clip, and accumulates both
+/// decoders' errors.
 PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
                       std::size_t count, std::size_t num_anneals,
-                      quamax::core::ParallelBatchSampler& batch,
-                      const quamax::core::ParallelBatchSampler::SamplerFactory&
-                          factory,
+                      quamax::anneal::ChimeraAnnealer& annealer,
                       quamax::Rng& rng) {
   using namespace quamax;
   std::vector<vpp::PrecodeInstance> instances;
@@ -88,7 +84,7 @@ PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<std::vector<qubo::SpinVec>> samples =
-      batch.sample_problems(factory, problems, num_anneals, rng);
+      annealer.sample_each(problems, num_anneals, rng);
   PointResult out;
   out.cls = cls;
   out.point.name = name;
@@ -182,7 +178,7 @@ int main(int argc, char** argv) {
                : ""));
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
+  config.num_threads = threads;
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
@@ -192,16 +188,7 @@ int main(int argc, char** argv) {
   // complement sign bit carries weight 2, so logical couplings span a wider
   // range than MIMO decode QUBOs and need stiffer chains).
   config.embed.jf = 1.0;
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache =
-      probe.embedding_cache();
-  const auto factory = [&config,
-                        &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  anneal::ChimeraAnnealer annealer(config);
 
   std::vector<Point> points;
   bool gate_ok = true;
@@ -238,7 +225,7 @@ int main(int argc, char** argv) {
               std::to_string(cell.antennas) + "_" +
               wireless::to_string(cell.mod) + "/snr" +
               std::to_string(static_cast<int>(snr)),
-          cls, instances, num_anneals, batch, factory, rng);
+          cls, instances, num_anneals, annealer, rng);
       // One-sided count test with a two-sigma binomial allowance: a real
       // regression at full scale overwhelms the sqrt-of-counts slack, while
       // at smoke QUAMAX_SCALE a handful of bit errors either way is
@@ -282,7 +269,7 @@ int main(int argc, char** argv) {
       const PointResult r =
           run_point("VPP/tau_sweep/tau" +
                         std::to_string(static_cast<int>(cls.tau * 100)),
-                    cls, instances, num_anneals, batch, factory, rng);
+                    cls, instances, num_anneals, annealer, rng);
       points.push_back(r.point);
       sim::print_row({sim::fmt_double(cls.tau, 2),
                       sim::fmt_ber(r.point.vpp_ber),

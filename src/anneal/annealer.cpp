@@ -120,6 +120,29 @@ std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& probl
   return kept;
 }
 
+std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_each(
+    const std::vector<const qubo::IsingModel*>& problems,
+    std::size_t num_anneals, Rng& rng, std::vector<double>* broken) {
+  for (const auto* p : problems)
+    require(p != nullptr, "sample_each: null problem pointer");
+  AnnealerConfig worker_config = config_;
+  worker_config.num_threads = 1;  // the lanes already split the problems
+  core::ParallelBatchSampler& lanes = batch();
+  std::vector<std::unique_ptr<ChimeraAnnealer>> workers(lanes.num_threads());
+  std::vector<std::vector<qubo::SpinVec>> results(problems.size());
+  if (broken != nullptr) broken->assign(problems.size(), 0.0);
+  lanes.run(problems.size(), rng, [&](std::size_t lane, std::size_t p, Rng& stream) {
+    std::unique_ptr<ChimeraAnnealer>& worker = workers[lane];
+    if (worker == nullptr) {
+      worker = std::make_unique<ChimeraAnnealer>(worker_config);
+      worker->set_embedding_cache(embeddings_);
+    }
+    results[p] = worker->sample(*problems[p], num_anneals, stream);
+    if (broken != nullptr) (*broken)[p] = worker->last_broken_chain_fraction();
+  });
+  return results;
+}
+
 std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch(
     const std::vector<const qubo::IsingModel*>& problems,
     std::size_t num_anneals, Rng& rng) {

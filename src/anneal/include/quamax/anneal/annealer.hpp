@@ -85,6 +85,21 @@ class ChimeraAnnealer final : public core::IsingSampler {
   std::vector<qubo::SpinVec> sample(const qubo::IsingModel& problem,
                                     std::size_t num_anneals, Rng& rng) override;
 
+  /// The sweep fan-out behind the Fig. 4-15 benches: draws problem p
+  /// `num_anneals` times with sample() on stream Rng::for_stream(key, p),
+  /// where key is ONE draw from `rng`, and returns the sample sets in input
+  /// order.  Problems may differ in shape; each is annealed on its own
+  /// clique placement (this is not the §4 wave path — see sample_batch).
+  /// The problems spread over config().num_threads lanes, each running a
+  /// private worker annealer with this configuration at one lane, sharing
+  /// this annealer's embedding cache.  sample() is pure in (problem,
+  /// num_anneals, stream), so the result is bit-identical at any lane count
+  /// and equals per-problem sample() calls on a fresh annealer.  `broken`,
+  /// when non-null, receives each problem's last_broken_chain_fraction().
+  std::vector<std::vector<qubo::SpinVec>> sample_each(
+      const std::vector<const qubo::IsingModel*>& problems,
+      std::size_t num_anneals, Rng& rng, std::vector<double>* broken = nullptr);
+
   /// Paper §4 parallelization, realized: decodes MANY same-size problems
   /// (e.g. different subcarriers) per anneal batch by placing disjoint
   /// clique embeddings across the chip and annealing them together.  Every

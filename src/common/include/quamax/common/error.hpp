@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace quamax {
 
@@ -31,9 +32,11 @@ class CapacityError : public Error {
   using Error::Error;
 };
 
-/// Throws InvalidArgument with `message` unless `condition` holds.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+/// Throws InvalidArgument with `message` unless `condition` holds.  The
+/// message is a view so a passing check on a hot path (a literal message)
+/// builds no string; the owning copy is made only when throwing.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) throw InvalidArgument(std::string(message));
 }
 
 }  // namespace quamax

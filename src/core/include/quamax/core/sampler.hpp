@@ -24,8 +24,8 @@ class IsingSampler {
   /// Concurrency contract: sampler instances are stateful (embedding
   /// caches, diagnostics) and need NOT be safe for concurrent sample()
   /// calls; multi-problem fan-out goes through
-  /// ParallelBatchSampler::sample_problems, which gives each worker lane a
-  /// private instance.  Implementations parallelize INTERNALLY over their
+  /// anneal::ChimeraAnnealer::sample_each, which gives each worker lane a
+  /// private annealer.  Implementations parallelize INTERNALLY over their
   /// anneal loop (see AnnealerConfig::num_threads), and must draw all
   /// randomness through counter-derived streams of `rng` so that output is
   /// bit-identical for a fixed seed at any thread count.

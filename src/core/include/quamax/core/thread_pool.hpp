@@ -43,10 +43,10 @@ class ThreadPool {
   /// Lane-aware variant: runs body(lane, i) where `lane` identifies the
   /// executing lane (0 = the calling thread, 1..size()-1 = workers).  At any
   /// moment each lane value is held by exactly one thread, so bodies may use
-  /// lane-indexed scratch (e.g. ParallelBatchSampler's lane-local sampler
-  /// cache) without synchronization.  Lane-to-index assignment is a runtime
-  /// race — determinism remains the caller's contract: results must not
-  /// depend on WHICH lane ran an index.
+  /// lane-indexed scratch (e.g. ChimeraAnnealer::sample_each's lane-local
+  /// worker annealers) without synchronization.  Lane-to-index assignment
+  /// is a runtime race — determinism remains the caller's contract: results
+  /// must not depend on WHICH lane ran an index.
   void parallel_for_lanes(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);

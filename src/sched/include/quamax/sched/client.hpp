@@ -56,9 +56,8 @@ class SchedClient {
   double now_us() const noexcept { return scheduler_.now_us(); }
   std::size_t submitted() const noexcept { return scheduler_.num_submitted(); }
 
-  /// Streams one job in (non-decreasing arrival order) — either direction,
-  /// implicitly converted from a DecodeJob or PrecodeJob.  Advances the
-  /// virtual clock to the job's arrival.  Throws CapacityError when no
+  /// Streams one job in (non-decreasing arrival order) — either direction.
+  /// Advances the virtual clock to the job's arrival.  Throws CapacityError when no
   /// device can embed the job's shape.
   Ticket submit(serve::CellJob job);
 

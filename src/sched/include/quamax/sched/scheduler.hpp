@@ -192,11 +192,10 @@ class Scheduler {
   /// num_anneals when 0).
   std::size_t warm_quota() const;
 
-  /// Stages one job — either direction, implicitly converted from a
-  /// DecodeJob or PrecodeJob — and advances the virtual clock to its
-  /// arrival (rounds strictly before it are dispatched first).  Jobs must
-  /// be submitted in non-decreasing arrival order — the scheduler cannot
-  /// dispatch into a past an unseen job should have joined.  Returns the
+  /// Stages one job — either direction — and advances the virtual clock
+  /// to its arrival (rounds strictly before it are dispatched first).  Jobs
+  /// must be submitted in non-decreasing arrival order — the scheduler
+  /// cannot dispatch into a past an unseen job should have joined.  Returns the
   /// job's sequence number (the ticket index).  Throws CapacityError when
   /// no device in the pool can embed the job's shape.
   std::size_t submit(serve::CellJob job);

@@ -6,10 +6,10 @@
 //
 //   * uplink — every (user group, subframe) pair yields one ML detection
 //     problem that must be decoded within a HARQ-style latency budget
-//     (DecodeJob, a reduced sim::Instance);
+//     (a reduced sim::Instance);
 //   * downlink — every subframe's transmit vector yields one
 //     vector-perturbation precoding problem that must be solved before the
-//     subframe goes to air (PrecodeJob, a reduced vpp::PrecodeInstance).
+//     subframe goes to air (a reduced vpp::PrecodeInstance).
 //
 // Both are "minimize an Ising objective within a deadline", so one
 // sched::Scheduler serves them from one device pool: CellJob is the
@@ -35,67 +35,25 @@ namespace quamax::serve {
 /// Which half of the cell a job belongs to.
 enum class Direction : std::uint8_t { kUplink, kDownlink };
 
-/// One (user stream, subframe) uplink detection job awaiting decode.
-struct DecodeJob {
-  std::size_t id = 0;    ///< unique per service run; indexes RNG streams
-  std::size_t user = 0;  ///< originating uplink stream / base station
-  sim::Instance instance;  ///< channel use + reduced Ising problem + truth
-  double arrival_us = 0.0;   ///< release time (virtual clock, microseconds)
-  double deadline_us = 0.0;  ///< absolute completion deadline (virtual clock)
-  /// Coherence chain: the previous subframe of this user's coherence block
-  /// (same channel H, same payload — a HARQ-style retransmission under
-  /// fresh noise), whose decoded configuration is a valid warm-start seed
-  /// for this job.  Engaged only by coherent workloads
-  /// (LoadConfig::coherence > 0); the scheduler warm-starts off it when
-  /// the predecessor completed before this job's dispatch.
-  std::optional<std::size_t> predecessor;
-
-  /// Problem shape — the wave-packing compatibility key: only jobs with the
-  /// same logical variable count share a chip wave.
-  std::size_t shape() const { return instance.num_vars(); }
-};
-
-/// One subframe's downlink precoding job awaiting a perturbation vector.
-struct PrecodeJob {
-  std::size_t id = 0;
-  std::size_t user = 0;  ///< destination user group / base station
-  vpp::PrecodeInstance instance;  ///< precoder + payload + reduced problem
-  double arrival_us = 0.0;
-  double deadline_us = 0.0;
-
-  std::size_t shape() const { return instance.num_vars(); }
-};
-
 /// The scheduler's unit of work: either direction, one interface.  The
 /// common timing fields stay public data (the engine reads them in its
 /// inner loops); the payload is a closed variant, so routing, packing, and
 /// policy code stay direction-blind while decode branches on direction().
 struct CellJob {
-  std::size_t id = 0;
-  std::size_t user = 0;
-  double arrival_us = 0.0;
-  double deadline_us = 0.0;
-  /// Coherence-chain predecessor (see DecodeJob::predecessor); always
-  /// disengaged for downlink jobs.
+  std::size_t id = 0;    ///< unique per service run; indexes RNG streams
+  std::size_t user = 0;  ///< originating uplink stream / destination group
+  double arrival_us = 0.0;   ///< release time (virtual clock, microseconds)
+  double deadline_us = 0.0;  ///< absolute completion deadline (virtual clock)
+  /// Coherence chain (uplink only): the previous subframe of this user's
+  /// coherence block (same channel H, same payload — a HARQ-style
+  /// retransmission under fresh noise), whose decoded configuration is a
+  /// valid warm-start seed for this job.  Engaged only by coherent
+  /// workloads (LoadConfig::coherence > 0); the scheduler warm-starts off
+  /// it when the predecessor completed before this job's dispatch.
   std::optional<std::size_t> predecessor;
+  /// Uplink: channel use + reduced Ising problem + truth.  Downlink:
+  /// precoder + payload + reduced problem.
   std::variant<sim::Instance, vpp::PrecodeInstance> payload;
-
-  CellJob() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): a DecodeJob IS a CellJob.
-  CellJob(DecodeJob job)
-      : id(job.id),
-        user(job.user),
-        arrival_us(job.arrival_us),
-        deadline_us(job.deadline_us),
-        predecessor(job.predecessor),
-        payload(std::move(job.instance)) {}
-  // NOLINTNEXTLINE(google-explicit-constructor): a PrecodeJob IS a CellJob.
-  CellJob(PrecodeJob job)
-      : id(job.id),
-        user(job.user),
-        arrival_us(job.arrival_us),
-        deadline_us(job.deadline_us),
-        payload(std::move(job.instance)) {}
 
   Direction direction() const {
     return payload.index() == 0 ? Direction::kUplink : Direction::kDownlink;

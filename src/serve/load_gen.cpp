@@ -197,26 +197,24 @@ CellJob LoadGenerator::job(std::size_t id, std::size_t user, double release_us) 
             "LoadGenerator: coherent chains key users by id; pass "
             "user = id % users");
   if (is_downlink(id)) {
-    PrecodeJob out;
-    out.id = id;
-    out.user = user;
     Rng stream = Rng::for_stream(downlink_key_, id);
-    out.instance = vpp::make_precode_instance(config_.downlink, stream,
-                                              config_.downlink_opt_oracle);
-    out.arrival_us = release_us;
-    out.deadline_us = release_us + (config_.downlink_deadline_us > 0.0
-                                        ? config_.downlink_deadline_us
-                                        : config_.deadline_us);
-    return CellJob(std::move(out));
+    return CellJob{.id = id,
+                   .user = user,
+                   .arrival_us = release_us,
+                   .deadline_us = release_us + (config_.downlink_deadline_us > 0.0
+                                                    ? config_.downlink_deadline_us
+                                                    : config_.deadline_us),
+                   .predecessor = std::nullopt,
+                   .payload = vpp::make_precode_instance(
+                       config_.downlink, stream, config_.downlink_opt_oracle)};
   }
-  DecodeJob out;
-  out.id = id;
-  out.user = user;
-  out.instance = instance_for(id);
-  out.arrival_us = release_us;
-  out.deadline_us = release_us + config_.deadline_us;
-  out.predecessor = predecessor(id);
-  return CellJob(std::move(out));
+  sim::Instance instance = instance_for(id);
+  return CellJob{.id = id,
+                 .user = user,
+                 .arrival_us = release_us,
+                 .deadline_us = release_us + config_.deadline_us,
+                 .predecessor = predecessor(id),
+                 .payload = std::move(instance)};
 }
 
 }  // namespace quamax::serve

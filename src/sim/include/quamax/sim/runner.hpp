@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/metrics/solution_stats.hpp"
 #include "quamax/sim/instance.hpp"
 
@@ -27,19 +26,15 @@ struct RunOutcome {
 RunOutcome run_instance(const Instance& instance, core::IsingSampler& sampler,
                         std::size_t num_anneals, Rng& rng);
 
-/// The §4 multi-problem path: decodes all `instances` through
-/// ParallelBatchSampler::sample_problems — instance p is drawn `num_anneals`
-/// times with counter-derived stream p by a lane-local sampler built by
-/// `factory` — and assembles one RunOutcome per instance exactly as
-/// per-instance run_instance calls would, including the per-instance
-/// broken-chain fraction (harvested through the sampler's per-problem
-/// diagnostic hook when the factory produces ChimeraAnnealers).  Per-anneal
-/// duration and P_f come from a probe sampler built once by `factory`.
-/// Results are bit-identical at any batch thread count.
-std::vector<RunOutcome> run_instances(
-    const std::vector<Instance>& instances, core::ParallelBatchSampler& batch,
-    const core::ParallelBatchSampler::SamplerFactory& factory,
-    std::size_t num_anneals, Rng& rng);
+/// The sweep path: decodes all `instances` through
+/// ChimeraAnnealer::sample_each — instance p is drawn `num_anneals` times
+/// with counter-derived stream p on the annealer's lanes — and builds one
+/// RunOutcome per instance exactly as per-instance run_instance calls on a
+/// fresh one-lane annealer would, broken-chain fraction included.  Results
+/// are bit-identical at any config().num_threads.
+std::vector<RunOutcome> run_instances(const std::vector<Instance>& instances,
+                                      anneal::ChimeraAnnealer& annealer,
+                                      std::size_t num_anneals, Rng& rng);
 
 /// TTS(0.99) of one outcome, +inf when the ground state was never sampled.
 double outcome_tts_us(const RunOutcome& outcome, double confidence = 0.99);

@@ -3,75 +3,60 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "quamax/common/error.hpp"
 #include "quamax/common/stats.hpp"
 
 namespace quamax::sim {
 
-RunOutcome run_instance(const Instance& instance, core::IsingSampler& sampler,
-                        std::size_t num_anneals, Rng& rng) {
-  const std::vector<qubo::SpinVec> samples =
-      sampler.sample(instance.problem.ising, num_anneals, rng);
+namespace {
+
+/// One instance's samples -> its RunOutcome, with stats anchored at the
+/// instance's ground-state energy.
+RunOutcome make_outcome(const Instance& instance,
+                        const std::vector<qubo::SpinVec>& samples,
+                        const core::IsingSampler& sampler,
+                        double broken_chain_fraction) {
   std::vector<double> energies;
   energies.reserve(samples.size());
   for (const auto& s : samples) energies.push_back(instance.problem.ising.energy(s));
-
-  RunOutcome outcome{
+  return RunOutcome{
       .stats = metrics::SolutionStats::build(samples, energies, instance.use.tx_bits,
                                              instance.use.h.cols(), instance.use.mod,
                                              instance.ground_energy),
       .duration_us = sampler.anneal_duration_us(),
       .parallel_factor = sampler.parallelization_factor(instance.num_vars()),
-      .broken_chain_fraction = 0.0,
+      .broken_chain_fraction = broken_chain_fraction,
   };
-  if (const auto* chimera = dynamic_cast<const anneal::ChimeraAnnealer*>(&sampler))
-    outcome.broken_chain_fraction = chimera->last_broken_chain_fraction();
-  return outcome;
 }
 
-std::vector<RunOutcome> run_instances(
-    const std::vector<Instance>& instances, core::ParallelBatchSampler& batch,
-    const core::ParallelBatchSampler::SamplerFactory& factory,
-    std::size_t num_anneals, Rng& rng) {
+}  // namespace
+
+RunOutcome run_instance(const Instance& instance, core::IsingSampler& sampler,
+                        std::size_t num_anneals, Rng& rng) {
+  const std::vector<qubo::SpinVec> samples =
+      sampler.sample(instance.problem.ising, num_anneals, rng);
+  const auto* chimera = dynamic_cast<const anneal::ChimeraAnnealer*>(&sampler);
+  return make_outcome(instance, samples, sampler,
+                      chimera != nullptr ? chimera->last_broken_chain_fraction()
+                                         : 0.0);
+}
+
+std::vector<RunOutcome> run_instances(const std::vector<Instance>& instances,
+                                      anneal::ChimeraAnnealer& annealer,
+                                      std::size_t num_anneals, Rng& rng) {
   std::vector<const qubo::IsingModel*> problems;
   problems.reserve(instances.size());
   for (const Instance& instance : instances)
     problems.push_back(&instance.problem.ising);
-
-  // Per-problem diagnostic tap: the lane-local sampler cache reuses one
-  // annealer for many problems, so the broken-chain fraction must be read
-  // right after each problem's draw, before the next overwrites it.
-  std::vector<double> broken(instances.size(), 0.0);
-  const auto harvest = [&broken](std::size_t p, core::IsingSampler& sampler) {
-    if (const auto* chimera = dynamic_cast<const anneal::ChimeraAnnealer*>(&sampler))
-      broken[p] = chimera->last_broken_chain_fraction();
-  };
-
+  std::vector<double> broken;
   const std::vector<std::vector<qubo::SpinVec>> samples =
-      batch.sample_problems(factory, problems, num_anneals, rng, harvest);
+      annealer.sample_each(problems, num_anneals, rng, &broken);
 
-  // duration and P_f are configuration properties, identical across the
-  // factory's products — one probe serves every outcome.
-  const std::unique_ptr<core::IsingSampler> probe = factory();
   std::vector<RunOutcome> outcomes;
   outcomes.reserve(instances.size());
-  for (std::size_t p = 0; p < instances.size(); ++p) {
-    const Instance& instance = instances[p];
-    std::vector<double> energies;
-    energies.reserve(samples[p].size());
-    for (const auto& s : samples[p])
-      energies.push_back(instance.problem.ising.energy(s));
-    outcomes.push_back(RunOutcome{
-        .stats = metrics::SolutionStats::build(
-            samples[p], energies, instance.use.tx_bits, instance.use.h.cols(),
-            instance.use.mod, instance.ground_energy),
-        .duration_us = probe->anneal_duration_us(),
-        .parallel_factor = probe->parallelization_factor(instance.num_vars()),
-        .broken_chain_fraction = broken[p],
-    });
-  }
+  for (std::size_t p = 0; p < instances.size(); ++p)
+    outcomes.push_back(make_outcome(instances[p], samples[p], annealer, broken[p]));
   return outcomes;
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
@@ -252,32 +251,35 @@ TEST(BatchReplicaTest, RunBlocksHandsOutRunStreams) {
   }
 }
 
-TEST(BatchReplicaTest, SamplerCacheMatchesUncachedPath) {
-  // The lane-local sampler cache must be invisible in the results: cached
-  // sample_problems runs equal a fresh sampler per problem drawn with
-  // stream p, including when several problems share a shape and one
-  // sampler serves them all.
+TEST(BatchReplicaTest, SampleEachMatchesFreshAnnealers) {
+  // The lane workers and their shared embedding cache must be invisible in
+  // the results: sample_each runs equal a fresh annealer per problem drawn
+  // with stream p, including when several problems share a shape and one
+  // worker serves them all, and the broken-chain fractions match too.
   const qubo::IsingModel p0 = random_clique(9, 0xB00B);
   const qubo::IsingModel p1 = random_clique(9, 0xB00C);
   const qubo::IsingModel p2 = random_clique(12, 0xB00D);
   const qubo::IsingModel p3 = random_clique(9, 0xB00E);
   const std::vector<const qubo::IsingModel*> problems{&p0, &p1, &p2, &p3};
-  const auto factory = [] {
-    anneal::AnnealerConfig config;
-    config.schedule.anneal_time_us = 2.0;
-    return std::make_unique<anneal::ChimeraAnnealer>(config);
-  };
+  anneal::AnnealerConfig config;
+  config.schedule.anneal_time_us = 2.0;
 
   Rng probe{4242};
   const std::uint64_t key = probe();
   for (const std::size_t threads : {1ul, 3ul}) {
-    core::ParallelBatchSampler batch(threads);
+    config.num_threads = threads;
+    anneal::ChimeraAnnealer annealer(config);
     Rng rng{4242};
-    const auto cached = batch.sample_problems(factory, problems, 15, rng);
+    std::vector<double> broken;
+    const auto cached = annealer.sample_each(problems, 15, rng, &broken);
     ASSERT_EQ(cached.size(), problems.size());
+    ASSERT_EQ(broken.size(), problems.size());
     for (std::size_t p = 0; p < problems.size(); ++p) {
       Rng stream = Rng::for_stream(key, p);
-      EXPECT_EQ(cached[p], factory()->sample(*problems[p], 15, stream))
+      anneal::ChimeraAnnealer fresh(config);
+      EXPECT_EQ(cached[p], fresh.sample(*problems[p], 15, stream))
+          << "threads " << threads << " problem " << p;
+      EXPECT_EQ(broken[p], fresh.last_broken_chain_fraction())
           << "threads " << threads << " problem " << p;
     }
   }

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -97,7 +96,7 @@ TEST(ParallelBatchSamplerTest, RunAdvancesCallerRngIdenticallyForAnyThreadCount)
   for (const std::size_t threads : {1ul, 2ul, 8ul}) {
     core::ParallelBatchSampler batch(threads);
     Rng rng{555};
-    batch.run(100, rng, [](std::size_t, Rng&) {});
+    batch.run(100, rng, [](std::size_t, std::size_t, Rng&) {});
     next_draw.push_back(rng());
   }
   EXPECT_EQ(next_draw[1], next_draw[0]);
@@ -108,32 +107,38 @@ TEST(ParallelBatchSamplerTest, RunCoversEveryIndexExactlyOnce) {
   core::ParallelBatchSampler batch(8);
   std::vector<std::atomic<int>> hits(257);
   for (auto& h : hits) h = 0;
+  std::atomic<bool> lanes_in_range{true};
   Rng rng{1};
-  batch.run(hits.size(), rng, [&](std::size_t a, Rng&) { ++hits[a]; });
+  batch.run(hits.size(), rng, [&](std::size_t lane, std::size_t a, Rng&) {
+    if (lane >= batch.num_threads()) lanes_in_range = false;
+    ++hits[a];
+  });
+  EXPECT_TRUE(lanes_in_range);
   for (std::size_t a = 0; a < hits.size(); ++a) EXPECT_EQ(hits[a], 1);
 }
 
-TEST(ParallelBatchSamplerTest, SampleProblemsMatchesPerProblemStreams) {
-  // sample_problems(p) must equal sampling problem p alone with stream p —
-  // the per-problem decomposition is part of the determinism contract.
+TEST(ParallelBatchSamplerTest, SampleEachMatchesPerProblemStreams) {
+  // sample_each(p) must equal sampling problem p alone with stream p — the
+  // per-problem decomposition is part of the determinism contract.
   const qubo::IsingModel p0 = random_problem(10, 11);
   const qubo::IsingModel p1 = random_problem(10, 12);
   const std::vector<const qubo::IsingModel*> problems{&p0, &p1};
-  const auto factory = [] {
-    return std::make_unique<anneal::LogicalAnnealer>(anneal::LogicalAnnealerConfig{});
-  };
 
-  core::ParallelBatchSampler batch(4);
+  anneal::AnnealerConfig config;
+  config.num_threads = 4;
+  anneal::ChimeraAnnealer annealer(config);
   Rng rng{77};
-  const auto batched = batch.sample_problems(factory, problems, 30, rng);
+  const auto batched = annealer.sample_each(problems, 30, rng);
   ASSERT_EQ(batched.size(), 2u);
 
   Rng probe{77};
   const std::uint64_t key = probe();
+  EXPECT_EQ(rng(), probe()) << "sample_each must draw exactly one key";
+  config.num_threads = 1;
   for (std::size_t p = 0; p < problems.size(); ++p) {
     Rng stream = Rng::for_stream(key, p);
-    const auto solo = factory()->sample(*problems[p], 30, stream);
-    EXPECT_EQ(batched[p], solo) << "problem " << p;
+    anneal::ChimeraAnnealer solo(config);
+    EXPECT_EQ(batched[p], solo.sample(*problems[p], 30, stream)) << "problem " << p;
   }
 }
 
@@ -141,7 +146,7 @@ TEST(ParallelBatchSamplerTest, PropagatesJobExceptions) {
   core::ParallelBatchSampler batch(4);
   Rng rng{3};
   EXPECT_THROW(batch.run(64, rng,
-                         [](std::size_t a, Rng&) {
+                         [](std::size_t, std::size_t a, Rng&) {
                            if (a == 13) throw std::runtime_error("boom");
                          }),
                std::runtime_error);

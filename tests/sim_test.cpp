@@ -85,6 +85,75 @@ TEST(RunnerTest, BruteForceOracleYieldsPerfectOutcome) {
   ASSERT_TRUE(ttb.has_value());
 }
 
+void expect_same_outcome(const RunOutcome& got, const RunOutcome& want) {
+  EXPECT_EQ(got.duration_us, want.duration_us);
+  EXPECT_EQ(got.parallel_factor, want.parallel_factor);
+  EXPECT_EQ(got.broken_chain_fraction, want.broken_chain_fraction);
+  EXPECT_EQ(got.stats.total_anneals(), want.stats.total_anneals());
+  EXPECT_EQ(got.stats.num_bits(), want.stats.num_bits());
+  EXPECT_EQ(got.stats.min_energy(), want.stats.min_energy());
+  EXPECT_EQ(got.stats.p0(), want.stats.p0());
+  ASSERT_EQ(got.stats.ranked().size(), want.stats.ranked().size());
+  for (std::size_t r = 0; r < want.stats.ranked().size(); ++r) {
+    const metrics::RankedSolution& g = got.stats.ranked()[r];
+    const metrics::RankedSolution& w = want.stats.ranked()[r];
+    EXPECT_EQ(g.spins, w.spins) << "rank " << r;
+    EXPECT_EQ(g.energy, w.energy) << "rank " << r;
+    EXPECT_EQ(g.count, w.count) << "rank " << r;
+    EXPECT_EQ(g.probability, w.probability) << "rank " << r;
+    EXPECT_EQ(g.bit_errors, w.bit_errors) << "rank " << r;
+    EXPECT_EQ(g.relative_gap, w.relative_gap) << "rank " << r;
+  }
+}
+
+TEST(RunnerTest, RunInstancesEqualsPerInstanceStreams) {
+  // Instance p of run_instances must equal run_instance on a fresh one-lane
+  // annealer drawn with stream p, field for field, at any lane count, with
+  // mixed shapes, and after set_config swaps |J_F| between calls.
+  Rng gen{6};
+  std::vector<Instance> insts;
+  for (const auto& [users, mod] :
+       {std::pair<std::size_t, Modulation>{4, Modulation::kBpsk},
+        {3, Modulation::kQpsk},
+        {4, Modulation::kBpsk},
+        {3, Modulation::kQpsk}})
+    insts.push_back(
+        make_instance({.users = users, .mod = mod, .kind = {}, .snr_db = {}}, gen));
+
+  anneal::AnnealerConfig config;
+  config.schedule.anneal_time_us = 2.0;
+  for (const std::size_t lanes : {1ul, 3ul}) {
+    config.num_threads = lanes;
+    anneal::ChimeraAnnealer annealer(config);
+    Rng rng{8};
+    for (const double jf : {0.1, 1.0}) {
+      anneal::AnnealerConfig setting = config;
+      setting.embed.jf = jf;
+      annealer.set_config(setting);
+      Rng key_rng = rng;
+      const std::uint64_t key = key_rng();
+      const std::vector<RunOutcome> outcomes = run_instances(insts, annealer, 40, rng);
+      ASSERT_EQ(outcomes.size(), insts.size());
+      EXPECT_EQ(rng(), key_rng()) << "run_instances must draw exactly one key";
+      if (jf < 0.5) {  // weak chains break, so the fraction is really compared
+        double broken = 0.0;
+        for (const RunOutcome& outcome : outcomes)
+          broken += outcome.broken_chain_fraction;
+        EXPECT_GT(broken, 0.0);
+      }
+
+      setting.num_threads = 1;
+      for (std::size_t p = 0; p < insts.size(); ++p) {
+        SCOPED_TRACE("lanes " + std::to_string(lanes) + " jf " +
+                     std::to_string(jf) + " instance " + std::to_string(p));
+        anneal::ChimeraAnnealer fresh(setting);
+        Rng stream = Rng::for_stream(key, p);
+        expect_same_outcome(outcomes[p], run_instance(insts[p], fresh, 40, stream));
+      }
+    }
+  }
+}
+
 TEST(SweepTest, FixAndOptAggregation) {
   // 3 settings x 4 instances.
   const SweepMatrix matrix{
