@@ -12,17 +12,24 @@
 //     can embed its shape, and unroutable shapes are rejected at submit;
 //   * DeviceSet keys embedding caches by topology: identical devices share
 //     one cache, defect-distinct devices get their own.
+//   * the served bytes — decode fields and the wave log — are pinned by
+//     hash on cold, warm, downlink and fault-ladder workloads, at any lane
+//     count and collect() cadence.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "quamax/fault/plan.hpp"
 #include "quamax/sched/client.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
@@ -277,6 +284,173 @@ TEST(SchedTest, SubmitRequiresMonotoneArrivals) {
   sched::SchedClient client(fast_sched());
   client.submit(gen.job(0, 0, 100.0));
   EXPECT_THROW(client.submit(gen.job(1, 1, 50.0)), InvalidArgument);
+}
+
+/// FNV-1a fingerprint of everything a scheduler serves: every JobRecord
+/// field — the decode fields (bit_errors, num_bits, ground_state) included —
+/// and the whole wave log (membership, warm seeds, timing, failures).
+std::string served_hash(const sched::Scheduler& scheduler) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const char* format, auto... args) {
+    char buf[256];
+    const int n = std::snprintf(buf, sizeof buf, format, args...);
+    for (int i = 0; i < n; ++i) {
+      h ^= static_cast<unsigned char>(buf[i]);
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const serve::JobRecord& r : scheduler.records())
+    mix("J%zu u%zu %d w%zu a%.17g d%.17g c%.17g l%.17g %d%d%d r%zu "
+        "e%zu/%zu g%d",
+        r.job_id, r.user, static_cast<int>(r.direction), r.wave_id,
+        r.arrival_us, r.dispatch_us, r.completion_us, r.deadline_us,
+        int{r.dropped}, int{r.fallback}, int{r.failed}, r.retries,
+        r.bit_errors, r.num_bits, int{r.ground_state});
+  for (const serve::Wave& w : scheduler.waves()) {
+    mix("W%zu s%zu D%zu d%.17g c%.17g m%d f%d %.17g:", w.id, w.shape, w.device,
+        w.dispatch_us, w.completion_us, int{w.warm}, int{w.failed}, w.fail_us);
+    for (const std::size_t seq : w.jobs) mix(" %zu", seq);
+    for (const std::size_t seq : w.seeds) mix(" <%zu", seq);
+  }
+  char out[17];
+  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
+  return out;
+}
+
+/// Serves `jobs` through one Scheduler, run to completion.  With
+/// `collect_every` > 0 the driver streams: collect(now) after every
+/// `collect_every` submits, then finish() and collect(+inf); every job must
+/// be delivered exactly once either way.
+std::unique_ptr<sched::Scheduler> serve_all(
+    const sched::SchedConfig& cfg, const std::vector<serve::CellJob>& jobs,
+    std::size_t collect_every = 0) {
+  auto scheduler = std::make_unique<sched::Scheduler>(cfg);
+  std::vector<std::size_t> delivered;
+  const auto take = [&delivered](const std::vector<std::size_t>& seqs) {
+    delivered.insert(delivered.end(), seqs.begin(), seqs.end());
+  };
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    scheduler->submit(jobs[i]);
+    if (collect_every > 0 && (i + 1) % collect_every == 0)
+      take(scheduler->collect(scheduler->now_us()));
+  }
+  scheduler->finish();
+  take(scheduler->collect(std::numeric_limits<double>::infinity()));
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered.size(), jobs.size());
+  for (std::size_t seq = 0; seq < delivered.size(); ++seq)
+    EXPECT_EQ(delivered[seq], seq);
+  return scheduler;
+}
+
+// Pins the served decode bytes — not just the timeline — on four workloads
+// that together reach every decode path: cold packed waves on two devices,
+// warm (reverse-annealed) waves at a cut quota, downlink VPP, and the fault
+// ladder (defect growth mid-run, failed waves, retries, ZF fallback).  Each
+// runs at 1 and 3 lanes; the warm workload also streams with a collect()
+// every 3 submits.  Every run must reproduce the same hash.
+TEST(SchedTest, DecodeRecordsArePinned) {
+  // Checks every run of one workload against `expected` and returns the
+  // one-lane drain-only run for workload-specific assertions.
+  const auto check = [](const char* what, sched::SchedConfig cfg,
+                        const std::vector<serve::CellJob>& jobs,
+                        const char* expected, std::size_t collect_every = 0) {
+    std::unique_ptr<sched::Scheduler> first;
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+      cfg.num_threads = lanes;
+      std::unique_ptr<sched::Scheduler> run = serve_all(cfg, jobs);
+      EXPECT_EQ(served_hash(*run), expected) << what << " lanes=" << lanes;
+      if (collect_every > 0) {
+        EXPECT_EQ(served_hash(*serve_all(cfg, jobs, collect_every)), expected)
+            << what << " streamed lanes=" << lanes;
+      }
+      if (first == nullptr) first = std::move(run);
+    }
+    return first;
+  };
+  // How many waves / records of a finished run satisfy `predicate`.
+  const auto waves_where = [](const sched::Scheduler& run, auto predicate) {
+    return std::count_if(run.waves().begin(), run.waves().end(), predicate);
+  };
+  const auto records_where = [](const sched::Scheduler& run, auto predicate) {
+    return std::count_if(run.records().begin(), run.records().end(),
+                         predicate);
+  };
+
+  {
+    serve::LoadConfig load = bpsk8_load(150.0, 3000.0);
+    load.problem.mod = wireless::Modulation::kQpsk;
+    load.problem.kind = wireless::ChannelKind::kRayleigh;
+    load.problem.snr_db = 8.0;
+    serve::LoadGenerator gen(load, 0xDEC1);
+    sched::SchedConfig cfg = fast_sched();
+    cfg.devices = sched::uniform_devices(cfg.annealer, 2);
+    const auto run =
+        check("cold qpsk", cfg, gen.open_loop(32), "00a64f28d6ada6ac");
+    EXPECT_GT(waves_where(*run, [](const serve::Wave& w) {
+                return w.device == 1;
+              }), 0);
+    EXPECT_GT(records_where(*run, [](const serve::JobRecord& r) {
+                return r.bit_errors > 0;
+              }), 0);
+  }
+  {
+    serve::LoadConfig load;
+    load.arrivals = serve::ArrivalKind::kSubframe;
+    load.subframe_period_us = 200.0;
+    load.users = 3;
+    load.deadline_us = 1200.0;
+    load.problem.users = 8;
+    load.problem.mod = wireless::Modulation::kBpsk;
+    load.problem.kind = wireless::ChannelKind::kRayleigh;
+    load.problem.snr_db = 4.0;
+    load.coherence = 0.9;
+    serve::LoadGenerator gen(load, 0xDEC2);
+    sched::SchedConfig cfg = fast_sched();
+    cfg.num_anneals = 16;
+    cfg.warm_start = true;
+    cfg.warm_num_anneals = 4;
+    const auto run = check("warm", cfg, gen.open_loop(36), "6b40a0a3db9d7e3f",
+                           /*collect_every=*/3);
+    EXPECT_GE(waves_where(*run, [](const serve::Wave& w) { return w.warm; }),
+              1);
+  }
+  {
+    serve::LoadConfig load = bpsk8_load(100.0, 3000.0);
+    load.downlink_fraction = 0.5;
+    serve::LoadGenerator gen(load, 0xDEC3);
+    const auto run =
+        check("duplex", fast_sched(), gen.open_loop(32), "ae6d09f0c825b737");
+    EXPECT_GT(records_where(*run, [](const serve::JobRecord& r) {
+                return r.direction == serve::Direction::kDownlink;
+              }), 0);
+  }
+  {
+    auto plan = std::make_shared<fault::FaultPlan>();
+    plan->outages = {{0, 100.0, 220.0}, {0, 180.0, 300.0}, {1, 400.0, 470.0}};
+    plan->growths = {{0, 450.0, dead_row_map()}, {1, 520.0, dead_row_map()}};
+    plan->anneal_failure_prob = 0.2;
+    plan->readout_failure_prob = 0.2;
+    serve::LoadConfig load = bpsk8_load(80.0);
+    load.downlink_fraction = 0.5;
+    serve::LoadGenerator gen(load, 0xFA0C);
+    sched::SchedConfig cfg = fast_sched();
+    cfg.devices = sched::uniform_devices(cfg.annealer, 2);
+    cfg.fault = plan;
+    cfg.max_retries = 2;
+    cfg.retry_backoff_us = 5.0;
+    cfg.fallback = fault::FallbackMode::kZf;
+    const auto run =
+        check("fault ladder", cfg, gen.open_loop(60), "22bd96b5b83a573d");
+    EXPECT_GT(waves_where(*run, [](const serve::Wave& w) { return w.failed; }),
+              0);
+    EXPECT_GT(records_where(*run, [](const serve::JobRecord& r) {
+                return r.fallback;
+              }), 0);
+    EXPECT_GT(records_where(*run, [](const serve::JobRecord& r) {
+                return r.retries > 0;
+              }), 0);
+  }
 }
 
 TEST(DeviceSetTest, TopologyKeyedCachesSharedOnlyWhenIdentical) {
