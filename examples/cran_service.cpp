@@ -11,11 +11,12 @@
 // disabled to show what §4 parallelization buys a serving system.
 //
 // Part 2 — async streaming (quamax::sched): the same front-end drives a
-// SchedClient instead of a batch run: submit() returns a ticket per job as
-// each subframe is released, poll() surfaces completions due by the
-// virtual clock, and drain() flushes the tail — the submit/poll API a RAN
-// front-end would actually speak.  The records stream back bit-identical
-// to the batch run's.
+// sched::Scheduler directly instead of a batch run: submit() returns a
+// sequence number per job as each subframe is released, collect(now)
+// surfaces completions due by the virtual clock, and finish() plus
+// collect(+inf) drains the tail — the streaming API a RAN front-end would
+// actually speak.  The records stream back bit-identical to the batch
+// run's.
 //
 // All output derives from the virtual clock + counter-derived streams:
 // re-running at any --threads / --replicas setting prints identical text.
@@ -29,9 +30,10 @@
 // observed or not; a failed write makes the exit code non-zero.
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
-#include "quamax/sched/client.hpp"
+#include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
@@ -156,10 +158,10 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Async streaming: the same subframe traffic through SchedClient.
-  // Each subframe's jobs are submitted as they release; poll() after each
-  // subframe returns whatever the pool finished by then.
-  std::printf("\n=== async streaming (sched::SchedClient) ===\n");
+  // Async streaming: the same subframe traffic through Scheduler::submit.
+  // Each subframe's jobs are submitted as they release; collect(now) after
+  // each subframe returns whatever the pool finished by then.
+  std::printf("\n=== async streaming (sched::Scheduler) ===\n");
   sched::SchedConfig async_cfg;
   async_cfg.annealer = cfg.annealer;
   async_cfg.devices = sched::uniform_devices(cfg.annealer, devices);
@@ -168,29 +170,37 @@ int main(int argc, char** argv) {
   async_cfg.num_threads = threads;
   async_cfg.program_overhead_us = cfg.program_overhead_us;
   async_cfg.seed = cfg.seed;
-  sched::SchedClient client(async_cfg);
+  sched::Scheduler scheduler(async_cfg);
 
   serve::LoadGenerator stream_gen(load, 0xA2905);
   const std::size_t async_jobs = std::min<std::size_t>(num_jobs, 32);
   const std::vector<serve::CellJob> stream = stream_gen.open_loop(async_jobs);
 
-  std::size_t polled = 0, errors = 0;
+  std::size_t submitted = 0, polled = 0, errors = 0;
+  const auto count_errors = [&](const std::vector<std::size_t>& done) {
+    for (const std::size_t seq : done)
+      errors += scheduler.records()[seq].bit_errors;
+  };
   double last_subframe = 0.0;
   for (const serve::CellJob& job : stream) {
     if (job.arrival_us > last_subframe) {
       // Subframe boundary: collect everything the pool completed so far.
-      const std::vector<sched::Completion> done = client.poll();
+      const std::vector<std::size_t> done =
+          scheduler.collect(scheduler.now_us());
       polled += done.size();
-      for (const sched::Completion& c : done) errors += c.record.bit_errors;
+      count_errors(done);
       std::printf("t = %7.0f us: polled %zu completion(s), %zu in flight\n",
-                  last_subframe, done.size(), client.submitted() - polled);
+                  last_subframe, done.size(), submitted - polled);
       last_subframe = job.arrival_us;
     }
-    client.submit(job);
+    scheduler.submit(job);
+    ++submitted;
   }
-  const std::vector<sched::Completion> tail = client.drain();
+  scheduler.finish();
+  const std::vector<std::size_t> tail =
+      scheduler.collect(std::numeric_limits<double>::infinity());
   polled += tail.size();
-  for (const sched::Completion& c : tail) errors += c.record.bit_errors;
+  count_errors(tail);
   std::printf("drain: %zu remaining completion(s); total %zu/%zu jobs, "
               "%zu bit errors\n",
               tail.size(), polled, async_jobs, errors);

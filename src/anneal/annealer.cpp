@@ -193,10 +193,10 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
   const std::size_t num_slots = std::min(slots.size(), problems.size());
   const std::vector<double> betas = schedule.betas();
 
-  // Standard dynamic range + gauge averaging cancel the ICE mean shift.
+  // Standard dynamic range admits gauge averaging, which cancels the ICE
+  // mean shift; improved range precludes it (paper §4).
   IceConfig ice = config_.ice;
-  ice.suppress_bias =
-      ice.suppress_bias || (config_.gauge_averaging && !config_.embed.improved_range);
+  ice.suppress_bias = ice.suppress_bias || !config_.embed.improved_range;
 
   std::vector<std::vector<qubo::SpinVec>> results(problems.size());
   if (broken != nullptr) broken->assign(num_anneals, 0);

@@ -44,10 +44,6 @@ struct AnnealerConfig {
   /// device's measured defect pattern (sched::DeviceSpec) rather than a
   /// random draw; ids outside the chip throw at construction.
   std::vector<chimera::Qubit> chip_disabled;
-  /// Standard range enables gauge averaging which cancels the ICE bias;
-  /// improved range precludes it (paper §4).  When true, the bias term is
-  /// suppressed automatically for standard-range runs.
-  bool gauge_averaging = true;
   /// Ablation: disable the chain-collective Metropolis pass (leaving pure
   /// single-spin dynamics, which cannot cross frozen chains — see
   /// sa_engine.hpp).  bench_ablations quantifies the difference.
@@ -119,10 +115,10 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// config().schedule (which must stay forward, see the constructor) is
   /// untouched, as are the cold sample()/sample_batch() RNG streams: the
   /// caller keys warm and cold calls off disjoint Rng::for_stream
-  /// families (sched::Scheduler's warm_key_ vs decode_key_).
+  /// families (sched::Executor's warm_key_ vs decode_key_).
   /// `initial_states` must parallel `problems` with non-null entries of
   /// matching variable count.  Used by the coherent serving path
-  /// (sched::Scheduler supplies each member's predecessor decode).
+  /// (sched::Executor supplies each member's predecessor decode).
   std::vector<std::vector<qubo::SpinVec>> sample_batch_seeded(
       const std::vector<const qubo::IsingModel*>& problems,
       const std::vector<const qubo::SpinVec*>& initial_states,

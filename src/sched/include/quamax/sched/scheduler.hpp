@@ -16,25 +16,26 @@
 //                                         │ shape-aware routing: a wave only
 //                                         ▼ lands on a device it embeds on
 //                              per-device waves on the virtual clock
-//                                         │
-//   collect(t) ◄── decode compute (ThreadPool, per-wave RNG streams) ◄──┘
+//                                         │ queue(wave)
+//   collect(t) ◄── sched::Executor (decode compute, per-wave RNG) ◄──┘
 //
-// The two-clock split of PR 3 is preserved exactly:
+// The serving stack's two clocks live in two classes:
 //
-//   * The VIRTUAL clock advances through submit()/advance_to()/finish():
-//     dispatch rounds pop the earliest-free device, admit every job released
-//     by that instant, optionally shed doomed jobs (drop_late), pick the
-//     policy-best job whose shape fits the device, and charge the wave
-//     program_overhead_us + num_anneals * (T_a + T_p).  Rounds never run
-//     past the submission horizon, so a job can never miss a wave it should
-//     have joined — the async path's timeline is BIT-IDENTICAL to feeding
-//     the same workload through a batch run.
+//   * The VIRTUAL clock (this class) advances through submit()/advance_to()/
+//     finish(): dispatch rounds pop the earliest-free device, admit every
+//     job released by that instant, optionally shed doomed jobs
+//     (drop_late), pick the policy-best job whose shape fits the device,
+//     and charge the wave program_overhead_us + num_anneals * (T_a + T_p).
+//     Rounds never run past the submission horizon, so a job can never
+//     miss a wave it should have joined — streaming a workload with
+//     collect(now_us()) at any cadence, then finish() and collect(+inf),
+//     yields the BIT-IDENTICAL timeline of a batch run.  This class
+//     declares no RNG, thread pool or annealer.
 //
-//   * The WALL clock only pays for decode compute, executed lazily when
-//     collect() needs completed waves: wave w draws all randomness from
-//     Rng::for_stream(key, w) and runs on a lane-local worker built for its
-//     device's chip, so records are bit-identical at any num_threads /
-//     batch_replicas setting AND any submit/poll interleaving.
+//   * The WALL clock (Executor, executor.hpp) only pays for decode compute,
+//     executed lazily when collect() needs completed waves, so records are
+//     bit-identical at any num_threads / batch_replicas setting AND any
+//     submit/collect interleaving.
 //
 // Warm-start serving (SchedConfig::warm_start): on coherent workloads
 // (serve::LoadConfig::coherence) an uplink job whose same-block predecessor
@@ -43,13 +44,9 @@
 // virtual-clock cost.  Warm eligibility is a pure virtual-clock predicate
 // and warm waves draw from their own RNG key family, so both clocks keep
 // every determinism contract above (see ARCHITECTURE.md "Warm-start
-// serving").  The seed is a per-sequence slot next to the job's record:
-// the decode lane that fills the record writes it, and execute_due's
-// dependency levels finish that lane before a dependent warm wave reads
-// it, so the slots need no lock.
+// serving").
 //
-// serve::DecodeService delegates its dispatch to this engine; SchedClient
-// (client.hpp) is the streaming front end.
+// serve::DecodeService delegates its dispatch to this engine.
 #pragma once
 
 #include <cstddef>
@@ -60,10 +57,10 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/thread_pool.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/trace.hpp"
 #include "quamax/sched/device_set.hpp"
+#include "quamax/sched/executor.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/serve/job.hpp"
 
@@ -177,9 +174,12 @@ class Scheduler {
   /// use: a job that would only survive if it drew a warm wave is treated
   /// as doomed, deterministically).
   static double wave_service_us(const SchedConfig& config);
+  /// The reverse schedule warm waves run, reheating to warm_reverse_depth.
+  static anneal::Schedule warm_schedule(const SchedConfig& config);
+  /// N_a of a warm wave: warm_num_anneals, or num_anneals when 0.
+  static std::size_t warm_quota(const SchedConfig& config);
 
   const SchedConfig& config() const noexcept { return config_; }
-  const std::shared_ptr<DeviceSet>& device_set() const noexcept { return devices_; }
 
   double wave_service_us() const { return wave_service_us(config_); }
 
@@ -188,16 +188,14 @@ class Scheduler {
   /// schedule splits the same T_a between its two legs.
   double warm_wave_service_us() const;
 
-  /// N_a actually charged/run for warm waves (warm_num_anneals, or
-  /// num_anneals when 0).
-  std::size_t warm_quota() const;
+  std::size_t warm_quota() const { return warm_quota(config_); }
 
   /// Stages one job — either direction — and advances the virtual clock
   /// to its arrival (rounds strictly before it are dispatched first).  Jobs
   /// must be submitted in non-decreasing arrival order — the scheduler
   /// cannot dispatch into a past an unseen job should have joined.  Returns the
-  /// job's sequence number (the ticket index).  Throws CapacityError when
-  /// no device in the pool can embed the job's shape.
+  /// job's sequence number (its index in records()).  Throws CapacityError
+  /// when no device in the pool can embed the job's shape.
   std::size_t submit(serve::CellJob job);
 
   /// Dispatches every round whose time lies strictly before `horizon_us`.
@@ -209,9 +207,8 @@ class Scheduler {
   /// this, records() is complete and final.
   void finish();
 
-  /// Latest submitted arrival — the streaming client's notion of "now".
+  /// Latest submitted arrival — a streaming driver's notion of "now".
   double now_us() const noexcept { return now_us_; }
-  std::size_t num_submitted() const noexcept { return jobs_.size(); }
 
   /// Executes the decode of every wave completed by `t` and returns the
   /// sequence numbers of jobs finalized by `t` (wave completion or drop
@@ -277,47 +274,35 @@ class Scheduler {
   /// only), then deadline (edf/slack), then sequence.
   bool policy_before(std::size_t a, std::size_t b, double t_us) const;
   void dispatch_wave(std::size_t device, double t_free_us, std::size_t seed_seq);
-  void execute_due(double t_us);
-  void run_wave(std::size_t lane, std::size_t wave_id);
 
   SchedConfig config_;
+  /// The pool routing and decode both use: the caller's shared one, or a
+  /// private one when the fault plan grows defects.
   std::shared_ptr<DeviceSet> devices_;
-  core::ThreadPool pool_;
-  std::uint64_t decode_key_ = 0;
-  std::uint64_t warm_key_ = 0;  ///< disjoint stream family for warm waves
   /// The fault plan on the virtual clock; inactive (the fault-free path)
   /// when config_.fault is null or empty.
   fault::Timeline faults_;
+  Executor executor_;
   std::vector<double> job_ready_us_;      ///< retry backoff gate, by seq
   std::vector<std::size_t> job_retries_;  ///< failed attempts, by seq
-  anneal::Schedule warm_schedule_;  ///< reverse schedule warm waves run
   std::unordered_map<std::size_t, std::size_t> id_to_seq_;  ///< job id -> seq
 
   std::vector<serve::CellJob> jobs_;  ///< by sequence number
   std::vector<serve::JobRecord> records_;
-  /// Warm-start seeds by sequence number: an uplink job's best decoded
-  /// configuration, written by the decode lane that fills its record
-  /// (warm_start only; empty until then) and read by dependent warm waves.
-  std::vector<qubo::SpinVec> seeds_;
   std::vector<JobState> states_;
   std::size_t admit_cursor_ = 0;        ///< first staged (unadmitted) seq
   std::vector<std::size_t> pending_;    ///< admitted, undispatched; seq order
-  double now_us_ = 0.0;
-  double last_arrival_us_ = 0.0;
+  double now_us_ = 0.0;  ///< latest submitted arrival
 
   using Device = std::pair<double, std::size_t>;  ///< (free time, id)
   std::priority_queue<Device, std::vector<Device>, std::greater<>> free_devices_;
   std::vector<Device> parked_;  ///< devices with nothing routable; re-armed on admission
 
   std::vector<serve::Wave> waves_;
-  std::vector<char> wave_executed_;  ///< decode ran (execute_due levels)
-  /// Due-heaps so a long-lived streaming client's collect() only touches
-  /// newly-due items, never rescanning the whole history.
-  using Due = std::pair<double, std::size_t>;  ///< (completion time, id)
-  std::priority_queue<Due, std::vector<Due>, std::greater<>> unexecuted_waves_;
-  std::priority_queue<Due, std::vector<Due>, std::greater<>> undelivered_;  ///< (completion, seq)
-  /// workers_[lane][device]: lane-local annealer built for that device's chip.
-  std::vector<std::vector<std::unique_ptr<anneal::ChimeraAnnealer>>> workers_;
+  /// Finalized jobs as (completion time, seq), so a long-lived streaming
+  /// driver's collect() only touches newly due jobs.
+  using Due = std::pair<double, std::size_t>;
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> undelivered_;
 };
 
 }  // namespace quamax::sched

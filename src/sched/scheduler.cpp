@@ -1,35 +1,48 @@
 #include "quamax/sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "quamax/common/error.hpp"
-#include "quamax/core/transform.hpp"
 #include "quamax/fault/fallback.hpp"
-#include "quamax/metrics/solution_stats.hpp"
-#include "quamax/vpp/precode.hpp"
-#include "quamax/wireless/channel.hpp"
 
 namespace quamax::sched {
 namespace {
 
-/// Ground-state test sharing metrics::kEnergyTolerance so scheduler records
-/// and the metrics layer agree on the same samples by construction.
-bool reaches_ground(double best_energy, double ground_energy) {
-  return best_energy <= ground_energy + metrics::kEnergyTolerance;
-}
-
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-/// The reverse schedule warm waves run.
-anneal::Schedule warm_schedule_of(const SchedConfig& config) {
-  anneal::Schedule schedule = config.annealer.schedule;
-  schedule.reverse = true;
-  schedule.reverse_depth = config.warm_reverse_depth;
-  return schedule;
+/// The validated config with its device list filled in (one base-chip
+/// device when empty).
+SchedConfig checked(SchedConfig config) {
+  Scheduler::validate(config);
+  if (config.devices.empty())
+    config.devices = uniform_devices(config.annealer, 1);
+  return config;
+}
+
+/// The pool a scheduler serves on: the caller's shared one, else one built
+/// from the specs.  Defect growth mutates the pool mid-run and a
+/// caller-shared DeviceSet must never see that, so a plan with growths
+/// always gets a private pool built from the same specs (placements
+/// recompile — correctness over reuse here).
+std::shared_ptr<DeviceSet> serving_pool(const SchedConfig& config,
+                                        std::shared_ptr<DeviceSet> shared) {
+  require(shared == nullptr || shared->size() == config.devices.size(),
+          "Scheduler: device set size does not match the device specs");
+  const bool grows = config.fault != nullptr && !config.fault->growths.empty();
+  if (shared == nullptr || grows)
+    return std::make_shared<DeviceSet>(config.annealer, config.devices);
+  return shared;
+}
+
+/// Qubits per device, for checking a fault plan's ids against the pool.
+std::vector<std::size_t> device_qubits(const DeviceSet& devices) {
+  std::vector<std::size_t> qubits;
+  for (std::size_t d = 0; d < devices.size(); ++d)
+    qubits.push_back(devices.graph(d).num_qubits());
+  return qubits;
 }
 
 }  // namespace
@@ -45,7 +58,7 @@ void Scheduler::validate(const SchedConfig& config) {
           "Scheduler: the warm quota is a CUT of the cold quota");
   // Checked even when warm_start is off, so a config error surfaces
   // immediately.
-  warm_schedule_of(config).validate();
+  warm_schedule(config).validate();
 }
 
 double Scheduler::wave_service_us(const SchedConfig& config) {
@@ -54,55 +67,38 @@ double Scheduler::wave_service_us(const SchedConfig& config) {
              config.annealer.schedule.duration_us();
 }
 
-Scheduler::Scheduler(SchedConfig config, std::shared_ptr<DeviceSet> devices)
-    : config_(std::move(config)),
-      devices_(std::move(devices)),
-      pool_(config_.num_threads),
-      warm_schedule_(warm_schedule_of(config_)) {
-  validate(config_);
-  if (config_.devices.empty())
-    config_.devices = uniform_devices(config_.annealer, 1);
-  if (devices_ == nullptr)
-    devices_ = std::make_shared<DeviceSet>(config_.annealer, config_.devices);
-  require(devices_->size() == config_.devices.size(),
-          "Scheduler: device set size does not match the device specs");
-  for (std::size_t d = 0; d < devices_->size(); ++d)
-    free_devices_.emplace(0.0, d);
-  workers_.resize(pool_.size());
-  for (auto& lane : workers_) lane.resize(devices_->size());
-  // warm_key_ is drawn AFTER decode_key_ from the same root, so cold waves
-  // keep their historical streams and warm waves can never collide with
-  // them for any wave id.
-  Rng root(config_.seed);
-  decode_key_ = root();
-  warm_key_ = root();
-
-  // The fault stream family is keyed by the PLAN's own seed — the root
-  // draws above never move, so attaching a plan keeps every decode and warm
-  // stream bit-compatible with history.
-  std::vector<std::size_t> qubits;
-  for (std::size_t d = 0; d < devices_->size(); ++d)
-    qubits.push_back(devices_->graph(d).num_qubits());
-  faults_ = fault::Timeline(config_.fault, qubits);
-  // Defect growth mutates the device pool mid-run; a caller-shared
-  // DeviceSet must never see that, so take a private pool built from the
-  // same specs (placements recompile — correctness over reuse here).
-  if (faults_.has_growths())
-    devices_ = std::make_shared<DeviceSet>(config_.annealer, config_.devices);
+anneal::Schedule Scheduler::warm_schedule(const SchedConfig& config) {
+  anneal::Schedule schedule = config.annealer.schedule;
+  schedule.reverse = true;
+  schedule.reverse_depth = config.warm_reverse_depth;
+  return schedule;
 }
 
-std::size_t Scheduler::warm_quota() const {
-  return config_.warm_num_anneals > 0 ? config_.warm_num_anneals
-                                      : config_.num_anneals;
+std::size_t Scheduler::warm_quota(const SchedConfig& config) {
+  return config.warm_num_anneals > 0 ? config.warm_num_anneals
+                                     : config.num_anneals;
+}
+
+// The fault stream family is keyed by the PLAN's own seed, never by
+// config.seed's root, so attaching a plan keeps every decode and warm
+// stream bit-compatible with history.
+Scheduler::Scheduler(SchedConfig config, std::shared_ptr<DeviceSet> devices)
+    : config_(checked(std::move(config))),
+      devices_(serving_pool(config_, std::move(devices))),
+      faults_(config_.fault, device_qubits(*devices_)),
+      executor_(config_, *devices_) {
+  for (std::size_t d = 0; d < devices_->size(); ++d)
+    free_devices_.emplace(0.0, d);
 }
 
 double Scheduler::warm_wave_service_us() const {
   return config_.program_overhead_us +
-         static_cast<double>(warm_quota()) * warm_schedule_.duration_us();
+         static_cast<double>(warm_quota()) *
+             config_.annealer.schedule.duration_us();
 }
 
 std::size_t Scheduler::submit(serve::CellJob job) {
-  require(job.arrival_us >= last_arrival_us_,
+  require(job.arrival_us >= now_us_,
           "Scheduler::submit: jobs must arrive in non-decreasing order");
   // Under a fault plan an unservable shape (a defect growth may have eaten
   // the last embedding mid-run) rides the fallback ladder below instead of
@@ -112,8 +108,7 @@ std::size_t Scheduler::submit(serve::CellJob job) {
     throw CapacityError("Scheduler::submit: no device can embed shape " +
                         std::to_string(job.shape()));
   advance_to(job.arrival_us);
-  last_arrival_us_ = job.arrival_us;
-  now_us_ = std::max(now_us_, job.arrival_us);
+  now_us_ = job.arrival_us;
 
   const std::size_t seq = jobs_.size();
   serve::JobRecord record;
@@ -126,7 +121,6 @@ std::size_t Scheduler::submit(serve::CellJob job) {
   // numbers so warm dispatch can find the prior record.
   if (config_.warm_start && !job.downlink()) id_to_seq_[job.id] = seq;
   records_.push_back(record);
-  seeds_.emplace_back();
   states_.push_back(JobState::kQueued);
   job_ready_us_.push_back(0.0);
   job_retries_.push_back(0);
@@ -150,7 +144,7 @@ void Scheduler::finish() {
   advance_to(kInfinity);
   require(admit_cursor_ == jobs_.size() && pending_.empty(),
           "Scheduler::finish: undispatched jobs remain");
-  execute_due(kInfinity);
+  executor_.execute_due(kInfinity, waves_, jobs_, records_);
 }
 
 // One dispatch attempt for the earliest-free device — the PR-3 event loop's
@@ -321,10 +315,10 @@ bool Scheduler::process_faults(double t_us) {
         const fault::DefectGrowth& growth = faults_.plan().growths[ev->index];
         // Flush every decode due by the growth instant FIRST: those waves
         // annealed on the pre-growth topology and must sample it.
-        execute_due(growth.time_us);
+        executor_.execute_due(growth.time_us, waves_, jobs_, records_);
         devices_->grow_defects(growth.device, growth.qubits);
         // Lane workers cached the old chip; rebuild lazily on next use.
-        for (auto& lane : workers_) lane[growth.device].reset();
+        executor_.forget_device(growth.device);
         // Pending jobs whose shape the shrunken pool can no longer embed
         // anywhere resolve now (fallback or terminal failure).
         for (const std::size_t seq : pending_) {
@@ -429,7 +423,7 @@ bool Scheduler::warm_eligible(std::size_t seq, double t_free_us) const {
   if (jobs_[pred].shape() != jobs_[seq].shape()) return false;
   // The seed exists at this dispatch instant only if the predecessor's
   // wave completed by it on the VIRTUAL clock.  (The wave's decode may
-  // still be pending on the wall clock — execute_due orders it first.)
+  // still be pending on the wall clock — the executor orders it first.)
   return records_[pred].completion_us <= t_free_us;
 }
 
@@ -514,7 +508,7 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
 
   // Fault pre-decision: the wave's fate is fixed AT DISPATCH on the virtual
   // clock (the fail instant is a pure function of the plan and the wave id),
-  // so the decode lanes never see failed waves and the wall clock stays
+  // so the executor never sees failed waves and the wall clock stays
   // fault-blind.
   const double fail = faults_.abort_us(device, wave.id, wave.dispatch_us,
                                        readout_start_us, wave.completion_us);
@@ -571,17 +565,16 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
   if (wave.failed)
     faults_.push_wave_fail(wave.fail_us, wave.id);
   else
-    unexecuted_waves_.emplace(wave.completion_us, wave.id);
+    executor_.queue(wave);
   free_devices_.emplace(wave.failed ? wave.fail_us : wave.completion_us,
                         device);
-  wave_executed_.push_back(wave.failed ? 1 : 0);  // failed waves never decode
   waves_.push_back(std::move(wave));
 }
 
 std::vector<std::size_t> Scheduler::collect(double t) {
-  // execute_due first: every record popped below with completion <= t
-  // belongs to a wave executed just now (or earlier) or to a drop.
-  execute_due(t);
+  // Decode first: every record popped below with completion <= t belongs
+  // to a wave executed just now (or earlier) or to a drop.
+  executor_.execute_due(t, waves_, jobs_, records_);
   std::vector<std::size_t> done;
   while (!undelivered_.empty() && undelivered_.top().first <= t) {
     done.push_back(undelivered_.top().second);
@@ -589,134 +582,6 @@ std::vector<std::size_t> Scheduler::collect(double t) {
   }
   // Heap pop order IS (completion time, seq) — no sort needed.
   return done;
-}
-
-// The wall-clock phase: fan every due wave across lane-local, device-affine
-// ChimeraAnnealer workers.  Wave w's entire decode draws from
-// Rng::for_stream(key, w) and writes only its members' record slots, so the
-// filled records are bit-identical at any thread count and any
-// submit/collect interleaving.
-void Scheduler::execute_due(double t_us) {
-  std::vector<std::size_t> due;
-  while (!unexecuted_waves_.empty() && unexecuted_waves_.top().first <= t_us) {
-    due.push_back(unexecuted_waves_.top().second);
-    unexecuted_waves_.pop();
-  }
-  if (due.empty()) return;
-  // Warm waves read their predecessors' decoded configurations, so the due
-  // list — already popped in (completion, id) order — runs in dependency
-  // LEVELS: each level extends until a warm wave whose predecessor wave has
-  // not executed yet.  A predecessor always completes strictly before its
-  // dependent (pred completion <= dependent dispatch < dependent
-  // completion), so it sits strictly earlier in this order — either in a
-  // previous execute_due call or in an earlier level — and the partition
-  // depends only on the virtual-clock wave log, never on poll cadence.  A
-  // cold-only backlog collapses to one level: the historical single
-  // parallel_for_lanes call, bit-identical.
-  std::size_t start = 0;
-  while (start < due.size()) {
-    std::size_t end = start;
-    while (end < due.size()) {
-      const serve::Wave& wave = waves_[due[end]];
-      bool ready = true;
-      if (wave.warm)
-        for (const std::size_t pred : wave.seeds)
-          if (!wave_executed_[records_[pred].wave_id]) {
-            ready = false;
-            break;
-          }
-      if (!ready) break;
-      ++end;
-    }
-    require(end > start,
-            "Scheduler::execute_due: warm wave scheduled before its "
-            "predecessor wave");
-    pool_.parallel_for_lanes(end - start,
-                             [&](std::size_t lane, std::size_t i) {
-                               run_wave(lane, due[start + i]);
-                             });
-    for (std::size_t i = start; i < end; ++i) wave_executed_[due[i]] = 1;
-    start = end;
-  }
-}
-
-void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
-  const serve::Wave& wave = waves_[wave_id];
-  std::unique_ptr<anneal::ChimeraAnnealer>& worker = workers_[lane][wave.device];
-  if (worker == nullptr) {
-    worker = std::make_unique<anneal::ChimeraAnnealer>(
-        devices_->worker_config(wave.device));
-    worker->set_embedding_cache(devices_->cache(wave.device));
-  }
-
-  std::vector<const qubo::IsingModel*> problems;
-  problems.reserve(wave.jobs.size());
-  for (const std::size_t seq : wave.jobs)
-    problems.push_back(&jobs_[seq].ising());
-
-  std::vector<std::vector<qubo::SpinVec>> samples;
-  if (wave.warm) {
-    // Reverse anneal from each member's predecessor configuration, at the
-    // warm quota, on the warm key family — cold waves' streams are never
-    // touched by this draw.
-    std::vector<const qubo::SpinVec*> initial(wave.jobs.size());
-    for (std::size_t s = 0; s < wave.jobs.size(); ++s) {
-      const qubo::SpinVec& seed = seeds_[wave.seeds[s]];
-      require(!seed.empty(),
-              "Scheduler::run_wave: warm wave executed before its "
-              "predecessor's decode was recorded");
-      initial[s] = &seed;
-    }
-    Rng stream = Rng::for_stream(warm_key_, wave.id);
-    samples = worker->sample_batch_seeded(problems, initial, warm_schedule_,
-                                          warm_quota(), stream);
-  } else {
-    Rng stream = Rng::for_stream(decode_key_, wave.id);
-    samples = worker->sample_batch(problems, config_.num_anneals, stream);
-  }
-
-  for (std::size_t s = 0; s < wave.jobs.size(); ++s) {
-    const serve::CellJob& job = jobs_[wave.jobs[s]];
-    serve::JobRecord& record = records_[wave.jobs[s]];
-
-    // Best-of-N_a, exactly the QuAMaxDetector policy: keep the
-    // lowest-energy configuration.
-    const qubo::IsingModel& ising = job.ising();
-    const qubo::SpinVec* best = nullptr;
-    double best_energy = 0.0;
-    for (const qubo::SpinVec& sample : samples[s]) {
-      const double energy = ising.energy(sample);
-      if (best == nullptr || energy < best_energy) {
-        best = &sample;
-        best_energy = energy;
-      }
-    }
-
-    if (job.downlink()) {
-      // Downlink: the sample is a perturbation vector, clipped so the job
-      // never transmits worse than zero-forcing.
-      const vpp::PrecodeInstance& instance = job.precode();
-      record.bit_errors = vpp::downlink_bit_errors(
-          instance, vpp::clip_to_zero_forcing(instance, *best, best_energy));
-      record.num_bits = instance.tx_bits.size();
-      record.ground_state = reaches_ground(
-          std::min(best_energy, instance.zf_energy), instance.ground_energy);
-      continue;
-    }
-
-    // Uplink: post-translate the decoded configuration to Gray bits.
-    const sim::Instance& instance = job.uplink();
-    // Keep the best configuration as the warm-start seed of a dependent
-    // subframe.  Only this lane writes the slot, and the dependent wave
-    // reads it in a later execute_due level.
-    if (config_.warm_start) seeds_[wave.jobs[s]] = *best;
-    const wireless::BitVec decoded = core::gray_bits_from_spins(
-        *best, instance.use.h.cols(), instance.use.mod);
-    record.bit_errors =
-        wireless::count_bit_errors(decoded, instance.use.tx_bits);
-    record.num_bits = instance.use.tx_bits.size();
-    record.ground_state = reaches_ground(best_energy, instance.ground_energy);
-  }
 }
 
 }  // namespace quamax::sched

@@ -19,8 +19,8 @@
 // Rng::for_stream(key, w), so the full ServiceReport is bit-identical at
 // ANY num_threads setting (tests/serve_test.cpp enforces this).  The engine
 // itself — multi-chip sharding, queue policies, faults, and the async
-// submit/poll API (sched::SchedClient) — is sched::Scheduler; its header
-// has the two-clock details.
+// submit/collect API — is sched::Scheduler; its header has the two-clock
+// details.
 #pragma once
 
 #include <cstddef>
@@ -126,8 +126,8 @@ class DecodeService {
   const ServiceConfig& config() const noexcept { return config_; }
 
   /// The device pool: per-device chip graphs and embedding caches, shared
-  /// by every run of this service (and reusable by a sched::Scheduler or
-  /// SchedClient built on the same chips).
+  /// by every run of this service (and reusable by a sched::Scheduler
+  /// built on the same chips).
   const std::shared_ptr<sched::DeviceSet>& device_set() const noexcept {
     return devices_;
   }

@@ -11,13 +11,15 @@
 //     a sketch merged from shards equals the sketch of the whole stream;
 //   * attaching a trace log changes NOTHING: the full ServiceReport digest
 //     is byte-identical traced vs untraced across threads x replicas x
-//     devices, and the async SchedClient path (a different poll cadence
-//     over the same virtual clock) emits the identical event stream.
+//     devices, and streaming through Scheduler::submit/collect (a
+//     different collect cadence over the same virtual clock) emits the
+//     identical event stream.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -34,7 +36,7 @@
 #include "quamax/obs/slo.hpp"
 #include "quamax/obs/trace.hpp"
 #include "quamax/obs/window.hpp"
-#include "quamax/sched/client.hpp"
+#include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/service.hpp"
 
@@ -265,9 +267,10 @@ TEST(TraceLogTest, DigestBitIdenticalTracedOrNot) {
 }
 
 TEST(TraceLogTest, AsyncClientEmitsIdenticalEventStream) {
-  // The same workload through the batch service and through SchedClient
-  // with an aggressive poll cadence (poll after every submit).  Both drive
-  // the same virtual clock, so the traces must match event for event.
+  // The same workload through the batch service and streamed through a
+  // Scheduler with an aggressive cadence (collect after every submit).
+  // Both drive the same virtual clock, so the traces must match event for
+  // event.
   serve::LoadGenerator gen(bpsk8_load(120.0), 0x57EA);
   const std::vector<serve::CellJob> jobs = gen.open_loop(32);
 
@@ -285,13 +288,15 @@ TEST(TraceLogTest, AsyncClientEmitsIdenticalEventStream) {
   async_cfg.program_overhead_us = cfg.program_overhead_us;
   async_cfg.seed = cfg.seed;
   async_cfg.trace = &async_log;
-  sched::SchedClient client(async_cfg);
+  sched::Scheduler scheduler(async_cfg);
   std::size_t polled = 0;
   for (const serve::CellJob& job : jobs) {
-    client.submit(job);
-    polled += client.poll().size();  // cadence: poll every submit
+    scheduler.submit(job);
+    // cadence: collect after every submit
+    polled += scheduler.collect(scheduler.now_us()).size();
   }
-  polled += client.drain().size();
+  scheduler.finish();
+  polled += scheduler.collect(std::numeric_limits<double>::infinity()).size();
   EXPECT_EQ(polled, report.jobs.size());
 
   ASSERT_EQ(async_log.submits().size(), batch_log.submits().size());
@@ -388,12 +393,12 @@ TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossPollCadence) {
     async_cfg.program_overhead_us = cfg.program_overhead_us;
     async_cfg.seed = cfg.seed;
     async_cfg.trace = &async_log;
-    sched::SchedClient client(async_cfg);
+    sched::Scheduler scheduler(async_cfg);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      client.submit(jobs[i]);
-      if ((i + 1) % cadence == 0) client.poll();
+      scheduler.submit(jobs[i]);
+      if ((i + 1) % cadence == 0) scheduler.collect(scheduler.now_us());
     }
-    client.drain();
+    scheduler.finish();
     EXPECT_EQ(windowed_digest(obs::WindowedCollector(async_log, 1)), baseline)
         << "windowed series drifted at poll cadence " << cadence;
   }

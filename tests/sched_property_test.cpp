@@ -8,13 +8,13 @@
 // packing/capping/drop-late knobs, coherent arrivals with warm-start
 // serving (ISSUE 7: half the trials draw LoadConfig::coherence > 0 and
 // turn on warm_start with a random quota cut and reverse depth), and a
-// random submit/poll cadence — then checks, against a batch DecodeService
-// run of the same workload:
+// random submit/collect cadence — then checks, against a batch
+// DecodeService run of the same workload:
 //
-//   * per-ticket records are bit-identical (field by field);
-//   * every ticket completes exactly once, poll never delivers early
+//   * per-sequence records are bit-identical (field by field);
+//   * every job completes exactly once, collect(now) never delivers early
 //     (completion_us <= the clock at delivery), and completions arrive
-//     ordered by (completion time, ticket);
+//     ordered by (completion time, sequence);
 //   * the async run's wave log equals the batch run's wave log.
 //
 // The trial parameters are drawn ONCE per trial id, so a failure reproduces
@@ -32,9 +32,9 @@
 
 #include "quamax/common/rng.hpp"
 #include "quamax/fault/plan.hpp"
-#include "quamax/sched/client.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
+#include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/service.hpp"
 
@@ -197,48 +197,48 @@ void run_trial(std::size_t trial, sched::QueuePolicy policy) {
   const serve::ServiceReport batch =
       serve::DecodeService(s.service).run(batch_gen.open_loop(s.num_jobs));
 
-  // Async: stream the workload through a SchedClient at the drawn cadence.
+  // Async: stream the workload through a Scheduler at the drawn cadence.
   serve::LoadGenerator async_gen(s.load, workload_seed);
   std::vector<serve::CellJob> jobs = async_gen.open_loop(s.num_jobs);
   Rng cadence = Rng::for_stream(0xCADE, trial);
 
-  sched::SchedClient client(sched_config_of(s));
+  sched::Scheduler scheduler(sched_config_of(s));
   std::map<std::size_t, serve::JobRecord> delivered;
   std::vector<std::pair<double, std::size_t>> delivery_order;
-  const auto consume = [&](const std::vector<sched::Completion>& batch_out,
-                           double clock_us) {
-    for (const sched::Completion& c : batch_out) {
-      EXPECT_TRUE(delivered.emplace(c.ticket.seq, c.record).second)
-          << "trial " << trial << ": ticket " << c.ticket.seq
-          << " delivered twice";
-      EXPECT_LE(c.record.completion_us, clock_us)
+  const auto collect = [&](double clock_us) {
+    for (const std::size_t seq : scheduler.collect(clock_us)) {
+      const serve::JobRecord& record = scheduler.records()[seq];
+      EXPECT_TRUE(delivered.emplace(seq, record).second)
+          << "trial " << trial << ": seq " << seq << " delivered twice";
+      EXPECT_LE(record.completion_us, clock_us)
           << "trial " << trial << ": completion delivered before it was due";
-      delivery_order.emplace_back(c.record.completion_us, c.ticket.seq);
+      delivery_order.emplace_back(record.completion_us, seq);
     }
   };
 
   std::size_t submitted = 0;
   for (serve::CellJob& job : jobs) {
-    client.submit(std::move(job));
+    scheduler.submit(std::move(job));
     ++submitted;
     const bool poll_now = s.poll_randomly
                               ? cadence.coin()
                               : (submitted % s.poll_modulus == 0);
-    if (poll_now) consume(client.poll(), client.now_us());
+    if (poll_now) collect(scheduler.now_us());
   }
-  consume(client.drain(), std::numeric_limits<double>::infinity());
+  scheduler.finish();
+  collect(std::numeric_limits<double>::infinity());
 
   // Exactly-once, ordered, and bit-identical to the batch run.
   ASSERT_EQ(delivered.size(), batch.jobs.size()) << "trial " << trial;
   for (const auto& [seq, record] : delivered)
     EXPECT_TRUE(records_equal(record, batch.jobs[seq]))
-        << "trial " << trial << ": ticket " << seq
+        << "trial " << trial << ": seq " << seq
         << " diverged from the batch run";
   for (std::size_t i = 1; i < delivery_order.size(); ++i)
     EXPECT_LE(delivery_order[i - 1], delivery_order[i])
-        << "trial " << trial << ": completions out of (time, ticket) order";
+        << "trial " << trial << ": completions out of (time, seq) order";
 
-  const std::vector<serve::Wave>& async_waves = client.scheduler().waves();
+  const std::vector<serve::Wave>& async_waves = scheduler.waves();
   ASSERT_EQ(async_waves.size(), batch.waves.size()) << "trial " << trial;
   for (std::size_t w = 0; w < async_waves.size(); ++w)
     EXPECT_TRUE(waves_equal(async_waves[w], batch.waves[w]))

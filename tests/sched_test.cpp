@@ -1,9 +1,9 @@
 // quamax::sched — async scheduler, device sharding, and queue policies.
 //
 // The contracts under test (ISSUE 5):
-//   * the async SchedClient (submit/poll/drain) produces records identical
-//     to the batch DecodeService run of the same workload, and identical
-//     for ANY submit/poll interleaving;
+//   * streaming a workload through Scheduler::submit/collect produces
+//     records identical to the batch DecodeService run of the same
+//     workload, and identical for ANY submit/collect interleaving;
 //   * ServiceReport digests are bit-identical across --threads/--replicas
 //     for every queue-policy x device-count combination;
 //   * EDF dispatches by (deadline, submission seq); slack defers doomed
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "quamax/fault/plan.hpp"
-#include "quamax/sched/client.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/sched/scheduler.hpp"
@@ -90,61 +89,67 @@ bool records_equal(const serve::JobRecord& a, const serve::JobRecord& b) {
          a.num_bits == b.num_bits && a.ground_state == b.ground_state;
 }
 
-TEST(SchedClientTest, AsyncDrainMatchesBatchService) {
+constexpr double kEndOfStream = std::numeric_limits<double>::infinity();
+
+TEST(SchedStreamTest, DrainMatchesBatchService) {
   serve::LoadGenerator gen(bpsk8_load(80.0), 0xA51);
   const std::vector<serve::CellJob> jobs = gen.open_loop(40);
 
   const serve::ServiceReport batch =
       serve::DecodeService(fast_service()).run(jobs);
 
-  sched::SchedClient client(fast_sched());
-  for (const serve::CellJob& job : jobs) client.submit(job);
-  const std::vector<sched::Completion> completions = client.drain();
+  sched::Scheduler scheduler(fast_sched());
+  for (const serve::CellJob& job : jobs) scheduler.submit(job);
+  scheduler.finish();
+  const std::vector<std::size_t> done = scheduler.collect(kEndOfStream);
+  const std::vector<serve::JobRecord>& records = scheduler.records();
 
-  ASSERT_EQ(completions.size(), batch.jobs.size());
-  // drain() orders by (completion, ticket); per-ticket records must match
-  // the batch report's per-index records exactly.
-  for (const sched::Completion& c : completions)
-    EXPECT_TRUE(records_equal(c.record, batch.jobs[c.ticket.seq]))
-        << "ticket " << c.ticket.seq;
+  ASSERT_EQ(done.size(), batch.jobs.size());
+  // collect() orders by (completion, seq); per-seq records must match the
+  // batch report's per-index records exactly.
+  for (const std::size_t seq : done)
+    EXPECT_TRUE(records_equal(records[seq], batch.jobs[seq])) << "seq " << seq;
   // Completion order is sorted by completion time.
-  for (std::size_t i = 1; i < completions.size(); ++i)
-    EXPECT_LE(completions[i - 1].record.completion_us,
-              completions[i].record.completion_us);
+  for (std::size_t i = 1; i < done.size(); ++i)
+    EXPECT_LE(records[done[i - 1]].completion_us,
+              records[done[i]].completion_us);
 }
 
-TEST(SchedClientTest, PollStreamsEachCompletionExactlyOnceAnyCadence) {
+TEST(SchedStreamTest, CollectStreamsEachCompletionExactlyOnceAnyCadence) {
   serve::LoadGenerator gen(bpsk8_load(60.0), 0xA52);
   const std::vector<serve::CellJob> jobs = gen.open_loop(30);
 
-  // Reference: drain-only client.
-  sched::SchedClient lazy(fast_sched());
+  // Reference: drain only.
+  sched::Scheduler lazy(fast_sched());
   for (const serve::CellJob& job : jobs) lazy.submit(job);
+  lazy.finish();
   std::map<std::size_t, serve::JobRecord> reference;
-  for (const sched::Completion& c : lazy.drain()) reference[c.ticket.seq] = c.record;
+  for (const std::size_t seq : lazy.collect(kEndOfStream))
+    reference[seq] = lazy.records()[seq];
 
-  // Eager client: poll after every submit.
-  sched::SchedClient eager(fast_sched());
+  // Eager driver: collect up to "now" after every submit.
+  sched::Scheduler eager(fast_sched());
   std::map<std::size_t, serve::JobRecord> seen;
-  const auto absorb = [&seen](const std::vector<sched::Completion>& batch) {
-    for (const sched::Completion& c : batch) {
-      EXPECT_EQ(seen.count(c.ticket.seq), 0u) << "duplicate completion";
-      seen[c.ticket.seq] = c.record;
+  const auto absorb = [&](const std::vector<std::size_t>& done) {
+    for (const std::size_t seq : done) {
+      EXPECT_EQ(seen.count(seq), 0u) << "duplicate completion";
+      seen[seq] = eager.records()[seq];
     }
   };
   for (const serve::CellJob& job : jobs) {
     const double now = job.arrival_us;
     eager.submit(job);
-    absorb(eager.poll());
-    // Poll may only surface jobs completed by the clock.
+    absorb(eager.collect(eager.now_us()));
+    // collect(now) may only surface jobs completed by the clock.
     for (const auto& [seq, record] : seen)
       EXPECT_LE(record.completion_us, now);
   }
-  absorb(eager.drain());
+  eager.finish();
+  absorb(eager.collect(kEndOfStream));
 
   ASSERT_EQ(seen.size(), reference.size());
   for (const auto& [seq, record] : reference)
-    EXPECT_TRUE(records_equal(seen.at(seq), record)) << "ticket " << seq;
+    EXPECT_TRUE(records_equal(seen.at(seq), record)) << "seq " << seq;
 }
 
 TEST(SchedTest, ReportBitIdenticalAcrossThreadsReplicasForPolicyAndDevices) {
@@ -275,15 +280,15 @@ TEST(SchedTest, SubmitRejectsShapeNoDeviceCanEmbed) {
 
   sched::SchedConfig cfg = fast_sched();
   cfg.devices = {sched::DeviceSpec{.disabled = dead_row_map()}};
-  sched::SchedClient client(cfg);
-  EXPECT_THROW(client.submit(gen.job(0, 0, 0.0)), CapacityError);
+  sched::Scheduler scheduler(cfg);
+  EXPECT_THROW(scheduler.submit(gen.job(0, 0, 0.0)), CapacityError);
 }
 
 TEST(SchedTest, SubmitRequiresMonotoneArrivals) {
   serve::LoadGenerator gen(bpsk8_load(10.0), 0xA59);
-  sched::SchedClient client(fast_sched());
-  client.submit(gen.job(0, 0, 100.0));
-  EXPECT_THROW(client.submit(gen.job(1, 1, 50.0)), InvalidArgument);
+  sched::Scheduler scheduler(fast_sched());
+  scheduler.submit(gen.job(0, 0, 100.0));
+  EXPECT_THROW(scheduler.submit(gen.job(1, 1, 50.0)), InvalidArgument);
 }
 
 /// FNV-1a fingerprint of everything a scheduler serves: every JobRecord
@@ -335,7 +340,7 @@ std::unique_ptr<sched::Scheduler> serve_all(
       take(scheduler->collect(scheduler->now_us()));
   }
   scheduler->finish();
-  take(scheduler->collect(std::numeric_limits<double>::infinity()));
+  take(scheduler->collect(kEndOfStream));
   std::sort(delivered.begin(), delivered.end());
   EXPECT_EQ(delivered.size(), jobs.size());
   for (std::size_t seq = 0; seq < delivered.size(); ++seq)
