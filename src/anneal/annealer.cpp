@@ -41,28 +41,21 @@ std::vector<qubo::SpinVec> anneal_block(const SaEngine& engine,
 }  // namespace
 
 ChimeraAnnealer::ChimeraAnnealer(AnnealerConfig config)
-    : config_(config),
-      graph_(config.chip_defects == 0
-                 ? chimera::ChimeraGraph(config.chip_size, config.chip_shore)
-                 : chimera::ChimeraGraph::with_defects(
-                       config.chip_size, config.chip_defects, config.chip_seed)) {
-  require(config.chip_defects == 0 || config.chip_shore == 4,
-          "ChimeraAnnealer: defect masks are modeled for the shore-4 chip");
-  for (const chimera::Qubit q : config_.chip_disabled) {
-    require(q < graph_.num_qubits(),
-            "ChimeraAnnealer: chip_disabled qubit id outside the chip");
-    graph_.disable_qubit(q);
-  }
-  config_.schedule.validate();
-  embeddings_ = std::make_shared<chimera::EmbeddingCache>(graph_);
-}
+    : ChimeraAnnealer(config, std::make_shared<chimera::EmbeddingCache>(
+                                  chimera::make_chip(config.chip_size,
+                                                     config.chip_shore,
+                                                     config.chip_defects,
+                                                     config.chip_seed,
+                                                     config.chip_disabled))) {}
 
-void ChimeraAnnealer::set_embedding_cache(
-    std::shared_ptr<chimera::EmbeddingCache> cache) {
-  require(cache != nullptr, "set_embedding_cache: null cache");
-  require(cache->graph().same_topology(graph_),
-          "set_embedding_cache: cache was compiled for a different chip");
-  embeddings_ = std::move(cache);
+ChimeraAnnealer::ChimeraAnnealer(AnnealerConfig config,
+                                 std::shared_ptr<chimera::EmbeddingCache> embeddings)
+    : config_(std::move(config)), embeddings_(std::move(embeddings)) {
+  require(embeddings_ != nullptr, "ChimeraAnnealer: null embedding cache");
+  require(embeddings_->graph().grid_size() == config_.chip_size &&
+              embeddings_->graph().shore_size() == config_.chip_shore,
+          "ChimeraAnnealer: chip_size/chip_shore do not match the cache's chip");
+  config_.schedule.validate();
 }
 
 core::ParallelBatchSampler& ChimeraAnnealer::batch() {
@@ -125,20 +118,14 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_each(
     std::size_t num_anneals, Rng& rng, std::vector<double>* broken) {
   for (const auto* p : problems)
     require(p != nullptr, "sample_each: null problem pointer");
-  AnnealerConfig worker_config = config_;
-  worker_config.num_threads = 1;  // the lanes already split the problems
-  core::ParallelBatchSampler& lanes = batch();
-  std::vector<std::unique_ptr<ChimeraAnnealer>> workers(lanes.num_threads());
+  AnnealerConfig one_lane = config_;
+  one_lane.num_threads = 1;  // the lanes already split the problems
   std::vector<std::vector<qubo::SpinVec>> results(problems.size());
   if (broken != nullptr) broken->assign(problems.size(), 0.0);
-  lanes.run(problems.size(), rng, [&](std::size_t lane, std::size_t p, Rng& stream) {
-    std::unique_ptr<ChimeraAnnealer>& worker = workers[lane];
-    if (worker == nullptr) {
-      worker = std::make_unique<ChimeraAnnealer>(worker_config);
-      worker->set_embedding_cache(embeddings_);
-    }
-    results[p] = worker->sample(*problems[p], num_anneals, stream);
-    if (broken != nullptr) (*broken)[p] = worker->last_broken_chain_fraction();
+  batch().run(problems.size(), rng, [&](std::size_t p, Rng& stream) {
+    ChimeraAnnealer annealer(one_lane, embeddings_);
+    results[p] = annealer.sample(*problems[p], num_anneals, stream);
+    if (broken != nullptr) (*broken)[p] = annealer.last_broken_chain_fraction();
   });
   return results;
 }
@@ -150,6 +137,8 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch(
           "sample_batch: reverse annealing needs per-problem seeds; use "
           "sample_batch_seeded");
   require(!problems.empty(), "sample_batch: no problems");
+  for (const auto* p : problems)
+    require(p != nullptr, "sample_batch: null problem pointer");
   return sample_waves(problems,
                       *embeddings_->parallel(problems.front()->num_spins()),
                       nullptr, config_.schedule, num_anneals, rng);
@@ -185,7 +174,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
   require(num_anneals >= 1, "ChimeraAnnealer: need at least one anneal");
   const std::size_t n = problems.front()->num_spins();
   for (const auto* p : problems)
-    require(p != nullptr && p->num_spins() == n,
+    require(p->num_spins() == n,
             "sample_batch: all problems must have the same variable count");
 
   // Only min(placements, problems) slots are used per wave: a prefix of the
@@ -273,17 +262,16 @@ std::vector<qubo::SpinVec> LogicalAnnealer::sample(const qubo::IsingModel& probl
                                                    Rng& rng) {
   require(num_anneals >= 1, "LogicalAnnealer::sample: need at least one anneal");
 
+  // Rescale to unit max |coefficient|.
   qubo::IsingModel scaled = problem;
-  if (config_.normalize) {
-    const double max_coeff = problem.max_abs_coefficient();
-    if (max_coeff > 0.0) {
-      qubo::IsingModel normalized(problem.num_spins());
-      for (std::size_t i = 0; i < problem.num_spins(); ++i)
-        normalized.field(i) = problem.field(i) / max_coeff;
-      for (const qubo::Coupling& c : problem.couplings())
-        normalized.add_coupling(c.i, c.j, c.g / max_coeff);
-      scaled = std::move(normalized);
-    }
+  const double max_coeff = problem.max_abs_coefficient();
+  if (max_coeff > 0.0) {
+    qubo::IsingModel normalized(problem.num_spins());
+    for (std::size_t i = 0; i < problem.num_spins(); ++i)
+      normalized.field(i) = problem.field(i) / max_coeff;
+    for (const qubo::Coupling& c : problem.couplings())
+      normalized.add_coupling(c.i, c.j, c.g / max_coeff);
+    scaled = std::move(normalized);
   }
 
   const SaEngine engine(scaled);

@@ -7,9 +7,10 @@
 //    unembed each anneal's configuration back to logical variables.
 //
 //  * LogicalAnnealer — ablation: same SA kernel applied directly to the
-//    logical fully-connected problem (no chains, optional ICE).  Isolates
-//    the cost of embedding; also the "highly optimized simulated annealing
-//    on the latest Intel processors" comparator mentioned in §6.
+//    logical fully-connected problem, rescaled to unit max |coefficient|
+//    (no chains, optional ICE).  Isolates the cost of embedding; also the
+//    "highly optimized simulated annealing on the latest Intel processors"
+//    comparator mentioned in §6.
 //
 //  * BruteForceSampler — exhaustive oracle, returns the true ground state
 //    on every "anneal"; for tests and small-problem verification.
@@ -40,9 +41,8 @@ struct AnnealerConfig {
   std::size_t chip_defects = 0;
   std::uint64_t chip_seed = 7;
   /// Explicit fault map: these qubits are disabled on top of the
-  /// `chip_defects` random ones.  Lets a multi-device scheduler model each
-  /// device's measured defect pattern (sched::DeviceSpec) rather than a
-  /// random draw; ids outside the chip throw at construction.
+  /// `chip_defects` random ones (a measured defect pattern rather than a
+  /// random draw); ids outside the chip throw at construction.
   std::vector<chimera::Qubit> chip_disabled;
   /// Ablation: disable the chain-collective Metropolis pass (leaving pure
   /// single-spin dynamics, which cannot cross frozen chains — see
@@ -74,7 +74,17 @@ struct AnnealerConfig {
 
 class ChimeraAnnealer final : public core::IsingSampler {
  public:
+  /// Builds the config's chip (chimera::make_chip) and a private embedding
+  /// cache for it.
   explicit ChimeraAnnealer(AnnealerConfig config);
+
+  /// Anneals on `embeddings`' chip, sharing its compiled placements with
+  /// every other annealer built on it — one per wave on a sched::DeviceSet
+  /// device, one per problem in sample_each.  The chip is the cache's
+  /// graph: `config.chip_size` and `chip_shore` must match it (else
+  /// InvalidArgument), and the config's defect fields are not consulted.
+  ChimeraAnnealer(AnnealerConfig config,
+                  std::shared_ptr<chimera::EmbeddingCache> embeddings);
 
   /// One problem: a one-slot wave of the sample_batch path, placed by the
   /// defect-aware clique search (EmbeddingCache::clique).
@@ -86,9 +96,9 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// where key is ONE draw from `rng`, and returns the sample sets in input
   /// order.  Problems may differ in shape; each is annealed on its own
   /// clique placement (this is not the §4 wave path — see sample_batch).
-  /// The problems spread over config().num_threads lanes, each running a
-  /// private worker annealer with this configuration at one lane, sharing
-  /// this annealer's embedding cache.  sample() is pure in (problem,
+  /// The problems spread over config().num_threads lanes; each is sampled
+  /// by its own one-lane annealer with this configuration, built on this
+  /// annealer's embedding cache.  sample() is pure in (problem,
   /// num_anneals, stream), so the result is bit-identical at any lane count
   /// and equals per-problem sample() calls on a fresh annealer.  `broken`,
   /// when non-null, receives each problem's last_broken_chain_fraction().
@@ -127,11 +137,11 @@ class ChimeraAnnealer final : public core::IsingSampler {
   double anneal_duration_us() const override { return config_.schedule.duration_us(); }
 
   double parallelization_factor(std::size_t num_logical) const override {
-    return chimera::parallelization_factor(num_logical, graph_);
+    return chimera::parallelization_factor(num_logical, graph());
   }
 
-  /// The simulated chip graph (fixed for the annealer's lifetime).
-  const chimera::ChimeraGraph& graph() const noexcept { return graph_; }
+  /// The simulated chip graph: the embedding cache's.
+  const chimera::ChimeraGraph& graph() const noexcept { return embeddings_->graph(); }
   /// The active configuration (see set_config for what may change).
   const AnnealerConfig& config() const noexcept { return config_; }
 
@@ -139,14 +149,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// without discarding the cached embeddings.
   void set_config(const AnnealerConfig& config);
 
-  /// Shares a shape-keyed embedding cache with this annealer (placements
-  /// only — coefficients are compiled per problem).  The cache's graph must
-  /// have the same topology as this annealer's chip.  serve::DecodeService
-  /// wires one cache into every worker so a fleet of annealers compiles each
-  /// problem shape once; by default each annealer owns a private cache.
-  void set_embedding_cache(std::shared_ptr<chimera::EmbeddingCache> cache);
-
-  /// The active embedding cache (never null).
+  /// The shape-keyed embedding cache (placements only — coefficients are
+  /// compiled per problem) this annealer was built on; never null.
   const std::shared_ptr<chimera::EmbeddingCache>& embedding_cache() const noexcept {
     return embeddings_;
   }
@@ -184,7 +188,6 @@ class ChimeraAnnealer final : public core::IsingSampler {
       std::vector<std::size_t>* broken = nullptr);
 
   AnnealerConfig config_;
-  chimera::ChimeraGraph graph_;
   std::shared_ptr<chimera::EmbeddingCache> embeddings_;
   std::optional<qubo::SpinVec> initial_state_;
   double last_broken_chain_fraction_ = 0.0;
@@ -195,7 +198,6 @@ class ChimeraAnnealer final : public core::IsingSampler {
 struct LogicalAnnealerConfig {
   Schedule schedule;
   IceConfig ice{.enabled = false};  ///< ICE is a hardware artifact; off by default
-  bool normalize = true;            ///< rescale to unit max |coefficient|
   std::size_t num_threads = 1;      ///< batch-runtime lanes (see AnnealerConfig)
   std::size_t batch_replicas = 8;   ///< replicas per batched kernel call (ditto)
   /// Sweep-kernel acceptance rule (see AnnealerConfig::accept_mode).

@@ -15,6 +15,16 @@ ChimeraGraph::ChimeraGraph(std::size_t m, std::size_t shore)
 
 ChimeraGraph ChimeraGraph::next_generation() { return ChimeraGraph(13, 12); }
 
+ChimeraGraph make_chip(std::size_t m, std::size_t shore, std::size_t defects,
+                       std::uint64_t seed, const std::vector<Qubit>& disabled) {
+  require(defects == 0 || shore == 4,
+          "make_chip: random defect masks are modeled for the shore-4 chip");
+  ChimeraGraph chip = defects == 0 ? ChimeraGraph(m, shore)
+                                   : ChimeraGraph::with_defects(m, defects, seed);
+  for (const Qubit q : disabled) chip.disable_qubit(q);  // throws off-chip ids
+  return chip;
+}
+
 ChimeraGraph ChimeraGraph::with_defects(std::size_t m, std::size_t defect_count,
                                         std::uint64_t seed) {
   ChimeraGraph g(m);

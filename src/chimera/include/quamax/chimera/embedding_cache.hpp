@@ -6,10 +6,12 @@
 // problem SHAPE — its logical variable count — and the chip graph, never on
 // the problem's coefficients.  A C-RAN decode service repeats the same
 // handful of shapes (one per modulation x user-count combination) millions
-// of times, so placements are compiled once and shared: by all worker lanes
-// of serve::DecodeService, and by every ChimeraAnnealer wired to the same
-// cache (ChimeraAnnealer::set_embedding_cache).  Per job, embed() only
-// scatters coefficients into a cached layout.
+// of times, so placements are compiled once and shared by every
+// ChimeraAnnealer built on the same cache — ChimeraAnnealer(config, cache):
+// each wave's annealer on a sched::DeviceSet device, each problem's in
+// ChimeraAnnealer::sample_each.  The cache's graph is the chip those
+// annealers anneal on.  Per job, embed() only scatters coefficients into a
+// cached layout.
 //
 // Thread safety: all lookup methods are safe for concurrent callers.  Cached
 // values are immutable and returned as shared_ptr-to-const, so a reference
@@ -32,9 +34,8 @@ namespace quamax::chimera {
 
 class EmbeddingCache {
  public:
-  /// Binds the cache to (a copy of) the chip graph all placements target.
-  /// Sharing a cache between annealers requires identical topologies —
-  /// ChimeraGraph::same_topology — which set_embedding_cache enforces.
+  /// Binds the cache to (a copy of) the chip graph all placements target —
+  /// the chip of every annealer built on the cache.
   explicit EmbeddingCache(ChimeraGraph graph) : graph_(std::move(graph)) {}
 
   /// The chip graph the cached placements were compiled for.
@@ -69,8 +70,8 @@ class EmbeddingCache {
   /// now-dead qubits; shapes marked infeasible that the new topology might
   /// serve).  Values already handed out stay
   /// valid for their holders (shared_ptr-to-const); only the table forgets
-  /// them, so the cache object's identity — and every ChimeraAnnealer wired
-  /// to it — survives the swap.
+  /// them, so the cache object's identity survives the swap.  No annealer
+  /// built on the cache may be sampling during the call.
   void invalidate(ChimeraGraph graph);
 
  private:

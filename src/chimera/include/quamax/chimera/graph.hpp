@@ -81,4 +81,12 @@ class ChimeraGraph {
   std::size_t working_count_;
 };
 
+/// The one chip builder behind every annealer and device: the C_m grid of
+/// shore-`shore` cells, with `defects` random disabled qubits (deterministic
+/// in `seed`; modeled for the shore-4 chip only) and then the explicit
+/// `disabled` fault list.  Throws InvalidArgument on random defects at any
+/// other shore or on a fault id outside the chip.
+ChimeraGraph make_chip(std::size_t m, std::size_t shore, std::size_t defects,
+                       std::uint64_t seed, const std::vector<Qubit>& disabled);
+
 }  // namespace quamax::chimera

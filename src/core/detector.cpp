@@ -8,10 +8,7 @@ namespace quamax::core {
 
 DetectionResult QuAMaxDetector::detect(const wireless::ChannelUse& use,
                                        Rng& rng) const {
-  const MlProblem problem = config_.use_closed_form
-                                ? reduce_ml(use.h, use.y, use.mod)
-                                : reduce_ml_to_ising(use.h, use.y, use.mod);
-  return run(problem, rng);
+  return run(reduce_ml(use.h, use.y, use.mod), rng);
 }
 
 DetectionResult QuAMaxDetector::run(const MlProblem& problem, Rng& rng) const {

@@ -38,7 +38,6 @@ struct DetectionResult {
 /// Detector configuration.
 struct DetectorConfig {
   std::size_t num_anneals = 50;  ///< N_a per QA run
-  bool use_closed_form = true;   ///< paper coefficients when available
   bool keep_samples = true;      ///< retain per-anneal data for metrics
 };
 

@@ -15,7 +15,7 @@
 // replica-sized blocks over the SA kernel's batched entry points (the
 // engine is const and shares read-only state across lanes);
 // ChimeraAnnealer::sample_each fans whole problems across lanes through
-// run(), one lane-indexed worker annealer per lane.
+// run(), one one-lane annealer per problem.
 #pragma once
 
 #include <cstddef>
@@ -33,20 +33,14 @@ class ParallelBatchSampler {
   /// per hardware thread, N = exactly N lanes.
   explicit ParallelBatchSampler(std::size_t num_threads = 1);
 
-  /// Lanes available to run() and run_blocks().
-  std::size_t num_threads() const noexcept { return pool_.size(); }
-
   /// The deterministic fan-out primitive.  Draws one key from `rng` (exactly
-  /// one draw, regardless of thread count), then runs job(lane, a, stream_a)
-  /// for every a in [0, count) with stream_a = Rng::for_stream(key, a);
-  /// `lane` < num_threads() names the executing lane, which holds it alone
-  /// for the duration of the job, so jobs may use lane-indexed scratch
-  /// without locks.  Jobs must confine writes to per-index slots (and that
-  /// scratch) and must not let a result depend on the lane; under that
-  /// contract the result does not depend on thread count or scheduling.
-  /// Blocks until done; the first exception thrown by a job is rethrown.
+  /// one draw, regardless of thread count), then runs job(a, stream_a) for
+  /// every a in [0, count) with stream_a = Rng::for_stream(key, a).  Jobs
+  /// must confine writes to per-index slots; under that contract the result
+  /// does not depend on thread count or scheduling.  Blocks until done; the
+  /// first exception thrown by a job is rethrown.
   void run(std::size_t count, Rng& rng,
-           const std::function<void(std::size_t, std::size_t, Rng&)>& job);
+           const std::function<void(std::size_t, Rng&)>& job);
 
   /// Blocked fan-out for replica-batched kernels: partitions [0, count)
   /// into contiguous blocks of at most `max_block` indices and runs

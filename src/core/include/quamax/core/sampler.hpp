@@ -24,7 +24,7 @@ class IsingSampler {
   /// Concurrency contract: sampler instances are stateful (embedding
   /// caches, diagnostics) and need NOT be safe for concurrent sample()
   /// calls; multi-problem fan-out goes through
-  /// anneal::ChimeraAnnealer::sample_each, which gives each worker lane a
+  /// anneal::ChimeraAnnealer::sample_each, which gives each problem a
   /// private annealer.  Implementations parallelize INTERNALLY over their
   /// anneal loop (see AnnealerConfig::num_threads), and must draw all
   /// randomness through counter-derived streams of `rng` so that output is

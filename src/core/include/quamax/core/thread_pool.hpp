@@ -6,7 +6,9 @@
 // each lane pulls the next unclaimed index until the range is drained.
 // Determinism is the CALLER's contract — bodies must write only to
 // per-index slots and draw randomness only from per-index sources (see
-// ParallelBatchSampler), so the claim order never affects results.
+// ParallelBatchSampler), so the claim order never affects results.  Bodies
+// see only their index, never which lane runs them: state a body needs is
+// built inside it or shared read-only.
 #pragma once
 
 #include <atomic>
@@ -40,25 +42,13 @@ class ThreadPool {
   /// One job at a time: concurrent calls from different threads serialize.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
-  /// Lane-aware variant: runs body(lane, i) where `lane` identifies the
-  /// executing lane (0 = the calling thread, 1..size()-1 = workers).  At any
-  /// moment each lane value is held by exactly one thread, so bodies may use
-  /// lane-indexed scratch (e.g. ChimeraAnnealer::sample_each's lane-local
-  /// worker annealers) without synchronization.  Lane-to-index assignment
-  /// is a runtime race — determinism remains the caller's contract: results
-  /// must not depend on WHICH lane ran an index.
-  void parallel_for_lanes(
-      std::size_t count,
-      const std::function<void(std::size_t, std::size_t)>& body);
-
   /// Maps a user-facing thread-count knob to a concrete lane count:
   /// 0 -> hardware concurrency (at least 1), anything else -> itself.
   static std::size_t resolve(std::size_t requested) noexcept;
 
  private:
-  void worker_loop(std::size_t lane);
-  void drain(const std::function<void(std::size_t, std::size_t)>& body,
-             std::size_t lane, std::size_t count);
+  void worker_loop();
+  void drain(const std::function<void(std::size_t)>& body, std::size_t count);
 
   std::vector<std::thread> workers_;
 
@@ -70,7 +60,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   std::size_t active_ = 0;
   bool stop_ = false;
-  const std::function<void(std::size_t, std::size_t)>* body_ = nullptr;
+  const std::function<void(std::size_t)>* body_ = nullptr;
   std::size_t count_ = 0;
   std::atomic<std::size_t> next_{0};
   std::exception_ptr error_;

@@ -9,12 +9,12 @@ ParallelBatchSampler::ParallelBatchSampler(std::size_t num_threads)
 
 void ParallelBatchSampler::run(
     std::size_t count, Rng& rng,
-    const std::function<void(std::size_t, std::size_t, Rng&)>& job) {
+    const std::function<void(std::size_t, Rng&)>& job) {
   if (count == 0) return;
   const std::uint64_t key = rng();
-  pool_.parallel_for_lanes(count, [&](std::size_t lane, std::size_t a) {
+  pool_.parallel_for(count, [&](std::size_t a) {
     Rng stream = Rng::for_stream(key, a);
-    job(lane, a, stream);
+    job(a, stream);
   });
 }
 

@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t lanes = resolve(num_threads);
   workers_.reserve(lanes - 1);
   for (std::size_t i = 0; i + 1 < lanes; ++i)
-    workers_.emplace_back([this, lane = i + 1] { worker_loop(lane); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -26,13 +26,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::drain(const std::function<void(std::size_t, std::size_t)>& body,
-                       std::size_t lane, std::size_t count) {
+void ThreadPool::drain(const std::function<void(std::size_t)>& body,
+                       std::size_t count) {
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= count) return;
     try {
-      body(lane, i);
+      body(i);
     } catch (...) {
       std::lock_guard<std::mutex> lk(mu_);
       if (!error_) error_ = std::current_exception();
@@ -42,10 +42,10 @@ void ThreadPool::drain(const std::function<void(std::size_t, std::size_t)>& body
   }
 }
 
-void ThreadPool::worker_loop(std::size_t lane) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+    const std::function<void(std::size_t)>* body = nullptr;
     std::size_t count = 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
@@ -57,7 +57,7 @@ void ThreadPool::worker_loop(std::size_t lane) {
       count = count_;
       ++active_;
     }
-    drain(*body, lane, count);
+    drain(*body, count);
     {
       std::lock_guard<std::mutex> lk(mu_);
       --active_;
@@ -68,27 +68,19 @@ void ThreadPool::worker_loop(std::size_t lane) {
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
-  parallel_for_lanes(count, [&body](std::size_t, std::size_t i) { body(i); });
-}
-
-void ThreadPool::parallel_for_lanes(
-    std::size_t count, const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
   if (workers_.empty()) {
-    // Serial pool: run inline, exceptions propagate directly.  The submit
-    // lock is still required — concurrent callers of a 1-lane pool would
-    // otherwise both execute as lane 0, breaking the header's guarantee
-    // that each lane value is held by exactly one thread at a time.
+    // Serial pool: run inline, exceptions propagate directly.  Concurrent
+    // callers still serialize, as the header promises.
     std::lock_guard<std::mutex> submit(submit_mu_);
-    for (std::size_t i = 0; i < count; ++i) body(0, i);
+    for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
 
   std::lock_guard<std::mutex> submit(submit_mu_);
   if (count == 1) {
-    // Not worth waking workers — but lane 0 exclusivity (the header's
-    // lane-scratch guarantee) still requires holding the submit lock.
-    body(0, 0);
+    // Not worth waking workers; the submit lock keeps calls serialized.
+    body(0);
     return;
   }
   {
@@ -101,7 +93,7 @@ void ThreadPool::parallel_for_lanes(
   }
   start_cv_.notify_all();
 
-  drain(body, 0, count);  // the caller is lane 0
+  drain(body, count);  // the caller is a lane too
 
   std::exception_ptr error;
   {

@@ -33,27 +33,16 @@ std::vector<chimera::Qubit> dead_row_fault_map(const chimera::ChimeraGraph& chip
 }
 
 DeviceSet::DeviceSet(const anneal::AnnealerConfig& base,
-                     std::vector<DeviceSpec> specs)
-    : base_(base), specs_(std::move(specs)) {
-  require(!specs_.empty(), "DeviceSet: need at least one device");
-  caches_.reserve(specs_.size());
-  for (std::size_t d = 0; d < specs_.size(); ++d) {
-    const DeviceSpec& spec = specs_[d];
+                     const std::vector<DeviceSpec>& specs) {
+  require(!specs.empty(), "DeviceSet: need at least one device");
+  caches_.reserve(specs.size());
+  for (std::size_t d = 0; d < specs.size(); ++d) {
     chimera::ChimeraGraph graph =
-        spec.defects == 0
-            ? chimera::ChimeraGraph(base_.chip_size, base_.chip_shore)
-            : chimera::ChimeraGraph::with_defects(base_.chip_size, spec.defects,
-                                                  spec.defect_seed);
-    require(spec.defects == 0 || base_.chip_shore == 4,
-            "DeviceSet: random defect masks are modeled for the shore-4 chip");
-    for (const chimera::Qubit q : spec.disabled) {
-      require(q < graph.num_qubits(),
-              "DeviceSet: disabled qubit id outside the chip");
-      graph.disable_qubit(q);
-    }
+        chimera::make_chip(base.chip_size, base.chip_shore, specs[d].defects,
+                           specs[d].defect_seed, specs[d].disabled);
     // Device-affine caches with topology dedup: an identical chip reuses an
     // earlier device's cache (placements depend only on the topology), so a
-    // uniform pool compiles each shape once, like PR 3's single shared cache.
+    // uniform pool compiles each shape once.
     std::shared_ptr<chimera::EmbeddingCache> cache;
     for (std::size_t e = 0; e < d; ++e) {
       if (caches_[e]->graph().same_topology(graph)) {
@@ -67,16 +56,6 @@ DeviceSet::DeviceSet(const anneal::AnnealerConfig& base,
   }
 }
 
-anneal::AnnealerConfig DeviceSet::worker_config(std::size_t device) const {
-  const DeviceSpec& spec = specs_.at(device);
-  anneal::AnnealerConfig cfg = base_;
-  cfg.chip_defects = spec.defects;
-  cfg.chip_seed = spec.defect_seed;
-  cfg.chip_disabled = spec.disabled;
-  cfg.num_threads = 1;  // the scheduler parallelizes ACROSS waves
-  return cfg;
-}
-
 void DeviceSet::grow_defects(std::size_t device,
                              const std::vector<chimera::Qubit>& qubits) {
   require(device < size(), "grow_defects: device out of range");
@@ -87,9 +66,6 @@ void DeviceSet::grow_defects(std::size_t device,
             "grow_defects: disabled qubit id outside the chip");
     graph.disable_qubit(q);
   }
-  // worker_config must rebuild future workers on the grown fault list.
-  DeviceSpec& spec = specs_.at(device);
-  spec.disabled.insert(spec.disabled.end(), qubits.begin(), qubits.end());
   // Break topology sharing before invalidating: other devices still have
   // the OLD chip, so they must keep the old cache (and its placements).
   bool shared = false;

@@ -1,7 +1,6 @@
 #include "quamax/sched/executor.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "quamax/common/error.hpp"
@@ -25,23 +24,19 @@ bool reaches_ground(double best_energy, double ground_energy) {
 
 Executor::Executor(const SchedConfig& config, DeviceSet& devices)
     : devices_(devices),
+      wave_config_(config.annealer),
       pool_(config.num_threads),
       cold_quota_(config.num_anneals),
       warm_quota_(Scheduler::warm_quota(config)),
       keep_seeds_(config.warm_start),
       warm_schedule_(Scheduler::warm_schedule(config)) {
-  workers_.resize(pool_.size());
-  for (auto& lane : workers_) lane.resize(devices_.size());
+  wave_config_.num_threads = 1;
   // warm_key_ is drawn AFTER decode_key_ from the same root, so cold waves
   // keep their historical streams and warm waves can never collide with
   // them for any wave id.
   Rng root(config.seed);
   decode_key_ = root();
   warm_key_ = root();
-}
-
-void Executor::forget_device(std::size_t device) {
-  for (auto& lane : workers_) lane[device].reset();
 }
 
 void Executor::execute_due(double t_us, const std::vector<serve::Wave>& waves,
@@ -72,22 +67,17 @@ void Executor::execute_due(double t_us, const std::vector<serve::Wave>& waves,
     require(end > start,
             "Executor::execute_due: warm wave scheduled before its "
             "predecessor wave");
-    pool_.parallel_for_lanes(end - start, [&](std::size_t lane, std::size_t i) {
-      run_wave(lane, waves[due[start + i]], jobs, records);
+    pool_.parallel_for(end - start, [&](std::size_t i) {
+      run_wave(waves[due[start + i]], jobs, records);
     });
     start = end;
   }
 }
 
-void Executor::run_wave(std::size_t lane, const serve::Wave& wave,
+void Executor::run_wave(const serve::Wave& wave,
                         const std::vector<serve::CellJob>& jobs,
                         std::vector<serve::JobRecord>& records) {
-  std::unique_ptr<anneal::ChimeraAnnealer>& worker = workers_[lane][wave.device];
-  if (worker == nullptr) {
-    worker = std::make_unique<anneal::ChimeraAnnealer>(
-        devices_.worker_config(wave.device));
-    worker->set_embedding_cache(devices_.cache(wave.device));
-  }
+  anneal::ChimeraAnnealer annealer(wave_config_, devices_.cache(wave.device));
 
   std::vector<const qubo::IsingModel*> problems;
   problems.reserve(wave.jobs.size());
@@ -102,11 +92,11 @@ void Executor::run_wave(std::size_t lane, const serve::Wave& wave,
     initial.reserve(wave.seeds.size());
     for (const std::size_t pred : wave.seeds) initial.push_back(&seeds_[pred]);
     Rng stream = Rng::for_stream(warm_key_, wave.id);
-    samples = worker->sample_batch_seeded(problems, initial, warm_schedule_,
-                                          warm_quota_, stream);
+    samples = annealer.sample_batch_seeded(problems, initial, warm_schedule_,
+                                           warm_quota_, stream);
   } else {
     Rng stream = Rng::for_stream(decode_key_, wave.id);
-    samples = worker->sample_batch(problems, cold_quota_, stream);
+    samples = annealer.sample_batch(problems, cold_quota_, stream);
   }
 
   for (std::size_t s = 0; s < wave.jobs.size(); ++s) {

@@ -1,19 +1,18 @@
 // The modeled QA device pool behind the scheduler (paper §2/§7; Kasi et
 // al.'s multi-annealer data center, arXiv:2109.01465).
 //
-// PR 3's DecodeService already time-shared `num_devices` interchangeable
-// processors on the virtual clock; real annealing data centers are not
-// interchangeable.  Every fabricated chip carries its own defect map (the
-// 2000Q of the paper lost 17 of 2,048 qubits), and a shape that tiles one
-// chip's working subgraph may not embed at all on a heavily faulted
-// neighbor.  DeviceSet models exactly that: each device owns
-//
-//   * a ChimeraGraph built from the shared base chip plus its OWN DeviceSpec
-//     defect map (random draw and/or explicit fault list), and
-//   * a device-affine chimera::EmbeddingCache compiled against that graph —
-//     devices with bit-identical topologies transparently share one cache
-//     (placements are a pure function of the topology), while any
-//     topology-distinct device gets its own.
+// Real annealing data centers are not pools of interchangeable
+// processors.  Every fabricated chip carries its own defect map (the 2000Q
+// of the paper lost 17 of 2,048 qubits), and a shape that tiles one chip's
+// working subgraph may not embed at all on a heavily faulted neighbor.
+// DeviceSet models exactly that: each device IS a chimera::EmbeddingCache
+// whose graph is the base grid/shore plus the device's OWN DeviceSpec
+// defect map (chimera::make_chip: random draw and/or explicit fault list).
+// Devices with bit-identical topologies share one cache (placements are a
+// pure function of the topology); any topology-distinct device gets its
+// own.  An annealer for device d is built on cache(d) —
+// anneal::ChimeraAnnealer(config, cache(d)) — so the cache is the one
+// description of the chip, and a defect growth reaches every later anneal.
 //
 // capacity(d, shape) is the scheduler's routing oracle: 0 means the shape
 // does not embed on device d, so no wave of that shape may land there
@@ -64,29 +63,27 @@ std::vector<chimera::Qubit> dead_row_fault_map(const chimera::ChimeraGraph& chip
 
 class DeviceSet {
  public:
-  /// Builds the per-device graphs and caches.  `base` supplies the chip
-  /// grid/shore and every annealing parameter of the device workers; each
-  /// spec then applies its defect map on top.  Requires >= 1 spec.
-  DeviceSet(const anneal::AnnealerConfig& base, std::vector<DeviceSpec> specs);
+  /// Builds the per-device chips and caches: `base` supplies the chip
+  /// grid/shore (its defect fields are not consulted), and each spec
+  /// applies its defect map on top.  Requires >= 1 spec; a spec with
+  /// random defects off the shore-4 chip or a fault id outside the chip
+  /// throws InvalidArgument.
+  DeviceSet(const anneal::AnnealerConfig& base,
+            const std::vector<DeviceSpec>& specs);
 
-  std::size_t size() const noexcept { return specs_.size(); }
-  const DeviceSpec& spec(std::size_t device) const { return specs_.at(device); }
+  std::size_t size() const noexcept { return caches_.size(); }
 
   /// Device `device`'s chip (the base chip with the spec's defect map).
   const chimera::ChimeraGraph& graph(std::size_t device) const {
     return caches_.at(device)->graph();
   }
 
-  /// Device `device`'s embedding cache.  Topology-identical devices share
-  /// one cache object, so a uniform pool compiles each shape exactly once.
+  /// Device `device`'s embedding cache — the chip an annealer for the
+  /// device is built on.  Topology-identical devices share one cache
+  /// object, so a uniform pool compiles each shape exactly once.
   const std::shared_ptr<chimera::EmbeddingCache>& cache(std::size_t device) const {
     return caches_.at(device);
   }
-
-  /// Worker configuration for annealing on device `device`: the base config
-  /// with the device's chip fields and num_threads forced to 1 (the
-  /// scheduler parallelizes across waves, not inside them).
-  anneal::AnnealerConfig worker_config(std::size_t device) const;
 
   /// Jobs of `shape` one wave on device `device` can carry; 0 when the
   /// shape does not embed there (the routing predicate).
@@ -115,8 +112,6 @@ class DeviceSet {
                     const std::vector<chimera::Qubit>& qubits);
 
  private:
-  anneal::AnnealerConfig base_;
-  std::vector<DeviceSpec> specs_;
   std::vector<std::shared_ptr<chimera::EmbeddingCache>> caches_;
 };
 

@@ -1,12 +1,14 @@
 // quamax::sched::Executor — the wall-clock half of the scheduler: decode
 // compute for the waves sched::Scheduler dispatches on the virtual clock.
-// It owns the lane pool, the lane-local device workers, the decode and
-// warm RNG keys, the warm seed slots and the queued waves, and no
-// virtual-clock state, so nothing it does can move a dispatch decision.
+// It owns the lane pool, the decode and warm RNG keys, the warm seed slots
+// and the queued waves, and no virtual-clock state, so nothing it does can
+// move a dispatch decision.
 //
-// Wave w draws all randomness from Rng::for_stream(key, w) on a lane-local
-// worker built for its device's chip and writes only its members' decode
-// fields (bit_errors, num_bits, ground_state) and seed slots, so records
+// Wave w draws all randomness from Rng::for_stream(key, w) on a one-lane
+// annealer built for the wave on its device's embedding cache (the
+// DeviceSet's current chip, defect growths included) and writes only its
+// members' decode fields (bit_errors, num_bits, ground_state) and seed
+// slots, so records
 // are bit-identical at any lane count, replica block size and collect()
 // cadence.  A warm wave reads its members' predecessors' seed slots, which
 // the predecessor wave's decode lane fills; due waves therefore run in
@@ -18,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -53,16 +54,15 @@ class Executor {
                    const std::vector<serve::CellJob>& jobs,
                    std::vector<serve::JobRecord>& records);
 
-  /// Drops every lane's worker for `device` after its chip changed
-  /// (defect growth); the next wave there rebuilds it from the pool.
-  void forget_device(std::size_t device);
-
  private:
-  void run_wave(std::size_t lane, const serve::Wave& wave,
+  void run_wave(const serve::Wave& wave,
                 const std::vector<serve::CellJob>& jobs,
                 std::vector<serve::JobRecord>& records);
 
   DeviceSet& devices_;
+  /// The annealer config of every wave: one lane, since the pool already
+  /// parallelizes ACROSS waves.
+  anneal::AnnealerConfig wave_config_;
   core::ThreadPool pool_;
   std::uint64_t decode_key_ = 0;
   std::uint64_t warm_key_ = 0;  ///< disjoint stream family for warm waves
@@ -77,8 +77,6 @@ class Executor {
   /// due waves, never rescanning the history.
   using Due = std::pair<double, std::size_t>;
   std::priority_queue<Due, std::vector<Due>, std::greater<>> due_;
-  /// workers_[lane][device]: lane-local annealer built for that device's chip.
-  std::vector<std::vector<std::unique_ptr<anneal::ChimeraAnnealer>>> workers_;
 };
 
 }  // namespace quamax::sched

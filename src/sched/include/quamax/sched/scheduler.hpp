@@ -90,8 +90,9 @@ inline std::size_t clamp_wave_jobs(std::size_t chip_capacity, bool packing,
 }
 
 struct SchedConfig {
-  /// Chip, schedule, ICE, and replica configuration of every device worker
-  /// (chip fields describe the BASE chip; DeviceSpecs refine it per device).
+  /// Chip, schedule, ICE, and replica configuration of every wave's
+  /// annealer (chip grid/shore describe the BASE chip; DeviceSpecs add
+  /// each device's defects).
   /// Defaults to threshold32 acceptance (serving_annealer_defaults).
   anneal::AnnealerConfig annealer = serving_annealer_defaults();
   /// One spec per modeled device; empty means one device with the base chip.

@@ -317,8 +317,6 @@ bool Scheduler::process_faults(double t_us) {
         // annealed on the pre-growth topology and must sample it.
         executor_.execute_due(growth.time_us, waves_, jobs_, records_);
         devices_->grow_defects(growth.device, growth.qubits);
-        // Lane workers cached the old chip; rebuild lazily on next use.
-        executor_.forget_device(growth.device);
         // Pending jobs whose shape the shrunken pool can no longer embed
         // anywhere resolve now (fallback or terminal failure).
         for (const std::size_t seq : pending_) {

@@ -9,7 +9,7 @@
 //
 //   arrivals ──► sched::Scheduler (policy queue, same-shape wave packing,
 //   shape-aware routing, fault timeline) ──► modeled QA devices (virtual
-//   clock) ──► ChimeraAnnealer workers on a core::ThreadPool (real
+//   clock) ──► one ChimeraAnnealer per wave on a core::ThreadPool (real
 //   compute) ──► unembed + decode ──► ServiceStats
 //
 // The VIRTUAL clock drives every latency number: a wave occupies a modeled
@@ -41,8 +41,8 @@
 namespace quamax::serve {
 
 struct ServiceConfig {
-  /// Chip, schedule, ICE, and replica configuration of every worker.  The
-  /// worker's own num_threads is forced to 1 — the service parallelizes
+  /// Chip, schedule, ICE, and replica configuration of every wave's
+  /// annealer.  Its num_threads is forced to 1 — the service parallelizes
   /// across waves, not inside them.  Defaults to threshold32 acceptance
   /// (see sched::serving_annealer_defaults for why).
   anneal::AnnealerConfig annealer = sched::serving_annealer_defaults();
@@ -54,7 +54,7 @@ struct ServiceConfig {
   std::size_t num_devices = 1;
   /// Per-device defect maps (paper §3.3's fabrication faults, one map per
   /// chip): device d runs the base `annealer` chip with device_specs[d]'s
-  /// faults applied, owns a device-affine embedding cache, and only
+  /// faults applied, is a device-affine embedding cache, and only
   /// receives waves whose shape embeds on it (shape-aware routing).  Empty
   /// = `num_devices` identical copies of the base chip (the PR-3 model).
   std::vector<sched::DeviceSpec> device_specs;

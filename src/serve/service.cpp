@@ -59,7 +59,7 @@ double DecodeService::wave_service_us() const {
 
 // Submit every job to a sched::Scheduler in arrival order, then finish.  The
 // scheduler owns WHEN everything happens (and what each wave contains) and
-// runs the decode compute on its lane-local, device-affine workers; each
+// runs the decode compute, one annealer per wave on its device's chip; each
 // submit() dispatches every round before its arrival, so every latency
 // number is a pure function of (config, workload).
 ServiceReport DecodeService::run(std::vector<CellJob> jobs) {

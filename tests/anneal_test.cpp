@@ -269,6 +269,66 @@ TEST(ChimeraAnnealerTest, SetConfigKeepsChipButUpdatesParameters) {
   EXPECT_THROW(annealer.set_config(updated), InvalidArgument);
 }
 
+TEST(ChimeraAnnealerTest, RejectsBadChip) {
+  // chimera::make_chip's two checks: a fault id outside the chip, and
+  // random defects on a chip whose shore is not 4.
+  AnnealerConfig outside;
+  outside.chip_disabled = {2048};  // C16 qubit ids are 0..2047
+  EXPECT_THROW(ChimeraAnnealer{outside}, InvalidArgument);
+
+  AnnealerConfig next_gen;
+  next_gen.chip_size = 13;
+  next_gen.chip_shore = 12;
+  EXPECT_NO_THROW(ChimeraAnnealer{next_gen});
+  next_gen.chip_defects = 5;
+  EXPECT_THROW(ChimeraAnnealer{next_gen}, InvalidArgument);
+}
+
+TEST(ChimeraAnnealerTest, SampleBatchRejectsNullProblems) {
+  // A null pointer in any slot is named as such, before any problem is read.
+  Rng rng{70};
+  const qubo::IsingModel p = random_clique(8, rng);
+  ChimeraAnnealer annealer{AnnealerConfig{}};
+  for (const std::vector<const qubo::IsingModel*>& problems :
+       {std::vector<const qubo::IsingModel*>{nullptr, &p},
+        std::vector<const qubo::IsingModel*>{&p, nullptr}}) {
+    try {
+      annealer.sample_batch(problems, 5, rng);
+      ADD_FAILURE() << "sample_batch accepted a null problem";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("null"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ChimeraAnnealerTest, SampleEachFailsWholeOnUnembeddableProblem) {
+  // A 70-spin clique needs 18 cell rows; C16 has 16.  One such problem among
+  // valid ones fails the whole call with CapacityError at any lane count,
+  // and the annealer serves its next call as a fresh one would.
+  Rng gen{80};
+  std::vector<qubo::IsingModel> models;
+  for (int i = 0; i < 5; ++i) models.push_back(random_clique(8, gen));
+  models.push_back(random_clique(70, gen));
+  std::vector<const qubo::IsingModel*> valid;
+  for (std::size_t i = 0; i + 1 < models.size(); ++i) valid.push_back(&models[i]);
+  std::vector<const qubo::IsingModel*> with_bad = valid;
+  with_bad.insert(with_bad.begin() + 2, &models.back());
+
+  for (const std::size_t threads : {1ul, 3ul}) {
+    AnnealerConfig config;
+    config.num_threads = threads;
+    ChimeraAnnealer annealer(config);
+    Rng rng{81};
+    EXPECT_THROW(annealer.sample_each(with_bad, 10, rng), CapacityError)
+        << threads << " lanes";
+
+    ChimeraAnnealer fresh(config);
+    Rng a{82}, b{82};
+    EXPECT_EQ(annealer.sample_each(valid, 10, a), fresh.sample_each(valid, 10, b))
+        << threads << " lanes";
+  }
+}
+
 TEST(ChimeraAnnealerTest, ParallelizationFactorMatchesFormula) {
   ChimeraAnnealer annealer{AnnealerConfig{}};
   EXPECT_NEAR(annealer.parallelization_factor(16), 2048.0 / (16 * 5), 1e-12);

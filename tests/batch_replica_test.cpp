@@ -2,9 +2,9 @@
 // pure throughput optimization.  anneal_batch(R) with fixed per-replica RNG
 // streams must reproduce the EXACT spins of R scalar anneal() calls —
 // including with collective-move groups and per-replica ICE coefficients —
-// the annealers must be bit-identical at any batch_replicas setting, and the
-// lane-local sampler cache must return the same samples as the uncached
-// path.
+// the annealers must be bit-identical at any batch_replicas setting, and
+// sample_each's per-problem annealers on a shared embedding cache must
+// return the same samples as fresh annealers.
 
 #include <gtest/gtest.h>
 
@@ -252,10 +252,10 @@ TEST(BatchReplicaTest, RunBlocksHandsOutRunStreams) {
 }
 
 TEST(BatchReplicaTest, SampleEachMatchesFreshAnnealers) {
-  // The lane workers and their shared embedding cache must be invisible in
-  // the results: sample_each runs equal a fresh annealer per problem drawn
-  // with stream p, including when several problems share a shape and one
-  // worker serves them all, and the broken-chain fractions match too.
+  // The shared embedding cache must be invisible in the results:
+  // sample_each runs equal a fresh annealer per problem drawn with stream
+  // p, including when several problems share a shape and so one compiled
+  // placement, and the broken-chain fractions match too.
   const qubo::IsingModel p0 = random_clique(9, 0xB00B);
   const qubo::IsingModel p1 = random_clique(9, 0xB00C);
   const qubo::IsingModel p2 = random_clique(12, 0xB00D);

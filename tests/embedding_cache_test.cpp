@@ -207,13 +207,22 @@ TEST(EmbeddingCacheTest, InvalidateSwapsTopologyAndPreservesHandedOutPointers) {
 }
 
 TEST(EmbeddingCacheTest, AnnealerRejectsTopologyMismatchedCache) {
-  anneal::AnnealerConfig config;
-  anneal::ChimeraAnnealer annealer(config);
-  auto mismatched = std::make_shared<EmbeddingCache>(dead_row_graph());
-  EXPECT_THROW(annealer.set_embedding_cache(mismatched), InvalidArgument);
-  auto matched = std::make_shared<EmbeddingCache>(ChimeraGraph());
-  annealer.set_embedding_cache(matched);
-  EXPECT_EQ(annealer.embedding_cache(), matched);
+  // An annealer built on a cache anneals on the cache's chip, defects
+  // included; a cache whose grid or shore differs from the config throws.
+  const anneal::AnnealerConfig config;
+  const auto dead_rows = std::make_shared<EmbeddingCache>(dead_row_graph());
+  const anneal::ChimeraAnnealer annealer(config, dead_rows);
+  EXPECT_EQ(annealer.embedding_cache(), dead_rows);
+  EXPECT_TRUE(annealer.graph().same_topology(dead_row_graph()));
+  EXPECT_FALSE(annealer.graph().same_topology(ChimeraGraph()));
+
+  EXPECT_THROW((anneal::ChimeraAnnealer{
+                   config, std::make_shared<EmbeddingCache>(ChimeraGraph(8))}),
+               InvalidArgument);
+  EXPECT_THROW((anneal::ChimeraAnnealer{
+                   config, std::make_shared<EmbeddingCache>(ChimeraGraph(16, 12))}),
+               InvalidArgument);
+  EXPECT_THROW((anneal::ChimeraAnnealer{config, nullptr}), InvalidArgument);
 }
 
 }  // namespace

@@ -481,25 +481,49 @@ TEST(DeviceSetTest, TopologyKeyedCachesSharedOnlyWhenIdentical) {
 }
 
 TEST(DeviceSetTest, WorkerConfigCarriesDeviceDefects) {
-  anneal::AnnealerConfig base;
-  base.num_threads = 4;
+  // An annealer built on a device's cache anneals on that device's chip,
+  // defects included, although the base config describes a pristine chip.
+  const anneal::AnnealerConfig base;
   std::vector<sched::DeviceSpec> specs(2);
   specs[1].defects = 17;
   specs[1].defect_seed = 0xD1;
   sched::DeviceSet set(base, specs);
 
-  const anneal::AnnealerConfig w0 = set.worker_config(0);
-  const anneal::AnnealerConfig w1 = set.worker_config(1);
-  EXPECT_EQ(w0.num_threads, 1u) << "workers must be single-threaded";
-  EXPECT_EQ(w0.chip_defects, 0u);
-  EXPECT_EQ(w1.chip_defects, 17u);
-  EXPECT_EQ(w1.chip_seed, 0xD1u);
-  // A worker built from the config reproduces the device's exact topology
-  // (the set_embedding_cache compatibility requirement).
-  anneal::ChimeraAnnealer worker(w1);
-  EXPECT_TRUE(worker.graph().same_topology(set.graph(1)));
-  anneal::ChimeraAnnealer pristine(w0);
-  EXPECT_FALSE(pristine.graph().same_topology(set.graph(1)));
+  const anneal::ChimeraAnnealer device1(base, set.cache(1));
+  EXPECT_TRUE(device1.graph().same_topology(set.graph(1)));
+  EXPECT_EQ(device1.graph().num_working_qubits(), 2048u - 17u);
+  // The same chip as the config fields describe it directly.
+  anneal::AnnealerConfig direct = base;
+  direct.chip_defects = 17;
+  direct.chip_seed = 0xD1;
+  EXPECT_TRUE(anneal::ChimeraAnnealer(direct).graph().same_topology(device1.graph()));
+  const anneal::ChimeraAnnealer device0(base, set.cache(0));
+  EXPECT_FALSE(device0.graph().same_topology(set.graph(1)));
+}
+
+TEST(DeviceSetTest, RejectsBadDeviceSpecs) {
+  // Both chip checks of chimera::make_chip reach the pool and the service:
+  // a fault id outside the chip, and random defects off the shore-4 chip.
+  const anneal::AnnealerConfig base;
+  std::vector<sched::DeviceSpec> outside(2);
+  outside[1].disabled = {2048};  // C16 qubit ids are 0..2047
+  EXPECT_THROW(sched::DeviceSet(base, outside), InvalidArgument);
+  serve::ServiceConfig service = fast_service();
+  service.device_specs = outside;
+  EXPECT_THROW(serve::DecodeService{service}, InvalidArgument);
+
+  anneal::AnnealerConfig next_gen = base;
+  next_gen.chip_size = 13;
+  next_gen.chip_shore = 12;
+  std::vector<sched::DeviceSpec> random(1);
+  random[0].defects = 5;
+  EXPECT_THROW(sched::DeviceSet(next_gen, random), InvalidArgument);
+  service = fast_service();
+  service.annealer.chip_size = 13;
+  service.annealer.chip_shore = 12;
+  EXPECT_NO_THROW(serve::DecodeService{service}) << "pristine next-gen pool";
+  service.device_specs = random;
+  EXPECT_THROW(serve::DecodeService{service}, InvalidArgument);
 }
 
 }  // namespace
