@@ -50,20 +50,14 @@ ChimeraAnnealer::ChimeraAnnealer(AnnealerConfig config)
 
 ChimeraAnnealer::ChimeraAnnealer(AnnealerConfig config,
                                  std::shared_ptr<chimera::EmbeddingCache> embeddings)
-    : config_(std::move(config)), embeddings_(std::move(embeddings)) {
+    : config_(std::move(config)),
+      embeddings_(std::move(embeddings)),
+      pool_(config_.num_threads) {
   require(embeddings_ != nullptr, "ChimeraAnnealer: null embedding cache");
   require(embeddings_->graph().grid_size() == config_.chip_size &&
               embeddings_->graph().shore_size() == config_.chip_shore,
           "ChimeraAnnealer: chip_size/chip_shore do not match the cache's chip");
   config_.schedule.validate();
-}
-
-core::ParallelBatchSampler& ChimeraAnnealer::batch() {
-  if (batch_ == nullptr || batch_threads_ != config_.num_threads) {
-    batch_ = std::make_unique<core::ParallelBatchSampler>(config_.num_threads);
-    batch_threads_ = config_.num_threads;
-  }
-  return *batch_;
 }
 
 void ChimeraAnnealer::set_config(const AnnealerConfig& config) {
@@ -74,6 +68,9 @@ void ChimeraAnnealer::set_config(const AnnealerConfig& config) {
               config.chip_disabled == config_.chip_disabled,
           "ChimeraAnnealer::set_config: cannot change the chip; build a new "
           "annealer");
+  require(config.num_threads == config_.num_threads,
+          "ChimeraAnnealer::set_config: cannot change num_threads; build a new "
+          "annealer");
   config.schedule.validate();
   config_ = config;
 }
@@ -81,6 +78,13 @@ void ChimeraAnnealer::set_config(const AnnealerConfig& config) {
 std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& problem,
                                                    std::size_t num_anneals,
                                                    Rng& rng) {
+  return sample_one(problem, num_anneals, rng, &pool_,
+                    last_broken_chain_fraction_);
+}
+
+std::vector<qubo::SpinVec> ChimeraAnnealer::sample_one(
+    const qubo::IsingModel& problem, std::size_t num_anneals, Rng& rng,
+    core::ThreadPool* pool, double& broken_fraction) const {
   // Reverse annealing starts every anneal from the logical warm-start state.
   std::vector<const qubo::SpinVec*> seed;
   if (config_.schedule.reverse) {
@@ -96,12 +100,12 @@ std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& probl
   std::vector<qubo::SpinVec> raw = std::move(
       sample_waves({&problem}, {*embeddings_->clique(problem.num_spins())},
                    seed.empty() ? nullptr : &seed, config_.schedule,
-                   num_anneals, rng, &broken)
+                   num_anneals, rng, pool, &broken)
           .front());
 
   std::size_t broken_total = 0;
   for (const std::size_t b : broken) broken_total += b;
-  last_broken_chain_fraction_ =
+  broken_fraction =
       static_cast<double>(broken_total) /
       static_cast<double>(num_anneals * problem.num_spins());
 
@@ -118,15 +122,16 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_each(
     std::size_t num_anneals, Rng& rng, std::vector<double>* broken) {
   for (const auto* p : problems)
     require(p != nullptr, "sample_each: null problem pointer");
-  AnnealerConfig one_lane = config_;
-  one_lane.num_threads = 1;  // the lanes already split the problems
   std::vector<std::vector<qubo::SpinVec>> results(problems.size());
-  if (broken != nullptr) broken->assign(problems.size(), 0.0);
-  batch().run(problems.size(), rng, [&](std::size_t p, Rng& stream) {
-    ChimeraAnnealer annealer(one_lane, embeddings_);
-    results[p] = annealer.sample(*problems[p], num_anneals, stream);
-    if (broken != nullptr) (*broken)[p] = annealer.last_broken_chain_fraction();
-  });
+  std::vector<double> fractions(problems.size(), 0.0);
+  // One problem per lane job; its replica blocks run inline on that lane.
+  core::run_stream_blocks(&pool_, problems.size(), 1, rng,
+                          [&](std::size_t p, std::vector<Rng>& streams) {
+                            results[p] = sample_one(*problems[p], num_anneals,
+                                                    streams.front(), nullptr,
+                                                    fractions[p]);
+                          });
+  if (broken != nullptr) *broken = std::move(fractions);
   return results;
 }
 
@@ -141,7 +146,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch(
     require(p != nullptr, "sample_batch: null problem pointer");
   return sample_waves(problems,
                       *embeddings_->parallel(problems.front()->num_spins()),
-                      nullptr, config_.schedule, num_anneals, rng);
+                      nullptr, config_.schedule, num_anneals, rng, &pool_);
 }
 
 std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_seeded(
@@ -162,7 +167,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_seeded(
   require(!problems.empty(), "sample_batch: no problems");
   return sample_waves(problems,
                       *embeddings_->parallel(problems.front()->num_spins()),
-                      &initial_states, schedule, num_anneals, rng);
+                      &initial_states, schedule, num_anneals, rng, &pool_);
 }
 
 std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
@@ -170,7 +175,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
     const std::vector<chimera::Embedding>& slots,
     const std::vector<const qubo::SpinVec*>* initial_states,
     const Schedule& schedule, std::size_t num_anneals, Rng& rng,
-    std::vector<std::size_t>* broken) {
+    core::ThreadPool* pool, std::vector<std::size_t>* broken) const {
   require(num_anneals >= 1, "ChimeraAnnealer: need at least one anneal");
   const std::size_t n = problems.front()->num_spins();
   for (const auto* p : problems)
@@ -228,7 +233,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
     }
 
     // One chip anneal decodes the whole wave; the anneal loop fans across
-    // the batch runtime in replica blocks of per-anneal streams, each block
+    // `pool` in replica blocks of per-anneal streams, each block
     // writing slots [begin, begin + R) of every problem in the wave.  Anneal
     // `a` draws its ICE realization, SA trajectory, and tie-breaks from
     // stream `a` whatever block it lands in, so samples are bit-identical at
@@ -236,8 +241,8 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_waves(
     // read-only.
     for (std::size_t s = 0; s < wave_size; ++s)
       results[wave_start + s].resize(num_anneals);
-    batch().run_blocks(
-        num_anneals, config_.batch_replicas, rng,
+    core::run_stream_blocks(
+        pool, num_anneals, config_.batch_replicas, rng,
         [&](std::size_t begin, std::vector<Rng>& streams) {
           const std::vector<qubo::SpinVec> physical = anneal_block(
               engine, ice, betas, streams, initial, config_.accept_mode);
@@ -277,12 +282,9 @@ std::vector<qubo::SpinVec> LogicalAnnealer::sample(const qubo::IsingModel& probl
   const SaEngine engine(scaled);
   const std::vector<double> betas = config_.schedule.betas();
 
-  if (batch_ == nullptr)
-    batch_ = std::make_unique<core::ParallelBatchSampler>(config_.num_threads);
-
   std::vector<qubo::SpinVec> samples(num_anneals);
-  batch_->run_blocks(
-      num_anneals, config_.batch_replicas, rng,
+  core::run_stream_blocks(
+      &pool_, num_anneals, config_.batch_replicas, rng,
       [&](std::size_t begin, std::vector<Rng>& streams) {
         std::vector<qubo::SpinVec> block = anneal_block(
             engine, config_.ice, betas, streams, nullptr, config_.accept_mode);

@@ -27,8 +27,8 @@
 #include "quamax/chimera/embedding.hpp"
 #include "quamax/chimera/embedding_cache.hpp"
 #include "quamax/chimera/graph.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/core/sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 
 namespace quamax::anneal {
 
@@ -52,9 +52,10 @@ struct AnnealerConfig {
   /// any anneal containing a broken chain entirely.  sample() then may
   /// return fewer configurations than requested.
   bool discard_broken_chain_samples = false;
-  /// Lanes for the batch-anneal runtime: 1 = serial baseline, 0 = one lane
-  /// per hardware thread, N = exactly N.  Anneals use counter-derived RNG
-  /// streams, so samples for a fixed seed are bit-identical at any setting.
+  /// Lanes of the annealer's thread pool, fixed at construction: 1 = serial
+  /// baseline, 0 = one lane per hardware thread, N = exactly N.  Anneals use
+  /// counter-derived RNG streams (core::run_stream_blocks), so samples for a
+  /// fixed seed are bit-identical at any setting.
   std::size_t num_threads = 1;
   /// Replicas per SaEngine::anneal_batch_with call: each lane's anneal quota
   /// is served in blocks of up to this many replicas swept together by the
@@ -79,10 +80,10 @@ class ChimeraAnnealer final : public core::IsingSampler {
   explicit ChimeraAnnealer(AnnealerConfig config);
 
   /// Anneals on `embeddings`' chip, sharing its compiled placements with
-  /// every other annealer built on it — one per wave on a sched::DeviceSet
-  /// device, one per problem in sample_each.  The chip is the cache's
-  /// graph: `config.chip_size` and `chip_shore` must match it (else
-  /// InvalidArgument), and the config's defect fields are not consulted.
+  /// every other annealer built on it (one per wave on a sched::DeviceSet
+  /// device).  The chip is the cache's graph: `config.chip_size` and
+  /// `chip_shore` must match it (else InvalidArgument), and the config's
+  /// defect fields are not consulted.
   ChimeraAnnealer(AnnealerConfig config,
                   std::shared_ptr<chimera::EmbeddingCache> embeddings);
 
@@ -96,12 +97,15 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// where key is ONE draw from `rng`, and returns the sample sets in input
   /// order.  Problems may differ in shape; each is annealed on its own
   /// clique placement (this is not the §4 wave path — see sample_batch).
-  /// The problems spread over config().num_threads lanes; each is sampled
-  /// by its own one-lane annealer with this configuration, built on this
-  /// annealer's embedding cache.  sample() is pure in (problem,
+  /// The problems spread over this annealer's config().num_threads lanes,
+  /// each sampled by sample()'s own path with its replica blocks run inline
+  /// on its lane — so set_initial_state and discard_broken_chain_samples
+  /// apply exactly as in sample().  sample() is pure in (problem,
   /// num_anneals, stream), so the result is bit-identical at any lane count
-  /// and equals per-problem sample() calls on a fresh annealer.  `broken`,
-  /// when non-null, receives each problem's last_broken_chain_fraction().
+  /// and equals per-problem sample() calls on a one-lane annealer.
+  /// `broken`, when non-null, receives each problem's broken-chain fraction
+  /// (what last_broken_chain_fraction() would read after that sample()
+  /// call); last_broken_chain_fraction() itself is not written.
   std::vector<std::vector<qubo::SpinVec>> sample_each(
       const std::vector<const qubo::IsingModel*>& problems,
       std::size_t num_anneals, Rng& rng, std::vector<double>* broken = nullptr);
@@ -146,7 +150,9 @@ class ChimeraAnnealer final : public core::IsingSampler {
   const AnnealerConfig& config() const noexcept { return config_; }
 
   /// Replaces annealing parameters (used by the Fig. 5-7 parameter sweeps)
-  /// without discarding the cached embeddings.
+  /// without discarding the cached embeddings.  The chip fields and
+  /// num_threads (the lane pool) are fixed at construction: changing them
+  /// throws InvalidArgument.
   void set_config(const AnnealerConfig& config);
 
   /// The shape-keyed embedding cache (placements only — coefficients are
@@ -171,34 +177,40 @@ class ChimeraAnnealer final : public core::IsingSampler {
   }
 
  private:
-  core::ParallelBatchSampler& batch();
+  /// sample() without its write to last_broken_chain_fraction_: one problem
+  /// on its clique placement, replica blocks fanned over `pool` (null =
+  /// inline).  `broken_fraction` receives the broken-chain fraction.  Reads
+  /// only state shared read-only across sample_each's lanes.
+  std::vector<qubo::SpinVec> sample_one(const qubo::IsingModel& problem,
+                                        std::size_t num_anneals, Rng& rng,
+                                        core::ThreadPool* pool,
+                                        double& broken_fraction) const;
 
   /// The one anneal path behind sample, sample_batch and
   /// sample_batch_seeded: embeds `problems` onto `slots` (placements, used
   /// as a prefix), anneals them in waves of min(slots, problems) and
   /// unembeds.  sample() is a one-slot wave on the clique placement.
-  /// `initial_states` null => cold anneal from random states.  `broken`,
-  /// when non-null, receives per anneal the broken chains summed over the
-  /// problems.
+  /// Replica blocks run on `pool` (null = inline).  `initial_states` null =>
+  /// cold anneal from random states.  `broken`, when non-null, receives per
+  /// anneal the broken chains summed over the problems.
   std::vector<std::vector<qubo::SpinVec>> sample_waves(
       const std::vector<const qubo::IsingModel*>& problems,
       const std::vector<chimera::Embedding>& slots,
       const std::vector<const qubo::SpinVec*>* initial_states,
       const Schedule& schedule, std::size_t num_anneals, Rng& rng,
-      std::vector<std::size_t>* broken = nullptr);
+      core::ThreadPool* pool, std::vector<std::size_t>* broken = nullptr) const;
 
   AnnealerConfig config_;
   std::shared_ptr<chimera::EmbeddingCache> embeddings_;
   std::optional<qubo::SpinVec> initial_state_;
   double last_broken_chain_fraction_ = 0.0;
-  std::unique_ptr<core::ParallelBatchSampler> batch_;
-  std::size_t batch_threads_ = 0;  ///< requested lanes batch_ was built with
+  core::ThreadPool pool_;  ///< config_.num_threads lanes
 };
 
 struct LogicalAnnealerConfig {
   Schedule schedule;
   IceConfig ice{.enabled = false};  ///< ICE is a hardware artifact; off by default
-  std::size_t num_threads = 1;      ///< batch-runtime lanes (see AnnealerConfig)
+  std::size_t num_threads = 1;      ///< thread-pool lanes (see AnnealerConfig)
   std::size_t batch_replicas = 8;   ///< replicas per batched kernel call (ditto)
   /// Sweep-kernel acceptance rule (see AnnealerConfig::accept_mode).
   AcceptMode accept_mode = AcceptMode::kExact;
@@ -206,7 +218,8 @@ struct LogicalAnnealerConfig {
 
 class LogicalAnnealer final : public core::IsingSampler {
  public:
-  explicit LogicalAnnealer(LogicalAnnealerConfig config) : config_(config) {
+  explicit LogicalAnnealer(LogicalAnnealerConfig config)
+      : config_(config), pool_(config_.num_threads) {
     config_.schedule.validate();
   }
 
@@ -217,7 +230,7 @@ class LogicalAnnealer final : public core::IsingSampler {
 
  private:
   LogicalAnnealerConfig config_;
-  std::unique_ptr<core::ParallelBatchSampler> batch_;
+  core::ThreadPool pool_;  ///< config_.num_threads lanes
 };
 
 class BruteForceSampler final : public core::IsingSampler {

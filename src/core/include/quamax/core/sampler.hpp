@@ -24,11 +24,12 @@ class IsingSampler {
   /// Concurrency contract: sampler instances are stateful (embedding
   /// caches, diagnostics) and need NOT be safe for concurrent sample()
   /// calls; multi-problem fan-out goes through
-  /// anneal::ChimeraAnnealer::sample_each, which gives each problem a
-  /// private annealer.  Implementations parallelize INTERNALLY over their
-  /// anneal loop (see AnnealerConfig::num_threads), and must draw all
-  /// randomness through counter-derived streams of `rng` so that output is
-  /// bit-identical for a fixed seed at any thread count.
+  /// anneal::ChimeraAnnealer::sample_each, which fans the problems over the
+  /// annealer's own lanes.  Implementations parallelize INTERNALLY over
+  /// their anneal loop (see AnnealerConfig::num_threads) with
+  /// core::run_stream_blocks, and must draw all randomness through
+  /// counter-derived streams of `rng` so that output is bit-identical for
+  /// a fixed seed at any thread count.
   virtual std::vector<qubo::SpinVec> sample(const qubo::IsingModel& problem,
                                             std::size_t num_anneals,
                                             Rng& rng) = 0;

@@ -106,4 +106,27 @@ void ThreadPool::parallel_for(std::size_t count,
   if (error) std::rethrow_exception(error);
 }
 
+void run_stream_blocks(
+    ThreadPool* pool, std::size_t count, std::size_t block, Rng& rng,
+    const std::function<void(std::size_t, std::vector<Rng>&)>& job) {
+  if (count == 0) return;
+  block = std::max<std::size_t>(1, block);
+  const std::uint64_t key = rng();
+  const auto run_block = [&](std::size_t b) {
+    const std::size_t begin = b * block;
+    const std::size_t size = std::min(block, count - begin);
+    std::vector<Rng> streams;
+    streams.reserve(size);
+    for (std::size_t j = 0; j < size; ++j)
+      streams.push_back(Rng::for_stream(key, begin + j));
+    job(begin, streams);
+  };
+  const std::size_t num_blocks = (count + block - 1) / block;
+  if (pool == nullptr) {
+    for (std::size_t b = 0; b < num_blocks; ++b) run_block(b);
+  } else {
+    pool->parallel_for(num_blocks, run_block);
+  }
+}
+
 }  // namespace quamax::core

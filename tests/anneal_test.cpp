@@ -267,6 +267,12 @@ TEST(ChimeraAnnealerTest, SetConfigKeepsChipButUpdatesParameters) {
 
   updated.chip_size = 8;
   EXPECT_THROW(annealer.set_config(updated), InvalidArgument);
+
+  // The lane pool is built once, from the constructor's num_threads.
+  updated = annealer.config();
+  updated.num_threads = 4;
+  EXPECT_THROW(annealer.set_config(updated), InvalidArgument);
+  EXPECT_EQ(annealer.config().num_threads, 1u);
 }
 
 TEST(ChimeraAnnealerTest, RejectsBadChip) {
@@ -326,6 +332,51 @@ TEST(ChimeraAnnealerTest, SampleEachFailsWholeOnUnembeddableProblem) {
     Rng a{82}, b{82};
     EXPECT_EQ(annealer.sample_each(valid, 10, a), fresh.sample_each(valid, 10, b))
         << threads << " lanes";
+  }
+}
+
+TEST(ChimeraAnnealerTest, SampleEachHonoursInitialState) {
+  // sample_each runs each problem through sample()'s own path, so a reverse
+  // schedule starts every problem from the set_initial_state seed: problem p
+  // equals sample() with that seed on stream p of a one-lane annealer,
+  // broken-chain fraction included, at any lane count.
+  Rng gen{84};
+  std::vector<qubo::IsingModel> models;
+  for (int i = 0; i < 3; ++i) models.push_back(random_clique(12, gen));
+  const std::vector<const qubo::IsingModel*> problems{&models[0], &models[1],
+                                                      &models[2]};
+  qubo::SpinVec seed(12);
+  for (auto& s : seed) s = gen.coin() ? 1 : -1;
+
+  AnnealerConfig config;
+  config.schedule.anneal_time_us = 1.0;
+  config.schedule.reverse = true;
+  config.schedule.reverse_depth = 0.6;
+  config.embed.jf = 0.3;  // weak enough that some chains break
+  ChimeraAnnealer solo(config);
+  solo.set_initial_state(seed);
+
+  Rng probe{85};
+  const std::uint64_t key = probe();
+  for (const std::size_t threads : {1ul, 3ul}) {
+    config.num_threads = threads;
+    ChimeraAnnealer annealer(config);
+    annealer.set_initial_state(seed);
+    Rng rng{85};
+    std::vector<double> broken;
+    const auto each = annealer.sample_each(problems, 16, rng, &broken);
+    ASSERT_EQ(each.size(), problems.size());
+    ASSERT_EQ(broken.size(), problems.size());
+    double broken_total = 0.0;
+    for (std::size_t p = 0; p < problems.size(); ++p) {
+      Rng stream = Rng::for_stream(key, p);
+      EXPECT_EQ(each[p], solo.sample(*problems[p], 16, stream))
+          << threads << " lanes, problem " << p;
+      EXPECT_EQ(broken[p], solo.last_broken_chain_fraction())
+          << threads << " lanes, problem " << p;
+      broken_total += broken[p];
+    }
+    EXPECT_GT(broken_total, 0.0) << "the fractions must really be compared";
   }
 }
 

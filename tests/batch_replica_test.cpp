@@ -3,7 +3,7 @@
 // streams must reproduce the EXACT spins of R scalar anneal() calls —
 // including with collective-move groups and per-replica ICE coefficients —
 // the annealers must be bit-identical at any batch_replicas setting, and
-// sample_each's per-problem annealers on a shared embedding cache must
+// sample_each's problems, which share one annealer's embedding cache, must
 // return the same samples as fresh annealers.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 
 namespace quamax {
 namespace {
@@ -226,14 +226,14 @@ TEST(BatchReplicaTest, LogicalSamplesInvariantUnderBatchReplicas) {
 }
 
 TEST(BatchReplicaTest, RunBlocksHandsOutRunStreams) {
-  // run_blocks(begin, streams) must hand out exactly the per-index streams
-  // run() would, advance the caller rng by exactly one draw, and cover every
-  // index once.
-  core::ParallelBatchSampler batch(2);
+  // run_stream_blocks(begin, streams) must hand out exactly the per-index
+  // streams Rng::for_stream(key, a), advance the caller rng by exactly one
+  // draw, and cover every index once.
+  core::ThreadPool pool(2);
   Rng rng{101};
   std::vector<std::uint64_t> first_draw(23, 0);
   std::vector<int> hits(23, 0);
-  batch.run_blocks(23, 5, rng, [&](std::size_t begin, std::vector<Rng>& st) {
+  core::run_stream_blocks(&pool, 23, 5, rng, [&](std::size_t begin, std::vector<Rng>& st) {
     for (std::size_t j = 0; j < st.size(); ++j) {
       first_draw[begin + j] = st[j]();
       ++hits[begin + j];

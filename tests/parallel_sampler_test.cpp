@@ -1,6 +1,7 @@
-// Tests for the deterministic multi-threaded batch-anneal runtime: output
-// must be a pure function of the seed — bit-identical at any thread count —
-// and the fan-out must actually buy wall clock on multi-core hosts.
+// Tests for the deterministic multi-threaded anneal fan-out (core::ThreadPool
+// and the samplers built on run_stream_blocks): output must be a pure
+// function of the seed — bit-identical at any thread count — and the
+// fan-out must actually buy wall clock on multi-core hosts.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/core/thread_pool.hpp"
 
 namespace quamax {
@@ -39,7 +39,7 @@ std::vector<qubo::SpinVec> logical_samples(const qubo::IsingModel& problem,
   return annealer.sample(problem, num_anneals, rng);
 }
 
-TEST(ParallelBatchSamplerTest, LogicalSamplesBitIdenticalAcrossThreadCounts) {
+TEST(ParallelSamplerTest, LogicalSamplesBitIdenticalAcrossThreadCounts) {
   const qubo::IsingModel problem = random_problem(64, 0xA11CE);
   const auto serial = logical_samples(problem, 200, 1, 99);
   for (const std::size_t threads : {2ul, 8ul}) {
@@ -51,7 +51,7 @@ TEST(ParallelBatchSamplerTest, LogicalSamplesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelBatchSamplerTest, ChimeraSamplesBitIdenticalAcrossThreadCounts) {
+TEST(ParallelSamplerTest, ChimeraSamplesBitIdenticalAcrossThreadCounts) {
   // The full pipeline: per-anneal ICE realizations, SA on the embedded
   // problem, and majority-vote tie-breaks all draw from per-anneal streams.
   const qubo::IsingModel problem = random_problem(12, 0xC41);
@@ -71,7 +71,7 @@ TEST(ParallelBatchSamplerTest, ChimeraSamplesBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(broken[2], broken[0]);
 }
 
-TEST(ParallelBatchSamplerTest, MultiProblemBatchBitIdenticalAcrossThreadCounts) {
+TEST(ParallelSamplerTest, MultiProblemBatchBitIdenticalAcrossThreadCounts) {
   const qubo::IsingModel p0 = random_problem(8, 1);
   const qubo::IsingModel p1 = random_problem(8, 2);
   const qubo::IsingModel p2 = random_problem(8, 3);
@@ -89,30 +89,53 @@ TEST(ParallelBatchSamplerTest, MultiProblemBatchBitIdenticalAcrossThreadCounts) 
   EXPECT_EQ(runs[2], runs[0]);
 }
 
-TEST(ParallelBatchSamplerTest, RunAdvancesCallerRngIdenticallyForAnyThreadCount) {
-  // run() must consume exactly one draw from the caller's generator, so the
-  // caller's downstream stream does not depend on the thread count either.
-  std::vector<std::uint64_t> next_draw;
-  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
-    core::ParallelBatchSampler batch(threads);
+TEST(ParallelSamplerTest, SamplersAdvanceCallerRngByOneDrawForAnyThreadCount) {
+  // Every sampler entry point consumes exactly one draw from the caller's
+  // generator, so the caller's downstream stream does not depend on the
+  // thread count either.
+  const qubo::IsingModel p0 = random_problem(8, 1);
+  const qubo::IsingModel p1 = random_problem(8, 2);
+  const std::vector<const qubo::IsingModel*> problems{&p0, &p1};
+  const auto draws_one_key = [](const auto& call) {
     Rng rng{555};
-    batch.run(100, rng, [](std::size_t, Rng&) {});
-    next_draw.push_back(rng());
+    call(rng);
+    Rng probe{555};
+    probe();
+    return rng() == probe();
+  };
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    anneal::AnnealerConfig config;
+    config.num_threads = threads;
+    anneal::ChimeraAnnealer chimera(config);
+    anneal::LogicalAnnealerConfig logical_config;
+    logical_config.num_threads = threads;
+    anneal::LogicalAnnealer logical(logical_config);
+    EXPECT_TRUE(draws_one_key([&](Rng& rng) { chimera.sample(p0, 20, rng); }))
+        << "sample at " << threads << " threads";
+    EXPECT_TRUE(draws_one_key(
+        [&](Rng& rng) { chimera.sample_batch(problems, 20, rng); }))
+        << "sample_batch at " << threads << " threads";
+    EXPECT_TRUE(draws_one_key(
+        [&](Rng& rng) { chimera.sample_each(problems, 20, rng); }))
+        << "sample_each at " << threads << " threads";
+    EXPECT_TRUE(draws_one_key([&](Rng& rng) { logical.sample(p0, 20, rng); }))
+        << "LogicalAnnealer::sample at " << threads << " threads";
   }
-  EXPECT_EQ(next_draw[1], next_draw[0]);
-  EXPECT_EQ(next_draw[2], next_draw[0]);
 }
 
-TEST(ParallelBatchSamplerTest, RunCoversEveryIndexExactlyOnce) {
-  core::ParallelBatchSampler batch(8);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h = 0;
-  Rng rng{1};
-  batch.run(hits.size(), rng, [&](std::size_t a, Rng&) { ++hits[a]; });
-  for (std::size_t a = 0; a < hits.size(); ++a) EXPECT_EQ(hits[a], 1);
+TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+  for (const std::size_t lanes : {8ul, 4ul, 1ul}) {
+    core::ThreadPool pool(lanes);
+    ASSERT_EQ(pool.size(), lanes);
+    std::vector<std::atomic<int>> hits(257);
+    for (auto& h : hits) h = 0;
+    pool.parallel_for(hits.size(), [&](std::size_t a) { ++hits[a]; });
+    for (std::size_t a = 0; a < hits.size(); ++a)
+      EXPECT_EQ(hits[a], 1) << "index " << a << " at " << lanes << " lanes";
+  }
 }
 
-TEST(ParallelBatchSamplerTest, SampleEachMatchesPerProblemStreams) {
+TEST(ParallelSamplerTest, SampleEachMatchesPerProblemStreams) {
   // sample_each(p) must equal sampling problem p alone with stream p — the
   // per-problem decomposition is part of the determinism contract.
   const qubo::IsingModel p0 = random_problem(10, 11);
@@ -137,17 +160,24 @@ TEST(ParallelBatchSamplerTest, SampleEachMatchesPerProblemStreams) {
   }
 }
 
-TEST(ParallelBatchSamplerTest, PropagatesJobExceptions) {
-  core::ParallelBatchSampler batch(4);
-  Rng rng{3};
-  EXPECT_THROW(batch.run(64, rng,
-                         [](std::size_t a, Rng&) {
-                           if (a == 13) throw std::runtime_error("boom");
-                         }),
-               std::runtime_error);
+TEST(ThreadPoolTest, ParallelForPropagatesBodyExceptions) {
+  // The first exception a body throws reaches the caller, and the pool
+  // serves its next job in full.
+  for (const std::size_t lanes : {8ul, 4ul, 1ul}) {
+    core::ThreadPool pool(lanes);
+    EXPECT_THROW(pool.parallel_for(64,
+                                   [](std::size_t a) {
+                                     if (a == 13) throw std::runtime_error("boom");
+                                   }),
+                 std::runtime_error)
+        << lanes << " lanes";
+    std::atomic<std::size_t> sum{0};
+    pool.parallel_for(64, [&](std::size_t a) { sum += a; });
+    EXPECT_EQ(sum, 64u * 63u / 2u) << lanes << " lanes";
+  }
 }
 
-TEST(ParallelBatchSamplerTest, EightThreadsBeatOneOnBigBatch) {
+TEST(ParallelSamplerTest, EightThreadsBeatOneOnBigBatch) {
   if (std::thread::hardware_concurrency() < 2)
     GTEST_SKIP() << "single-core host: no parallel speedup to measure";
 
