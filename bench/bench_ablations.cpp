@@ -28,10 +28,6 @@ namespace {
 using namespace quamax;
 using wireless::Modulation;
 
-// Sweep-kernel settings (--threads / --replicas / --accept-mode), set once
-// in main.
-sim::KernelKnobs g_knobs{};
-
 std::vector<sim::Instance> make_instances(std::size_t users, Modulation mod,
                                           std::size_t count, std::uint64_t seed) {
   Rng rng{seed};
@@ -42,11 +38,9 @@ std::vector<sim::Instance> make_instances(std::size_t users, Modulation mod,
   return out;
 }
 
-anneal::AnnealerConfig fix_config() {
-  anneal::AnnealerConfig config;
-  config.num_threads = g_knobs.threads;
-  config.batch_replicas = g_knobs.replicas;
-  config.accept_mode = g_knobs.accept_mode;
+/// The Fix parameters over the --threads / --replicas / --accept-mode knobs.
+anneal::AnnealerConfig fix_config(int argc, char** argv) {
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
@@ -57,7 +51,7 @@ anneal::AnnealerConfig fix_config() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_knobs = sim::kernel_knobs(argc, argv);
+  const anneal::AnnealerConfig fix = fix_config(argc, argv);
   const std::size_t instances = sim::scaled(6);
   const std::size_t num_anneals = sim::scaled(400);
   sim::print_banner("Ablations", "DESIGN.md §5 (not a paper artifact)",
@@ -73,7 +67,7 @@ int main(int argc, char** argv) {
                                                        {18, Modulation::kQpsk}}) {
     const auto insts = make_instances(users, mod, instances, 0xA0 + users);
     {
-      anneal::ChimeraAnnealer annealer(fix_config());
+      anneal::ChimeraAnnealer annealer(fix);
       std::vector<double> p0, tts;
       for (const auto& inst : insts) {
         const auto outcome = sim::run_instance(inst, annealer, num_anneals, rng);
@@ -85,12 +79,10 @@ int main(int argc, char** argv) {
                       sim::fmt_us(median(tts))});
     }
     {
-      anneal::LogicalAnnealerConfig config;
-      config.schedule = fix_config().schedule;
-      config.num_threads = g_knobs.threads;
-      config.batch_replicas = g_knobs.replicas;
-      config.accept_mode = g_knobs.accept_mode;
-      anneal::LogicalAnnealer annealer(config);
+      anneal::LogicalAnnealer annealer({.schedule = fix.schedule,
+                                        .num_threads = fix.num_threads,
+                                        .batch_replicas = fix.batch_replicas,
+                                        .accept_mode = fix.accept_mode});
       std::vector<double> p0, tts;
       for (const auto& inst : insts) {
         const auto outcome = sim::run_instance(inst, annealer, num_anneals, rng);
@@ -111,7 +103,7 @@ int main(int argc, char** argv) {
     for (const double jf : {0.35, 0.5, 1.0, 2.0}) {
       std::vector<double> with_ice, without_ice;
       for (const bool ice : {true, false}) {
-        auto config = fix_config();
+        auto config = fix;
         config.embed.jf = jf;
         config.ice.enabled = ice;
         anneal::ChimeraAnnealer annealer(config);
@@ -131,7 +123,7 @@ int main(int argc, char** argv) {
   {
     const auto insts = make_instances(36, Modulation::kBpsk, instances, 0xC0);
     for (const bool collective : {true, false}) {
-      auto config = fix_config();
+      auto config = fix;
       config.chain_collective_moves = collective;
       anneal::ChimeraAnnealer annealer(config);
       std::vector<double> p0, tts;
@@ -154,7 +146,7 @@ int main(int argc, char** argv) {
     const sim::Instance& inst = insts.front();
     for (const double jf : {0.2, 0.35}) {
       for (const bool discard : {false, true}) {
-        auto config = fix_config();
+        auto config = fix;
         config.embed.jf = jf;
         config.discard_broken_chain_samples = discard;
         anneal::ChimeraAnnealer annealer(config);

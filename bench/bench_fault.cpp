@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "quamax/common/error.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/profile.hpp"
 #include "quamax/serve/load_gen.hpp"
@@ -122,62 +121,38 @@ void print_point(const Point& p) {
                   sim::fmt_double(p.achieved_jobs_per_ms, 1)});
 }
 
-void write_json(const std::string& path, const std::vector<Point>& points,
-                std::size_t threads, std::size_t replicas, std::size_t devices,
-                bool prof) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  quamax::require(f != nullptr, "bench_fault: cannot open --json path " + path);
-  std::fprintf(f,
-               "{\n  \"context\": {\"executable\": \"bench_fault\", "
-               "\"threads\": %zu, \"replicas\": %zu, \"devices\": %zu, "
-               "\"downtime_fraction\": %.3f},\n"
-               "  \"benchmarks\": [\n",
-               threads, replicas, devices, kDowntimeFraction);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    const double wall_ns = p.wall_s * 1e9;
-    const double fallback_fraction =
-        p.jobs == 0 ? 0.0
-                    : static_cast<double>(p.fallbacks) /
-                          static_cast<double>(p.jobs);
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-        "\"iterations\": 1, \"real_time\": %.0f, \"cpu_time\": %.0f, "
-        "\"time_unit\": \"ns\", \"items_per_second\": %.6e, "
-        "\"quamax_miss_rate\": %.6f, \"quamax_ber\": %.6e, "
-        "\"quamax_fallback_ber\": %.6e, \"quamax_fallback_fraction\": %.6f, "
-        "\"quamax_retries\": %zu, \"quamax_fallbacks\": %zu, "
-        "\"quamax_failed\": %zu, \"quamax_failed_waves\": %zu, "
-        "\"quamax_availability\": %.6f, "
-        "\"quamax_achieved_jobs_per_ms\": %.4f}%s\n",
-        p.name.c_str(), wall_ns, wall_ns,
-        static_cast<double>(p.jobs) / p.wall_s, p.miss_rate, p.ber,
-        p.fallback_ber, fallback_fraction, p.retries, p.fallbacks, p.failed,
-        p.failed_waves, p.availability, p.achieved_jobs_per_ms,
-        i + 1 < points.size() || prof ? "," : "");
+sim::BenchRecord to_record(const Point& p) {
+  const double fallback_fraction =
+      p.jobs == 0 ? 0.0
+                  : static_cast<double>(p.fallbacks) /
+                        static_cast<double>(p.jobs);
+  return {p.name, p.wall_s, p.jobs,
+          {{"quamax_miss_rate", p.miss_rate},
+           {"quamax_ber", p.ber},
+           {"quamax_fallback_ber", p.fallback_ber},
+           {"quamax_fallback_fraction", fallback_fraction},
+           {"quamax_retries", static_cast<double>(p.retries)},
+           {"quamax_fallbacks", static_cast<double>(p.fallbacks)},
+           {"quamax_failed", static_cast<double>(p.failed)},
+           {"quamax_failed_waves", static_cast<double>(p.failed_waves)},
+           {"quamax_availability", p.availability},
+           {"quamax_achieved_jobs_per_ms", p.achieved_jobs_per_ms}}};
+}
+
+/// Pseudo-benchmark carrying the per-stage profile as quamax_prof_*
+/// counters — bench_to_json.py forwards any quamax_-prefixed key, so the
+/// profile lands in the BENCH_fault.json artifact with no tool change.
+sim::BenchRecord prof_record() {
+  sim::BenchRecord record;
+  record.name = "prof";
+  for (const auto& r : obs::Profiler::instance().table()) {
+    const std::string prefix = obs::Profiler::counter_prefix(r.name);
+    record.counters.emplace_back(prefix + "_calls",
+                                 static_cast<double>(r.calls));
+    record.counters.emplace_back(prefix + "_total_ns",
+                                 static_cast<double>(r.total_ns));
   }
-  if (prof) {
-    // Pseudo-benchmark carrying the per-stage profile as quamax_prof_*
-    // counters — bench_to_json.py forwards any quamax_-prefixed key, so the
-    // profile lands in the BENCH_fault.json artifact with no tool change.
-    std::string counters;
-    for (const auto& r : quamax::obs::Profiler::instance().table()) {
-      const std::string prefix = quamax::obs::Profiler::counter_prefix(r.name);
-      counters += ", \"" + prefix + "_calls\": " + std::to_string(r.calls) +
-                  ", \"" + prefix +
-                  "_total_ns\": " + std::to_string(r.total_ns);
-    }
-    std::fprintf(f,
-                 "    {\"name\": \"prof\", \"run_type\": \"iteration\", "
-                 "\"iterations\": 1, \"real_time\": 0, \"cpu_time\": 0, "
-                 "\"time_unit\": \"ns\"%s}\n",
-                 counters.c_str());
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %zu benchmark points to %s\n", points.size(),
-              path.c_str());
+  return record;
 }
 
 /// Scheduled availability of the whole pool over the workload horizon.
@@ -193,8 +168,11 @@ double pool_availability(const fault::FaultPlan& plan, std::size_t devices,
 
 int main(int argc, char** argv) {
   using sim::Knob;
-  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
-  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
+  // Kernel knobs over the serving defaults, so threshold32 stays the
+  // default acceptance rule.
+  serve::ServiceConfig base;
+  base.annealer = sim::annealer_config(argc, argv, base.annealer);
+  base.num_threads = base.annealer.num_threads;
   const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
   const auto plan_path = sim::knob<std::string>(Knob::kFaultPlan, argc, argv);
   const auto retries_knob = sim::knob<std::size_t>(Knob::kMaxRetries, argc, argv);
@@ -210,13 +188,10 @@ int main(int argc, char** argv) {
   serve::RunObserver observer(
       argc, argv, smoke ? "" : "miss_rate<=" + sim::fmt_double(kMissBound, 2));
 
-  serve::ServiceConfig base;
   base.annealer.schedule.anneal_time_us = 1.0;
   base.annealer.schedule.pause_time_us = 0.0;
-  base.annealer.batch_replicas = replicas;
   base.num_anneals = 16;
   base.num_devices = devices;
-  base.num_threads = threads;
   base.program_overhead_us = 10.0;
   const double service_us = serve::DecodeService(base).wave_service_us();
 
@@ -440,9 +415,19 @@ int main(int argc, char** argv) {
                                 : "(acceptance: == 0, FAIL)");
   if (quiet_alerts != 0) failed = true;
 
-  if (!json_path.empty())
-    write_json(json_path, {fault_free, unmitigated, ablation, full}, threads,
-               replicas, devices, observer.profiling());
+  if (!json_path.empty()) {
+    std::vector<sim::BenchRecord> records{
+        to_record(fault_free), to_record(unmitigated), to_record(ablation),
+        to_record(full)};
+    if (observer.profiling()) records.push_back(prof_record());
+    sim::write_bench_json(
+        json_path, "bench_fault",
+        {{"threads", static_cast<double>(base.num_threads)},
+         {"replicas", static_cast<double>(base.annealer.batch_replicas)},
+         {"devices", static_cast<double>(devices)},
+         {"downtime_fraction", kDowntimeFraction}},
+        records);
+  }
   if (observer.finish() != 0) failed = true;
 
   return failed ? 1 : 0;

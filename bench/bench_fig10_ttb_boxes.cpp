@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   const std::size_t instances = sim::scaled(12);
   const std::size_t num_anneals = sim::scaled(1200);
@@ -38,10 +38,6 @@ int main(int argc, char** argv) {
       {12, Modulation::kQpsk}, {14, Modulation::kQpsk}, {16, Modulation::kQpsk},
       {18, Modulation::kQpsk}, {4, Modulation::kQam16}, {5, Modulation::kQam16}};
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

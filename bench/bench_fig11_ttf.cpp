@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig base = sim::annealer_config(argc, argv);
 
   const std::size_t instances = sim::scaled(8);
   const std::size_t num_anneals = sim::scaled(1200);
@@ -38,10 +38,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> frame_bytes{50, 200, 600, 1500};
   const std::vector<double> jf_grid{0.35, 0.5, 0.75};  // Opt searches these
 
-  anneal::AnnealerConfig base;
-  base.num_threads = threads;
-  base.batch_replicas = replicas;
-  base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   base.schedule.pause_time_us = 1.0;
   base.embed.improved_range = true;

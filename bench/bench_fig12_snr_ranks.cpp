@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   const std::size_t noise_draws = sim::scaled(6);
   const std::size_t num_anneals = sim::scaled(800);
@@ -38,10 +38,6 @@ int main(int argc, char** argv) {
   const auto base = wireless::make_channel_use(
       18, 18, Modulation::kQpsk, wireless::ChannelKind::kRandomPhase, 40.0, rng);
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

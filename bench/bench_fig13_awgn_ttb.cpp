@@ -63,7 +63,7 @@ ClassResult evaluate_class(std::size_t users, Modulation mod, double snr_db,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
   const std::size_t instances = sim::scaled(6);
   const std::size_t num_anneals = sim::scaled(1000);
   sim::print_banner("TTB under AWGN: users and SNR sweeps",
@@ -71,10 +71,6 @@ int main(int argc, char** argv) {
                     "instances = " + std::to_string(instances) +
                         ", anneals = " + std::to_string(num_anneals));
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

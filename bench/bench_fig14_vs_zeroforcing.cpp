@@ -28,7 +28,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig annealer_config = sim::annealer_config(argc, argv);
 
   const std::size_t zf_uses = sim::scaled(1500);
   const std::size_t instances = sim::scaled(6);
@@ -50,10 +50,6 @@ int main(int argc, char** argv) {
       {60, Modulation::kBpsk, 10.0}, {12, Modulation::kQpsk, 11.0},
       {14, Modulation::kQpsk, 11.0}, {16, Modulation::kQpsk, 11.0}};
 
-  anneal::AnnealerConfig annealer_config;
-  annealer_config.num_threads = threads;
-  annealer_config.batch_replicas = replicas;
-  annealer_config.accept_mode = accept_mode;
   annealer_config.schedule.anneal_time_us = 1.0;
   annealer_config.schedule.pause_time_us = 1.0;
   annealer_config.embed.improved_range = true;

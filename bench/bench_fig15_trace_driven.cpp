@@ -27,7 +27,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   const std::size_t uses = sim::scaled(16);
   const std::size_t num_anneals = sim::scaled(800);
@@ -40,10 +40,6 @@ int main(int argc, char** argv) {
   wireless::TraceChannelModel trace(wireless::TraceConfig{}, 0xA6605);
   const std::vector<double> jf_grid{0.35, 0.5, 0.75};
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

@@ -47,17 +47,13 @@ void print_outcome_report(const sim::Instance& inst,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
   const std::size_t num_anneals = sim::scaled(3000);
   sim::print_banner("Energy-ranked solution distributions",
                     "Figure 4 (six 36-logical-qubit noise-free instances)",
                     "anneals/instance = " + std::to_string(num_anneals) +
                         " (paper: 50,000); Ta = 1 us, |J_F| Fix");
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;  // the Fix default (§5.3.2)
   config.embed.improved_range = true;

@@ -32,7 +32,7 @@ using wireless::Modulation;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig base = sim::annealer_config(argc, argv);
   const std::size_t instances = sim::scaled(8);
   const std::size_t num_anneals = sim::scaled(400);
   sim::print_banner(
@@ -49,10 +49,6 @@ int main(int argc, char** argv) {
       {6, Modulation::kQpsk},
       {18, Modulation::kQpsk}};
 
-  anneal::AnnealerConfig base;
-  base.num_threads = threads;
-  base.batch_replicas = replicas;
-  base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   anneal::ChimeraAnnealer annealer(base);
 

@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   const std::size_t instances = sim::scaled(5);
   const std::size_t base_anneals = sim::scaled(400);
@@ -32,16 +32,12 @@ int main(int argc, char** argv) {
                     "Figure 6 (QPSK, improved dynamic range)",
                     "instances = " + std::to_string(instances) +
                         ", Ta in {1, 10, 100} us, |J_F| scatter, " +
-                        std::to_string(replicas) + " replicas/batch");
+                        std::to_string(config.batch_replicas) + " replicas/batch");
 
   const std::vector<double> ta_grid{1.0, 10.0, 100.0};
   const std::vector<double> jf_grid{0.35, 0.5, 0.75, 1.0};
   const std::vector<std::size_t> user_grid{6, 12, 18};
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.embed.improved_range = true;
   anneal::ChimeraAnnealer annealer(config);
 

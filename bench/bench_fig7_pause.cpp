@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig base = sim::annealer_config(argc, argv);
 
   const std::size_t instances = sim::scaled(5);
   const std::size_t num_anneals = sim::scaled(500);
@@ -40,10 +40,6 @@ int main(int argc, char** argv) {
     insts.push_back(sim::make_instance(
         {.users = 18, .mod = Modulation::kQpsk, .kind = {}, .snr_db = {}}, rng));
 
-  anneal::AnnealerConfig base;
-  base.num_threads = threads;
-  base.batch_replicas = replicas;
-  base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   base.embed.improved_range = true;
 

@@ -36,7 +36,7 @@ struct Setting {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig base = sim::annealer_config(argc, argv);
   const std::size_t instances = sim::scaled(10);
   const std::size_t num_anneals = sim::scaled(600);
   sim::print_banner("BER vs anneals and vs time: pause against no-pause",
@@ -57,10 +57,6 @@ int main(int argc, char** argv) {
       pause_settings.push_back({jf, 1.0, sp});
   }
 
-  anneal::AnnealerConfig base;
-  base.num_threads = threads;
-  base.batch_replicas = replicas;
-  base.accept_mode = accept_mode;
   base.schedule.anneal_time_us = 1.0;
   base.embed.improved_range = true;
 

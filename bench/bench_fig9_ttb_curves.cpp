@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   const std::size_t instances = sim::scaled(8);
   const std::size_t num_anneals = sim::scaled(1200);
@@ -34,17 +34,13 @@ int main(int argc, char** argv) {
                     "instances = " + std::to_string(instances) +
                         ", anneals = " + std::to_string(num_anneals) +
                         ", pause Tp = 1 us, Fix parameters, " +
-                        std::to_string(replicas) + " replicas/batch");
+                        std::to_string(config.batch_replicas) + " replicas/batch");
 
   const std::vector<std::pair<std::size_t, Modulation>> classes{
       {48, Modulation::kBpsk}, {54, Modulation::kBpsk}, {60, Modulation::kBpsk},
       {14, Modulation::kQpsk}, {16, Modulation::kQpsk}, {18, Modulation::kQpsk},
       {4, Modulation::kQam16}, {5, Modulation::kQam16}, {6, Modulation::kQam16}};
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

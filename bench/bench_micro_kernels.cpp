@@ -194,11 +194,7 @@ BENCHMARK(BM_SaSweepBatchedThreshold32)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 // argv, so only the environment knob applies here).
 void BM_ChimeraSampleBatchedPath(benchmark::State& state) {
   Rng rng{0xBA7C};
-  anneal::AnnealerConfig config;
-  config.num_threads = sim::knob<std::size_t>(sim::Knob::kThreads);
-  config.batch_replicas = sim::knob<std::size_t>(sim::Knob::kReplicas);
-  config.accept_mode = sim::knob<anneal::AcceptMode>(sim::Knob::kAcceptMode);
-  anneal::ChimeraAnnealer annealer(config);
+  anneal::ChimeraAnnealer annealer(sim::annealer_config(0, nullptr));
   const auto use = make_use(16, Modulation::kBpsk, 20.0);
   const auto problem = core::reduce_ml_to_ising(use.h, use.y, use.mod);
   for (auto _ : state)

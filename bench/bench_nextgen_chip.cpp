@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  const anneal::AnnealerConfig kernel = sim::annealer_config(argc, argv);
 
   sim::print_banner("Next-generation chip (Pegasus-class, §8)",
                     "paper §8 future work: footprint + decode comparison",
@@ -94,10 +94,7 @@ int main(int argc, char** argv) {
           {.users = users, .mod = mod, .kind = {}, .snr_db = {}}, rng));
 
     for (const bool use_nextgen : {false, true}) {
-      anneal::AnnealerConfig config;
-      config.num_threads = threads;
-      config.batch_replicas = replicas;
-      config.accept_mode = accept_mode;
+      anneal::AnnealerConfig config = kernel;
       config.schedule.anneal_time_us = 1.0;
       config.schedule.pause_time_us = 1.0;
       config.embed.improved_range = true;

@@ -26,7 +26,7 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  const anneal::AnnealerConfig kernel = sim::annealer_config(argc, argv);
 
   const std::size_t instances = sim::scaled(8);
   const std::size_t num_anneals = sim::scaled(600);
@@ -54,10 +54,7 @@ int main(int argc, char** argv) {
                                 .snr_db = snr},
                                rng);
 
-        anneal::AnnealerConfig forward;
-        forward.num_threads = threads;
-        forward.batch_replicas = replicas;
-        forward.accept_mode = accept_mode;
+        anneal::AnnealerConfig forward = kernel;
         forward.schedule.anneal_time_us = 1.0;
         forward.schedule.pause_time_us = 1.0;
         forward.embed.jf = 0.5;

@@ -216,12 +216,13 @@ const Point* sustained(const std::vector<Point>& curve) {
 
 int main(int argc, char** argv) {
   using sim::Knob;
-  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
-  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
+  // Kernel knobs over the serving defaults, so threshold32 stays the
+  // default acceptance rule.
+  serve::ServiceConfig base;
+  base.annealer = sim::annealer_config(argc, argv, base.annealer);
+  base.num_threads = base.annealer.num_threads;
   const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
   const auto downlink_fraction = sim::knob<double>(Knob::kDownlink, argc, argv);
-  const auto accept_override =
-      sim::knob_if_set<anneal::AcceptMode>(Knob::kAcceptMode, argc, argv);
   // The files written at exit hold the LAST observed run's timeline,
   // windowed series, and alerts.
   serve::RunObserver observer(argc, argv);
@@ -245,13 +246,9 @@ int main(int argc, char** argv) {
           ", anneals/wave = " + std::to_string(num_anneals) +
           ", Poisson arrivals" + (smoke ? " [smoke]" : ""));
 
-  serve::ServiceConfig base;
   base.annealer.schedule.anneal_time_us = 1.0;
   base.annealer.schedule.pause_time_us = 0.0;
-  base.annealer.batch_replicas = replicas;
-  if (accept_override) base.annealer.accept_mode = *accept_override;
   base.num_anneals = num_anneals;
-  base.num_threads = threads;
   base.program_overhead_us = 10.0;
 
   // -------------------------------------------------------------------

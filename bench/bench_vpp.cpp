@@ -122,40 +122,13 @@ PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
   return out;
 }
 
-void write_json(const std::string& path, const std::vector<Point>& points,
-                std::size_t threads, std::size_t replicas) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  quamax::require(f != nullptr, "bench_vpp: cannot open --json path " + path);
-  std::fprintf(f,
-               "{\n  \"context\": {\"executable\": \"bench_vpp\", "
-               "\"threads\": %zu, \"replicas\": %zu},\n  \"benchmarks\": [\n",
-               threads, replicas);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    const double wall_ns = p.wall_s * 1e9;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                 "\"iterations\": 1, \"real_time\": %.0f, \"cpu_time\": %.0f, "
-                 "\"time_unit\": \"ns\", \"items_per_second\": %.6e, "
-                 "\"quamax_vpp_ber\": %.6e, \"quamax_zf_ber\": %.6e, "
-                 "\"quamax_power_gain_db\": %.4f}%s\n",
-                 p.name.c_str(), wall_ns, wall_ns,
-                 static_cast<double>(p.bits) / p.wall_s, p.vpp_ber, p.zf_ber,
-                 p.power_gain_db, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %zu benchmark points to %s\n", points.size(),
-              path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace quamax;
   using sim::Knob;
   using wireless::Modulation;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
   const auto tau_override = sim::knob<double>(Knob::kTau, argc, argv);
   const auto json_path = sim::knob<std::string>(Knob::kJson, argc, argv);
   for (const std::string& arg : sim::positional_args(argc, argv))
@@ -172,15 +145,11 @@ int main(int argc, char** argv) {
       "BER vs SNR (same channels, payloads, and noise draws) + tau sweep",
       "instances/point = " + std::to_string(instances) +
           ", anneals = " + std::to_string(num_anneals) + ", " +
-          std::to_string(replicas) + " replicas/batch" +
+          std::to_string(config.batch_replicas) + " replicas/batch" +
           (tau_override > 0.0
                ? ", tau override = " + sim::fmt_double(tau_override, 2)
                : ""));
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
@@ -278,7 +247,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty()) write_json(json_path, points, threads, replicas);
+  if (!json_path.empty()) {
+    std::vector<sim::BenchRecord> records;
+    for (const Point& p : points)
+      records.push_back({p.name, p.wall_s, p.bits,
+                         {{"quamax_vpp_ber", p.vpp_ber},
+                          {"quamax_zf_ber", p.zf_ber},
+                          {"quamax_power_gain_db", p.power_gain_db}}});
+    sim::write_bench_json(
+        json_path, "bench_vpp",
+        {{"threads", static_cast<double>(config.num_threads)},
+         {"replicas", static_cast<double>(config.batch_replicas)}},
+        records);
+  }
 
   std::printf(
       "\nShape check: VPP holds BER at or below zero-forcing at every "

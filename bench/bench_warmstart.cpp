@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "quamax/common/error.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
@@ -113,43 +112,24 @@ void print_point(const Point& p) {
                   sim::fmt_double(p.achieved_jobs_per_ms, 1)});
 }
 
-void write_json(const std::string& path, const std::vector<Point>& points,
-                std::size_t threads, std::size_t replicas, double coherence) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  quamax::require(f != nullptr,
-                  "bench_warmstart: cannot open --json path " + path);
-  std::fprintf(f,
-               "{\n  \"context\": {\"executable\": \"bench_warmstart\", "
-               "\"threads\": %zu, \"replicas\": %zu, \"coherence\": %.3f},\n"
-               "  \"benchmarks\": [\n",
-               threads, replicas, coherence);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    const double wall_ns = p.wall_s * 1e9;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                 "\"iterations\": 1, \"real_time\": %.0f, \"cpu_time\": %.0f, "
-                 "\"time_unit\": \"ns\", \"items_per_second\": %.6e, "
-                 "\"quamax_ber\": %.6e, \"quamax_miss_rate\": %.6f, "
-                 "\"quamax_total_anneals\": %zu, \"quamax_warm_waves\": %zu, "
-                 "\"quamax_achieved_jobs_per_ms\": %.4f}%s\n",
-                 p.name.c_str(), wall_ns, wall_ns,
-                 static_cast<double>(p.jobs) / p.wall_s, p.ber, p.miss_rate,
-                 p.total_anneals, p.warm_waves, p.achieved_jobs_per_ms,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %zu benchmark points to %s\n", points.size(),
-              path.c_str());
+sim::BenchRecord to_record(const Point& p) {
+  return {p.name, p.wall_s, p.jobs,
+          {{"quamax_ber", p.ber},
+           {"quamax_miss_rate", p.miss_rate},
+           {"quamax_total_anneals", static_cast<double>(p.total_anneals)},
+           {"quamax_warm_waves", static_cast<double>(p.warm_waves)},
+           {"quamax_achieved_jobs_per_ms", p.achieved_jobs_per_ms}}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using sim::Knob;
-  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
-  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
+  // Kernel knobs over the serving defaults, so threshold32 stays the
+  // default acceptance rule.
+  serve::ServiceConfig base;
+  base.annealer = sim::annealer_config(argc, argv, base.annealer);
+  base.num_threads = base.annealer.num_threads;
   const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
   const auto coherence_knob = sim::knob<double>(Knob::kCoherence, argc, argv);
   // Default subframe coherence: rho = 0.9 => 10-subframe blocks.
@@ -162,13 +142,10 @@ int main(int argc, char** argv) {
   for (const std::string& arg : sim::positional_args(argc, argv))
     if (arg == "smoke") smoke = true;
 
-  serve::ServiceConfig base;
   base.annealer.schedule.anneal_time_us = 1.0;
   base.annealer.schedule.pause_time_us = 0.0;
-  base.annealer.batch_replicas = replicas;
   base.num_anneals = kColdAnneals;
   base.num_devices = devices;
-  base.num_threads = threads;
   base.program_overhead_us = 10.0;
 
   serve::ServiceConfig warm_cfg = base;
@@ -312,8 +289,16 @@ int main(int argc, char** argv) {
               thr_warm.ber <= thr_cold.ber + ber_tolerance ? "PASS" : "FAIL");
   if (thr_warm.ber > thr_cold.ber + ber_tolerance) failed = true;
 
-  if (!json_path.empty())
-    write_json(json_path, points, threads, replicas, coherence);
+  if (!json_path.empty()) {
+    std::vector<sim::BenchRecord> records;
+    for (const Point& p : points) records.push_back(to_record(p));
+    sim::write_bench_json(
+        json_path, "bench_warmstart",
+        {{"threads", static_cast<double>(base.num_threads)},
+         {"replicas", static_cast<double>(base.annealer.batch_replicas)},
+         {"coherence", coherence}},
+        records);
+  }
   if (observer.finish() != 0) failed = true;
 
   return failed ? 1 : 0;

@@ -26,7 +26,7 @@
 
 int main(int argc, char** argv) {
   using namespace quamax;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   Rng rng{0xC0DE};
   constexpr std::size_t kUsers = 12;
@@ -41,10 +41,6 @@ int main(int argc, char** argv) {
   const std::size_t coded_bits = 40 * bits_per_use;
   const std::size_t payload_bits = fec::ConvolutionalCode::payload_bits(coded_bits);
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

@@ -43,10 +43,11 @@
 int main(int argc, char** argv) {
   using namespace quamax;
   using sim::Knob;
-  const auto threads = sim::knob<std::size_t>(Knob::kThreads, argc, argv);
-  const auto replicas = sim::knob<std::size_t>(Knob::kReplicas, argc, argv);
-  const auto accept_override =
-      sim::knob_if_set<anneal::AcceptMode>(Knob::kAcceptMode, argc, argv);
+  // Kernel knobs over the serving defaults, so threshold32 stays the
+  // default acceptance rule.
+  serve::ServiceConfig cfg;
+  cfg.annealer = sim::annealer_config(argc, argv, cfg.annealer);
+  cfg.num_threads = cfg.annealer.num_threads;
   const auto devices = sim::knob<std::size_t>(Knob::kDevices, argc, argv);
   const sched::QueuePolicy policy = sched::parse_queue_policy(
       sim::knob<std::string>(Knob::kQueuePolicy, argc, argv));
@@ -73,13 +74,9 @@ int main(int argc, char** argv) {
   load.trace_mod = wireless::Modulation::kQpsk;
 
   // Service: the paper's 2000Q-like chip, 1 us anneals, 40 anneals per wave.
-  serve::ServiceConfig cfg;
   cfg.annealer.schedule.anneal_time_us = 1.0;
-  cfg.annealer.batch_replicas = replicas;
-  if (accept_override) cfg.annealer.accept_mode = *accept_override;
   cfg.annealer.embed.improved_range = true;  // §5.5 trace setting
   cfg.num_anneals = sim::scaled(40);
-  cfg.num_threads = threads;
   cfg.num_devices = devices;
   cfg.queue_policy = policy;
   cfg.program_overhead_us = 10.0;
@@ -167,7 +164,7 @@ int main(int argc, char** argv) {
   async_cfg.devices = sched::uniform_devices(cfg.annealer, devices);
   async_cfg.policy = policy;
   async_cfg.num_anneals = cfg.num_anneals;
-  async_cfg.num_threads = threads;
+  async_cfg.num_threads = cfg.num_threads;
   async_cfg.program_overhead_us = cfg.program_overhead_us;
   async_cfg.seed = cfg.seed;
   sched::Scheduler scheduler(async_cfg);

@@ -18,17 +18,13 @@
 
 int main(int argc, char** argv) {
   using namespace quamax;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   Rng rng{31337};
   constexpr std::size_t kUsers = 10;
   constexpr std::size_t kUses = 40;
   const auto mod = wireless::Modulation::kBpsk;
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;

@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace quamax;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig config = sim::annealer_config(argc, argv);
 
   // Positionals: [users] [modulation], with --threads [N] allowed anywhere.
   const std::vector<std::string> positional = sim::positional_args(argc, argv);
@@ -50,10 +50,6 @@ int main(int argc, char** argv) {
     insts.push_back(sim::make_instance(
         {.users = users, .mod = mod, .kind = {}, .snr_db = {}}, rng));
 
-  anneal::AnnealerConfig config;
-  config.num_threads = threads;
-  config.batch_replicas = replicas;
-  config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.embed.improved_range = true;
   anneal::ChimeraAnnealer annealer(config);

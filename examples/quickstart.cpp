@@ -23,7 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace quamax;
-  const auto [threads, replicas, accept_mode] = sim::kernel_knobs(argc, argv);
+  anneal::AnnealerConfig annealer_config = sim::annealer_config(argc, argv);
 
   Rng rng{2024};
   constexpr std::size_t kUsers = 4;
@@ -44,10 +44,6 @@ int main(int argc, char** argv) {
               problem.num_vars(), problem.ising.couplings().size());
 
   // --- 3. Anneal on the simulated D-Wave 2000Q ---------------------------
-  anneal::AnnealerConfig annealer_config;
-  annealer_config.num_threads = threads;
-  annealer_config.batch_replicas = replicas;
-  annealer_config.accept_mode = accept_mode;
   annealer_config.schedule.anneal_time_us = 1.0;   // Ta
   annealer_config.schedule.pause_time_us = 1.0;    // Tp (the paper's pick)
   annealer_config.embed.improved_range = true;

@@ -111,9 +111,6 @@ class SaEngine {
   /// whole spin set or only part of it.  Pass an empty vector to disable.
   void set_groups(std::vector<std::vector<std::uint32_t>> groups);
 
-  /// Whether collective-move groups are registered.
-  bool has_groups() const noexcept { return !groups_.empty(); }
-
   /// Base (unperturbed) field array, in the layout anneal_with expects.
   const std::vector<double>& base_fields() const noexcept { return fields_; }
   /// Base (unperturbed) coupling array, in the layout anneal_with expects.

@@ -39,11 +39,6 @@ struct MlProblem {
   std::size_t nt = 0;  ///< number of users / transmit antennas
 
   std::size_t num_vars() const { return ising.num_spins(); }
-
-  /// ||y - H T(s)||^2 for a candidate spin configuration.
-  double ml_metric(const qubo::SpinVec& spins) const {
-    return ising.absolute_energy(spins);
-  }
 };
 
 /// Generic norm-expansion reduction; supports all four modulations.

@@ -73,11 +73,6 @@ struct CellJob {
   const qubo::IsingModel& ising() const {
     return downlink() ? precode().problem.ising : uplink().problem.ising;
   }
-  /// Reference energy for ground-state accounting (ML/optimum when an
-  /// oracle anchored it, else transmitted-config / zero-forcing energy).
-  double reference_energy() const {
-    return downlink() ? precode().ground_energy : uplink().ground_energy;
-  }
 
   /// Wave-packing compatibility key (logical variable count).
   std::size_t shape() const { return ising().num_spins(); }

@@ -80,9 +80,6 @@ struct LoadConfig {
   wireless::TraceConfig trace{};
   std::size_t trace_pick = 8;  ///< antennas sampled per trace use (paper: 8 of 96)
   wireless::Modulation trace_mod = wireless::Modulation::kBpsk;
-  /// Anchor ground energies with the Sphere Decoder on noisy instances
-  /// (classical cost per job; unnecessary for noise-free serving sweeps).
-  bool ml_oracle = false;
 
   /// Full-duplex mix knob: probability that a job is a DOWNLINK precoding
   /// job.  0 = pure uplink (bit-identical to the pre-full-duplex
@@ -94,8 +91,6 @@ struct LoadConfig {
   /// Precoding typically runs a TIGHTER budget than detection — the
   /// subframe cannot go to air without it.
   double downlink_deadline_us = 0.0;
-  /// Anchor downlink ground energies by brute force (test/bench scale).
-  bool downlink_opt_oracle = false;
 
   /// Channel coherence across consecutive subframes of the same user
   /// chain, in [0, 1): 0 = i.i.d. per-job instances (the historical

@@ -129,10 +129,6 @@ class ServiceStats {
   const DirectionStats& uplink() const noexcept { return uplink_; }
   const DirectionStats& downlink() const noexcept { return downlink_; }
 
-  /// First arrival and last completion seen (0 before any job).
-  double first_arrival_us() const noexcept { return first_arrival_us_; }
-  double last_completion_us() const noexcept { return last_completion_us_; }
-
   /// Served (non-dropped) jobs per millisecond of busy horizon
   /// (first arrival -> last completion).
   double achieved_jobs_per_ms() const;

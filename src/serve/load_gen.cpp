@@ -137,13 +137,13 @@ sim::Instance LoadGenerator::make_coherent_instance(std::size_t id) {
     chain.reduced_block = block;
   }
   return sim::make_instance_with_problem(std::move(use), std::move(problem),
-                                         config_.ml_oracle);
+                                         /*ml_oracle=*/false);
 }
 
 sim::Instance LoadGenerator::instance_for(std::size_t id) {
   if (config_.coherence <= 0.0 && trace_model_ == nullptr) {
     Rng stream = Rng::for_stream(instance_key_, id);
-    return sim::make_instance(config_.problem, stream, config_.ml_oracle);
+    return sim::make_instance(config_.problem, stream, /*ml_oracle=*/false);
   }
   // The trace's fading and the coherent channel chains are sequential (the
   // constructor admits at most one of them): materialize instances up to
@@ -160,7 +160,7 @@ sim::Instance LoadGenerator::instance_for(std::size_t id) {
       window_.push_back(sim::make_instance_from_use(
           trace_model_->sample_use(config_.trace_pick, config_.trace_mod,
                                    trace_rng_),
-          config_.ml_oracle));
+          /*ml_oracle=*/false));
     }
     if (window_.size() > kTraceWindow) {
       window_.pop_front();
@@ -205,8 +205,8 @@ CellJob LoadGenerator::job(std::size_t id, std::size_t user, double release_us) 
                                                     ? config_.downlink_deadline_us
                                                     : config_.deadline_us),
                    .predecessor = std::nullopt,
-                   .payload = vpp::make_precode_instance(
-                       config_.downlink, stream, config_.downlink_opt_oracle)};
+                   .payload = vpp::make_precode_instance(config_.downlink,
+                                                         stream)};
   }
   sim::Instance instance = instance_for(id);
   return CellJob{.id = id,

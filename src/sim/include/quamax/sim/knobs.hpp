@@ -11,6 +11,10 @@
 //     valid flag, nor a binary that never reads that knob;
 //   * otherwise the row's default applies.
 //
+// annealer_config() is the front door nearly every binary takes: it lays
+// the three sweep-kernel rows onto an anneal::AnnealerConfig, so no main
+// copies them field by field.
+//
 // Errors throw quamax::InvalidArgument prefixed with the row's label,
 // `--x / QUAMAX_X: ...`.  The sim layer only transports the queue-policy
 // and fallback spellings: sched::parse_queue_policy and
@@ -86,13 +90,14 @@ T knob(Knob::Id id, int argc = 0, char** argv = nullptr) {
   return std::get<T>(knob_table()[id].fallback);
 }
 
-/// The sweep-kernel settings nearly every binary reads.
-struct KernelKnobs {
-  std::size_t threads;              ///< --threads: batch-runtime lanes
-  std::size_t replicas;             ///< --replicas: replicas per kernel call
-  anneal::AcceptMode accept_mode;   ///< --accept-mode
-};
-KernelKnobs kernel_knobs(int argc, char** argv);
+/// `base` with each of --threads, --replicas and --accept-mode that is set
+/// (flag, else environment) applied onto num_threads, batch_replicas and
+/// accept_mode; unset rows keep `base`'s value.  The rows' defaults equal
+/// AnnealerConfig{}'s, so the default `base` is the plain default config,
+/// and serving binaries pass ServiceConfig{}.annealer to keep threshold32.
+/// Pass no argv for an environment-only read.
+anneal::AnnealerConfig annealer_config(int argc, char** argv,
+                                       anneal::AnnealerConfig base = {});
 
 /// scale-adjusted count: max(1, round(base * QUAMAX_SCALE)).  QUAMAX_SCALE
 /// is an env-only row (default 1.0) that the bench binaries apply to

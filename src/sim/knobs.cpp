@@ -188,10 +188,15 @@ std::optional<KnobValue> knob_lookup(Knob::Id id, int argc, char** argv) {
   return row.rule(raw, row.label());
 }
 
-KernelKnobs kernel_knobs(int argc, char** argv) {
-  return {knob<std::size_t>(Knob::kThreads, argc, argv),
-          knob<std::size_t>(Knob::kReplicas, argc, argv),
-          knob<anneal::AcceptMode>(Knob::kAcceptMode, argc, argv)};
+anneal::AnnealerConfig annealer_config(int argc, char** argv,
+                                       anneal::AnnealerConfig base) {
+  if (auto v = knob_if_set<std::size_t>(Knob::kThreads, argc, argv))
+    base.num_threads = *v;
+  if (auto v = knob_if_set<std::size_t>(Knob::kReplicas, argc, argv))
+    base.batch_replicas = *v;
+  if (auto v = knob_if_set<anneal::AcceptMode>(Knob::kAcceptMode, argc, argv))
+    base.accept_mode = *v;
+  return base;
 }
 
 std::size_t scaled(std::size_t base) {

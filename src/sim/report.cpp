@@ -1,13 +1,30 @@
 #include "quamax/sim/report.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+
+#include "quamax/common/error.hpp"
 
 namespace quamax::sim {
 namespace {
 
 constexpr int kCellWidth = 14;
+
+/// Shortest round-trip spelling.
+std::string json_number(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// `, "key": value` for each field.
+std::string json_fields(const std::vector<BenchField>& fields) {
+  std::string out;
+  for (const auto& [key, value] : fields)
+    out += ", \"" + key + "\": " + json_number(value);
+  return out;
+}
 
 }  // namespace
 
@@ -62,5 +79,37 @@ std::string fmt_ber(double v) {
 }
 
 std::string fmt_count(std::size_t v) { return std::to_string(v); }
+
+void write_bench_json(const std::string& path, std::string_view executable,
+                      const std::vector<BenchField>& context,
+                      const std::vector<BenchRecord>& records) {
+  std::string text = "{\n  \"context\": {\"executable\": \"" +
+                     std::string(executable) + "\"" + json_fields(context) +
+                     "},\n  \"benchmarks\": [\n";
+  std::size_t timed = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const BenchRecord& r = records[i];
+    const std::string ns = json_number(std::round(r.wall_s * 1e9));
+    text += "    {\"name\": \"" + r.name +
+            "\", \"run_type\": \"iteration\", \"iterations\": 1, "
+            "\"real_time\": " + ns + ", \"cpu_time\": " + ns +
+            ", \"time_unit\": \"ns\"";
+    if (r.wall_s > 0.0) {
+      text += ", \"items_per_second\": " +
+              json_number(static_cast<double>(r.items) / r.wall_s);
+      ++timed;
+    }
+    text += json_fields(r.counters) + (i + 1 < records.size() ? "},\n" : "}\n");
+  }
+  text += "  ]\n}\n";
+
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  require(f != nullptr,
+          std::string(executable) + ": cannot open --json path " + path);
+  const bool written = std::fputs(text.c_str(), f) >= 0;
+  require(std::fclose(f) == 0 && written,
+          std::string(executable) + ": cannot write --json path " + path);
+  std::printf("\nwrote %zu benchmark points to %s\n", timed, path.c_str());
+}
 
 }  // namespace quamax::sim

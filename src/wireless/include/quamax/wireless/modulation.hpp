@@ -92,10 +92,6 @@ BitVec translate_gray_to_quamax(const BitVec& gray_bits, Modulation mod);
 /// transmitted symbol vector using the Gray map.
 CVec modulate_gray(const BitVec& bits, Modulation mod);
 
-/// Same, under the QuAMax transform (used to express annealer candidates as
-/// symbol vectors when evaluating the ML objective).
-CVec modulate_quamax(const BitVec& bits, Modulation mod);
-
 /// Hard-decision Gray demap of a symbol-vector estimate.
 BitVec demodulate_gray(const CVec& symbols, Modulation mod);
 

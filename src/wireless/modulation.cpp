@@ -180,10 +180,7 @@ BitVec translate_gray_to_quamax(const BitVec& gray_bits, Modulation mod) {
   return out;
 }
 
-namespace {
-
-CVec modulate_with(const BitVec& bits, Modulation mod,
-                   cplx (*mapper)(const BitVec&, Modulation)) {
+CVec modulate_gray(const BitVec& bits, Modulation mod) {
   const int q = bits_per_symbol(mod);
   require(bits.size() % static_cast<std::size_t>(q) == 0,
           "modulate: bit count not a multiple of bits/symbol");
@@ -192,19 +189,9 @@ CVec modulate_with(const BitVec& bits, Modulation mod,
   BitVec user(q);
   for (std::size_t u = 0; u < nt; ++u) {
     std::copy_n(bits.begin() + static_cast<std::ptrdiff_t>(u * q), q, user.begin());
-    symbols[u] = mapper(user, mod);
+    symbols[u] = map_gray(user, mod);
   }
   return symbols;
-}
-
-}  // namespace
-
-CVec modulate_gray(const BitVec& bits, Modulation mod) {
-  return modulate_with(bits, mod, &map_gray);
-}
-
-CVec modulate_quamax(const BitVec& bits, Modulation mod) {
-  return modulate_with(bits, mod, &map_quamax);
 }
 
 BitVec demodulate_gray(const CVec& symbols, Modulation mod) {

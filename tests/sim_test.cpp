@@ -348,5 +348,51 @@ TEST(KnobTableTest, TypedReadsFallBackToTheDefault) {
   EXPECT_EQ(positional_args(4, const_cast<char**>(argv)), (Argv{"smoke"}));
 }
 
+anneal::AnnealerConfig annealer_config_of(Argv args,
+                                          anneal::AnnealerConfig base = {}) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return annealer_config(static_cast<int>(argv.size()), argv.data(), base);
+}
+
+TEST(AnnealerConfigTest, LaysSetKernelRowsOntoTheBase) {
+  for (const char* env : {"QUAMAX_THREADS", "QUAMAX_REPLICAS", "QUAMAX_ACCEPT_MODE"})
+    ::unsetenv(env);
+  // The rows' defaults are AnnealerConfig{}'s, so the default base is a
+  // no-op: every binary prints what it printed with hand-copied knobs.
+  const anneal::AnnealerConfig plain;
+  EXPECT_EQ(knob_table()[Knob::kThreads].fallback, KnobValue(plain.num_threads));
+  EXPECT_EQ(knob_table()[Knob::kReplicas].fallback, KnobValue(plain.batch_replicas));
+  EXPECT_EQ(knob_table()[Knob::kAcceptMode].fallback, KnobValue(plain.accept_mode));
+  const anneal::AnnealerConfig env_only = annealer_config(0, nullptr);
+  EXPECT_EQ(env_only.num_threads, plain.num_threads);
+  EXPECT_EQ(env_only.batch_replicas, plain.batch_replicas);
+  EXPECT_EQ(env_only.accept_mode, plain.accept_mode);
+
+  // A serving-style base keeps threshold32 and its other fields unless a
+  // row is set.
+  anneal::AnnealerConfig serving;
+  serving.accept_mode = anneal::AcceptMode::kThreshold32;
+  serving.schedule.anneal_time_us = 7.0;
+  const anneal::AnnealerConfig kept = annealer_config_of({"smoke"}, serving);
+  EXPECT_EQ(kept.accept_mode, anneal::AcceptMode::kThreshold32);
+  EXPECT_EQ(kept.num_threads, 1u);
+  EXPECT_EQ(kept.batch_replicas, 8u);
+  EXPECT_EQ(kept.schedule.anneal_time_us, 7.0);
+
+  EXPECT_EQ(annealer_config_of({"--accept-mode", "exact"}, serving).accept_mode,
+            anneal::AcceptMode::kExact);
+  EXPECT_EQ(annealer_config_of({"--threads", "3"}, serving).num_threads, 3u);
+  EXPECT_EQ(annealer_config_of({"--replicas=2"}, serving).batch_replicas, 2u);
+
+  // The environment is read when the flag is absent; the flag wins.
+  ::setenv("QUAMAX_ACCEPT_MODE", "threshold32", 1);
+  EXPECT_EQ(annealer_config_of({}).accept_mode, anneal::AcceptMode::kThreshold32);
+  EXPECT_EQ(annealer_config_of({"--accept-mode=exact"}).accept_mode,
+            anneal::AcceptMode::kExact);
+  ::unsetenv("QUAMAX_ACCEPT_MODE");
+}
+
 }  // namespace
 }  // namespace quamax::sim
