@@ -471,6 +471,33 @@ TEST(FaultServeTest, OutageWindowsDeferDispatchAndAbortInFlightWaves) {
             report.stats.digest());
 }
 
+// The timeline's outage start/end events steer dispatch, not only tracing:
+// an idle device wakes at an outage start and is re-queued at the outage's
+// end, which changes device tie-breaking.  Here device 0 goes idle at 30,
+// wakes at the outage start (100) and is re-queued at 200, while device 1
+// idles from 40; the job at 300 therefore goes to device 1.  Without the
+// events device 0 would still sit at 30 and take it.
+TEST(FaultServeTest, OutageEventsRequeueAnIdleDeviceAtTheWindowEnd) {
+  serve::LoadGenerator gen(bpsk8_load(60.0, 1.0e6), 0xFA08);
+  std::vector<serve::CellJob> jobs = gen.open_loop(3);
+  const double arrivals[] = {0.0, 10.0, 300.0};
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i].arrival_us = arrivals[i];
+
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->outages = {{0, 100.0, 200.0}};
+  serve::ServiceConfig cfg = fast_service();
+  cfg.num_devices = 2;
+  cfg.fault = plan;
+  const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+
+  ASSERT_EQ(report.waves.size(), 3u);
+  EXPECT_EQ(report.waves[0].device, 0u);
+  EXPECT_EQ(report.waves[1].device, 1u);
+  EXPECT_EQ(report.waves[2].device, 1u);
+  EXPECT_EQ(report.waves[2].dispatch_us, 300.0);
+}
+
 TEST(FaultServeTest, DefectGrowthStrandsShapeAndFallbackServesIt) {
   serve::LoadGenerator gen(bpsk8_load(30.0), 0xFA06);
   const std::vector<serve::CellJob> jobs = gen.open_loop(30);
