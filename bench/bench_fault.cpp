@@ -87,15 +87,15 @@ struct Point {
   double availability = 1.0;
 };
 
-/// Serves one arm; a non-null `observer` traces it.
+/// Serves one arm; a non-null `observer` observes it.
 Point run_arm(const std::string& name, const serve::LoadConfig& load,
               serve::ServiceConfig service, std::size_t num_jobs,
               double availability, serve::RunObserver* observer = nullptr) {
-  if (observer != nullptr) observer->attach(service);
   const auto t0 = std::chrono::steady_clock::now();
   serve::LoadGenerator generator(load, 0xFA57);
   const serve::ServiceReport report =
       serve::DecodeService(service).run(generator.open_loop(num_jobs));
+  if (observer != nullptr) observer->observe(service, report);
   Point p;
   p.name = name;
   p.wall_s =
@@ -263,10 +263,10 @@ int main(int argc, char** argv) {
     storm_cfg.max_retries = max_retries;
     storm_cfg.retry_backoff_us = 0.5 * service_us;
     storm_cfg.fallback = fallback;
-    observer.attach(storm_cfg);
     serve::LoadGenerator gen_c(load, 0xFA57);
     const serve::ServiceReport stormed =
         serve::DecodeService(storm_cfg).run(gen_c.open_loop(smoke_jobs));
+    observer.observe(storm_cfg, stormed);
     std::printf("ServiceStats digest (storm, %.0f%% downtime, retries %zu, "
                 "fallback %s):\n%s",
                 100.0 * kDowntimeFraction, max_retries,

@@ -8,6 +8,7 @@
 //     both the scalar and the multi-replica batched kernel (BM_SaSweep*:
 //     the items/s column is spin-updates per second, so the batched-kernel
 //     speedup is the ratio of the two at equal replica count);
+//   * lane scaling of the anneal fan-out (BM_LogicalSampleLanes);
 //   * baseline detector costs (Sphere Decoder, zero-forcing).
 
 #include <benchmark/benchmark.h>
@@ -202,6 +203,26 @@ void BM_ChimeraSampleBatchedPath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 64));
 }
 BENCHMARK(BM_ChimeraSampleBatchedPath);
+
+// Lane scaling of the anneal fan-out: 1000 anneals of a dense 64-spin
+// problem on LogicalAnnealer at range(0) lanes, timed on the wall clock.
+// CI gates the 8-lane / 1-lane items/s ratio (the samples themselves are
+// bit-identical at any lane count; parallel_sampler_test pins that).
+void BM_LogicalSampleLanes(benchmark::State& state) {
+  Rng rng{0xBEEF};
+  qubo::IsingModel problem(64);
+  for (std::size_t i = 0; i < 64; ++i) problem.field(i) = rng.uniform(-1.0, 1.0);
+  for (std::size_t i = 0; i < 64; ++i)
+    for (std::size_t j = i + 1; j < 64; ++j)
+      problem.add_coupling(i, j, rng.uniform(-1.0, 1.0));
+  anneal::LogicalAnnealerConfig config;
+  config.num_threads = static_cast<std::size_t>(state.range(0));
+  anneal::LogicalAnnealer annealer(config);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(annealer.sample(problem, 1000, rng));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 1000));
+}
+BENCHMARK(BM_LogicalSampleLanes)->Arg(1)->Arg(8)->UseRealTime();
 
 void BM_Unembed(benchmark::State& state) {
   const auto embedding = chimera::find_clique_embedding(36, chimera::ChimeraGraph(16));

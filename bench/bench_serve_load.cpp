@@ -268,8 +268,8 @@ int main(int argc, char** argv) {
       serve::ServiceConfig cfg = base;
       cfg.device_specs = sharded_pool(devices);
       cfg.queue_policy = policy;
-      observer.attach(cfg);
       const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+      observer.observe(cfg, report);
       misses += report.stats.misses();
       audit_sketch(report);
       std::printf("\nServiceStats digest (policy %s, devices %zu, downlink "
@@ -305,9 +305,9 @@ int main(int argc, char** argv) {
       serve::LoadGenerator generator(bpsk8_load(offered, 500.0), 0xB5E0);
       serve::ServiceConfig cfg = base;
       cfg.packing = packing;
-      observer.attach(cfg);
       const serve::ServiceReport report =
           serve::DecodeService(cfg).run(generator.open_loop(jobs_per_point));
+      observer.observe(cfg, report);
       audit_sketch(report);
       const Point p = to_point(offered, report);
       print_point(p);

@@ -83,15 +83,15 @@ struct Point {
   std::size_t warm_waves = 0;
 };
 
-/// Serves one arm; `observer` traces it when --trace / --metrics / --slo ask.
+/// Serves one arm; `observer` observes it when --trace / --metrics / --slo ask.
 Point run_arm(const std::string& name, const serve::LoadConfig& load,
               serve::ServiceConfig service, std::size_t num_jobs,
               serve::RunObserver& observer) {
-  observer.attach(service);
   const auto t0 = std::chrono::steady_clock::now();
   serve::LoadGenerator generator(load, 0x3A97);
   const serve::ServiceReport report =
       serve::DecodeService(service).run(generator.open_loop(num_jobs));
+  observer.observe(service, report);
   Point p;
   p.name = name;
   p.wall_s =
@@ -164,9 +164,9 @@ int main(int argc, char** argv) {
         users * std::max<std::size_t>(4, sim::scaled(24));
     serve::LoadGenerator generator(
         coherent_load(coherence, 10.0 * cold_service_us, users), 0x3A97);
-    observer.attach(warm_cfg);
     const serve::ServiceReport report =
         serve::DecodeService(warm_cfg).run(generator.open_loop(num_jobs));
+    observer.observe(warm_cfg, report);
     std::printf("ServiceStats digest (warm-start smoke, devices %zu, "
                 "coherence %.2f):\n%s",
                 devices, coherence, report.stats.digest().c_str());

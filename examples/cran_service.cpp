@@ -84,16 +84,16 @@ int main(int argc, char** argv) {
   for (const bool packing : {true, false}) {
     serve::ServiceConfig run_cfg = cfg;
     run_cfg.packing = packing;
-    // Observe the packing-ON run: its wave structure (8 jobs folded into one
-    // chip wave per subframe) is the interesting picture, and the windowed
-    // series below is derived from this event stream.  The sink is always
-    // attached for that run — tracing never drifts stdout, so the walkthrough
-    // prints identical text with or without --trace / --metrics.
-    if (packing) observer.attach(run_cfg);
     serve::DecodeService service(run_cfg);
     serve::LoadGenerator generator(load, 0xA2905);
     const serve::ServiceReport report =
         service.run(generator.open_loop(num_jobs));
+    // Observe the packing-ON run: its wave structure (8 jobs folded into one
+    // chip wave per subframe) is the interesting picture, and the windowed
+    // series below is derived from its trace.  The trace is derived after
+    // the run, so the walkthrough prints identical text with or without
+    // --trace / --metrics.
+    if (packing) observer.observe(run_cfg, report);
 
     std::printf("\n=== packing %s ===\n", packing ? "ON" : "OFF");
     std::printf("capacity for QPSK shape %zu: %zu jobs/wave; wave service %.1f us\n",

@@ -135,15 +135,16 @@ double scheduled_downtime_us(const FaultPlan& plan, std::size_t device,
 /// events, every device always up, no wave ever aborts, no RNG drawn.
 class Timeline {
  public:
-  enum class Kind : std::uint8_t {
-    kOutageStart, kOutageEnd, kGrowth, kWaveFail
-  };
-  /// Outage start/end events exist so each window is traced once, in time
-  /// order; scheduling reads the windows through up_at/abort_us instead.
+  /// kOutageEdge is an outage window's start or end.  It carries no action
+  /// (up_at/abort_us read the windows), but next_us() wakes an idle device
+  /// at an outage start, which re-queues it at the outage's end and so
+  /// moves device tie-breaking
+  /// (FaultServeTest.OutageEventsRequeueAnIdleDeviceAtTheWindowEnd).
+  enum class Kind : std::uint8_t { kOutageEdge, kGrowth, kWaveFail };
   struct Event {
     double t_us = 0.0;
     std::size_t order = 0;  ///< insertion tie-break at equal times
-    Kind kind = Kind::kOutageStart;
+    Kind kind = Kind::kOutageEdge;
     std::size_t index = 0;  ///< outage/growth index in the plan, or wave id
     bool operator>(const Event& other) const {
       if (t_us != other.t_us) return t_us > other.t_us;

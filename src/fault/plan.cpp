@@ -171,8 +171,8 @@ Timeline::Timeline(std::shared_ptr<const FaultPlan> plan,
   for (std::size_t i = 0; i < plan_->outages.size(); ++i) {
     const OutageWindow& w = plan_->outages[i];
     windows_[w.device].push_back(w);
-    push(w.start_us, Kind::kOutageStart, i);
-    push(w.end_us, Kind::kOutageEnd, i);
+    push(w.start_us, Kind::kOutageEdge, i);
+    push(w.end_us, Kind::kOutageEdge, i);
   }
   for (auto& windows : windows_)
     std::sort(windows.begin(), windows.end(),

@@ -63,8 +63,6 @@ class CMat {
   CMat operator*(const CMat& rhs) const;
   CVec operator*(const CVec& v) const;
   CMat operator+(const CMat& rhs) const;
-  CMat operator-(const CMat& rhs) const;
-  CMat& operator*=(cplx scale);
 
  private:
   std::size_t rows_ = 0;

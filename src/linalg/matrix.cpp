@@ -76,18 +76,6 @@ CMat CMat::operator+(const CMat& rhs) const {
   return out;
 }
 
-CMat CMat::operator-(const CMat& rhs) const {
-  require(rows_ == rhs.rows_ && cols_ == rhs.cols_, "CMat::operator-: shape mismatch");
-  CMat out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-CMat& CMat::operator*=(cplx scale) {
-  for (cplx& v : data_) v *= scale;
-  return *this;
-}
-
 CVec residual(const CVec& y, const CMat& a, const CVec& x) {
   CVec ax = a * x;
   require(ax.size() == y.size(), "residual: dimension mismatch");

@@ -1,22 +1,24 @@
 // Virtual-clock job tracing: the in-memory event log and the
 // Chrome/Perfetto trace-event JSON exporter.
 //
-// The scheduler's virtual clock is a discrete-event timeline computed
-// serially on the driver thread — every queueing decision, wave dispatch,
-// and completion time is a pure function of config + workload.  A TraceLog
-// taps that timeline: the scheduler appends to it at job admission, wave
-// dispatch (which fixes each member job's dispatch AND completion time —
-// the wave cost model is closed-form), and deadline drops.  Because all
-// emission happens on the driver thread inside virtual-clock code, the log
-// needs no locks, consumes no RNG, and cannot perturb any result: the decode
-// compute running on ThreadPool lanes never touches it.  The v2 contract
-// is therefore preserved by construction — reports are bit-identical with
-// tracing on or off — and tests/CI gate it anyway.
+// A TraceLog is derived after a run from its job records, wave log, fault
+// plan and config (serve::trace_log); nothing is emitted while the run is
+// served, so observing cannot perturb any result.  Each event vector has
+// one order, the derivation's contract:
 //
-// Span decomposition (QuAMax §7's latency breakdown, reproduced from the
-// trace instead of re-derived): a wave occupies its device for
-// program_overhead_us + num_anneals * schedule_duration.  The overhead
-// models programming + readout, so the exporter splits it half-before /
+//   submits    — sequence order;
+//   waves      — wave id order;
+//   dispatches — wave by wave, failed waves skipped, members in sequence
+//                order;
+//   retries    — failed waves in (fail_us, wave id) order, members in
+//                sequence order, none for a member the wave ended;
+//   downs, ups — the plan's outages, stable-sorted by start and by end;
+//   drops, fallbacks — (completion, job id) order, the key
+//                obs::WindowedCollector sorts by.
+//
+// Span decomposition (QuAMax §7's latency breakdown): a wave occupies its
+// device for program_overhead_us + num_anneals * schedule_duration.  The
+// overhead models programming + readout, so it is split half-before /
 // half-after the anneal span:
 //
 //   queue   = [submit_us, dispatch_us]
@@ -54,9 +56,8 @@ struct JobDispatchEvent {
   int device = 0;
   double dispatch_us = 0.0;
   double completion_us = 0.0;
-  /// Payload bits the job carries (Gray-coded tx bits) — a pure function of
-  /// the job, known before any decode runs, so the energy accounting can
-  /// compute joules-per-decoded-bit from the trace alone.
+  /// Payload bits the job carries (its record's num_bits), so the energy
+  /// accounting can compute joules-per-decoded-bit from the trace alone.
   std::size_t num_bits = 0;
 };
 
@@ -98,8 +99,8 @@ struct WaveEvent {
   double fail_us = 0.0;
 };
 
-/// Device enters a fault::OutageWindow (emitted when the virtual clock
-/// first processes the window; down_us/up_us are the window bounds).
+/// Device enters a fault::OutageWindow (down_us/up_us are the window
+/// bounds).
 struct DeviceDownEvent {
   int device = 0;
   double down_us = 0.0;
@@ -152,10 +153,8 @@ struct AlertEvent {
   double burn = 0.0;          ///< value / threshold (burn rate, short window)
 };
 
-/// In-memory event log the scheduler emits into: appends events in
-/// emission order (which is itself deterministic — the driver thread
-/// advances the virtual clock serially).  Every append runs on the driver
-/// thread inside virtual-clock code and consumes no RNG.
+/// In-memory event log, one vector per event kind, each in the order the
+/// header comment states.
 class TraceLog {
  public:
   void on_job_submit(const JobSubmitEvent& e) { submits_.push_back(e); }
@@ -166,8 +165,7 @@ class TraceLog {
   void on_device_up(const DeviceUpEvent& e) { ups_.push_back(e); }
   void on_job_retry(const JobRetryEvent& e) { retries_.push_back(e); }
   void on_job_fallback(const JobFallbackEvent& e) { fallbacks_.push_back(e); }
-  /// Unlike the scheduler events above, alerts are injected AFTER the run
-  /// by SloMonitor (still driver-thread, still RNG-free).
+  /// Alerts are injected by SloMonitor from the windowed series.
   void on_alert(const AlertEvent& e) { alerts_.push_back(e); }
 
   const std::vector<JobSubmitEvent>& submits() const { return submits_; }
@@ -181,18 +179,6 @@ class TraceLog {
   const std::vector<JobRetryEvent>& retries() const { return retries_; }
   const std::vector<JobFallbackEvent>& fallbacks() const { return fallbacks_; }
   const std::vector<AlertEvent>& alerts() const { return alerts_; }
-
-  void clear() {
-    submits_.clear();
-    dispatches_.clear();
-    drops_.clear();
-    waves_.clear();
-    downs_.clear();
-    ups_.clear();
-    retries_.clear();
-    fallbacks_.clear();
-    alerts_.clear();
-  }
 
  private:
   std::vector<JobSubmitEvent> submits_;

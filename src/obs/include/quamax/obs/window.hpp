@@ -18,7 +18,7 @@
 //     byte-identical with windowing on or off (CI gates it).
 //   * Construction canonicalizes: every event vector is sorted by
 //     (timestamp, id) before any accumulation, so the windowed series is a
-//     pure function of the event SET — independent of emission order,
+//     pure function of the event SET — independent of event order,
 //     threads, replicas, or poll cadence (tests permute a log to pin it).
 //
 // Duty-cycle / energy model (arXiv 2109.01465, "A Cost and Power

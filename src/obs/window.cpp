@@ -44,7 +44,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
                                      std::size_t num_devices,
                                      double window_us) {
   // ---- canonicalize: sort every event vector by (timestamp, id) so the
-  // series is a pure function of the event set, not the emission order.
+  // series is a pure function of the event set, not its order.
   auto submits = log.submits();
   auto dispatches = log.dispatches();
   auto drops = log.drops();

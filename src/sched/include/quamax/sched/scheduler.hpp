@@ -58,7 +58,6 @@
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/fault/plan.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/executor.hpp"
 #include "quamax/sched/policy.hpp"
@@ -149,14 +148,6 @@ struct SchedConfig {
   /// that cannot fit an anneal is served classically, and fallback wins
   /// over drop_late for doomed jobs).  kNone preserves historical behavior.
   fault::FallbackMode fallback = fault::FallbackMode::kNone;
-
-  /// Optional trace log (non-owning; nullptr = tracing off).  The engine
-  /// emits job-submit / wave-dispatch / job-drop events from the
-  /// virtual-clock code paths, which all run serially on the driver thread
-  /// — so the log needs no locks and the decode compute never touches it.
-  /// Emission reads already-computed values only and consumes no RNG:
-  /// records/waves are bit-identical with tracing on or off.
-  obs::TraceLog* trace = nullptr;
 };
 
 class Scheduler {
@@ -249,10 +240,8 @@ class Scheduler {
   /// The one terminal path for a job the annealing path gives up on: the
   /// configured fallback serves it, else it ends as `miss`.  `dispatch_us`
   /// is the failed wave's dispatch (== t_us for never-dispatched jobs);
-  /// completion is t_us.  `mid_flight` marks the failed-wave ladder (the
-  /// job already left the queue at its wave's dispatch) for the trace only.
-  void finalize(std::size_t seq, Miss miss, double dispatch_us, double t_us,
-                bool mid_flight = false);
+  /// completion is t_us.
+  void finalize(std::size_t seq, Miss miss, double dispatch_us, double t_us);
   /// Re-arms every parked device: new or re-queued work may fit it.
   void rearm_parked();
   /// Removes every job no longer kQueued from pending_, keeping its order.

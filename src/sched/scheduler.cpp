@@ -124,11 +124,6 @@ std::size_t Scheduler::submit(serve::CellJob job) {
   states_.push_back(JobState::kQueued);
   job_ready_us_.push_back(0.0);
   job_retries_.push_back(0);
-  if (config_.trace != nullptr)
-    config_.trace->on_job_submit(
-        {.job_id = job.id, .user = static_cast<int>(job.user),
-         .direction = job.downlink() ? 1 : 0, .submit_us = job.arrival_us,
-         .deadline_us = job.deadline_us});
   jobs_.push_back(std::move(job));
   if (!servable)
     finalize(seq, Miss::kFailed, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
@@ -178,7 +173,7 @@ bool Scheduler::round(double horizon_us) {
     }
     if (t_free >= horizon_us) {
       // Re-queue at the ORIGINAL free time, not the jumped one: a round
-      // that does nothing must leave no trace, or device tie-breaking
+      // that does nothing must change nothing, or device tie-breaking
       // would depend on how many advance_to() calls a driver happens to
       // make (bench drivers advance once per release on top of submit()'s
       // internal advance, the streaming client only via submit()) — and
@@ -190,8 +185,8 @@ bool Scheduler::round(double horizon_us) {
     }
 
     // Apply the fault timeline up to this instant: defect growth, outage
-    // trace marks, failed waves' retry/fallback ladders (which may
-    // re-queue members into pending_).  Every event <= t_free is processed
+    // boundaries, failed waves' retry/fallback ladders (which may re-queue
+    // members into pending_).  Every event <= t_free is processed
     // before any decision at t_free, in (time, insertion) order — the same
     // order in every driver, whatever its advance_to() cadence.
     if (process_faults(t_free)) finalized = true;
@@ -299,18 +294,9 @@ bool Scheduler::process_faults(double t_us) {
   while (const std::optional<fault::Timeline::Event> ev =
              faults_.pop_due(t_us)) {
     switch (ev->kind) {
-      case fault::Timeline::Kind::kOutageStart:
-      case fault::Timeline::Kind::kOutageEnd: {
-        if (config_.trace == nullptr) break;
-        const fault::OutageWindow& w = faults_.plan().outages[ev->index];
-        const int device = static_cast<int>(w.device);
-        if (ev->kind == fault::Timeline::Kind::kOutageStart)
-          config_.trace->on_device_down(
-              {.device = device, .down_us = w.start_us, .up_us = w.end_us});
-        else
-          config_.trace->on_device_up({.device = device, .up_us = w.end_us});
-        break;
-      }
+      case fault::Timeline::Kind::kOutageEdge:
+        break;  // up_at/abort_us read the windows; the pop woke the device
+
       case fault::Timeline::Kind::kGrowth: {
         const fault::DefectGrowth& growth = faults_.plan().growths[ev->index];
         // Flush every decode due by the growth instant FIRST: those waves
@@ -353,16 +339,9 @@ bool Scheduler::process_faults(double t_us) {
             pending_.insert(
                 std::lower_bound(pending_.begin(), pending_.end(), seq), seq);
             requeued = true;
-            if (config_.trace != nullptr)
-              config_.trace->on_job_retry(
-                  {.job_id = jobs_[seq].id, .wave_id = wave.id,
-                   .device = static_cast<int>(wave.device),
-                   .fail_us = wave.fail_us, .ready_us = ready,
-                   .retry = static_cast<int>(job_retries_[seq])});
             continue;
           }
-          finalize(seq, Miss::kFailed, wave.dispatch_us, wave.fail_us,
-                   /*mid_flight=*/true);
+          finalize(seq, Miss::kFailed, wave.dispatch_us, wave.fail_us);
           finalized = true;
         }
         if (requeued) rearm_parked();
@@ -374,7 +353,7 @@ bool Scheduler::process_faults(double t_us) {
 }
 
 void Scheduler::finalize(std::size_t seq, Miss miss, double dispatch_us,
-                         double t_us, bool mid_flight) {
+                         double t_us) {
   const serve::CellJob& job = jobs_[seq];
   serve::JobRecord& record = records_[seq];
   record.retries = job_retries_[seq];
@@ -388,20 +367,8 @@ void Scheduler::finalize(std::size_t seq, Miss miss, double dispatch_us,
     record.fallback = true;
     record.bit_errors = decode.bit_errors;
     record.num_bits = decode.num_bits;
-    if (config_.trace != nullptr)
-      config_.trace->on_job_fallback(
-          {.job_id = job.id, .direction = job.downlink() ? 1 : 0,
-           .fallback_us = t_us, .deadline_us = job.deadline_us,
-           .bit_errors = decode.bit_errors, .num_bits = decode.num_bits,
-           .mid_flight = mid_flight});
   } else {
     (miss == Miss::kDropped ? record.dropped : record.failed) = true;
-    // A terminal failure is a miss the same way a drop is; it shares the
-    // drop event so downstream tooling needs no third terminal kind.
-    if (config_.trace != nullptr)
-      config_.trace->on_job_drop({.job_id = job.id, .drop_us = t_us,
-                                  .deadline_us = job.deadline_us,
-                                  .mid_flight = mid_flight});
   }
 }
 
@@ -515,27 +482,10 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
     wave.fail_us = fail;
   }
 
-  // The trace decomposition reproduces QuAMax §7's latency split from the
-  // wave cost model; the anneal span is exactly quota * schedule duration.
-  // The four spans tile [dispatch, completion], so per-job span sums equal
-  // the virtual-clock service time bit-for-bit (the round-trip CTest
-  // re-adds them).
-  if (config_.trace != nullptr)
-    config_.trace->on_wave(
-        {.wave_id = wave.id, .device = static_cast<int>(device), .warm = warm,
-         .num_anneals =
-             static_cast<int>(warm ? warm_quota() : config_.num_anneals),
-         .num_jobs = wave.jobs.size(), .policy = to_string(config_.policy),
-         .shape = std::to_string(shape), .dispatch_us = wave.dispatch_us,
-         .program_end_us = wave.dispatch_us + half_overhead,
-         .readout_start_us = readout_start_us,
-         .completion_us = wave.completion_us, .failed = wave.failed,
-         .fail_us = wave.fail_us});
-
   // A failed wave yields no samples: members go in-flight until the
   // kWaveFail event at the abort instant runs their retry/fallback ladder.
-  // No completion record, no delivery, no dispatch trace — on the
-  // virtual clock nothing has been promised yet.
+  // No completion record, no delivery — on the virtual clock nothing has
+  // been promised yet.
   for (const std::size_t seq : wave.jobs) {
     records_[seq].wave_id = wave.id;
     if (wave.failed) {
@@ -547,14 +497,6 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
     records_[seq].completion_us = wave.completion_us;
     states_[seq] = JobState::kDispatched;
     undelivered_.emplace(wave.completion_us, seq);
-    if (config_.trace != nullptr)
-      config_.trace->on_job_dispatch(
-          {.job_id = jobs_[seq].id, .wave_id = wave.id,
-           .device = static_cast<int>(device), .dispatch_us = wave.dispatch_us,
-           .completion_us = wave.completion_us,
-           .num_bits = jobs_[seq].downlink()
-                           ? jobs_[seq].precode().tx_bits.size()
-                           : jobs_[seq].uplink().use.tx_bits.size()});
   }
   prune_pending();
 

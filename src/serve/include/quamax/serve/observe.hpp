@@ -3,15 +3,16 @@
 // examples/cran_service), once.
 //
 // A RunObserver reads the --trace, --metrics, --metrics-window, --slo,
-// --prof and --prof-json knobs, attaches its one TraceLog to the service
-// runs the binary chooses to observe, and derives everything else
-// offline after the run: the windowed series on the service's device pool,
-// the SLO burn-rate alerts (injected back into the log, so the Chrome trace
-// grows its "slo alerts" track), and the exported files.  Observing never
-// steers the virtual clock, so stdout stays byte-identical observed or not
-// (the zero-drift rule); every notice goes to stderr.
+// --prof and --prof-json knobs and derives everything from each finished
+// run the binary hands it: the trace (trace_log, from the run's records and
+// waves), the windowed series on the run's device pool, the SLO burn-rate
+// alerts (injected back into the log, so the Chrome trace grows its "slo
+// alerts" track), and the exported files.  Nothing observes a run while it
+// is served, so stdout stays byte-identical observed or not (the zero-drift
+// rule); every notice goes to stderr.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +23,13 @@
 #include "quamax/serve/service.hpp"
 
 namespace quamax::serve {
+
+/// The virtual-clock trace of a finished run (Scheduler::finish), derived
+/// from its records (by sequence number), its waves (in id order) and the
+/// config that served it, in the event order obs/trace.hpp states.
+obs::TraceLog trace_log(const sched::SchedConfig& config,
+                        const std::vector<JobRecord>& records,
+                        const std::vector<Wave>& waves);
 
 /// A finished windowed view of one traced run.
 struct WindowedView {
@@ -35,26 +43,23 @@ class RunObserver {
   /// profiler on for --prof / --prof-json.  `default_slo` stands in for an
   /// absent --slo.
   RunObserver(int argc, char** argv, std::string default_slo = "");
-  // Attached configs point at the log: the observer stays where it is.
-  RunObserver(const RunObserver&) = delete;
-  RunObserver& operator=(const RunObserver&) = delete;
 
   /// True when --prof or --prof-json switched the profiler on.
   bool profiling() const { return prof_ || !prof_json_.empty(); }
   /// The SLO spec text in force: --slo, else the default.
   const std::string& slo() const { return slo_; }
 
-  /// Starts a new observed run on `cfg` when a trace, a metrics file or an
-  /// SLO was asked for (else does nothing): clears the log, attaches it as
-  /// cfg.trace, and keeps cfg's device pool for windowing.  The files
-  /// finish() writes hold the LAST attached run.
-  void attach(ServiceConfig& cfg);
+  /// Observes the finished run `report` served under `cfg` when a trace, a
+  /// metrics file or an SLO was asked for (else does nothing): derives its
+  /// log (trace_log) and keeps cfg's device count for windowing.  The files
+  /// finish() writes hold the LAST observed run.
+  void observe(const ServiceConfig& cfg, const ServiceReport& report);
 
-  /// The last attached run windowed on its device pool, with the SLO spec
+  /// The last observed run windowed on its device pool, with the SLO spec
   /// evaluated and every alert injected into the log.  Computed at most
-  /// once per attached run (windowing twice would inject the alerts twice).
+  /// once per observed run (windowing twice would inject the alerts twice).
   /// Throws quamax::InvalidArgument on a malformed SLO spec or when no run
-  /// was attached.
+  /// was observed.
   const WindowedView& view();
 
   /// Writes the metrics file (JSON, or CSV for a ".csv" path), then the
@@ -63,8 +68,6 @@ class RunObserver {
   int finish();
 
  private:
-  bool enabled() const;
-
   std::string trace_path_;
   std::string metrics_path_;
   double window_us_ = 0.0;
@@ -73,8 +76,8 @@ class RunObserver {
   std::string prof_json_;
 
   obs::TraceLog log_;
-  ServiceConfig cfg_;  ///< device pool of the last attached run
-  bool attached_ = false;
+  /// Device count of the last observed run; 0 = no run observed.
+  std::size_t devices_ = 0;
   std::optional<WindowedView> view_;
 };
 

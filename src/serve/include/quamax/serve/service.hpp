@@ -103,13 +103,11 @@ struct ServiceConfig {
   /// (fault::classical_decode — ZF or MMSE uplink, ZF precoding downlink).
   /// Knob: --fallback / QUAMAX_FALLBACK (none|zf|mmse).
   fault::FallbackMode fallback = fault::FallbackMode::kNone;
-
-  /// Optional trace log forwarded to sched::SchedConfig::trace (non-owning;
-  /// nullptr = off).  The log observes the virtual-clock timeline only —
-  /// every report is bit-identical with tracing on or off (obs_test gates
-  /// this).
-  obs::TraceLog* trace = nullptr;
 };
+
+/// The scheduler config a service run uses: the one conversion from
+/// ServiceConfig, for DecodeService and the trace derivation alike.
+sched::SchedConfig scheduler_config(const ServiceConfig& config);
 
 /// Everything a service run produced: aggregate stats, per-job records (in
 /// admission order), and the dispatched waves with their membership.
@@ -155,8 +153,6 @@ class DecodeService {
   ServiceReport run(std::vector<CellJob> jobs);
 
  private:
-  sched::SchedConfig sched_config() const;
-
   ServiceConfig config_;
   std::shared_ptr<sched::DeviceSet> devices_;
 };

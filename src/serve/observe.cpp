@@ -1,5 +1,6 @@
 #include "quamax/serve/observe.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <utility>
@@ -10,6 +11,106 @@
 #include "quamax/sim/knobs.hpp"
 
 namespace quamax::serve {
+
+// Event order and field rules: see obs/trace.hpp.
+obs::TraceLog trace_log(const sched::SchedConfig& config,
+                        const std::vector<JobRecord>& records,
+                        const std::vector<Wave>& waves) {
+  obs::TraceLog log;
+  for (const JobRecord& r : records)
+    log.on_job_submit({.job_id = r.job_id, .user = static_cast<int>(r.user),
+                       .direction = r.direction == Direction::kDownlink,
+                       .submit_us = r.arrival_us, .deadline_us = r.deadline_us});
+
+  const double half_overhead = config.program_overhead_us / 2.0;
+  const std::size_t warm_quota = sched::Scheduler::warm_quota(config);
+  for (const Wave& w : waves)
+    log.on_wave(
+        {.wave_id = w.id, .device = static_cast<int>(w.device), .warm = w.warm,
+         .num_anneals =
+             static_cast<int>(w.warm ? warm_quota : config.num_anneals),
+         .num_jobs = w.jobs.size(), .policy = sched::to_string(config.policy),
+         .shape = std::to_string(w.shape), .dispatch_us = w.dispatch_us,
+         .program_end_us = w.dispatch_us + half_overhead,
+         .readout_start_us = w.completion_us - half_overhead,
+         .completion_us = w.completion_us, .failed = w.failed,
+         .fail_us = w.fail_us});
+  for (const Wave& w : waves) {
+    if (w.failed) continue;
+    for (const std::size_t seq : w.jobs)
+      log.on_job_dispatch({.job_id = records[seq].job_id, .wave_id = w.id,
+                           .device = static_cast<int>(w.device),
+                           .dispatch_us = w.dispatch_us,
+                           .completion_us = w.completion_us,
+                           .num_bits = records[seq].num_bits});
+  }
+
+  // A job ended mid-flight when its record stops at its last wave's abort:
+  // the failed-wave ladder ended it there rather than re-queueing it.
+  const auto mid_flight = [&](std::size_t seq) {
+    const JobRecord& r = records[seq];
+    if (r.wave_id >= waves.size()) return false;
+    const Wave& w = waves[r.wave_id];
+    return w.failed && r.dispatch_us == w.dispatch_us &&
+           r.completion_us == w.fail_us &&
+           std::binary_search(w.jobs.begin(), w.jobs.end(), seq);
+  };
+  std::vector<const Wave*> failed;
+  for (const Wave& w : waves)
+    if (w.failed) failed.push_back(&w);
+  std::stable_sort(failed.begin(), failed.end(), [](auto* a, auto* b) {
+    return a->fail_us < b->fail_us;
+  });
+  std::vector<int> attempts(records.size(), 0);
+  for (const Wave* w : failed)
+    for (const std::size_t seq : w->jobs) {
+      ++attempts[seq];
+      if (records[seq].wave_id == w->id && mid_flight(seq)) continue;
+      log.on_job_retry({.job_id = records[seq].job_id, .wave_id = w->id,
+                        .device = static_cast<int>(w->device),
+                        .fail_us = w->fail_us,
+                        .ready_us = w->fail_us + config.retry_backoff_us,
+                        .retry = attempts[seq]});
+    }
+
+  std::vector<fault::OutageWindow> outages;
+  if (config.fault != nullptr) outages = config.fault->outages;
+  const auto sort_by = [&](double fault::OutageWindow::*key) {
+    std::stable_sort(outages.begin(), outages.end(),
+                     [key](auto& a, auto& b) { return a.*key < b.*key; });
+  };
+  sort_by(&fault::OutageWindow::start_us);
+  for (const fault::OutageWindow& o : outages)
+    log.on_device_down({.device = static_cast<int>(o.device),
+                        .down_us = o.start_us, .up_us = o.end_us});
+  sort_by(&fault::OutageWindow::end_us);
+  for (const fault::OutageWindow& o : outages)
+    log.on_device_up({.device = static_cast<int>(o.device), .up_us = o.end_us});
+
+  std::vector<std::size_t> ended;
+  for (std::size_t seq = 0; seq < records.size(); ++seq)
+    if (records[seq].dropped || records[seq].failed || records[seq].fallback)
+      ended.push_back(seq);
+  std::sort(ended.begin(), ended.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair(records[a].completion_us, records[a].job_id) <
+           std::pair(records[b].completion_us, records[b].job_id);
+  });
+  for (const std::size_t seq : ended) {
+    const JobRecord& r = records[seq];
+    if (r.fallback)
+      log.on_job_fallback({.job_id = r.job_id,
+                           .direction = r.direction == Direction::kDownlink,
+                           .fallback_us = r.completion_us,
+                           .deadline_us = r.deadline_us,
+                           .bit_errors = r.bit_errors, .num_bits = r.num_bits,
+                           .mid_flight = mid_flight(seq)});
+    else
+      log.on_job_drop({.job_id = r.job_id, .drop_us = r.completion_us,
+                       .deadline_us = r.deadline_us,
+                       .mid_flight = mid_flight(seq)});
+  }
+  return log;
+}
 
 using sim::Knob;
 
@@ -24,21 +125,17 @@ RunObserver::RunObserver(int argc, char** argv, std::string default_slo)
   if (profiling()) obs::Profiler::instance().set_enabled(true);
 }
 
-bool RunObserver::enabled() const {
-  return !trace_path_.empty() || !metrics_path_.empty() || !slo_.empty();
-}
-
-void RunObserver::attach(ServiceConfig& cfg) {
-  if (!enabled()) return;
-  log_.clear();
-  cfg.trace = &log_;
-  cfg_ = cfg;
-  attached_ = true;
+void RunObserver::observe(const ServiceConfig& cfg,
+                          const ServiceReport& report) {
+  if (trace_path_.empty() && metrics_path_.empty() && slo_.empty()) return;
+  log_ = trace_log(scheduler_config(cfg), report.jobs, report.waves);
+  devices_ =
+      cfg.device_specs.empty() ? cfg.num_devices : cfg.device_specs.size();
   view_.reset();
 }
 
 const WindowedView& RunObserver::view() {
-  require(attached_, "RunObserver::view: no observed run");
+  require(devices_ > 0, "RunObserver::view: no observed run");
   if (view_) return *view_;
 
   std::vector<obs::SloSpec> specs;
@@ -48,10 +145,8 @@ const WindowedView& RunObserver::view() {
     if (specs.empty()) throw InvalidArgument("--slo: " + error);
   }
 
-  const std::size_t devices =
-      cfg_.device_specs.empty() ? cfg_.num_devices : cfg_.device_specs.size();
   WindowedView& view = view_.emplace(WindowedView{
-      obs::WindowedCollector(log_, devices, window_us_), {}});
+      obs::WindowedCollector(log_, devices_, window_us_), {}});
 
   if (!specs.empty()) {
     const obs::SloMonitor monitor(std::move(specs));
@@ -76,7 +171,7 @@ bool report(bool ok, const char* what, const std::string& path) {
 
 int RunObserver::finish() {
   bool ok = true;
-  if (attached_) {
+  if (devices_ > 0) {
     if (!metrics_path_.empty() || !slo_.empty()) {
       const WindowedView& windowed = view();
       if (!metrics_path_.empty())

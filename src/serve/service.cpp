@@ -11,7 +11,7 @@ namespace quamax::serve {
 
 DecodeService::DecodeService(ServiceConfig config) : config_(std::move(config)) {
   require(config_.num_devices >= 1, "DecodeService: need at least one device");
-  sched::Scheduler::validate(sched_config());
+  sched::Scheduler::validate(scheduler_config(config_));
   if (config_.device_specs.empty())
     config_.device_specs =
         sched::uniform_devices(config_.annealer, config_.num_devices);
@@ -22,26 +22,25 @@ DecodeService::DecodeService(ServiceConfig config) : config_(std::move(config)) 
                                                 config_.device_specs);
 }
 
-sched::SchedConfig DecodeService::sched_config() const {
+sched::SchedConfig scheduler_config(const ServiceConfig& config) {
   sched::SchedConfig cfg;
-  cfg.annealer = config_.annealer;
-  cfg.devices = config_.device_specs;
-  cfg.policy = config_.queue_policy;
-  cfg.num_anneals = config_.num_anneals;
-  cfg.program_overhead_us = config_.program_overhead_us;
-  cfg.packing = config_.packing;
-  cfg.max_wave_jobs = config_.max_wave_jobs;
-  cfg.drop_late = config_.drop_late;
-  cfg.num_threads = config_.num_threads;
-  cfg.seed = config_.seed;
-  cfg.warm_start = config_.warm_start;
-  cfg.warm_reverse_depth = config_.warm_reverse_depth;
-  cfg.warm_num_anneals = config_.warm_num_anneals;
-  cfg.fault = config_.fault;
-  cfg.max_retries = config_.max_retries;
-  cfg.retry_backoff_us = config_.retry_backoff_us;
-  cfg.fallback = config_.fallback;
-  cfg.trace = config_.trace;
+  cfg.annealer = config.annealer;
+  cfg.devices = config.device_specs;
+  cfg.policy = config.queue_policy;
+  cfg.num_anneals = config.num_anneals;
+  cfg.program_overhead_us = config.program_overhead_us;
+  cfg.packing = config.packing;
+  cfg.max_wave_jobs = config.max_wave_jobs;
+  cfg.drop_late = config.drop_late;
+  cfg.num_threads = config.num_threads;
+  cfg.seed = config.seed;
+  cfg.warm_start = config.warm_start;
+  cfg.warm_reverse_depth = config.warm_reverse_depth;
+  cfg.warm_num_anneals = config.warm_num_anneals;
+  cfg.fault = config.fault;
+  cfg.max_retries = config.max_retries;
+  cfg.retry_backoff_us = config.retry_backoff_us;
+  cfg.fallback = config.fallback;
   return cfg;
 }
 
@@ -54,7 +53,7 @@ std::size_t DecodeService::wave_capacity(std::size_t shape) {
 }
 
 double DecodeService::wave_service_us() const {
-  return sched::Scheduler::wave_service_us(sched_config());
+  return sched::Scheduler::wave_service_us(scheduler_config(config_));
 }
 
 // Submit every job to a sched::Scheduler in arrival order, then finish.  The
@@ -70,7 +69,7 @@ ServiceReport DecodeService::run(std::vector<CellJob> jobs) {
                      return a.arrival_us < b.arrival_us;
                    });
 
-  sched::Scheduler scheduler(sched_config(), devices_);
+  sched::Scheduler scheduler(scheduler_config(config_), devices_);
   for (CellJob& job : jobs) scheduler.submit(std::move(job));
   scheduler.finish();
 

@@ -39,6 +39,7 @@
 #include "quamax/obs/trace.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/serve/load_gen.hpp"
+#include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
 
 namespace quamax {
@@ -69,8 +70,8 @@ serve::ServiceConfig fast_service(std::size_t threads = 1) {
 /// FNV-1a fingerprint of a served fault timeline: every record's identity,
 /// timing (%.17g), terminal flags, retries and fallback bit errors; every
 /// wave's device, timing, failure and membership; and the fault ladder's
-/// trace events (drops, fallbacks, retries, device down/up) in emission
-/// order.  Any drift in when or how a job ends moves the hash.
+/// trace events (drops, fallbacks, retries, device down/up) in log order.
+/// Any drift in when or how a job ends moves the hash.
 std::string timeline_hash(const serve::ServiceReport& report,
                           const obs::TraceLog& trace) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -543,8 +544,6 @@ TEST(FaultServeTest, GrowthQubitOutsideTheChipIsRejectedBeforeDispatch) {
   serve::LoadGenerator gen(bpsk8_load(60.0), 0xFA07);
   serve::ServiceConfig cfg = fast_service();
   cfg.fault = std::make_shared<fault::FaultPlan>(fault::load_fault_plan(path));
-  obs::TraceLog trace;
-  cfg.trace = &trace;
   try {
     serve::DecodeService(cfg).run(gen.open_loop(8));
     FAIL() << "expected InvalidArgument";
@@ -552,8 +551,6 @@ TEST(FaultServeTest, GrowthQubitOutsideTheChipIsRejectedBeforeDispatch) {
     EXPECT_NE(std::string(err.what()).find("growth 0"), std::string::npos)
         << err.what();
   }
-  EXPECT_TRUE(trace.submits().empty());
-  EXPECT_TRUE(trace.waves().empty());
 }
 
 // The ladder's virtual-clock timeline, pinned by hash: outage union and
@@ -570,9 +567,9 @@ TEST(FaultServeTest, LadderTimelineWithFallbackIsPinned) {
     cfg.max_retries = 2;
     cfg.retry_backoff_us = 5.0;
     cfg.fallback = fault::FallbackMode::kZf;
-    obs::TraceLog trace;
-    cfg.trace = &trace;
     const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+    const obs::TraceLog trace = serve::trace_log(
+        serve::scheduler_config(cfg), report.jobs, report.waves);
     EXPECT_GT(report.stats.retries(), 0u);
     EXPECT_GT(report.stats.fallbacks(), 0u);
     EXPECT_GT(report.stats.failed_waves(), 0u);
@@ -594,9 +591,9 @@ TEST(FaultServeTest, LadderTimelineWithDropLateIsPinned) {
     cfg.max_retries = 1;
     cfg.retry_backoff_us = 5.0;
     cfg.drop_late = true;
-    obs::TraceLog trace;
-    cfg.trace = &trace;
     const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+    const obs::TraceLog trace = serve::trace_log(
+        serve::scheduler_config(cfg), report.jobs, report.waves);
     EXPECT_GT(report.stats.retries(), 0u);
     EXPECT_GT(report.stats.drops(), 0u);
     EXPECT_GT(report.stats.failed(), 0u);

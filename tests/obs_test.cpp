@@ -1,7 +1,8 @@
 // quamax::obs — tracing, metrics, and the determinism contract (ISSUE 8).
 //
 // The contracts under test:
-//   * TraceLog captures a COMPLETE job lifecycle: every served job is
+//   * the TraceLog derived from a finished run (serve::trace_log) captures
+//     a COMPLETE job lifecycle: every served job is
 //     submitted exactly once and then dispatched or dropped exactly once,
 //     dispatch events agree field-for-field with the JobRecords, and every
 //     wave's program/anneal/readout spans tile [dispatch, completion]
@@ -9,11 +10,10 @@
 //   * QuantileSketch keeps count/sum/min/max exact, answers p50/p95/p99
 //     within the gated 1% relative error, and merges deterministically —
 //     a sketch merged from shards equals the sketch of the whole stream;
-//   * attaching a trace log changes NOTHING: the full ServiceReport digest
-//     is byte-identical traced vs untraced across threads x replicas x
-//     devices, and streaming through Scheduler::submit/collect (a
-//     different collect cadence over the same virtual clock) emits the
-//     identical event stream.
+//   * the digest and the derived trace are byte-identical across threads x
+//     replicas per device count, and streaming through
+//     Scheduler::submit/collect (a different collect cadence over the same
+//     virtual clock) derives the identical event stream.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +38,7 @@
 #include "quamax/obs/window.hpp"
 #include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
+#include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
 
 namespace quamax {
@@ -149,6 +150,13 @@ serve::ServiceConfig fast_service(std::size_t threads = 1,
   return cfg;
 }
 
+/// The trace of a finished service run.
+obs::TraceLog served_log(const serve::ServiceConfig& cfg,
+                         const serve::ServiceReport& report) {
+  return serve::trace_log(serve::scheduler_config(cfg), report.jobs,
+                          report.waves);
+}
+
 serve::LoadConfig bpsk8_load(double jobs_per_ms, double deadline_us = 1000.0) {
   serve::LoadConfig cfg;
   cfg.offered_load_jobs_per_ms = jobs_per_ms;
@@ -162,12 +170,11 @@ serve::LoadConfig bpsk8_load(double jobs_per_ms, double deadline_us = 1000.0) {
 }
 
 TEST(TraceLogTest, LifecycleCompleteAndConsistentWithRecords) {
-  obs::TraceLog log;
-  serve::ServiceConfig cfg = fast_service();
-  cfg.trace = &log;
+  const serve::ServiceConfig cfg = fast_service();
   serve::DecodeService service(cfg);
   serve::LoadGenerator gen(bpsk8_load(80.0), 0xA11CE);
   const serve::ServiceReport report = service.run(gen.open_loop(48));
+  const obs::TraceLog log = served_log(cfg, report);
 
   // One submit per job, in admission (arrival) order.
   ASSERT_EQ(log.submits().size(), report.jobs.size());
@@ -215,15 +222,14 @@ TEST(TraceLogTest, LifecycleCompleteAndConsistentWithRecords) {
 }
 
 TEST(TraceLogTest, DropsEmitDropEventsNotDispatches) {
-  obs::TraceLog log;
   serve::ServiceConfig cfg = fast_service();
   cfg.drop_late = true;
-  cfg.trace = &log;
   serve::DecodeService service(cfg);
   // Saturating load with a deadline shorter than one wave's service time:
   // queued jobs expire before dispatch.
   serve::LoadGenerator gen(bpsk8_load(2000.0, /*deadline_us=*/25.0), 0xD401);
   const serve::ServiceReport report = service.run(gen.open_loop(64));
+  const obs::TraceLog log = served_log(cfg, report);
 
   std::set<std::uint64_t> dropped_ids;
   for (const auto& e : log.drops()) dropped_ids.insert(e.job_id);
@@ -242,25 +248,29 @@ TEST(TraceLogTest, DropsEmitDropEventsNotDispatches) {
 // ---------------------------------------------------------------------------
 // The zero-drift contract.
 
+/// The digest of one run, followed by its derived Chrome trace.
 std::string run_digest(std::size_t threads, std::size_t replicas,
-                       std::size_t devices, obs::TraceLog* log) {
-  serve::ServiceConfig cfg = fast_service(threads, replicas, devices);
-  cfg.trace = log;
+                       std::size_t devices) {
+  const serve::ServiceConfig cfg = fast_service(threads, replicas, devices);
   serve::DecodeService service(cfg);
   serve::LoadGenerator gen(bpsk8_load(120.0), 0xB0B);
-  return service.run(gen.open_loop(40)).stats.digest();
+  const serve::ServiceReport report = service.run(gen.open_loop(40));
+  const obs::TraceLog log = served_log(cfg, report);
+  EXPECT_FALSE(log.dispatches().empty());
+  std::ostringstream out;
+  out << report.stats.digest();
+  obs::write_chrome_trace(log, out);
+  return out.str();
 }
 
 TEST(TraceLogTest, DigestBitIdenticalTracedOrNot) {
   for (const std::size_t devices : {std::size_t{1}, std::size_t{3}}) {
-    const std::string baseline = run_digest(1, 1, devices, nullptr);
+    const std::string baseline = run_digest(1, 1, devices);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
       for (const std::size_t replicas : {std::size_t{1}, std::size_t{16}}) {
-        obs::TraceLog log;
-        EXPECT_EQ(run_digest(threads, replicas, devices, &log), baseline)
-            << "traced digest drifted at threads=" << threads
+        EXPECT_EQ(run_digest(threads, replicas, devices), baseline)
+            << "digest or trace drifted at threads=" << threads
             << " replicas=" << replicas << " devices=" << devices;
-        EXPECT_FALSE(log.dispatches().empty());
       }
     }
   }
@@ -274,20 +284,17 @@ TEST(TraceLogTest, AsyncClientEmitsIdenticalEventStream) {
   serve::LoadGenerator gen(bpsk8_load(120.0), 0x57EA);
   const std::vector<serve::CellJob> jobs = gen.open_loop(32);
 
-  obs::TraceLog batch_log;
-  serve::ServiceConfig cfg = fast_service();
-  cfg.trace = &batch_log;
+  const serve::ServiceConfig cfg = fast_service();
   serve::DecodeService service(cfg);
   const serve::ServiceReport report = service.run(jobs);
+  const obs::TraceLog batch_log = served_log(cfg, report);
 
-  obs::TraceLog async_log;
   sched::SchedConfig async_cfg;
   async_cfg.annealer = cfg.annealer;
   async_cfg.devices = sched::uniform_devices(cfg.annealer, 1);
   async_cfg.num_anneals = cfg.num_anneals;
   async_cfg.program_overhead_us = cfg.program_overhead_us;
   async_cfg.seed = cfg.seed;
-  async_cfg.trace = &async_log;
   sched::Scheduler scheduler(async_cfg);
   std::size_t polled = 0;
   for (const serve::CellJob& job : jobs) {
@@ -298,6 +305,8 @@ TEST(TraceLogTest, AsyncClientEmitsIdenticalEventStream) {
   scheduler.finish();
   polled += scheduler.collect(std::numeric_limits<double>::infinity()).size();
   EXPECT_EQ(polled, report.jobs.size());
+  const obs::TraceLog async_log =
+      serve::trace_log(async_cfg, scheduler.records(), scheduler.waves());
 
   ASSERT_EQ(async_log.submits().size(), batch_log.submits().size());
   ASSERT_EQ(async_log.dispatches().size(), batch_log.dispatches().size());
@@ -349,13 +358,10 @@ serve::ServiceConfig storm_service(std::size_t threads = 1,
 
 obs::TraceLog trace_storm(std::size_t threads = 1, std::size_t replicas = 8,
                           std::size_t jobs = 48) {
-  obs::TraceLog log;
-  serve::ServiceConfig cfg = storm_service(threads, replicas);
-  cfg.trace = &log;
+  const serve::ServiceConfig cfg = storm_service(threads, replicas);
   serve::DecodeService service(cfg);
   serve::LoadGenerator gen(bpsk8_load(120.0, /*deadline_us=*/200.0), 0x57043);
-  service.run(gen.open_loop(jobs));
-  return log;
+  return served_log(cfg, service.run(gen.open_loop(jobs)));
 }
 
 TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossThreadsAndReplicas) {
@@ -377,28 +383,25 @@ TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossPollCadence) {
   serve::LoadGenerator gen(bpsk8_load(120.0), 0x57EA);
   const std::vector<serve::CellJob> jobs = gen.open_loop(32);
 
-  obs::TraceLog batch_log;
-  serve::ServiceConfig cfg = fast_service();
-  cfg.trace = &batch_log;
-  serve::DecodeService(cfg).run(jobs);
-  const std::string baseline =
-      windowed_digest(obs::WindowedCollector(batch_log, 1));
+  const serve::ServiceConfig cfg = fast_service();
+  const std::string baseline = windowed_digest(obs::WindowedCollector(
+      served_log(cfg, serve::DecodeService(cfg).run(jobs)), 1));
 
   for (const std::size_t cadence : {std::size_t{1}, std::size_t{7}}) {
-    obs::TraceLog async_log;
     sched::SchedConfig async_cfg;
     async_cfg.annealer = cfg.annealer;
     async_cfg.devices = sched::uniform_devices(cfg.annealer, 1);
     async_cfg.num_anneals = cfg.num_anneals;
     async_cfg.program_overhead_us = cfg.program_overhead_us;
     async_cfg.seed = cfg.seed;
-    async_cfg.trace = &async_log;
     sched::Scheduler scheduler(async_cfg);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       scheduler.submit(jobs[i]);
       if ((i + 1) % cadence == 0) scheduler.collect(scheduler.now_us());
     }
     scheduler.finish();
+    const obs::TraceLog async_log =
+        serve::trace_log(async_cfg, scheduler.records(), scheduler.waves());
     EXPECT_EQ(windowed_digest(obs::WindowedCollector(async_log, 1)), baseline)
         << "windowed series drifted at poll cadence " << cadence;
   }
@@ -543,11 +546,10 @@ TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
             windowed_digest(storm, first));
 
   // The fault-free arm of the same workload stays alert-free.
-  obs::TraceLog quiet_log;
-  serve::ServiceConfig quiet = fast_service();
-  quiet.trace = &quiet_log;
+  const serve::ServiceConfig quiet = fast_service();
   serve::LoadGenerator gen(bpsk8_load(120.0, /*deadline_us=*/200.0), 0x57043);
-  serve::DecodeService(quiet).run(gen.open_loop(48));
+  const obs::TraceLog quiet_log = served_log(
+      quiet, serve::DecodeService(quiet).run(gen.open_loop(48)));
   const std::vector<obs::SloReport> clean =
       monitor.evaluate(obs::WindowedCollector(quiet_log, 1));
   ASSERT_EQ(clean.size(), 1u);

@@ -21,12 +21,15 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "quamax/common/error.hpp"
 #include "quamax/obs/profile.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/observe.hpp"
@@ -478,18 +481,17 @@ struct ObservedArgs {
   }
 };
 
-void serve_tiny_run(serve::RunObserver& observer, serve::ServiceConfig& cfg,
-                    std::size_t jobs = 16) {
-  observer.attach(cfg);
+void serve_tiny_run(serve::RunObserver& observer, std::size_t jobs = 16) {
+  const serve::ServiceConfig cfg = fast_service(true);
   serve::LoadGenerator generator(bpsk8_load(50.0), 0x0B5);
-  serve::DecodeService(cfg).run(generator.open_loop(jobs));
+  observer.observe(cfg,
+                   serve::DecodeService(cfg).run(generator.open_loop(jobs)));
 }
 
 int observe_tiny_run(std::vector<std::string> args) {
   ObservedArgs parsed(std::move(args));
   serve::RunObserver observer = parsed.observer();
-  serve::ServiceConfig cfg = fast_service(true);
-  serve_tiny_run(observer, cfg);
+  serve_tiny_run(observer);
   return observer.finish();
 }
 
@@ -517,33 +519,42 @@ TEST(RunObserverTest, WritesExactlyTheRequestedFiles) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RunObserverTest, UnobservedRunsAttachNothing) {
+TEST(RunObserverTest, UnobservedRunsKeepNothing) {
   ObservedArgs parsed({});
   serve::RunObserver observer = parsed.observer();
-  serve::ServiceConfig cfg = fast_service(true);
-  serve_tiny_run(observer, cfg);
-  EXPECT_EQ(cfg.trace, nullptr);
+  serve_tiny_run(observer);
+  EXPECT_THROW(observer.view(), InvalidArgument);
   EXPECT_EQ(observer.finish(), 0);
 }
 
 TEST(RunObserverTest, AlertsAreInjectedOncePerRun) {
-  // An SLO every run breaks, so the view carries alerts.
-  ObservedArgs parsed({"--slo", "p99<=0.001"});
+  // An SLO every run breaks, so the view carries alerts; the trace file
+  // carries each alert exactly once.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "quamax_observer_alerts";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string trace = (dir / "trace.json").string();
+  ObservedArgs parsed({"--slo", "p99<=0.001", "--trace", trace});
   serve::RunObserver observer = parsed.observer();
-  serve::ServiceConfig cfg = fast_service(true);
-  serve_tiny_run(observer, cfg);
-  const obs::TraceLog* log = cfg.trace;
-  ASSERT_NE(log, nullptr);
+  serve_tiny_run(observer);
   std::size_t alerts = 0;
   for (const auto& report : observer.view().slos) alerts += report.alerts.size();
   ASSERT_GT(alerts, 0u);
   EXPECT_EQ(&observer.view(), &observer.view());
   EXPECT_EQ(observer.finish(), 0);
-  EXPECT_EQ(log->alerts().size(), alerts);
+  std::ifstream in(trace);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::size_t written = 0;
+  for (std::size_t at = text.find("\"slo-alert "); at != std::string::npos;
+       at = text.find("\"slo-alert ", at + 1))
+    ++written;
+  EXPECT_EQ(written, alerts);
+  std::filesystem::remove_all(dir);
 
-  // A new attached run starts from a clean log and a fresh view.
-  serve::ServiceConfig next = fast_service(true);
-  serve_tiny_run(observer, next, 8);
+  // A new observed run starts from a fresh log and a fresh view.
+  serve_tiny_run(observer, 8);
   EXPECT_EQ(observer.view().collector.totals().submitted, 8);
 }
 
