@@ -14,7 +14,7 @@
 //                sequence order, none for a member the wave ended;
 //   downs, ups — the plan's outages, stable-sorted by start and by end;
 //   drops, fallbacks — (completion, job id) order, the key
-//                obs::WindowedCollector sorts by.
+//                obs::WindowedCollector sorts by; a drop is never mid-flight.
 //
 // Span decomposition (QuAMax §7's latency breakdown): a wave occupies its
 // device for program_overhead_us + num_anneals * schedule_duration.  The

@@ -46,10 +46,11 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
   }
 
   // A job ended mid-flight when its record stops at its last wave's abort:
-  // the failed-wave ladder ended it there rather than re-queueing it.
+  // the failed-wave ladder ended it there rather than re-queueing it (the
+  // ladder never drops, so a drop is always a queue sweep).
   const auto mid_flight = [&](std::size_t seq) {
     const JobRecord& r = records[seq];
-    if (r.wave_id >= waves.size()) return false;
+    if (r.dropped || r.wave_id >= waves.size()) return false;
     const Wave& w = waves[r.wave_id];
     return w.failed && r.dispatch_us == w.dispatch_us &&
            r.completion_us == w.fail_us &&

@@ -499,6 +499,74 @@ TEST(FaultServeTest, OutageEventsRequeueAnIdleDeviceAtTheWindowEnd) {
   EXPECT_EQ(report.waves[2].dispatch_us, 300.0);
 }
 
+// A wave can abort at its own dispatch instant: device 1 forms it at 0 for
+// a job arriving at 50, and its outage starts at 30.  Device 0 jumps to 50
+// and takes the first job (one job per wave); device 1, still at 0, waves
+// the second for 50 and loses it at 50.  The job is re-queued (backoff 0)
+// and swept at 80, past its deadline.  The derived trace logs the retry
+// and a queue drop, not a mid-flight end -- also were the sweep to shed the
+// job at the abort instant itself, where its record's dispatch and
+// completion equal the wave's.  Only the failed-wave ladder ends a job
+// mid-flight, and the ladder never drops.
+TEST(FaultServeTest, WaveAbortedAtItsDispatchRetriesThenDrops) {
+  serve::LoadGenerator gen(bpsk8_load(60.0), 0xFA0D);
+  std::vector<serve::CellJob> jobs = gen.open_loop(2);
+  for (serve::CellJob& job : jobs) job.arrival_us = 50.0;
+  jobs[0].deadline_us = 1000.0;
+  jobs[1].deadline_us = 100.0;
+
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->outages = {{1, 30.0, 80.0}};
+  serve::ServiceConfig cfg = fast_service();
+  cfg.num_devices = 2;
+  cfg.fault = plan;
+  cfg.max_retries = 1;
+  cfg.drop_late = true;
+  cfg.max_wave_jobs = 1;
+  const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
+
+  ASSERT_EQ(report.waves.size(), 2u);
+  const serve::Wave& aborted = report.waves[1];
+  EXPECT_EQ(aborted.device, 1u);
+  EXPECT_TRUE(aborted.failed);
+  EXPECT_EQ(aborted.dispatch_us, 50.0);
+  EXPECT_EQ(aborted.fail_us, 50.0);
+  const serve::JobRecord& record = report.jobs[1];
+  EXPECT_TRUE(record.dropped);
+  EXPECT_EQ(record.wave_id, 1u);
+  EXPECT_EQ(record.completion_us, 80.0);
+  EXPECT_EQ(record.retries, 1u);
+
+  const auto check = [&](const std::vector<serve::JobRecord>& records,
+                         double drop_us) {
+    const obs::TraceLog trace = serve::trace_log(serve::scheduler_config(cfg),
+                                                 records, report.waves);
+    ASSERT_EQ(trace.retries().size(), 1u);
+    EXPECT_EQ(trace.retries()[0].job_id, jobs[1].id);
+    EXPECT_EQ(trace.retries()[0].wave_id, 1u);
+    EXPECT_EQ(trace.retries()[0].fail_us, 50.0);
+    EXPECT_EQ(trace.retries()[0].ready_us, 50.0);
+    EXPECT_EQ(trace.retries()[0].retry, 1);
+    ASSERT_EQ(trace.drops().size(), 1u);
+    EXPECT_EQ(trace.drops()[0].drop_us, drop_us);
+    EXPECT_FALSE(trace.drops()[0].mid_flight);
+  };
+  check(report.jobs, 80.0);
+  std::vector<serve::JobRecord> swept_at_abort = report.jobs;
+  swept_at_abort[1].dispatch_us = swept_at_abort[1].completion_us = 50.0;
+  check(swept_at_abort, 50.0);
+
+  // The same instants on a terminal failure are the ladder's mid-flight end.
+  std::vector<serve::JobRecord> failed_mid_flight = swept_at_abort;
+  failed_mid_flight[1].dropped = false;
+  failed_mid_flight[1].failed = true;
+  const obs::TraceLog trace = serve::trace_log(
+      serve::scheduler_config(cfg), failed_mid_flight, report.waves);
+  EXPECT_TRUE(trace.retries().empty());
+  ASSERT_EQ(trace.drops().size(), 1u);
+  EXPECT_TRUE(trace.drops()[0].mid_flight);
+}
+
 TEST(FaultServeTest, DefectGrowthStrandsShapeAndFallbackServesIt) {
   serve::LoadGenerator gen(bpsk8_load(30.0), 0xFA06);
   const std::vector<serve::CellJob> jobs = gen.open_loop(30);
