@@ -510,12 +510,33 @@ TEST(RunObserverTest, WritesExactlyTheRequestedFiles) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string trace = (dir / "trace.json").string();
-  const std::string metrics = (dir / "metrics.csv").string();
-  EXPECT_EQ(observe_tiny_run({"--trace=" + trace, "--metrics", metrics}), 0);
+  const std::string metrics = (dir / "metrics.json").string();
+  const std::string profile = (dir / "profile.json").string();
+  EXPECT_EQ(observe_tiny_run({"--trace=" + trace, "--metrics", metrics,
+                              "--prof-json", profile}),
+            0);
+  obs::Profiler::instance().set_enabled(false);
   std::set<std::string> written;
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     written.insert(entry.path().string());
-  EXPECT_EQ(written, (std::set<std::string>{trace, metrics}));
+  EXPECT_EQ(written, (std::set<std::string>{trace, metrics, profile}));
+
+  // Each file holds its own document: the Chrome trace, the metrics JSON,
+  // the profiler's stage table with its counter spellings.
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(read(trace).rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_NE(read(metrics).find("\"schema\":\"quamax-metrics-v1\""),
+            std::string::npos);
+  const std::string prof = read(profile);
+  EXPECT_EQ(prof.rfind("{\"stages\":[", 0), 0u);
+  for (const char* key :
+       {"\"stage\":\"anneal.batch_sweep\"", "\"calls\":", "\"total_ns\":",
+        "\"lanes\":", "\"quamax_prof_anneal_batch_sweep_calls\":"})
+    EXPECT_NE(prof.find(key), std::string::npos) << key;
   std::filesystem::remove_all(dir);
 }
 
