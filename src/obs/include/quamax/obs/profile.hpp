@@ -81,11 +81,6 @@ class Profiler {
   /// "anneal.batch_sweep" -> "quamax_prof_anneal_batch_sweep".
   static std::string counter_prefix(const std::string& name);
 
-  /// dump_json to `path` (truncating); the shared `--prof-json FILE`
-  /// backend.  Returns false if the file cannot be written.  Never touches
-  /// stdout — serving binaries byte-diff their stdout in CI.
-  bool dump_json_file(const std::string& path);
-
   /// Clears all samples (live lane tables and retired totals); registered
   /// stage names survive so stage ids stay valid.
   void reset();

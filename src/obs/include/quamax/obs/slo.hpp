@@ -12,9 +12,9 @@
 //
 // Determinism: evaluation is a pure fold over a WindowedCollector — no RNG,
 // no clocks, no state outside the series — so the alert list is exactly as
-// reproducible as the serving digest.  Alerts can be injected into the run's
-// TraceLog (rendered by write_chrome_trace as a dedicated "slo alerts"
-// track) and summarized machine-readably in the --metrics file.
+// reproducible as the serving digest.  serve::RunObserver appends the alerts
+// to the run's TraceLog (rendered by write_chrome_trace as a dedicated "slo
+// alerts" track) and the --metrics file summarizes them.
 //
 // Spec text grammar (comma-separated list, whitespace ignored):
 //   miss_rate<=0.05          miss rate over trailing windows, defaults @4/1
@@ -59,25 +59,9 @@ struct SloReport {
   double worst_burn = 0.0;  ///< max short-window value / threshold
 };
 
-/// Evaluates specs against a windowed collector.  Stateless beyond the
-/// spec list; evaluate() may be called on any number of collectors.
-class SloMonitor {
- public:
-  explicit SloMonitor(std::vector<SloSpec> specs) : specs_(std::move(specs)) {}
-
-  const std::vector<SloSpec>& specs() const { return specs_; }
-
-  /// Burn-rate evaluation over `collector.windows()`.
-  /// Reports come back in spec order; alerts within a report in window
-  /// order.
-  std::vector<SloReport> evaluate(const WindowedCollector& collector) const;
-
-  /// Injects every alert into `log` (e.g. the TraceLog about to be written
-  /// as a Chrome trace), in (spec, window) order.
-  static void annotate(const std::vector<SloReport>& reports, TraceLog& log);
-
- private:
-  std::vector<SloSpec> specs_;
-};
+/// Burn-rate evaluation of `specs` over `collector.windows()`.  Reports
+/// come back in spec order; alerts within a report in window order.
+std::vector<SloReport> evaluate_slos(const std::vector<SloSpec>& specs,
+                                     const WindowedCollector& collector);
 
 }  // namespace quamax::obs

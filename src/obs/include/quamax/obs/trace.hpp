@@ -12,7 +12,7 @@
 //                order;
 //   retries    — failed waves in (fail_us, wave id) order, members in
 //                sequence order, none for a member the wave ended;
-//   downs, ups — the plan's outages, stable-sorted by start and by end;
+//   downs      — the plan's outages, stable-sorted by start;
 //   drops, fallbacks — (completion, job id) order, the key
 //                obs::WindowedCollector sorts by; a drop is never mid-flight.
 //
@@ -99,17 +99,10 @@ struct WaveEvent {
   double fail_us = 0.0;
 };
 
-/// Device enters a fault::OutageWindow (down_us/up_us are the window
-/// bounds).
+/// Device is out over a fault::OutageWindow [down_us, up_us].
 struct DeviceDownEvent {
   int device = 0;
   double down_us = 0.0;
-  double up_us = 0.0;
-};
-
-/// Device leaves an outage window and accepts waves again.
-struct DeviceUpEvent {
-  int device = 0;
   double up_us = 0.0;
 };
 
@@ -137,7 +130,7 @@ struct JobFallbackEvent {
   bool mid_flight = false;
 };
 
-/// SLO burn-rate breach (obs::SloMonitor): the trailing short- AND
+/// SLO burn-rate breach (obs::evaluate_slos): the trailing short- AND
 /// long-window values both exceeded the spec's threshold at this window.
 /// Alerts are a pure function of the windowed series, evaluated after the
 /// run on the driver thread, so they are as deterministic as the digest —
@@ -155,41 +148,16 @@ struct AlertEvent {
 
 /// In-memory event log, one vector per event kind, each in the order the
 /// header comment states.
-class TraceLog {
- public:
-  void on_job_submit(const JobSubmitEvent& e) { submits_.push_back(e); }
-  void on_job_dispatch(const JobDispatchEvent& e) { dispatches_.push_back(e); }
-  void on_job_drop(const JobDropEvent& e) { drops_.push_back(e); }
-  void on_wave(const WaveEvent& e) { waves_.push_back(e); }
-  void on_device_down(const DeviceDownEvent& e) { downs_.push_back(e); }
-  void on_device_up(const DeviceUpEvent& e) { ups_.push_back(e); }
-  void on_job_retry(const JobRetryEvent& e) { retries_.push_back(e); }
-  void on_job_fallback(const JobFallbackEvent& e) { fallbacks_.push_back(e); }
-  /// Alerts are injected by SloMonitor from the windowed series.
-  void on_alert(const AlertEvent& e) { alerts_.push_back(e); }
-
-  const std::vector<JobSubmitEvent>& submits() const { return submits_; }
-  const std::vector<JobDispatchEvent>& dispatches() const {
-    return dispatches_;
-  }
-  const std::vector<JobDropEvent>& drops() const { return drops_; }
-  const std::vector<WaveEvent>& waves() const { return waves_; }
-  const std::vector<DeviceDownEvent>& downs() const { return downs_; }
-  const std::vector<DeviceUpEvent>& ups() const { return ups_; }
-  const std::vector<JobRetryEvent>& retries() const { return retries_; }
-  const std::vector<JobFallbackEvent>& fallbacks() const { return fallbacks_; }
-  const std::vector<AlertEvent>& alerts() const { return alerts_; }
-
- private:
-  std::vector<JobSubmitEvent> submits_;
-  std::vector<JobDispatchEvent> dispatches_;
-  std::vector<JobDropEvent> drops_;
-  std::vector<WaveEvent> waves_;
-  std::vector<DeviceDownEvent> downs_;
-  std::vector<DeviceUpEvent> ups_;
-  std::vector<JobRetryEvent> retries_;
-  std::vector<JobFallbackEvent> fallbacks_;
-  std::vector<AlertEvent> alerts_;
+struct TraceLog {
+  std::vector<JobSubmitEvent> submits;
+  std::vector<JobDispatchEvent> dispatches;
+  std::vector<JobDropEvent> drops;
+  std::vector<WaveEvent> waves;
+  std::vector<DeviceDownEvent> downs;
+  std::vector<JobRetryEvent> retries;
+  std::vector<JobFallbackEvent> fallbacks;
+  /// SLO breaches, appended by serve::RunObserver from evaluate_slos.
+  std::vector<AlertEvent> alerts;
 };
 
 /// Writes the log as Chrome trace-event JSON (catapult "traceEvents"
@@ -198,15 +166,10 @@ class TraceLog {
 /// device d, carrying each wave as a complete ("X") slice with nested
 /// program/anneal/readout child slices.  Every job gets a flow arrow
 /// (s/f events keyed by job id) from its submit instant to its wave slice.
-/// SLO alerts (if any were injected via on_alert) get a dedicated
-/// "slo alerts" track after the device tracks.  Timestamps are
-/// virtual-clock microseconds written verbatim — the trace-event "ts" unit
-/// is also microseconds.
+/// SLO alerts (if the log carries any) get a dedicated "slo alerts" track
+/// after the device tracks.  Timestamps are virtual-clock microseconds
+/// written verbatim — the trace-event "ts" unit is also microseconds.
+/// Never touches stdout — serving binaries diff their stdout in CI.
 void write_chrome_trace(const TraceLog& log, std::ostream& out);
-
-/// Convenience wrapper: opens `path` (truncating) and writes the trace.
-/// Returns false if the file cannot be opened.  Never touches stdout —
-/// serving binaries diff their stdout byte-for-byte in CI.
-bool write_chrome_trace_file(const TraceLog& log, const std::string& path);
 
 }  // namespace quamax::obs

@@ -16,10 +16,12 @@
 //   * The collector is a value computed once from a finished TraceLog.  It
 //     consumes no RNG and never touches the scheduler; serving digests are
 //     byte-identical with windowing on or off (CI gates it).
-//   * Construction canonicalizes: every event vector is sorted by
-//     (timestamp, id) before any accumulation, so the windowed series is a
-//     pure function of the event SET — independent of event order,
-//     threads, replicas, or poll cadence (tests permute a log to pin it).
+//   * The windowed series is a pure function of the event SET —
+//     independent of event order, threads, replicas, or poll cadence
+//     (tests permute a log to pin it).  Waves and job terminals are sorted
+//     by (timestamp, id) before any floating-point accumulation; every
+//     other event only feeds order-free integer counts, maxima and the
+//     outage union.
 //
 // Duty-cycle / energy model (arXiv 2109.01465, "A Cost and Power
 // Feasibility Analysis of Quantum Annealing for NextG Cellular Wireless

@@ -1,6 +1,5 @@
 #include "quamax/obs/metrics.hpp"
 
-#include <fstream>
 #include <ostream>
 
 #include "json.hpp"
@@ -115,40 +114,6 @@ void write_metrics_json(const WindowedCollector& collector,
     out << "]}";
   }
   out << "\n]\n}\n";
-}
-
-void write_metrics_csv(const WindowedCollector& collector, std::ostream& out) {
-  out << "index,start_us,end_us,submitted,completed,fallbacks,dropped,failed,"
-         "retries,missed,resolved,waves,failed_waves,bits,queue_depth,"
-         "busy_us,outage_us,energy_joules,miss_rate,occupancy,watts,"
-         "cum_joules_per_bit,latency_p50_us,latency_p99_us\n";
-  for (const auto& w : collector.windows()) {
-    out << w.index << "," << num(w.start_us) << "," << num(w.end_us) << ","
-        << w.submitted << "," << w.completed << "," << w.fallbacks << ","
-        << w.dropped << "," << w.failed << "," << w.retries << "," << w.missed
-        << "," << w.resolved << "," << w.waves << "," << w.failed_waves << ","
-        << w.bits << "," << w.queue_depth << "," << num(w.busy_us) << ","
-        << num(w.outage_us) << "," << num(w.energy_j) << ","
-        << num(w.miss_rate) << "," << num(w.occupancy) << "," << num(w.watts)
-        << "," << num(w.cum_joules_per_bit) << ","
-        << num(w.latency.quantile(50.0)) << ","
-        << num(w.latency.quantile(99.0)) << "\n";
-  }
-}
-
-bool write_metrics_file(const WindowedCollector& collector,
-                        const std::vector<SloReport>& slos,
-                        const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    write_metrics_csv(collector, out);
-  } else {
-    write_metrics_json(collector, slos, out);
-  }
-  return out.good();
 }
 
 }  // namespace quamax::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <ostream>
 #include <unordered_map>
@@ -176,13 +175,6 @@ void Profiler::dump_json(std::ostream& out) {
         << "_total_ns\":" << r.total_ns << "}";
   }
   out << "\n]}\n";
-}
-
-bool Profiler::dump_json_file(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  dump_json(out);
-  return out.good();
 }
 
 void Profiler::reset() {

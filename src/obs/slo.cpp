@@ -132,12 +132,12 @@ std::vector<SloSpec> parse_slo_specs(const std::string& text,
   return specs;
 }
 
-std::vector<SloReport> SloMonitor::evaluate(
-    const WindowedCollector& collector) const {
+std::vector<SloReport> evaluate_slos(const std::vector<SloSpec>& specs,
+                                     const WindowedCollector& collector) {
   const auto& windows = collector.windows();
   std::vector<SloReport> reports;
-  reports.reserve(specs_.size());
-  for (const auto& spec : specs_) {
+  reports.reserve(specs.size());
+  for (const auto& spec : specs) {
     SloReport report;
     report.spec = spec;
     for (std::size_t w = 0; w < windows.size(); ++w) {
@@ -163,12 +163,6 @@ std::vector<SloReport> SloMonitor::evaluate(
     reports.push_back(std::move(report));
   }
   return reports;
-}
-
-void SloMonitor::annotate(const std::vector<SloReport>& reports,
-                          TraceLog& log) {
-  for (const auto& report : reports)
-    for (const auto& alert : report.alerts) log.on_alert(alert);
 }
 
 }  // namespace quamax::obs

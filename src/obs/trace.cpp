@@ -1,6 +1,5 @@
 #include "quamax/obs/trace.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <string>
 
@@ -50,13 +49,13 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
   EventWriter w(out);
 
   int max_device = -1;
-  for (const auto& wave : log.waves())
+  for (const auto& wave : log.waves)
     if (wave.device > max_device) max_device = wave.device;
-  for (const auto& down : log.downs())
+  for (const auto& down : log.downs)
     if (down.device > max_device) max_device = down.device;
 
   // Track metadata: tid 0 = arrivals, tid 1+d = modeled device d, and (only
-  // when alerts were injected) one "slo alerts" track after the devices.
+  // when the log carries alerts) one "slo alerts" track after the devices.
   w.emit(
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
       "\"args\":{\"name\":\"quamax virtual clock\"}}");
@@ -64,12 +63,12 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
   for (int d = 0; d <= max_device; ++d)
     w.emit(meta_thread_name(1 + d, "device " + std::to_string(d)));
   const int alert_tid = 2 + max_device;
-  if (!log.alerts().empty())
+  if (!log.alerts.empty())
     w.emit(meta_thread_name(alert_tid, "slo alerts"));
 
   // Arrival track: one instant per submit and per drop, plus the flow
   // origin ("s") for each job at its submit time.
-  for (const auto& e : log.submits()) {
+  for (const auto& e : log.submits) {
     const std::string name = "job " + std::to_string(e.job_id) + " submit";
     w.emit("{\"name\":\"" + escaped(name) +
            "\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"s\":\"t\",\"ts\":" +
@@ -82,7 +81,7 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
            std::to_string(e.job_id) + ",\"pid\":1,\"tid\":0,\"ts\":" +
            num(e.submit_us) + "}");
   }
-  for (const auto& e : log.drops()) {
+  for (const auto& e : log.drops) {
     w.emit("{\"name\":\"job " + std::to_string(e.job_id) +
            " drop\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"s\":\"t\",\"ts\":" +
            num(e.drop_us) + ",\"args\":{\"job\":" + std::to_string(e.job_id) +
@@ -92,7 +91,7 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
   // Fault-injection instants share the arrival track: retries (a failed
   // wave's member re-queued) and fallbacks (a job degraded to the classical
   // decoder — terminal, so it also closes the job's flow arrow budget).
-  for (const auto& e : log.retries()) {
+  for (const auto& e : log.retries) {
     w.emit("{\"name\":\"job " + std::to_string(e.job_id) +
            " retry\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"s\":\"t\",\"ts\":" +
            num(e.fail_us) + ",\"args\":{\"job\":" + std::to_string(e.job_id) +
@@ -101,7 +100,7 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
            ",\"ready_us\":" + num(e.ready_us) +
            ",\"retry\":" + std::to_string(e.retry) + "}}");
   }
-  for (const auto& e : log.fallbacks()) {
+  for (const auto& e : log.fallbacks) {
     w.emit("{\"name\":\"job " + std::to_string(e.job_id) +
            " fallback\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"s\":\"t\",\"ts\":" +
            num(e.fallback_us) +
@@ -112,10 +111,8 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
            ",\"num_bits\":" + std::to_string(e.num_bits) +
            ",\"mid_flight\":" + (e.mid_flight ? "true" : "false") + "}}");
   }
-  // Outage windows as slices on the device tracks (paired Up events are
-  // redundant with the window bounds the Down event already carries, so the
-  // slice is drawn from Down alone and Up stays a queryable log entry).
-  for (const auto& e : log.downs()) {
+  // Outage windows as slices on the device tracks.
+  for (const auto& e : log.downs) {
     w.emit(slice("outage", 1 + e.device, e.down_us, e.up_us - e.down_us,
                  "\"device\":" + std::to_string(e.device) +
                      ",\"up_us\":" + num(e.up_us)));
@@ -124,7 +121,7 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
   // Device tracks: each wave is a slice with nested program/anneal/readout
   // children.  Children share the parent's tid and nest because their
   // [ts, ts+dur] ranges tile the parent's exactly.
-  for (const auto& v : log.waves()) {
+  for (const auto& v : log.waves) {
     const int tid = 1 + v.device;
     const std::string wave_args =
         "\"wave\":" + std::to_string(v.wave_id) +
@@ -157,7 +154,7 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
 
   // Flow terminators: each dispatched job's arrow lands on its wave slice
   // ("bp":"e" binds to the enclosing slice at that timestamp).
-  for (const auto& e : log.dispatches()) {
+  for (const auto& e : log.dispatches) {
     w.emit("{\"name\":\"job " + std::to_string(e.job_id) +
            "\",\"cat\":\"job\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" +
            std::to_string(e.job_id) + ",\"pid\":1,\"tid\":" +
@@ -167,10 +164,10 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
            ",\"num_bits\":" + std::to_string(e.num_bits) + "}}");
   }
 
-  // SLO alert track: one instant per burn-rate breach (obs::SloMonitor),
+  // SLO alert track: one instant per burn-rate breach (obs::evaluate_slos),
   // carrying the breaching window and the short/long-window values so the
   // dip is inspectable next to the device timelines.
-  for (const auto& e : log.alerts()) {
+  for (const auto& e : log.alerts) {
     w.emit("{\"name\":\"slo-alert " + escaped(e.slo) +
            "\",\"ph\":\"i\",\"pid\":1,\"tid\":" + std::to_string(alert_tid) +
            ",\"s\":\"t\",\"ts\":" + num(e.start_us) +
@@ -184,13 +181,6 @@ void write_chrome_trace(const TraceLog& log, std::ostream& out) {
   }
 
   w.finish();
-}
-
-bool write_chrome_trace_file(const TraceLog& log, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  write_chrome_trace(log, out);
-  return out.good();
 }
 
 }  // namespace quamax::obs

@@ -43,41 +43,23 @@ std::vector<std::pair<double, double>> union_intervals(
 WindowedCollector::WindowedCollector(const TraceLog& log,
                                      std::size_t num_devices,
                                      double window_us) {
-  // ---- canonicalize: sort every event vector by (timestamp, id) so the
-  // series is a pure function of the event set, not its order.
-  auto submits = log.submits();
-  auto dispatches = log.dispatches();
-  auto drops = log.drops();
-  auto waves = log.waves();
-  auto downs = log.downs();
-  auto retries = log.retries();
-  auto fallbacks = log.fallbacks();
-  std::sort(submits.begin(), submits.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.submit_us, a.job_id) < std::tie(b.submit_us, b.job_id);
-  });
-  std::sort(dispatches.begin(), dispatches.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.dispatch_us, a.job_id) <
-                     std::tie(b.dispatch_us, b.job_id);
-            });
-  std::sort(drops.begin(), drops.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.drop_us, a.job_id) < std::tie(b.drop_us, b.job_id);
-  });
+  // ---- canonicalize: waves are the only events whose order reaches a
+  // floating-point sum (wave_busy_us, the phase costing below), so they
+  // alone are sorted by (dispatch, wave id).  Every other vector feeds
+  // integer counters, the horizon max, the id-keyed job map, the outage
+  // union (sorted by union_intervals) or the terminals list (sorted before
+  // any sketch add), so its order reaches no derived byte.
+  const auto& submits = log.submits;
+  const auto& dispatches = log.dispatches;
+  const auto& drops = log.drops;
+  const auto& downs = log.downs;
+  const auto& retries = log.retries;
+  const auto& fallbacks = log.fallbacks;
+  auto waves = log.waves;
   std::sort(waves.begin(), waves.end(), [](const auto& a, const auto& b) {
     return std::tie(a.dispatch_us, a.wave_id) <
            std::tie(b.dispatch_us, b.wave_id);
   });
-  std::sort(downs.begin(), downs.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.down_us, a.device) < std::tie(b.down_us, b.device);
-  });
-  std::sort(retries.begin(), retries.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.fail_us, a.job_id) < std::tie(b.fail_us, b.job_id);
-  });
-  std::sort(fallbacks.begin(), fallbacks.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.fallback_us, a.job_id) <
-                     std::tie(b.fallback_us, b.job_id);
-            });
 
   // ---- horizon and window grid.
   double latest = 0.0;

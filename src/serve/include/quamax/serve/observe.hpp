@@ -6,7 +6,7 @@
 // --prof and --prof-json knobs and derives everything from each finished
 // run the binary hands it: the trace (trace_log, from the run's records and
 // waves), the windowed series on the run's device pool, the SLO burn-rate
-// alerts (injected back into the log, so the Chrome trace grows its "slo
+// alerts (appended to the log, so the Chrome trace grows its "slo
 // alerts" track), and the exported files.  Nothing observes a run while it
 // is served, so stdout stays byte-identical observed or not (the zero-drift
 // rule); every notice goes to stderr.
@@ -56,15 +56,15 @@ class RunObserver {
   void observe(const ServiceConfig& cfg, const ServiceReport& report);
 
   /// The last observed run windowed on its device pool, with the SLO spec
-  /// evaluated and every alert injected into the log.  Computed at most
-  /// once per observed run (windowing twice would inject the alerts twice).
+  /// evaluated and every alert appended to the log.  Computed at most
+  /// once per observed run (windowing twice would append the alerts twice).
   /// Throws quamax::InvalidArgument on a malformed SLO spec or when no run
   /// was observed.
   const WindowedView& view();
 
-  /// Writes the metrics file (JSON, or CSV for a ".csv" path), then the
-  /// Chrome trace, then the profiler table to stderr and the prof-json
-  /// file.  Returns 0, or 1 when any write failed.
+  /// Writes the metrics JSON, then the Chrome trace, then the profiler
+  /// table to stderr and the prof-json file, each with a stderr notice.
+  /// Returns 0, or 1 when any write failed.
   int finish();
 
  private:

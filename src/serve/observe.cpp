@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <utility>
 
@@ -18,14 +19,14 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
                         const std::vector<Wave>& waves) {
   obs::TraceLog log;
   for (const JobRecord& r : records)
-    log.on_job_submit({.job_id = r.job_id, .user = static_cast<int>(r.user),
+    log.submits.push_back({.job_id = r.job_id, .user = static_cast<int>(r.user),
                        .direction = r.direction == Direction::kDownlink,
                        .submit_us = r.arrival_us, .deadline_us = r.deadline_us});
 
   const double half_overhead = config.program_overhead_us / 2.0;
   const std::size_t warm_quota = sched::Scheduler::warm_quota(config);
   for (const Wave& w : waves)
-    log.on_wave(
+    log.waves.push_back(
         {.wave_id = w.id, .device = static_cast<int>(w.device), .warm = w.warm,
          .num_anneals =
              static_cast<int>(w.warm ? warm_quota : config.num_anneals),
@@ -38,7 +39,7 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
   for (const Wave& w : waves) {
     if (w.failed) continue;
     for (const std::size_t seq : w.jobs)
-      log.on_job_dispatch({.job_id = records[seq].job_id, .wave_id = w.id,
+      log.dispatches.push_back({.job_id = records[seq].job_id, .wave_id = w.id,
                            .device = static_cast<int>(w.device),
                            .dispatch_us = w.dispatch_us,
                            .completion_us = w.completion_us,
@@ -67,7 +68,7 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
     for (const std::size_t seq : w->jobs) {
       ++attempts[seq];
       if (records[seq].wave_id == w->id && mid_flight(seq)) continue;
-      log.on_job_retry({.job_id = records[seq].job_id, .wave_id = w->id,
+      log.retries.push_back({.job_id = records[seq].job_id, .wave_id = w->id,
                         .device = static_cast<int>(w->device),
                         .fail_us = w->fail_us,
                         .ready_us = w->fail_us + config.retry_backoff_us,
@@ -76,17 +77,12 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
 
   std::vector<fault::OutageWindow> outages;
   if (config.fault != nullptr) outages = config.fault->outages;
-  const auto sort_by = [&](double fault::OutageWindow::*key) {
-    std::stable_sort(outages.begin(), outages.end(),
-                     [key](auto& a, auto& b) { return a.*key < b.*key; });
-  };
-  sort_by(&fault::OutageWindow::start_us);
+  std::stable_sort(outages.begin(), outages.end(), [](auto& a, auto& b) {
+    return a.start_us < b.start_us;
+  });
   for (const fault::OutageWindow& o : outages)
-    log.on_device_down({.device = static_cast<int>(o.device),
-                        .down_us = o.start_us, .up_us = o.end_us});
-  sort_by(&fault::OutageWindow::end_us);
-  for (const fault::OutageWindow& o : outages)
-    log.on_device_up({.device = static_cast<int>(o.device), .up_us = o.end_us});
+    log.downs.push_back({.device = static_cast<int>(o.device),
+                         .down_us = o.start_us, .up_us = o.end_us});
 
   std::vector<std::size_t> ended;
   for (std::size_t seq = 0; seq < records.size(); ++seq)
@@ -99,14 +95,14 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
   for (const std::size_t seq : ended) {
     const JobRecord& r = records[seq];
     if (r.fallback)
-      log.on_job_fallback({.job_id = r.job_id,
+      log.fallbacks.push_back({.job_id = r.job_id,
                            .direction = r.direction == Direction::kDownlink,
                            .fallback_us = r.completion_us,
                            .deadline_us = r.deadline_us,
                            .bit_errors = r.bit_errors, .num_bits = r.num_bits,
                            .mid_flight = mid_flight(seq)});
     else
-      log.on_job_drop({.job_id = r.job_id, .drop_us = r.completion_us,
+      log.drops.push_back({.job_id = r.job_id, .drop_us = r.completion_us,
                        .deadline_us = r.deadline_us,
                        .mid_flight = mid_flight(seq)});
   }
@@ -149,18 +145,22 @@ const WindowedView& RunObserver::view() {
   WindowedView& view = view_.emplace(WindowedView{
       obs::WindowedCollector(log_, devices_, window_us_), {}});
 
-  if (!specs.empty()) {
-    const obs::SloMonitor monitor(std::move(specs));
-    view.slos = monitor.evaluate(view.collector);
-    obs::SloMonitor::annotate(view.slos, log_);
-  }
+  view.slos = obs::evaluate_slos(specs, view.collector);
+  for (const obs::SloReport& report : view.slos)
+    log_.alerts.insert(log_.alerts.end(), report.alerts.begin(),
+                       report.alerts.end());
   return view;
 }
 
 namespace {
 
-/// One file write with its stderr notice; false when it failed.
-bool report(bool ok, const char* what, const std::string& path) {
+/// Writes `path` (truncating) through `emit` with its stderr notice; false
+/// when it failed.  Never touches stdout.
+template <typename Emit>
+bool write_file(const char* what, const std::string& path, Emit emit) {
+  std::ofstream out(path, std::ios::trunc);
+  if (out) emit(out);
+  const bool ok = out.good();
   if (ok)
     std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
   else
@@ -176,18 +176,20 @@ int RunObserver::finish() {
     if (!metrics_path_.empty() || !slo_.empty()) {
       const WindowedView& windowed = view();
       if (!metrics_path_.empty())
-        ok &= report(obs::write_metrics_file(windowed.collector, windowed.slos,
-                                             metrics_path_),
-                     "metrics", metrics_path_);
+        ok &= write_file("metrics", metrics_path_, [&](std::ostream& out) {
+          obs::write_metrics_json(windowed.collector, windowed.slos, out);
+        });
     }
     if (!trace_path_.empty())
-      ok &= report(obs::write_chrome_trace_file(log_, trace_path_), "trace",
-                   trace_path_);
+      ok &= write_file("trace", trace_path_, [&](std::ostream& out) {
+        obs::write_chrome_trace(log_, out);
+      });
   }
   obs::Profiler& profiler = obs::Profiler::instance();
   if (prof_) profiler.dump(std::cerr, 5);
   if (!prof_json_.empty())
-    ok &= report(profiler.dump_json_file(prof_json_), "profile json", prof_json_);
+    ok &= write_file("profile json", prof_json_,
+                     [&](std::ostream& out) { profiler.dump_json(out); });
   return ok ? 0 : 1;
 }
 

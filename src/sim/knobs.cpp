@@ -125,7 +125,7 @@ const std::array<Knob, Knob::kCount>& table() {
       {Knob::kProfJson, "--prof-json", "QUAMAX_PROF_JSON", string(), path,
        "per-stage profile as JSON; implies --prof"},
       {Knob::kMetrics, "--metrics", "QUAMAX_METRICS", string(), path,
-       "windowed telemetry JSON (.csv for CSV); empty = off"},
+       "windowed telemetry JSON (quamax-metrics-v1); empty = off"},
       {Knob::kMetricsWindow, "--metrics-window", "QUAMAX_METRICS_WINDOW", 0.0,
        nonnegative, "tumbling-window width in virtual us; 0 = horizon / 20"},
       {Knob::kSlo, "--slo", "QUAMAX_SLO", string(), text,

@@ -94,20 +94,24 @@ std::string timeline_hash(const serve::ServiceReport& report,
         w.dispatch_us, w.completion_us, int{w.failed}, w.fail_us);
     for (const std::size_t seq : w.jobs) mix(" %zu", seq);
   }
-  for (const obs::JobDropEvent& e : trace.drops())
+  for (const obs::JobDropEvent& e : trace.drops)
     mix("X%llu %.17g %d", static_cast<unsigned long long>(e.job_id), e.drop_us,
         int{e.mid_flight});
-  for (const obs::JobFallbackEvent& e : trace.fallbacks())
+  for (const obs::JobFallbackEvent& e : trace.fallbacks)
     mix("F%llu %.17g %d %zu", static_cast<unsigned long long>(e.job_id),
         e.fallback_us, int{e.mid_flight}, e.bit_errors);
-  for (const obs::JobRetryEvent& e : trace.retries())
+  for (const obs::JobRetryEvent& e : trace.retries)
     mix("R%llu w%llu %.17g %.17g %d", static_cast<unsigned long long>(e.job_id),
         static_cast<unsigned long long>(e.wave_id), e.fail_us, e.ready_us,
         e.retry);
-  for (const obs::DeviceDownEvent& e : trace.downs())
+  for (const obs::DeviceDownEvent& e : trace.downs)
     mix("V%d %.17g %.17g", e.device, e.down_us, e.up_us);
-  for (const obs::DeviceUpEvent& e : trace.ups())
-    mix("U%d %.17g", e.device, e.up_us);
+  // The outage ends follow the starts, stable-sorted by end time.
+  std::vector<obs::DeviceDownEvent> ups = trace.downs;
+  std::stable_sort(ups.begin(), ups.end(), [](const auto& a, const auto& b) {
+    return a.up_us < b.up_us;
+  });
+  for (const obs::DeviceDownEvent& e : ups) mix("U%d %.17g", e.device, e.up_us);
   char out[17];
   std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
   return out;
@@ -541,15 +545,15 @@ TEST(FaultServeTest, WaveAbortedAtItsDispatchRetriesThenDrops) {
                          double drop_us) {
     const obs::TraceLog trace = serve::trace_log(serve::scheduler_config(cfg),
                                                  records, report.waves);
-    ASSERT_EQ(trace.retries().size(), 1u);
-    EXPECT_EQ(trace.retries()[0].job_id, jobs[1].id);
-    EXPECT_EQ(trace.retries()[0].wave_id, 1u);
-    EXPECT_EQ(trace.retries()[0].fail_us, 50.0);
-    EXPECT_EQ(trace.retries()[0].ready_us, 50.0);
-    EXPECT_EQ(trace.retries()[0].retry, 1);
-    ASSERT_EQ(trace.drops().size(), 1u);
-    EXPECT_EQ(trace.drops()[0].drop_us, drop_us);
-    EXPECT_FALSE(trace.drops()[0].mid_flight);
+    ASSERT_EQ(trace.retries.size(), 1u);
+    EXPECT_EQ(trace.retries[0].job_id, jobs[1].id);
+    EXPECT_EQ(trace.retries[0].wave_id, 1u);
+    EXPECT_EQ(trace.retries[0].fail_us, 50.0);
+    EXPECT_EQ(trace.retries[0].ready_us, 50.0);
+    EXPECT_EQ(trace.retries[0].retry, 1);
+    ASSERT_EQ(trace.drops.size(), 1u);
+    EXPECT_EQ(trace.drops[0].drop_us, drop_us);
+    EXPECT_FALSE(trace.drops[0].mid_flight);
   };
   check(report.jobs, 80.0);
   std::vector<serve::JobRecord> swept_at_abort = report.jobs;
@@ -562,9 +566,9 @@ TEST(FaultServeTest, WaveAbortedAtItsDispatchRetriesThenDrops) {
   failed_mid_flight[1].failed = true;
   const obs::TraceLog trace = serve::trace_log(
       serve::scheduler_config(cfg), failed_mid_flight, report.waves);
-  EXPECT_TRUE(trace.retries().empty());
-  ASSERT_EQ(trace.drops().size(), 1u);
-  EXPECT_TRUE(trace.drops()[0].mid_flight);
+  EXPECT_TRUE(trace.retries.empty());
+  ASSERT_EQ(trace.drops.size(), 1u);
+  EXPECT_TRUE(trace.drops[0].mid_flight);
 }
 
 TEST(FaultServeTest, DefectGrowthStrandsShapeAndFallbackServesIt) {

@@ -177,15 +177,15 @@ TEST(TraceLogTest, LifecycleCompleteAndConsistentWithRecords) {
   const obs::TraceLog log = served_log(cfg, report);
 
   // One submit per job, in admission (arrival) order.
-  ASSERT_EQ(log.submits().size(), report.jobs.size());
-  for (std::size_t i = 0; i + 1 < log.submits().size(); ++i)
-    EXPECT_LE(log.submits()[i].submit_us, log.submits()[i + 1].submit_us);
+  ASSERT_EQ(log.submits.size(), report.jobs.size());
+  for (std::size_t i = 0; i + 1 < log.submits.size(); ++i)
+    EXPECT_LE(log.submits[i].submit_us, log.submits[i + 1].submit_us);
 
   std::map<std::uint64_t, obs::JobDispatchEvent> dispatched;
-  for (const auto& e : log.dispatches())
+  for (const auto& e : log.dispatches)
     EXPECT_TRUE(dispatched.emplace(e.job_id, e).second)
         << "job " << e.job_id << " dispatched twice";
-  EXPECT_TRUE(log.drops().empty()) << "roomy deadline: nothing drops";
+  EXPECT_TRUE(log.drops.empty()) << "roomy deadline: nothing drops";
   ASSERT_EQ(dispatched.size(), report.jobs.size());
 
   // Dispatch events agree with the records the report keeps.
@@ -196,7 +196,7 @@ TEST(TraceLogTest, LifecycleCompleteAndConsistentWithRecords) {
     EXPECT_EQ(it->second.dispatch_us, rec.dispatch_us);
     EXPECT_EQ(it->second.completion_us, rec.completion_us);
     const obs::JobSubmitEvent& sub =
-        log.submits()[rec.job_id];  // ids are dense submit indices
+        log.submits[rec.job_id];  // ids are dense submit indices
     EXPECT_EQ(sub.job_id, rec.job_id);
     EXPECT_EQ(sub.submit_us, rec.arrival_us);
     EXPECT_EQ(sub.deadline_us, rec.deadline_us);
@@ -204,11 +204,11 @@ TEST(TraceLogTest, LifecycleCompleteAndConsistentWithRecords) {
 
   // Wave spans tile [dispatch, completion] exactly and account for the
   // closed-form wave cost: overhead/2 + anneals * duration + overhead/2.
-  ASSERT_EQ(log.waves().size(), report.waves.size());
+  ASSERT_EQ(log.waves.size(), report.waves.size());
   const double duration_us = cfg.annealer.schedule.duration_us();
   std::map<std::uint64_t, std::size_t> jobs_in_wave;
-  for (const auto& e : log.dispatches()) ++jobs_in_wave[e.wave_id];
-  for (const obs::WaveEvent& w : log.waves()) {
+  for (const auto& e : log.dispatches) ++jobs_in_wave[e.wave_id];
+  for (const obs::WaveEvent& w : log.waves) {
     EXPECT_EQ(w.policy, "fifo");
     EXPECT_EQ(w.num_jobs, jobs_in_wave[w.wave_id]);
     EXPECT_DOUBLE_EQ(w.program_end_us - w.dispatch_us,
@@ -232,7 +232,7 @@ TEST(TraceLogTest, DropsEmitDropEventsNotDispatches) {
   const obs::TraceLog log = served_log(cfg, report);
 
   std::set<std::uint64_t> dropped_ids;
-  for (const auto& e : log.drops()) dropped_ids.insert(e.job_id);
+  for (const auto& e : log.drops) dropped_ids.insert(e.job_id);
   std::size_t dropped_records = 0;
   for (const serve::JobRecord& rec : report.jobs) {
     if (!rec.dropped) continue;
@@ -242,7 +242,7 @@ TEST(TraceLogTest, DropsEmitDropEventsNotDispatches) {
   }
   ASSERT_GT(dropped_records, 0u) << "workload failed to force any drop";
   EXPECT_EQ(dropped_ids.size(), dropped_records);
-  EXPECT_EQ(log.dispatches().size() + dropped_records, report.jobs.size());
+  EXPECT_EQ(log.dispatches.size() + dropped_records, report.jobs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ std::string run_digest(std::size_t threads, std::size_t replicas,
   serve::LoadGenerator gen(bpsk8_load(120.0), 0xB0B);
   const serve::ServiceReport report = service.run(gen.open_loop(40));
   const obs::TraceLog log = served_log(cfg, report);
-  EXPECT_FALSE(log.dispatches().empty());
+  EXPECT_FALSE(log.dispatches.empty());
   std::ostringstream out;
   out << report.stats.digest();
   obs::write_chrome_trace(log, out);
@@ -308,23 +308,23 @@ TEST(TraceLogTest, AsyncClientEmitsIdenticalEventStream) {
   const obs::TraceLog async_log =
       serve::trace_log(async_cfg, scheduler.records(), scheduler.waves());
 
-  ASSERT_EQ(async_log.submits().size(), batch_log.submits().size());
-  ASSERT_EQ(async_log.dispatches().size(), batch_log.dispatches().size());
-  ASSERT_EQ(async_log.waves().size(), batch_log.waves().size());
-  for (std::size_t i = 0; i < batch_log.dispatches().size(); ++i) {
-    EXPECT_EQ(async_log.dispatches()[i].job_id,
-              batch_log.dispatches()[i].job_id);
-    EXPECT_EQ(async_log.dispatches()[i].dispatch_us,
-              batch_log.dispatches()[i].dispatch_us);
-    EXPECT_EQ(async_log.dispatches()[i].completion_us,
-              batch_log.dispatches()[i].completion_us);
+  ASSERT_EQ(async_log.submits.size(), batch_log.submits.size());
+  ASSERT_EQ(async_log.dispatches.size(), batch_log.dispatches.size());
+  ASSERT_EQ(async_log.waves.size(), batch_log.waves.size());
+  for (std::size_t i = 0; i < batch_log.dispatches.size(); ++i) {
+    EXPECT_EQ(async_log.dispatches[i].job_id,
+              batch_log.dispatches[i].job_id);
+    EXPECT_EQ(async_log.dispatches[i].dispatch_us,
+              batch_log.dispatches[i].dispatch_us);
+    EXPECT_EQ(async_log.dispatches[i].completion_us,
+              batch_log.dispatches[i].completion_us);
   }
-  for (std::size_t i = 0; i < batch_log.waves().size(); ++i) {
-    EXPECT_EQ(async_log.waves()[i].dispatch_us,
-              batch_log.waves()[i].dispatch_us);
-    EXPECT_EQ(async_log.waves()[i].completion_us,
-              batch_log.waves()[i].completion_us);
-    EXPECT_EQ(async_log.waves()[i].num_jobs, batch_log.waves()[i].num_jobs);
+  for (std::size_t i = 0; i < batch_log.waves.size(); ++i) {
+    EXPECT_EQ(async_log.waves[i].dispatch_us,
+              batch_log.waves[i].dispatch_us);
+    EXPECT_EQ(async_log.waves[i].completion_us,
+              batch_log.waves[i].completion_us);
+    EXPECT_EQ(async_log.waves[i].num_jobs, batch_log.waves[i].num_jobs);
   }
 }
 
@@ -412,28 +412,28 @@ TEST(WindowedCollectorTest, SeriesIndependentOfEventOrder) {
   // busy/energy sums depend on accumulation order: without the canonical
   // sort, the shuffled log below windows to different bytes.
   const obs::TraceLog log = trace_storm(1, 8, /*jobs=*/400);
-  ASSERT_FALSE(log.retries().empty()) << "storm produced no retries";
-  ASSERT_FALSE(log.fallbacks().empty()) << "storm produced no fallbacks";
+  ASSERT_FALSE(log.retries.empty()) << "storm produced no retries";
+  ASSERT_FALSE(log.fallbacks.empty()) << "storm produced no fallbacks";
 
   // The same event set in a shuffled emission order — the shape a sharded
-  // or per-device collection would hand back.  The collector sorts every
-  // event vector canonically, so not one derived byte may change.
+  // or per-device collection would hand back.  The collector sorts the
+  // waves and the job terminals before any floating-point sum, and every
+  // other event only feeds order-free counts, so not one derived byte may
+  // change.
   std::mt19937_64 rng(0x5E7);
-  obs::TraceLog shuffled;
-  const auto replay = [&](auto events, auto append) {
+  obs::TraceLog shuffled = log;
+  const auto shuffle = [&](auto& events) {
     std::shuffle(events.begin(), events.end(), rng);
-    for (const auto& e : events) (shuffled.*append)(e);
   };
-  replay(log.submits(), &obs::TraceLog::on_job_submit);
-  replay(log.dispatches(), &obs::TraceLog::on_job_dispatch);
-  replay(log.drops(), &obs::TraceLog::on_job_drop);
-  replay(log.waves(), &obs::TraceLog::on_wave);
-  replay(log.downs(), &obs::TraceLog::on_device_down);
-  replay(log.ups(), &obs::TraceLog::on_device_up);
-  replay(log.retries(), &obs::TraceLog::on_job_retry);
-  replay(log.fallbacks(), &obs::TraceLog::on_job_fallback);
-  ASSERT_NE(shuffled.dispatches().front().job_id,
-            log.dispatches().front().job_id)
+  shuffle(shuffled.submits);
+  shuffle(shuffled.dispatches);
+  shuffle(shuffled.drops);
+  shuffle(shuffled.waves);
+  shuffle(shuffled.downs);
+  shuffle(shuffled.retries);
+  shuffle(shuffled.fallbacks);
+  ASSERT_NE(shuffled.dispatches.front().job_id,
+            log.dispatches.front().job_id)
       << "the shuffle left the emission order in place";
 
   EXPECT_EQ(windowed_digest(obs::WindowedCollector(shuffled, 1)),
@@ -523,12 +523,13 @@ TEST(SloMonitorTest, SpecGrammarParsesAndRejects) {
 }
 
 TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
-  const obs::SloMonitor monitor(obs::parse_slo_specs("miss_rate<=0.05"));
+  const std::vector<obs::SloSpec> specs =
+      obs::parse_slo_specs("miss_rate<=0.05");
 
   // The storm arm must alert, identically on every evaluation and at any
   // thread count; alerts carry the breaching window's exact bounds.
   const obs::WindowedCollector storm(trace_storm(), 1);
-  const std::vector<obs::SloReport> first = monitor.evaluate(storm);
+  const std::vector<obs::SloReport> first = obs::evaluate_slos(specs, storm);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_GE(first[0].alerts.size(), 1u) << "storm did not breach the SLO";
   EXPECT_EQ(first[0].breached_windows, first[0].alerts.size());
@@ -539,10 +540,10 @@ TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
     EXPECT_GT(alert.value, alert.threshold);
     EXPECT_DOUBLE_EQ(alert.burn, alert.value / alert.threshold);
   }
-  EXPECT_EQ(windowed_digest(storm, monitor.evaluate(storm)),
+  EXPECT_EQ(windowed_digest(storm, obs::evaluate_slos(specs, storm)),
             windowed_digest(storm, first));
   const obs::WindowedCollector threaded(trace_storm(8, 16), 1);
-  EXPECT_EQ(windowed_digest(threaded, monitor.evaluate(threaded)),
+  EXPECT_EQ(windowed_digest(threaded, obs::evaluate_slos(specs, threaded)),
             windowed_digest(storm, first));
 
   // The fault-free arm of the same workload stays alert-free.
@@ -551,7 +552,7 @@ TEST(SloMonitorTest, StormAlertsAreDeterministicAndQuietRunIsClean) {
   const obs::TraceLog quiet_log = served_log(
       quiet, serve::DecodeService(quiet).run(gen.open_loop(48)));
   const std::vector<obs::SloReport> clean =
-      monitor.evaluate(obs::WindowedCollector(quiet_log, 1));
+      obs::evaluate_slos(specs, obs::WindowedCollector(quiet_log, 1));
   ASSERT_EQ(clean.size(), 1u);
   EXPECT_TRUE(clean[0].alerts.empty()) << "fault-free arm raised alerts";
   EXPECT_EQ(clean[0].breached_windows, 0u);

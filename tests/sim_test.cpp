@@ -231,7 +231,7 @@ constexpr std::array<KnobSample, Knob::kCount> kSamples{{
     {"run.json", ""},              // kTrace
     {"0", nullptr},                // kProf
     {"prof.json", ""},             // kProfJson
-    {"metrics.csv", ""},           // kMetrics
+    {"metrics.json", ""},          // kMetrics
     {"250", "-1"},                 // kMetricsWindow
     {"miss_rate<=0.05", nullptr},  // kSlo
     {"out.json", ""},              // kJson
