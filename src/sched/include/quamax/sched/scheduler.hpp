@@ -187,7 +187,9 @@ class Scheduler {
   /// must be submitted in non-decreasing arrival order — the scheduler
   /// cannot dispatch into a past an unseen job should have joined.  Returns the
   /// job's sequence number (its index in records()).  Throws CapacityError
-  /// when no device in the pool can embed the job's shape.
+  /// when no device in the pool can embed the job's shape; under a fault
+  /// plan such a job instead ends here, on the fallback ladder, so a
+  /// collect(now_us()) right after returns it.
   std::size_t submit(serve::CellJob job);
 
   /// Dispatches every round whose time lies strictly before `horizon_us`.

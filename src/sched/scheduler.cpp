@@ -100,15 +100,17 @@ double Scheduler::warm_wave_service_us() const {
 std::size_t Scheduler::submit(serve::CellJob job) {
   require(job.arrival_us >= now_us_,
           "Scheduler::submit: jobs must arrive in non-decreasing order");
-  // Under a fault plan an unservable shape (a defect growth may have eaten
-  // the last embedding mid-run) rides the fallback ladder below instead of
-  // throwing; without one the historical contract holds.
-  const bool servable = devices_->max_capacity(job.shape()) > 0;
-  if (!servable && !faults_.active())
+  // Without a fault plan the pool never changes, so an unservable shape is
+  // the caller's error.  Under one, a defect growth may eat the last
+  // embedding mid-run, so servability is judged after the advance has
+  // applied every growth before the arrival, and an unservable job rides
+  // the fallback ladder below instead of throwing.
+  if (!faults_.active() && devices_->max_capacity(job.shape()) == 0)
     throw CapacityError("Scheduler::submit: no device can embed shape " +
                         std::to_string(job.shape()));
   advance_to(job.arrival_us);
   now_us_ = job.arrival_us;
+  const bool servable = devices_->max_capacity(job.shape()) > 0;
 
   const std::size_t seq = jobs_.size();
   serve::JobRecord record;

@@ -38,6 +38,7 @@
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/trace.hpp"
 #include "quamax/sched/device_set.hpp"
+#include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/observe.hpp"
 #include "quamax/serve/service.hpp"
@@ -70,7 +71,8 @@ serve::ServiceConfig fast_service(std::size_t threads = 1) {
 /// FNV-1a fingerprint of a served fault timeline: every record's identity,
 /// timing (%.17g), terminal flags, retries and fallback bit errors; every
 /// wave's device, timing, failure and membership; and the fault ladder's
-/// trace events (drops, fallbacks, retries, device down/up) in log order.
+/// trace events (drops, fallbacks, retries, outage starts) in log order,
+/// then the outage ends.
 /// Any drift in when or how a job ends moves the hash.
 std::string timeline_hash(const serve::ServiceReport& report,
                           const obs::TraceLog& trace) {
@@ -603,6 +605,37 @@ TEST(FaultServeTest, DefectGrowthStrandsShapeAndFallbackServesIt) {
   // Without a plan the same growth topology would reject at submit; with
   // the plan every job is accounted for instead.
   EXPECT_EQ(report.stats.failed(), 0u);
+}
+
+TEST(FaultServeTest, JobStrandedByAGrowthBeforeItsArrivalEndsAtSubmit) {
+  // The growth at 100 us strands shape 16 (8-user QPSK) on the only
+  // device.  The job arriving at 200 us is unservable once submit() has
+  // applied the fault timeline up to its arrival, so it ends right there
+  // and a collect() at the new clock returns it.
+  serve::LoadConfig load = bpsk8_load(30.0);
+  load.problem.mod = wireless::Modulation::kQpsk;
+  serve::CellJob job = serve::LoadGenerator(load, 0x57A4D).open_loop(1)[0];
+  job.arrival_us = 200.0;
+  job.deadline_us = 1200.0;
+  ASSERT_EQ(job.shape(), 16u);
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->growths = {
+      {0, 100.0, sched::dead_row_fault_map(chimera::ChimeraGraph(), 4)}};
+  for (const fault::FallbackMode mode :
+       {fault::FallbackMode::kZf, fault::FallbackMode::kNone}) {
+    serve::ServiceConfig cfg = fast_service();
+    cfg.fault = plan;
+    cfg.fallback = mode;
+    sched::Scheduler scheduler(serve::scheduler_config(cfg));
+    const std::size_t seq = scheduler.submit(job);
+    EXPECT_EQ(scheduler.collect(scheduler.now_us()),
+              std::vector<std::size_t>{seq})
+        << fault::to_string(mode);
+    const serve::JobRecord& record = scheduler.records()[seq];
+    EXPECT_EQ(record.completion_us, 200.0) << fault::to_string(mode);
+    EXPECT_EQ(record.fallback, mode == fault::FallbackMode::kZf);
+    EXPECT_EQ(record.failed, mode == fault::FallbackMode::kNone);
+  }
 }
 
 TEST(FaultServeTest, GrowthQubitOutsideTheChipIsRejectedBeforeDispatch) {
