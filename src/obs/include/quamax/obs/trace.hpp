@@ -14,7 +14,8 @@
 //                sequence order, none for a member the wave ended;
 //   downs      — the plan's outages, stable-sorted by start;
 //   drops, fallbacks — (completion, job id) order, the key
-//                obs::WindowedCollector sorts by; a drop is never mid-flight.
+//                obs::WindowedCollector sorts job terminals by; a dropped
+//                record is never mid-flight.
 //
 // Span decomposition (QuAMax §7's latency breakdown): a wave occupies its
 // device for program_overhead_us + num_anneals * schedule_duration.  The

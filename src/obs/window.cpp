@@ -49,12 +49,6 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
   // integer counters, the horizon max, the id-keyed job map, the outage
   // union (sorted by union_intervals) or the terminals list (sorted before
   // any sketch add), so its order reaches no derived byte.
-  const auto& submits = log.submits;
-  const auto& dispatches = log.dispatches;
-  const auto& drops = log.drops;
-  const auto& downs = log.downs;
-  const auto& retries = log.retries;
-  const auto& fallbacks = log.fallbacks;
   auto waves = log.waves;
   std::sort(waves.begin(), waves.end(), [](const auto& a, const auto& b) {
     return std::tie(a.dispatch_us, a.wave_id) <
@@ -64,12 +58,12 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
   // ---- horizon and window grid.
   double latest = 0.0;
   auto stretch = [&latest](double t) { latest = std::max(latest, t); };
-  for (const auto& e : submits) stretch(e.submit_us);
-  for (const auto& e : dispatches) stretch(e.completion_us);
-  for (const auto& e : drops) stretch(e.drop_us);
+  for (const auto& e : log.submits) stretch(e.submit_us);
+  for (const auto& e : log.dispatches) stretch(e.completion_us);
+  for (const auto& e : log.drops) stretch(e.drop_us);
   for (const auto& e : waves) stretch(e.failed ? e.fail_us : e.completion_us);
-  for (const auto& e : downs) stretch(e.up_us);
-  for (const auto& e : fallbacks) stretch(e.fallback_us);
+  for (const auto& e : log.downs) stretch(e.up_us);
+  for (const auto& e : log.fallbacks) stretch(e.fallback_us);
   if (latest <= 0.0) latest = 1.0;  // empty run: one degenerate window
 
   width_us_ = window_us > 0.0 ? window_us : latest / kAutoWindows;
@@ -92,18 +86,18 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
   }
 
   // ---- device pool size: declared count, stretched by observed indices.
-  for (const auto& e : dispatches)
+  for (const auto& e : log.dispatches)
     num_devices = std::max(num_devices, static_cast<std::size_t>(e.device) + 1);
   for (const auto& e : waves)
     num_devices = std::max(num_devices, static_cast<std::size_t>(e.device) + 1);
-  for (const auto& e : downs)
+  for (const auto& e : log.downs)
     num_devices = std::max(num_devices, static_cast<std::size_t>(e.device) + 1);
   devices_.assign(num_devices, DeviceUsage{});
   for (std::size_t d = 0; d < num_devices; ++d) devices_[d].device = d;
 
   // ---- per-job terminal bookkeeping: submit time and deadline by id.
   std::map<std::uint64_t, std::pair<double, double>> job_info;  // id -> (submit, deadline)
-  for (const auto& e : submits) {
+  for (const auto& e : log.submits) {
     job_info[e.job_id] = {e.submit_us, e.deadline_us};
     auto& w = windows_[win(e.submit_us)];
     ++w.submitted;
@@ -130,7 +124,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
   }
 
   // Retries re-enter the queue at the wave's failure instant.
-  for (const auto& e : retries) {
+  for (const auto& e : log.retries) {
     auto& w = windows_[win(e.fail_us)];
     ++w.retries;
     ++w.queue_depth;
@@ -146,9 +140,9 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
     double latency_us;
   };
   std::vector<Terminal> terminals;
-  terminals.reserve(dispatches.size() + fallbacks.size());
+  terminals.reserve(log.dispatches.size() + log.fallbacks.size());
 
-  for (const auto& e : dispatches) {
+  for (const auto& e : log.dispatches) {
     auto& w = windows_[win(e.completion_us)];
     ++w.completed;
     ++w.resolved;
@@ -165,7 +159,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
     }
     terminals.push_back({e.completion_us, e.job_id, e.completion_us - submit});
   }
-  for (const auto& e : fallbacks) {
+  for (const auto& e : log.fallbacks) {
     auto& w = windows_[win(e.fallback_us)];
     ++w.fallbacks;
     ++w.resolved;
@@ -182,7 +176,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
     const double submit = it == job_info.end() ? e.fallback_us : it->second.first;
     terminals.push_back({e.fallback_us, e.job_id, e.fallback_us - submit});
   }
-  for (const auto& e : drops) {
+  for (const auto& e : log.drops) {
     auto& w = windows_[win(e.drop_us)];
     ++w.resolved;
     ++w.missed;  // every drop (queue sweep or retry-budget failure) misses
@@ -211,7 +205,7 @@ WindowedCollector::WindowedCollector(const TraceLog& log,
   // window it overlaps; device iteration is index-ordered and wave
   // iteration is canonical, so the FP accumulation order is fixed.
   std::vector<std::vector<std::pair<double, double>>> outages(num_devices);
-  for (const auto& e : downs)
+  for (const auto& e : log.downs)
     outages[static_cast<std::size_t>(e.device)].push_back(
         {std::max(0.0, e.down_us), std::min(horizon_us_, e.up_us)});
 
