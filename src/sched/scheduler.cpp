@@ -110,7 +110,8 @@ std::size_t Scheduler::submit(serve::CellJob job) {
                         std::to_string(job.shape()));
   advance_to(job.arrival_us);
   now_us_ = job.arrival_us;
-  const bool servable = devices_->max_capacity(job.shape()) > 0;
+  const bool servable =
+      !faults_.active() || devices_->max_capacity(job.shape()) > 0;
 
   const std::size_t seq = jobs_.size();
   serve::JobRecord record;
