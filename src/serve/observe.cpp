@@ -19,9 +19,11 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
                         const std::vector<Wave>& waves) {
   obs::TraceLog log;
   for (const JobRecord& r : records)
-    log.submits.push_back({.job_id = r.job_id, .user = static_cast<int>(r.user),
-                       .direction = r.direction == Direction::kDownlink,
-                       .submit_us = r.arrival_us, .deadline_us = r.deadline_us});
+    log.submits.push_back({.job_id = r.job_id,
+                           .user = static_cast<int>(r.user),
+                           .direction = r.direction == Direction::kDownlink,
+                           .submit_us = r.arrival_us,
+                           .deadline_us = r.deadline_us});
 
   const double half_overhead = config.program_overhead_us / 2.0;
   const std::size_t warm_quota = sched::Scheduler::warm_quota(config);
@@ -39,11 +41,12 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
   for (const Wave& w : waves) {
     if (w.failed) continue;
     for (const std::size_t seq : w.jobs)
-      log.dispatches.push_back({.job_id = records[seq].job_id, .wave_id = w.id,
-                           .device = static_cast<int>(w.device),
-                           .dispatch_us = w.dispatch_us,
-                           .completion_us = w.completion_us,
-                           .num_bits = records[seq].num_bits});
+      log.dispatches.push_back({.job_id = records[seq].job_id,
+                                .wave_id = w.id,
+                                .device = static_cast<int>(w.device),
+                                .dispatch_us = w.dispatch_us,
+                                .completion_us = w.completion_us,
+                                .num_bits = records[seq].num_bits});
   }
 
   // A job ended mid-flight when its record stops at its last wave's abort:
@@ -68,18 +71,20 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
     for (const std::size_t seq : w->jobs) {
       ++attempts[seq];
       if (records[seq].wave_id == w->id && mid_flight(seq)) continue;
-      log.retries.push_back({.job_id = records[seq].job_id, .wave_id = w->id,
-                        .device = static_cast<int>(w->device),
-                        .fail_us = w->fail_us,
-                        .ready_us = w->fail_us + config.retry_backoff_us,
-                        .retry = attempts[seq]});
+      log.retries.push_back({.job_id = records[seq].job_id,
+                             .wave_id = w->id,
+                             .device = static_cast<int>(w->device),
+                             .fail_us = w->fail_us,
+                             .ready_us = w->fail_us + config.retry_backoff_us,
+                             .retry = attempts[seq]});
     }
 
   std::vector<fault::OutageWindow> outages;
   if (config.fault != nullptr) outages = config.fault->outages;
-  std::stable_sort(outages.begin(), outages.end(), [](auto& a, auto& b) {
-    return a.start_us < b.start_us;
-  });
+  std::stable_sort(outages.begin(), outages.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.start_us < b.start_us;
+                   });
   for (const fault::OutageWindow& o : outages)
     log.downs.push_back({.device = static_cast<int>(o.device),
                          .down_us = o.start_us, .up_us = o.end_us});
@@ -96,15 +101,16 @@ obs::TraceLog trace_log(const sched::SchedConfig& config,
     const JobRecord& r = records[seq];
     if (r.fallback)
       log.fallbacks.push_back({.job_id = r.job_id,
-                           .direction = r.direction == Direction::kDownlink,
-                           .fallback_us = r.completion_us,
-                           .deadline_us = r.deadline_us,
-                           .bit_errors = r.bit_errors, .num_bits = r.num_bits,
-                           .mid_flight = mid_flight(seq)});
+                               .direction = r.direction == Direction::kDownlink,
+                               .fallback_us = r.completion_us,
+                               .deadline_us = r.deadline_us,
+                               .bit_errors = r.bit_errors,
+                               .num_bits = r.num_bits,
+                               .mid_flight = mid_flight(seq)});
     else
       log.drops.push_back({.job_id = r.job_id, .drop_us = r.completion_us,
-                       .deadline_us = r.deadline_us,
-                       .mid_flight = mid_flight(seq)});
+                           .deadline_us = r.deadline_us,
+                           .mid_flight = mid_flight(seq)});
   }
   return log;
 }

@@ -72,7 +72,7 @@ serve::ServiceConfig fast_service(std::size_t threads = 1) {
 /// timing (%.17g), terminal flags, retries and fallback bit errors; every
 /// wave's device, timing, failure and membership; and the fault ladder's
 /// trace events (drops, fallbacks, retries, outage starts) in log order,
-/// then the outage ends.
+/// then the outage ends stable-sorted by end time.
 /// Any drift in when or how a job ends moves the hash.
 std::string timeline_hash(const serve::ServiceReport& report,
                           const obs::TraceLog& trace) {
@@ -108,7 +108,6 @@ std::string timeline_hash(const serve::ServiceReport& report,
         e.retry);
   for (const obs::DeviceDownEvent& e : trace.downs)
     mix("V%d %.17g %.17g", e.device, e.down_us, e.up_us);
-  // The outage ends follow the starts, stable-sorted by end time.
   std::vector<obs::DeviceDownEvent> ups = trace.downs;
   std::stable_sort(ups.begin(), ups.end(), [](const auto& a, const auto& b) {
     return a.up_us < b.up_us;
