@@ -102,14 +102,19 @@ std::size_t Scheduler::submit(serve::CellJob job) {
           "Scheduler::submit: jobs must arrive in non-decreasing order");
   // Without a fault plan the pool never changes, so an unservable shape is
   // the caller's error.  Under one, a defect growth may eat the last
-  // embedding mid-run, so servability is judged after the advance has
-  // applied every growth before the arrival, and an unservable job rides
+  // embedding mid-run, so servability is judged after every growth at or
+  // before the arrival has been applied, and an unservable job rides
   // the fallback ladder below instead of throwing.
   if (!faults_.active() && devices_->max_capacity(job.shape()) == 0)
     throw CapacityError("Scheduler::submit: no device can embed shape " +
                         std::to_string(job.shape()));
   advance_to(job.arrival_us);
   now_us_ = job.arrival_us;
+  // advance_to runs only the rounds strictly before the arrival; a growth
+  // AT the arrival would be applied after this returns.  Drain the fault
+  // events due by the arrival now, as the next round would before any
+  // decision at that instant, so such a growth strands the job here.
+  if (faults_.has_growths()) process_faults(job.arrival_us);
   const bool servable =
       !faults_.active() || devices_->max_capacity(job.shape()) > 0;
 

@@ -637,6 +637,36 @@ TEST(FaultServeTest, JobStrandedByAGrowthBeforeItsArrivalEndsAtSubmit) {
   }
 }
 
+TEST(FaultServeTest, JobStrandedByAGrowthAtItsArrivalEndsAtSubmit) {
+  // As above with the growth at exactly the arrival instant: submit()
+  // applies every growth at or before the arrival, so the job still ends
+  // inside submit() and a collect() at the new clock returns it.
+  serve::LoadConfig load = bpsk8_load(30.0);
+  load.problem.mod = wireless::Modulation::kQpsk;
+  serve::CellJob job = serve::LoadGenerator(load, 0x57A4D).open_loop(1)[0];
+  job.arrival_us = 200.0;
+  job.deadline_us = 1200.0;
+  ASSERT_EQ(job.shape(), 16u);
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->growths = {
+      {0, 200.0, sched::dead_row_fault_map(chimera::ChimeraGraph(), 4)}};
+  for (const fault::FallbackMode mode :
+       {fault::FallbackMode::kZf, fault::FallbackMode::kNone}) {
+    serve::ServiceConfig cfg = fast_service();
+    cfg.fault = plan;
+    cfg.fallback = mode;
+    sched::Scheduler scheduler(serve::scheduler_config(cfg));
+    const std::size_t seq = scheduler.submit(job);
+    EXPECT_EQ(scheduler.collect(scheduler.now_us()),
+              std::vector<std::size_t>{seq})
+        << fault::to_string(mode);
+    const serve::JobRecord& record = scheduler.records()[seq];
+    EXPECT_EQ(record.completion_us, 200.0) << fault::to_string(mode);
+    EXPECT_EQ(record.fallback, mode == fault::FallbackMode::kZf);
+    EXPECT_EQ(record.failed, mode == fault::FallbackMode::kNone);
+  }
+}
+
 TEST(FaultServeTest, GrowthQubitOutsideTheChipIsRejectedBeforeDispatch) {
   // A growth far past the last job never fires, but its qubit id is still
   // checked against the chip before anything is served.
