@@ -190,6 +190,45 @@ void BM_SaSweepBatchedThreshold32(benchmark::State& state) {
 }
 BENCHMARK(BM_SaSweepBatchedThreshold32)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 
+// The instantiation serving runs: threshold32 with ICE on, so every
+// replica carries its own perturbed coefficient block through
+// anneal_batch_with (the blocks are drawn once outside the timed loop; the
+// kernel's per-call rounding and interleaving is timed).  items/s is
+// spin-updates per second, comparable with BM_SaSweepBatchedThreshold32.
+void BM_SaSweepIceThreshold32(benchmark::State& state) {
+  const auto R = static_cast<std::size_t>(state.range(0));
+  const anneal::SaEngine& engine = merged_wave_engine();
+  const std::vector<double> betas = anneal::Schedule{}.betas();
+  const anneal::IceConfig ice;
+  Rng ice_rng{0x1CE};
+  std::vector<double> fields, couplings, block;
+  for (std::size_t r = 0; r < R; ++r) {
+    ice.perturb_fields(engine.base_fields(), block, ice_rng);
+    fields.insert(fields.end(), block.begin(), block.end());
+    ice.perturb_couplings(engine.base_couplings(), block, ice_rng);
+    couplings.insert(couplings.end(), block.begin(), block.end());
+  }
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    std::vector<Rng> streams;
+    streams.reserve(R);
+    for (std::size_t r = 0; r < R; ++r)
+      streams.push_back(Rng::for_stream(round, r));
+    benchmark::DoNotOptimize(engine.anneal_batch_with(
+        betas, fields, couplings, streams, nullptr,
+        anneal::AcceptMode::kThreshold32));
+    ++round;
+  }
+  const auto updates = static_cast<std::int64_t>(state.iterations() * R *
+                                                 betas.size() *
+                                                 engine.num_spins());
+  state.SetItemsProcessed(updates);
+  state.counters["quamax_spin_updates_per_s"] = benchmark::Counter(
+      static_cast<double>(updates), benchmark::Counter::kIsRate);
+  state.counters["quamax_replicas"] = static_cast<double>(R);
+}
+BENCHMARK(BM_SaSweepIceThreshold32)->Arg(4)->Arg(8);
+
 // The full batched decode path at bench scale: ChimeraAnnealer::sample with
 // the configured replica block size (QUAMAX_REPLICAS; BENCHMARK_MAIN owns
 // argv, so only the environment knob applies here).

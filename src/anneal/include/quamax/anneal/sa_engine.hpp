@@ -165,33 +165,57 @@ class SaEngine {
       AcceptMode mode = AcceptMode::kExact) const;
 
  private:
-  struct Group {
-    std::vector<std::uint32_t> members;
-    std::vector<std::uint32_t> internal_edges;  ///< coupling ids inside the group
-  };
-
-  /// The batched sweep kernel behind every public entry point.  With
+  /// The exact-mode (v1) sweep kernel at a runtime replica count R.  With
   /// SharedCoeffs == false, `fields_il` and `couplings_il` are replica-
   /// interleaved (entry index*R + r); with SharedCoeffs == true they are the
   /// plain flat arrays (num_spins() / num_couplings() entries) read by every
   /// replica — the ICE-off fast path that skips the O(R*(N+M)) broadcast
-  /// copy per call.  Real is the state/coefficient scalar type and picks
-  /// the accept pass: double runs the v1 Metropolis pass (kExact), float
-  /// the branch-free threshold pass (kThreshold32 — coefficients then
-  /// arrive as float arrays).  `rngs` points at R generator pointers, and
-  /// the result is written replica-interleaved into `spins_il`
-  /// (R*num_spins() entries).  For R == 1 the interleaved layout
-  /// degenerates to the plain scalar arrays.
-  template <bool SharedCoeffs, typename Real>
+  /// copy per call.  `rngs` points at R generator pointers, and the result
+  /// is written replica-interleaved into `spins_il` (R*num_spins()
+  /// entries).  For R == 1 the interleaved layout degenerates to the plain
+  /// scalar arrays.
+  template <bool SharedCoeffs>
   void run_batch_kernel(std::size_t num_replicas,
                         const std::vector<double>& betas,
-                        const Real* fields_il, const Real* couplings_il,
+                        const double* fields_il, const double* couplings_il,
                         Rng* const* rngs, const qubo::SpinVec* initial,
                         std::int8_t* spins_il) const;
 
-  /// Shared front end of the two anneal_batch* entry points: interleaves the
-  /// coefficient blocks, runs the kernel for the requested accept mode, and
-  /// splits the result per replica.
+  /// The threshold32 (v2) sweep kernel at a compile-time replica width W:
+  /// float +-1 spins and float32 local fields interleaved (entry i*W + r),
+  /// a 0/1 accept mask per decision, and masked flips that add 2c * s * m
+  /// to every replica's neighbor fields.  Coefficients are interleaved
+  /// float32 blocks (`fields` i*W + r, `couplings` id*W + r, `twice` CSR
+  /// slot e*W + r) or, with SharedCoeffs, flat arrays read by every
+  /// replica.  Writes replica r's spins to out[r].
+  template <std::size_t W, bool SharedCoeffs>
+  void run_threshold_kernel(const std::vector<double>& betas,
+                            const float* fields, const float* couplings,
+                            const float* twice, Rng* const* rngs,
+                            const qubo::SpinVec* initial,
+                            qubo::SpinVec* out) const;
+
+  /// Runs W replicas through run_threshold_kernel: the engine's float32
+  /// base arrays, or (per_replica) W replica-major double blocks rounded
+  /// and interleaved into the per-thread scratch with their doubled CSR
+  /// slots.
+  template <std::size_t W>
+  void threshold_chunk(const std::vector<double>& betas,
+                       const double* fields_rm, const double* couplings_rm,
+                       bool per_replica, Rng* const* rngs,
+                       const qubo::SpinVec* initial, qubo::SpinVec* out) const;
+
+  /// Anneals R replicas into out[0..R): threshold32 in chunks of width 8,
+  /// 4, 2, 1; exact mode in one run_batch_kernel call.  `fields_rm` and
+  /// `couplings_rm` hold R replica-major blocks when `per_replica`, else
+  /// the one base array every replica reads.
+  void sweep(const std::vector<double>& betas, const double* fields_rm,
+             const double* couplings_rm, bool per_replica, Rng* const* rngs,
+             std::size_t R, const qubo::SpinVec* initial, AcceptMode mode,
+             qubo::SpinVec* out) const;
+
+  /// Shared front end of the two anneal_batch* entry points (the
+  /// `anneal.batch_sweep` profiler scope): one result per stream.
   std::vector<qubo::SpinVec> batch_dispatch(const std::vector<double>& betas,
                                             const double* fields_rm,
                                             const double* couplings_rm,
@@ -206,15 +230,21 @@ class SaEngine {
   std::vector<std::uint32_t> neighbor_;
   std::vector<std::uint32_t> coupling_index_;
   std::vector<std::uint32_t> edge_i_;  ///< coupling id -> endpoint i
-  std::vector<std::uint32_t> edge_j_;  ///< coupling id -> endpoint j
   std::vector<double> fields_;
   std::vector<double> coupling_values_;
   // float32 images of the base arrays, precomputed at construction for the
   // kThreshold32 shared-coefficient path (identical to rounding the base
-  // arrays per call, without the per-call conversion).
+  // arrays per call, without the per-call conversion), and each CSR slot's
+  // doubled coupling 2 * float(c).
   std::vector<float> fields_f32_;
   std::vector<float> couplings_f32_;
-  std::vector<Group> groups_;
+  std::vector<float> twice_f32_;
+  // Compiled groups: group g's gather list is
+  // group_gather_[group_start_[g] .. group_start_[g+1]) = {k, its k member
+  // spins in declaration order, then one (i, j, coupling id) triple per
+  // internal coupling in ascending id}.
+  std::vector<std::uint32_t> group_start_{0};
+  std::vector<std::uint32_t> group_gather_;
 };
 
 }  // namespace quamax::anneal

@@ -1,9 +1,11 @@
 #include "quamax/anneal/sa_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
-#include <type_traits>
+#include <cstring>
+#include <tuple>
 
 #include "quamax/obs/profile.hpp"
 
@@ -25,20 +27,22 @@ namespace {
 /// (2^-64 is below half an ulp there) — an additive clamp instead of a
 /// compare, which GCC 12 fails to if-convert.  Pure integer/FMA ops — no
 /// table, no division, no branch; the transform loop auto-vectorizes.
-inline double branchless_neg_log(double u) noexcept {
+/// D is double (U = std::uint64_t) or a vector of doubles (U the matching
+/// vector of uint64): every lane runs the scalar expression.
+template <typename D, typename U>
+inline D branchless_neg_log(D u) noexcept {
   constexpr double kMin = 0x1.0p-64;
   u = u + kMin;  // branch-free zero guard; invisible above 2^-11
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
+  const U bits = std::bit_cast<U>(u);
   // Exponent extraction without an int64->double convert (which SSE2/AVX2
   // cannot vectorize): drop the 11-bit biased exponent into the mantissa of
   // 2^52 and subtract (2^52 + bias) — pure shift/or/sub, all packed ops.
-  const double e =
-      std::bit_cast<double>((bits >> 52) | 0x4330000000000000ull) -
-      (4503599627370496.0 + 1023.0);
-  const double m = std::bit_cast<double>((bits & 0x000FFFFFFFFFFFFFull) |
-                                         0x3FF0000000000000ull);
-  const double s = m - 1.0;  // log1p argument, in [0, 1)
-  const double log_m =
+  const D e = std::bit_cast<D>((bits >> 52) | 0x4330000000000000ull) -
+              (4503599627370496.0 + 1023.0);
+  const D m = std::bit_cast<D>((bits & 0x000FFFFFFFFFFFFFull) |
+                               0x3FF0000000000000ull);
+  const D s = m - 1.0;  // log1p argument, in [0, 1)
+  const D log_m =
       3.910905551047888e-08 +
       s * (0.999993630258511 +
            s * (-0.4998254986432544 +
@@ -52,8 +56,26 @@ inline double branchless_neg_log(double u) noexcept {
   return -(e * kLn2 + log_m);
 }
 
+/// Rng::uniform()'s (x >> 11) * 2^-53, bit for bit, without the
+/// uint64 -> double convert SSE2 lacks: the top 52 bits become the mantissa
+/// of a double in [1, 2) (minus 1, exact), and the 53rd bit comes back as
+/// 2^-53 (exact: the sum is a 53-bit multiple of 2^-53).  Pure integer and
+/// two exact double ops; D and U as for branchless_neg_log.
+template <typename D, typename U>
+inline D unit_double(U x) noexcept {
+  const D high = std::bit_cast<D>((x >> 12) | 0x3FF0000000000000ull) - 1.0;
+  const U low_bit = (x >> 11) & 1u;
+  return high + std::bit_cast<D>((0 - low_bit) & 0x3CA0000000000000ull);
+}
+
+/// Two generators' state words or draws, and two doubles: one SSE2
+/// register each, the unit of the lockstep draw pass.
+typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
+typedef double F64x2 __attribute__((vector_size(16)));
+typedef float F32x2 __attribute__((vector_size(8)));
+
 /// Transposes R replica-major blocks of `count` entries (block r at
-/// rm[r*count ..)) into the kernel's replica-interleaved layout
+/// rm[r*count ..)) into the kernels' replica-interleaved layout
 /// (il[i*R + r]); for Real == float the transpose doubles as the float32
 /// rounding pass.  O(R*count) once per batch — negligible against the sweep
 /// loop.
@@ -66,6 +88,104 @@ void interleave(const double* rm, std::size_t count, std::size_t R,
       il[i * R + r] = static_cast<Real>(rm[r * count + i]);
 }
 
+/// Per-thread scratch of the threshold32 kernel, one set shared by every
+/// width: the per-lane sampling loops reuse its capacity across calls, so
+/// the kernel allocates nothing after a lane's first call (every element
+/// read is written first; the engine itself stays immutable and shareable).
+struct ThresholdScratch {
+  std::vector<float> spins, hloc;                // n*W state
+  std::vector<float> fields, couplings, twice;   // ICE coefficient blocks
+  std::vector<float> threshold, heads;           // kDrawBlock*W per decision
+};
+
+ThresholdScratch& threshold_scratch() {
+  thread_local ThresholdScratch scratch;
+  return scratch;
+}
+
+/// Decisions per pre-draw block: the uniforms and thresholds stay
+/// L1-resident while the draw and transform passes run as long
+/// straight-line loops; replica r's draw ORDER is unchanged (one uniform
+/// per decision, decisions in sweep order), so blocking is invisible.
+constexpr std::size_t kDrawBlock = 64;
+
+/// W float lanes, one per replica, held as W/4 four-float hardware vectors
+/// (one vector of W floats when W < 4) through the GCC/Clang vector
+/// extension: each per-replica step of the threshold32 kernel is W/4
+/// packed operations at any ISA level, lane r computing exactly replica
+/// r's scalar expression.  (A single 32-byte vector would be lowered
+/// through the stack on baseline x86-64.)
+template <std::size_t W>
+struct Lanes {
+  static constexpr std::size_t kWidth = W < 4 ? W : 4;
+  static constexpr std::size_t kParts = W / kWidth;
+  typedef float Part __attribute__((vector_size(kWidth * sizeof(float))));
+  typedef std::int32_t Bits __attribute__((vector_size(kWidth * sizeof(float))));
+  Part part[kParts];
+
+  friend Lanes operator+(Lanes a, const Lanes& b) noexcept {
+    for (std::size_t p = 0; p < kParts; ++p) a.part[p] += b.part[p];
+    return a;
+  }
+  friend Lanes operator-(Lanes a, const Lanes& b) noexcept {
+    for (std::size_t p = 0; p < kParts; ++p) a.part[p] -= b.part[p];
+    return a;
+  }
+  friend Lanes operator*(Lanes a, const Lanes& b) noexcept {
+    for (std::size_t p = 0; p < kParts; ++p) a.part[p] *= b.part[p];
+    return a;
+  }
+};
+
+// Unaligned loads and stores through memcpy (one movups per 16 bytes).
+template <std::size_t W>
+Lanes<W> load(const float* p) noexcept {
+  Lanes<W> v;
+  std::memcpy(v.part, p, sizeof v.part);
+  return v;
+}
+template <std::size_t W>
+void store(float* p, const Lanes<W>& v) noexcept {
+  std::memcpy(p, v.part, sizeof v.part);
+}
+template <std::size_t W>
+Lanes<W> splat(float x) noexcept {
+  Lanes<W> v;
+  for (auto& part : v.part)
+    for (std::size_t r = 0; r < Lanes<W>::kWidth; ++r) part[r] = x;
+  return v;
+}
+
+/// The threshold32 accept rule per lane, as a 0/1 mask: heads (1 iff
+/// u < 1/2) where delta == 0, else delta <= t.
+template <std::size_t W>
+Lanes<W> accept_lanes(const Lanes<W>& delta, const float* t,
+                      const float* heads) noexcept {
+  using L = Lanes<W>;
+  const L thresholds = load<W>(t);
+  const L coins = load<W>(heads);
+  const auto one = std::bit_cast<typename L::Bits>(splat<W>(1.0f).part[0]);
+  L mask;
+  for (std::size_t p = 0; p < L::kParts; ++p) {
+    const auto zero = delta.part[p] == 0.0f;
+    const auto below = delta.part[p] <= thresholds.part[p];
+    mask.part[p] = std::bit_cast<typename L::Part>(
+        (zero & std::bit_cast<typename L::Bits>(coins.part[p])) |
+        (~zero & below & one));
+  }
+  return mask;
+}
+
+/// Whether any lane of a 0/1 mask is set.
+template <std::size_t W>
+bool any(const Lanes<W>& mask) noexcept {
+  std::uint32_t words[W];
+  std::memcpy(words, mask.part, sizeof words);
+  std::uint32_t set = 0;
+  for (const std::uint32_t w : words) set |= w;
+  return set != 0;
+}
+
 }  // namespace
 
 SaEngine::SaEngine(const qubo::IsingModel& problem) {
@@ -75,7 +195,6 @@ SaEngine::SaEngine(const qubo::IsingModel& problem) {
   const auto& couplings = problem.couplings();
   coupling_values_.reserve(couplings.size());
   edge_i_.reserve(couplings.size());
-  edge_j_.reserve(couplings.size());
 
   std::vector<std::uint32_t> degree(n, 0);
   for (const qubo::Coupling& c : couplings) {
@@ -92,7 +211,6 @@ SaEngine::SaEngine(const qubo::IsingModel& problem) {
     const qubo::Coupling& c = couplings[idx];
     coupling_values_.push_back(c.g);
     edge_i_.push_back(c.i);
-    edge_j_.push_back(c.j);
     neighbor_[cursor[c.i]] = c.j;
     coupling_index_[cursor[c.i]++] = static_cast<std::uint32_t>(idx);
     neighbor_[cursor[c.j]] = c.i;
@@ -101,36 +219,41 @@ SaEngine::SaEngine(const qubo::IsingModel& problem) {
 
   fields_f32_.assign(fields_.begin(), fields_.end());
   couplings_f32_.assign(coupling_values_.begin(), coupling_values_.end());
+  twice_f32_.resize(neighbor_.size());
+  for (std::size_t e = 0; e < neighbor_.size(); ++e)
+    twice_f32_[e] = 2.0f * couplings_f32_[coupling_index_[e]];
 }
 
 void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
-  groups_.clear();
-  groups_.reserve(groups.size());
+  group_start_.assign(1, 0);
+  group_gather_.clear();
   // Membership mask for internal-edge detection, reused across groups.
   std::vector<std::uint8_t> member_of(num_spins(), 0u);
-  for (auto& members : groups) {
-    Group group;
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> internal;
+  for (const auto& members : groups) {
     for (const std::uint32_t m : members) {
       require(m < num_spins(), "SaEngine::set_groups: member out of range");
       member_of[m] = 1u;
     }
     // Walk each member's CSR row, taking an edge from its i endpoint only;
-    // ascending edge order keeps the kernel's accumulation order.
+    // ascending coupling id keeps the kernels' accumulation order.
+    internal.clear();
     for (const std::uint32_t m : members)
       for (std::uint32_t k = row_offset_[m]; k < row_offset_[m + 1]; ++k)
         if (member_of[neighbor_[k]] && edge_i_[coupling_index_[k]] == m)
-          group.internal_edges.push_back(coupling_index_[k]);
-    std::sort(group.internal_edges.begin(), group.internal_edges.end());
-    group.internal_edges.erase(
-        std::unique(group.internal_edges.begin(), group.internal_edges.end()),
-        group.internal_edges.end());
+          internal.emplace_back(coupling_index_[k], m, neighbor_[k]);
+    std::sort(internal.begin(), internal.end());
+    internal.erase(std::unique(internal.begin(), internal.end()), internal.end());
     for (const std::uint32_t m : members) member_of[m] = 0u;
-    group.members = std::move(members);
-    groups_.push_back(std::move(group));
+
+    group_gather_.push_back(static_cast<std::uint32_t>(members.size()));
+    group_gather_.insert(group_gather_.end(), members.begin(), members.end());
+    for (const auto& [e, i, j] : internal) group_gather_.insert(group_gather_.end(), {i, j, e});
+    group_start_.push_back(static_cast<std::uint32_t>(group_gather_.size()));
   }
 }
 
-// The batched sweep kernel.  State arrays (spins, local fields) are
+// The exact-mode (v1) sweep kernel.  State arrays (spins, local fields) are
 // replica-interleaved (entry index*R + r) so that at a fixed spin/edge the R
 // replica values are contiguous: the CSR row indices are loaded once per
 // spin for ALL replicas and the per-replica inner loops run over adjacent
@@ -142,28 +265,17 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
 // drawing replica r's randomness only from rngs[r], under exactly the
 // scalar path's conditions and order, and (b) performing each replica's
 // floating-point accumulations in the scalar path's order (edges within a
-// CSR row, members within a group).
-//
-// The two accept passes, selected by Real:
-//
-//  * Real == double (AcceptMode::kExact): the v1 Metropolis rule.  RNG
-//    consumption is data-dependent (uniform only on uphill, coin only on
-//    zero cost), so the decision loop carries two unpredictable branches
-//    and a libm exp() per uphill proposal and cannot vectorize.
-//  * Real == float (kThreshold32): every replica pre-draws ONE uniform per
-//    decision in a fixed order, the draws are transformed once into energy
-//    thresholds t_r = -log(u_r)/beta by a branch-free vector pass, and
-//    acceptance is the straight-line compare delta_e <= t_r (zero-cost
-//    moves reuse u_r as the coin: u_r < 1/2).  No exp(), no data-dependent
-//    RNG, no branches — the decision loop compiles to vector compares plus
-//    a branch-free index compaction.
-template <bool SharedCoeffs, typename Real>
+// CSR row, members within a group).  RNG consumption is data-dependent
+// (uniform only on uphill, coin only on zero cost), so the decision loop
+// carries two unpredictable branches and a libm exp() per uphill proposal
+// and cannot vectorize.
+template <bool SharedCoeffs>
 void SaEngine::run_batch_kernel(std::size_t num_replicas,
                                 const std::vector<double>& betas,
-                                const Real* fields_il, const Real* couplings_il,
-                                Rng* const* rngs, const qubo::SpinVec* initial,
+                                const double* fields_il,
+                                const double* couplings_il, Rng* const* rngs,
+                                const qubo::SpinVec* initial,
                                 std::int8_t* spins_il) const {
-  constexpr bool Threshold = std::is_same_v<Real, float>;
   const std::size_t n = num_spins();
   const std::size_t R = num_replicas;
 
@@ -178,223 +290,364 @@ void SaEngine::run_batch_kernel(std::size_t num_replicas,
       for (std::size_t i = 0; i < n; ++i)
         spins_il[i * R + r] = rngs[r]->coin() ? 1 : -1;
   }
+  const auto coeff = [&](const double* base, std::size_t index, std::size_t r) {
+    return SharedCoeffs ? base[index] : base[index * R + r];
+  };
 
   // hloc[i*R+r] = f_i^(r) + sum_j J_ij^(r) s_j^(r); flipping spin i of
-  // replica r changes its energy by -2 s_i hloc.  Scratch is thread_local
-  // so the per-lane sampling loops reuse capacity across blocks and the
-  // kernel allocates nothing after a lane's first call (every element is
-  // overwritten below; the engine itself stays immutable and shareable).
-  thread_local std::vector<Real> hloc;
-  thread_local std::vector<Real> acc;
+  // replica r changes its energy by -2 s_i hloc.
+  thread_local std::vector<double> hloc;
+  thread_local std::vector<double> acc;
   hloc.resize(n * R);
   acc.resize(R);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t begin = row_offset_[i];
-    const std::uint32_t end = row_offset_[i + 1];
-    for (std::size_t r = 0; r < R; ++r) acc[r] = Real(0);
-    for (std::uint32_t e = begin; e < end; ++e) {
+    for (std::size_t r = 0; r < R; ++r) acc[r] = 0.0;
+    for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
       const std::int8_t* sn = spins_il + std::size_t{neighbor_[e]} * R;
-      if constexpr (SharedCoeffs) {
-        const Real c = couplings_il[coupling_index_[e]];
-        for (std::size_t r = 0; r < R; ++r) acc[r] += c * static_cast<Real>(sn[r]);
-      } else {
-        const Real* ce = couplings_il + std::size_t{coupling_index_[e]} * R;
-        for (std::size_t r = 0; r < R; ++r)
-          acc[r] += ce[r] * static_cast<Real>(sn[r]);
-      }
+      for (std::size_t r = 0; r < R; ++r)
+        acc[r] += coeff(couplings_il, coupling_index_[e], r) *
+                  static_cast<double>(sn[r]);
     }
-    const Real* fi = SharedCoeffs ? fields_il + i : fields_il + i * R;
     for (std::size_t r = 0; r < R; ++r)
-      hloc[i * R + r] = fi[SharedCoeffs ? 0 : r] + acc[r];
+      hloc[i * R + r] = coeff(fields_il, i, r) + acc[r];
   }
 
-  // Exact bookkeeping for flipping spin i of the replicas in
-  // flipped[0..num_flipped): negate the spin, then push the change into the
-  // neighbors' local fields (no acceptance test here).  The all-replicas
-  // case is split out so the common early-schedule sweeps (almost every
-  // replica flips) run a dense, vectorizable inner loop; the shared
-  // 2*coefficient is hoisted out of both per-replica loops.
+  // Flips spin i of the replicas in flipped[0..num_flipped): negate the
+  // spin, then push the change into the neighbors' local fields.
   thread_local std::vector<std::uint32_t> flipped;
   flipped.resize(R);
   const auto flip_replicas = [&](std::size_t i, std::size_t num_flipped) {
-    const std::size_t base = i * R;
-    for (std::size_t k = 0; k < num_flipped; ++k) {
-      const std::uint32_t r = flipped[k];
-      spins_il[base + r] = static_cast<std::int8_t>(-spins_il[base + r]);
-    }
-    const std::uint32_t begin = row_offset_[i];
-    const std::uint32_t end = row_offset_[i + 1];
-    const std::int8_t* si = spins_il + base;
-    for (std::uint32_t e = begin; e < end; ++e) {
-      Real* hn = hloc.data() + std::size_t{neighbor_[e]} * R;
-      if constexpr (SharedCoeffs) {
-        const Real twoc = Real(2) * couplings_il[coupling_index_[e]];
-        if (num_flipped == R) {
-          for (std::size_t r = 0; r < R; ++r)
-            hn[r] += twoc * static_cast<Real>(si[r]);
-        } else {
-          for (std::size_t k = 0; k < num_flipped; ++k) {
-            const std::uint32_t r = flipped[k];
-            hn[r] += twoc * static_cast<Real>(si[r]);
-          }
-        }
-      } else {
-        const Real* ce = couplings_il + std::size_t{coupling_index_[e]} * R;
-        if (num_flipped == R) {
-          for (std::size_t r = 0; r < R; ++r)
-            hn[r] += Real(2) * ce[r] * static_cast<Real>(si[r]);
-        } else {
-          for (std::size_t k = 0; k < num_flipped; ++k) {
-            const std::uint32_t r = flipped[k];
-            hn[r] += Real(2) * ce[r] * static_cast<Real>(si[r]);
-          }
-        }
+    std::int8_t* si = spins_il + i * R;
+    for (std::size_t k = 0; k < num_flipped; ++k) si[flipped[k]] = static_cast<std::int8_t>(-si[flipped[k]]);
+    for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
+      double* hn = hloc.data() + std::size_t{neighbor_[e]} * R;
+      for (std::size_t k = 0; k < num_flipped; ++k) {
+        const std::uint32_t r = flipped[k];
+        hn[r] += 2.0 * coeff(couplings_il, coupling_index_[e], r) *
+                 static_cast<double>(si[r]);
       }
     }
   };
 
-  thread_local std::vector<Real> sum_local;
-  thread_local std::vector<Real> sum_internal;
-  sum_local.resize(R);
-  sum_internal.resize(R);
-
-  // Threshold-mode scratch: the pre-drawn uniforms (one per replica per
-  // decision) and the derived energy thresholds, batched kDrawBlock
-  // decisions at a time.  Blocking keeps the buffers L1-resident while
-  // turning the draw and transform passes into long straight-line loops the
-  // vectorizer handles well; replica r's draw ORDER is unchanged (one
-  // uniform per decision, decisions in sweep order), so blocking is
-  // invisible in the results.
-  constexpr std::size_t kDrawBlock = 64;
-  thread_local std::vector<double> udraw;
-  thread_local std::vector<Real> threshold;
-  if constexpr (Threshold) {
-    udraw.resize(kDrawBlock * R);
-    threshold.resize(kDrawBlock * R);
-  }
-
-  // Pre-draw + transform for `count` upcoming threshold-mode decisions:
-  // replica r consumes exactly `count` uniforms, in decision order —
-  // data-independent, so any replica blocking or thread placement replays
-  // the same per-replica stream.  Decision k's draws land at [k*R, (k+1)*R).
-  // The transform loop is branch-free and auto-vectorizes.
-  const auto draw_thresholds = [&](std::size_t count, double inv_beta) {
-    for (std::size_t r = 0; r < R; ++r) {
-      Rng& gen = *rngs[r];
-      for (std::size_t k = 0; k < count; ++k) udraw[k * R + r] = gen.uniform();
-    }
-    const std::size_t total = count * R;
-    const double* u = udraw.data();
-    Real* t = threshold.data();
-    for (std::size_t x = 0; x < total; ++x)
-      t[x] = static_cast<Real>(branchless_neg_log(u[x]) * inv_beta);
-  };
-
-  // Shared accept pass over one decision's delta_e values.  Exact mode
-  // draws data-dependently (the v1 contract, scalar per replica); threshold
-  // mode consumes the pre-drawn uniforms/thresholds at `draw_base` via a
-  // branch-free compare + index compaction.  Zero-cost flips are taken with
-  // probability 1/2 in BOTH modes: accepting them deterministically makes
-  // domain walls translate in lock-step with the sequential sweep and orbit
-  // forever instead of diffusing/annihilating.
-  const auto accept_pass = [&](double beta, std::size_t draw_base,
-                               const auto& delta_of) {
+  // Zero-cost flips are taken with probability 1/2: accepting them
+  // deterministically makes domain walls translate in lock-step with the
+  // sequential sweep and orbit forever instead of diffusing/annihilating.
+  const auto accept_pass = [&](double beta, const auto& delta_of) {
     std::size_t num_flipped = 0;
-    if constexpr (Threshold) {
-      (void)beta;
-      const double* u = udraw.data() + draw_base;
-      const Real* t = threshold.data() + draw_base;
-      for (std::size_t r = 0; r < R; ++r) {
-        const Real delta_e = delta_of(r);
-        const bool accept =
-            delta_e == Real(0) ? (u[r] < 0.5) : (delta_e <= t[r]);
-        flipped[num_flipped] = static_cast<std::uint32_t>(r);
-        num_flipped += accept ? 1u : 0u;
-      }
-    } else {
-      (void)draw_base;
-      for (std::size_t r = 0; r < R; ++r) {
-        const Real delta_e = delta_of(r);
-        if (delta_e > Real(0) &&
-            rngs[r]->uniform() >= std::exp(-beta * static_cast<double>(delta_e)))
-          continue;
-        if (delta_e == Real(0) && rngs[r]->coin()) continue;
-        flipped[num_flipped++] = static_cast<std::uint32_t>(r);
-      }
+    for (std::size_t r = 0; r < R; ++r) {
+      const double delta_e = delta_of(r);
+      if (delta_e > 0.0 && rngs[r]->uniform() >= std::exp(-beta * delta_e))
+        continue;
+      if (delta_e == 0.0 && rngs[r]->coin()) continue;
+      flipped[num_flipped++] = static_cast<std::uint32_t>(r);
     }
     return num_flipped;
   };
 
+  thread_local std::vector<double> sum_local;
+  thread_local std::vector<double> sum_internal;
+  sum_local.resize(R);
+  sum_internal.resize(R);
+  for (const double beta : betas) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t base = i * R;
+      const std::size_t num_flipped = accept_pass(beta, [&](std::size_t r) {
+        return -2.0 * static_cast<double>(spins_il[base + r]) * hloc[base + r];
+      });
+      if (num_flipped != 0) flip_replicas(i, num_flipped);
+    }
+
+    // Collective pass: dE = -2 (sum_{i in G} s_i hloc_i
+    //                           - 2 sum_{(i,j) internal} J_ij s_i s_j).
+    for (std::size_t g = 0; g + 1 < group_start_.size(); ++g) {
+      const std::uint32_t* p = group_gather_.data() + group_start_[g];
+      const std::uint32_t* end = group_gather_.data() + group_start_[g + 1];
+      const std::uint32_t num_members = *p++;
+      const std::uint32_t* members = p;
+      for (std::size_t r = 0; r < R; ++r) sum_local[r] = sum_internal[r] = 0.0;
+      for (; p < members + num_members; ++p) {
+        const std::int8_t* sm = spins_il + std::size_t{*p} * R;
+        const double* hm = hloc.data() + std::size_t{*p} * R;
+        for (std::size_t r = 0; r < R; ++r)
+          sum_local[r] += static_cast<double>(sm[r]) * hm[r];
+      }
+      for (; p < end; p += 3) {
+        const std::int8_t* si = spins_il + std::size_t{p[0]} * R;
+        const std::int8_t* sj = spins_il + std::size_t{p[1]} * R;
+        for (std::size_t r = 0; r < R; ++r)
+          sum_internal[r] += coeff(couplings_il, p[2], r) *
+                             static_cast<double>(si[r]) *
+                             static_cast<double>(sj[r]);
+      }
+      const std::size_t num_flipped = accept_pass(beta, [&](std::size_t r) {
+        return -2.0 * (sum_local[r] - 2.0 * sum_internal[r]);
+      });
+      // Members flip in declaration order, exactly as the scalar path's
+      // sequential flips, so shared-neighbor local fields accumulate the
+      // member contributions in the same order per replica.
+      if (num_flipped != 0)
+        for (std::uint32_t k = 0; k < num_members; ++k)
+          flip_replicas(members[k], num_flipped);
+    }
+  }
+}
+
+// The threshold32 (v2) sweep kernel at a compile-time replica width W.
+// State is replica-interleaved as in the exact kernel, but every state array
+// is float: spins are +-1.0f until the output, local fields and accumulators
+// float32.  Each per-replica step is one Lanes<W> operation (W lanes, one per
+// replica; every lane computes exactly the scalar expression, in the same
+// order).  Coefficients are interleaved (entry index*W + r, the ICE path)
+// or, with SharedCoeffs, the engine's flat float32 base arrays broadcast to
+// every lane; `twice` holds each CSR slot's doubled coupling 2c (slot
+// e*W + r, or e shared), so a flip adds 2c * s to a neighbor's field with
+// one multiply.
+//
+// Every replica pre-draws ONE uniform per decision in a fixed order, the
+// draws are transformed once into energy thresholds t_r = -log(u_r)/beta by
+// a branch-free vector pass, and acceptance is the straight-line compare
+// delta_e <= t_r (zero-cost moves reuse u_r as the coin: u_r < 1/2).  The
+// accept pass yields a 0/1 float mask m_r, and a flip of spin i is applied
+// to all W replicas at once: s_r -= 2 s_r m_r, then every neighbor field
+// gains 2c * (s_r m_r).  For m_r = 1 that is the scalar path's exact
+// arithmetic.  For m_r = 0 the replica adds +-0, which leaves every nonzero
+// field bit-identical and can change only the SIGN of a zero field; no
+// decision can read that sign, because a zero field yields delta_e = +-0
+// and both `delta_e == 0` and `delta_e <= t` treat -0 and +0 alike (a +-0
+// term added to a nonzero sum leaves it unchanged, so the sign cannot reach
+// a nonzero value either).  The result is therefore bit-identical to W
+// scalar anneals: replica r draws only from rngs[r], in the scalar order,
+// and accumulates every field and group sum in the scalar order.
+template <std::size_t W, bool SharedCoeffs>
+void SaEngine::run_threshold_kernel(const std::vector<double>& betas,
+                                    const float* fields, const float* couplings,
+                                    const float* twice, Rng* const* rngs,
+                                    const qubo::SpinVec* initial,
+                                    qubo::SpinVec* out) const {
+  using V = Lanes<W>;
+  // Coefficient `index` of every replica: W interleaved entries, or the one
+  // shared entry in every lane.
+  const auto coeff = [](const float* base, std::size_t index) {
+    return SharedCoeffs ? splat<W>(base[index]) : load<W>(base + index * W);
+  };
+  const std::size_t n = num_spins();
+  ThresholdScratch& scratch = threshold_scratch();
+  scratch.spins.resize(n * W);
+  scratch.hloc.resize(n * W);
+  scratch.threshold.resize(kDrawBlock * W);
+  scratch.heads.resize(kDrawBlock * W);
+  float* const s = scratch.spins.data();
+  float* const h = scratch.hloc.data();
+
+  if (initial != nullptr) {
+    require(initial->size() == n, "SaEngine: initial state size");
+    for (std::size_t i = 0; i < n; ++i)  // warm start: broadcast to all replicas
+      store(s + i * W, splat<W>(static_cast<float>((*initial)[i])));
+  } else {
+    // Replica r draws its N coins in spin order, as the scalar path does.
+    for (std::size_t r = 0; r < W; ++r)
+      for (std::size_t i = 0; i < n; ++i) s[i * W + r] = rngs[r]->coin() ? 1.0f : -1.0f;
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    V acc = splat<W>(0.0f);
+    for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e)
+      acc = acc + coeff(couplings, coupling_index_[e]) * load<W>(s + std::size_t{neighbor_[e]} * W);
+    store(h + i * W, coeff(fields, i) + acc);
+  }
+
+  // Applies the accepted flips of spin i (mask lanes in {0, 1}) to all W
+  // replicas; see the +-0 argument above.
+  const auto flip = [&](std::size_t i, V mask) {
+    V si = load<W>(s + i * W);
+    si = si - splat<W>(2.0f) * si * mask;
+    store(s + i * W, si);
+    const V sm = si * mask;
+    for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
+      float* hn = h + std::size_t{neighbor_[e]} * W;
+      store(hn, load<W>(hn) + coeff(twice, e) * sm);
+    }
+  };
+
+  // The W generators advance in lockstep, two per vector (one lane per
+  // replica), and are written back after the last sweep.  Pre-drawing
+  // `count` decisions consumes exactly `count` uniforms per replica, in
+  // decision order — data-independent, so any chunking of the replicas or
+  // thread placement replays the same per-replica stream.  Decision k's
+  // thresholds and coins (1.0f iff u < 1/2) land at [k*W, (k+1)*W).
+  std::uint64_t state[4][W];
+  for (std::size_t r = 0; r < W; ++r)
+    for (std::size_t w = 0; w < 4; ++w) state[w][r] = rngs[r]->state()[w];
+  float* const t = scratch.threshold.data();
+  float* const heads = scratch.heads.data();
+  const auto draw_thresholds = [&](std::size_t count, double inv_beta) {
+    if constexpr (W == 1) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const double u = unit_double<double>(
+            Rng::next(state[0][0], state[1][0], state[2][0], state[3][0]));
+        t[k] = static_cast<float>(branchless_neg_log<double, std::uint64_t>(u) * inv_beta);
+        heads[k] = u < 0.5 ? 1.0f : 0.0f;
+      }
+    } else {
+      for (std::size_t r = 0; r < W; r += 2) {
+        U64x2 w[4];
+        for (std::size_t j = 0; j < 4; ++j) w[j] = U64x2{state[j][r], state[j][r + 1]};
+        for (std::size_t k = 0; k < count; ++k) {
+          const F64x2 u = unit_double<F64x2>(Rng::next(w[0], w[1], w[2], w[3]));
+          const F64x2 thr = branchless_neg_log<F64x2, U64x2>(u) * inv_beta;
+          // 1.0 where u < 1/2 (an all-ones compare lane masks 1.0's bits).
+          const F64x2 coin = std::bit_cast<F64x2>(
+              std::bit_cast<U64x2>(u < 0.5) & 0x3FF0000000000000ull);
+          const F32x2 thr32 = __builtin_convertvector(thr, F32x2);
+          const F32x2 coin32 = __builtin_convertvector(coin, F32x2);
+          std::memcpy(t + k * W + r, &thr32, sizeof thr32);
+          std::memcpy(heads + k * W + r, &coin32, sizeof coin32);
+        }
+        for (std::size_t j = 0; j < 4; ++j) {
+          state[j][r] = w[j][0];
+          state[j][r + 1] = w[j][1];
+        }
+      }
+    }
+  };
+
   for (const double beta : betas) {
     const double inv_beta = 1.0 / beta;
-    // Single-spin pass: one CSR-row walk per spin serves every replica that
-    // accepted a flip.  Threshold mode pre-draws each block of spins'
-    // decisions up front.
     for (std::size_t i0 = 0; i0 < n; i0 += kDrawBlock) {
       const std::size_t block = std::min(kDrawBlock, n - i0);
-      if constexpr (Threshold) draw_thresholds(block, inv_beta);
+      draw_thresholds(block, inv_beta);
       for (std::size_t k = 0; k < block; ++k) {
         const std::size_t i = i0 + k;
-        const std::size_t base = i * R;
-        const std::size_t num_flipped =
-            accept_pass(beta, k * R, [&](std::size_t r) {
-              return Real(-2) * static_cast<Real>(spins_il[base + r]) *
-                     hloc[base + r];
-            });
-        if (num_flipped != 0) flip_replicas(i, num_flipped);
+        const V mask =
+            accept_lanes(splat<W>(-2.0f) * load<W>(s + i * W) * load<W>(h + i * W),
+                         t + k * W, heads + k * W);
+        if (any(mask)) flip(i, mask);
       }
     }
 
-    // Collective pass: acceptance over whole groups (embedded chains).
-    // Flipping every member leaves internal edges invariant, so
-    //   dE = -2 (sum_{i in G} s_i hloc_i - 2 sum_{(i,j) internal} J_ij s_i s_j).
-    // Threshold mode pre-draws each block of group decisions like the spin
-    // pass does.
-    for (std::size_t g0 = 0; g0 < groups_.size(); g0 += kDrawBlock) {
-      const std::size_t gblock = std::min(kDrawBlock, groups_.size() - g0);
-      if constexpr (Threshold) draw_thresholds(gblock, inv_beta);
-      for (std::size_t gk = 0; gk < gblock; ++gk) {
-        const Group& group = groups_[g0 + gk];
-        for (std::size_t r = 0; r < R; ++r) sum_local[r] = Real(0);
-        for (const std::uint32_t m : group.members) {
-          const std::int8_t* sm = spins_il + std::size_t{m} * R;
-          const Real* hm = hloc.data() + std::size_t{m} * R;
-          for (std::size_t r = 0; r < R; ++r)
-            sum_local[r] += static_cast<Real>(sm[r]) * hm[r];
-        }
-        for (std::size_t r = 0; r < R; ++r) sum_internal[r] = Real(0);
-        for (const std::uint32_t e : group.internal_edges) {
-          const std::int8_t* si = spins_il + std::size_t{edge_i_[e]} * R;
-          const std::int8_t* sj = spins_il + std::size_t{edge_j_[e]} * R;
-          if constexpr (SharedCoeffs) {
-            const Real c = couplings_il[e];
-            for (std::size_t r = 0; r < R; ++r)
-              sum_internal[r] +=
-                  c * static_cast<Real>(si[r]) * static_cast<Real>(sj[r]);
-          } else {
-            const Real* ce = couplings_il + std::size_t{e} * R;
-            for (std::size_t r = 0; r < R; ++r)
-              sum_internal[r] +=
-                  ce[r] * static_cast<Real>(si[r]) * static_cast<Real>(sj[r]);
-          }
-        }
-        const std::size_t num_flipped =
-            accept_pass(beta, gk * R, [&](std::size_t r) {
-              return Real(-2) * (sum_local[r] - Real(2) * sum_internal[r]);
-            });
-        if (num_flipped == 0) continue;
-        // Members flip in declaration order, exactly as the scalar path's
-        // sequential flip_spin calls, so shared-neighbor local fields
-        // accumulate the member contributions in the same order per replica.
-        const std::size_t keep = num_flipped;
-        for (const std::uint32_t m : group.members) {
-          // flip_replicas consumes flipped[0..keep); the list is unchanged,
-          // so every member flips the same replica set.
-          flip_replicas(m, keep);
-        }
+    // Collective pass: dE = -2 (sum_{i in G} s_i hloc_i
+    //                           - 2 sum_{(i,j) internal} J_ij s_i s_j),
+    // gathered from the group's compiled list (members, then (i, j, id)
+    // internal couplings) with every member flipped on one mask.
+    const std::size_t num_groups = group_start_.size() - 1;
+    for (std::size_t g0 = 0; g0 < num_groups; g0 += kDrawBlock) {
+      const std::size_t block = std::min(kDrawBlock, num_groups - g0);
+      draw_thresholds(block, inv_beta);
+      for (std::size_t k = 0; k < block; ++k) {
+        const std::uint32_t* p = group_gather_.data() + group_start_[g0 + k];
+        const std::uint32_t* end = group_gather_.data() + group_start_[g0 + k + 1];
+        const std::uint32_t num_members = *p++;
+        const std::uint32_t* members = p;
+        V sum_local = splat<W>(0.0f);
+        for (; p < members + num_members; ++p)
+          sum_local = sum_local + load<W>(s + std::size_t{*p} * W) * load<W>(h + std::size_t{*p} * W);
+        V sum_internal = splat<W>(0.0f);
+        for (; p < end; p += 3)
+          sum_internal = sum_internal + coeff(couplings, p[2]) *
+                                            load<W>(s + std::size_t{p[0]} * W) *
+                                            load<W>(s + std::size_t{p[1]} * W);
+        const V mask =
+            accept_lanes(splat<W>(-2.0f) * (sum_local - splat<W>(2.0f) * sum_internal),
+                         t + k * W, heads + k * W);
+        // Members flip in declaration order, as the scalar path's
+        // sequential flips do.
+        if (any(mask))
+          for (std::uint32_t m = 0; m < num_members; ++m) flip(members[m], mask);
       }
     }
   }
+
+  for (std::size_t r = 0; r < W; ++r) {
+    rngs[r]->set_state({state[0][r], state[1][r], state[2][r], state[3][r]});
+    for (std::size_t i = 0; i < n; ++i) out[r][i] = static_cast<std::int8_t>(s[i * W + r]);
+  }
+}
+
+template <std::size_t W>
+void SaEngine::threshold_chunk(const std::vector<double>& betas,
+                               const double* fields_rm,
+                               const double* couplings_rm, bool per_replica,
+                               Rng* const* rngs, const qubo::SpinVec* initial,
+                               qubo::SpinVec* out) const {
+  if (!per_replica) {
+    // The ICE-off serve workload: the precomputed float32 base arrays feed
+    // the shared-coefficient kernel — no per-call conversion, no broadcast.
+    run_threshold_kernel<W, true>(betas, fields_f32_.data(), couplings_f32_.data(),
+                                  twice_f32_.data(), rngs, initial, out);
+    return;
+  }
+  ThresholdScratch& scratch = threshold_scratch();
+  interleave(fields_rm, num_spins(), W, scratch.fields);
+  interleave(couplings_rm, num_couplings(), W, scratch.couplings);
+  scratch.twice.resize(neighbor_.size() * W);
+  for (std::size_t e = 0; e < neighbor_.size(); ++e)
+    for (std::size_t r = 0; r < W; ++r)
+      scratch.twice[e * W + r] = 2.0f * scratch.couplings[coupling_index_[e] * W + r];
+  run_threshold_kernel<W, false>(betas, scratch.fields.data(), scratch.couplings.data(),
+                                 scratch.twice.data(), rngs, initial, out);
+}
+
+void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
+                     const double* couplings_rm, bool per_replica,
+                     Rng* const* rngs, std::size_t R,
+                     const qubo::SpinVec* initial, AcceptMode mode,
+                     qubo::SpinVec* out) const {
+  const std::size_t n = num_spins();
+  const std::size_t m = num_couplings();
+  if (mode == AcceptMode::kThreshold32) {
+    // Widths 8, 4, 2, 1 cover any R (5 -> 4+1, 10 -> 8+2): anneal a draws
+    // only from stream a, so the chunking is invisible in the results.
+    for (std::size_t c0 = 0; c0 < R;) {
+      const std::size_t left = R - c0;
+      const std::size_t f = per_replica ? c0 * n : 0;
+      const std::size_t c = per_replica ? c0 * m : 0;
+      const auto run = [&]<std::size_t W>() {
+        threshold_chunk<W>(betas, fields_rm + f, couplings_rm + c, per_replica,
+                           rngs + c0, initial, out + c0);
+        c0 += W;
+      };
+      if (left >= 8)
+        run.template operator()<8>();
+      else if (left >= 4)
+        run.template operator()<4>();
+      else if (left >= 2)
+        run.template operator()<2>();
+      else
+        run.template operator()<1>();
+    }
+    return;
+  }
+
+  // Exact mode.  R == 1 writes straight into the result (interleaved ==
+  // flat); larger R de-interleaves below.  The interleaved scratch is
+  // thread_local: the per-lane sampling loops call this once per block and
+  // every element is overwritten.
+  thread_local std::vector<std::int8_t> spins_il;
+  std::int8_t* spins = out[0].data();
+  if (R > 1) {
+    spins_il.resize(n * R);
+    spins = spins_il.data();
+  }
+  if (R == 1) {
+    // Scalar specialization: interleaved and flat layouts coincide, so the
+    // caller's arrays feed the kernel directly.
+    run_batch_kernel<false>(1, betas, fields_rm, couplings_rm, rngs, initial, spins);
+  } else if (!per_replica) {
+    // Shared-coefficient fast path (the ICE-off workload): every replica
+    // reads the same flat base arrays, so the O(R*(N+M)) broadcast into the
+    // interleaved layout is skipped entirely.
+    run_batch_kernel<true>(R, betas, fields_rm, couplings_rm, rngs, initial, spins);
+  } else {
+    thread_local std::vector<double> fields_il;
+    thread_local std::vector<double> couplings_il;
+    interleave(fields_rm, n, R, fields_il);
+    interleave(couplings_rm, m, R, couplings_il);
+    run_batch_kernel<false>(R, betas, fields_il.data(), couplings_il.data(),
+                            rngs, initial, spins);
+  }
+  if (R > 1)
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t i = 0; i < n; ++i) out[r][i] = spins[i * R + r];
 }
 
 std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
@@ -403,68 +656,13 @@ std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
     std::vector<Rng>& rngs, const qubo::SpinVec* initial,
     AcceptMode mode) const {
   QUAMAX_PROF_SCOPE("anneal.batch_sweep");
-  const std::size_t n = num_spins();
-  const std::size_t m = num_couplings();
   const std::size_t R = rngs.size();
   require(R >= 1, "SaEngine::anneal_batch: need at least one replica stream");
-
   std::vector<Rng*> rng_ptrs(R);
   for (std::size_t r = 0; r < R; ++r) rng_ptrs[r] = &rngs[r];
-
-  // R == 1 writes straight into the result (interleaved == flat); larger R
-  // de-interleaves below.  Scratch is thread_local for the same reason as
-  // the kernel's: the per-lane sampling loops call this once per block and
-  // every element is overwritten.
-  std::vector<qubo::SpinVec> result(R, qubo::SpinVec(n));
-  thread_local std::vector<std::int8_t> spins_il;
-  std::int8_t* out = result.front().data();
-  if (R > 1) {
-    spins_il.resize(n * R);
-    out = spins_il.data();
-  }
-
-  if (mode == AcceptMode::kThreshold32) {
-    if (!replicated_coefficients) {
-      // anneal_batch (the ICE-off serve workload): the precomputed float32
-      // base arrays feed the shared-coefficient kernel — no per-call
-      // conversion, no broadcast.
-      run_batch_kernel<true, float>(R, betas, fields_f32_.data(),
-                                    couplings_f32_.data(), rng_ptrs.data(),
-                                    initial, out);
-    } else {
-      thread_local std::vector<float> fields32_il;
-      thread_local std::vector<float> couplings32_il;
-      interleave(fields_rm, n, R, fields32_il);
-      interleave(couplings_rm, m, R, couplings32_il);
-      run_batch_kernel<false, float>(R, betas, fields32_il.data(),
-                                     couplings32_il.data(), rng_ptrs.data(),
-                                     initial, out);
-    }
-  } else if (R == 1) {
-    // Scalar specialization: interleaved and flat layouts coincide, so the
-    // caller's arrays feed the kernel directly.
-    run_batch_kernel<false, double>(1, betas, fields_rm, couplings_rm,
-                                    rng_ptrs.data(), initial, out);
-  } else if (!replicated_coefficients) {
-    // Shared-coefficient fast path (the ICE-off workload): every replica
-    // reads the same flat base arrays, so the O(R*(N+M)) broadcast into the
-    // interleaved layout is skipped entirely.  Values are identical, so the
-    // result stays bit-identical to the interleaved path.
-    run_batch_kernel<true, double>(R, betas, fields_rm, couplings_rm,
-                                   rng_ptrs.data(), initial, out);
-  } else {
-    thread_local std::vector<double> fields_il;
-    thread_local std::vector<double> couplings_il;
-    interleave(fields_rm, n, R, fields_il);
-    interleave(couplings_rm, m, R, couplings_il);
-    run_batch_kernel<false, double>(R, betas, fields_il.data(),
-                                    couplings_il.data(), rng_ptrs.data(),
-                                    initial, out);
-  }
-
-  if (R > 1)
-    for (std::size_t r = 0; r < R; ++r)
-      for (std::size_t i = 0; i < n; ++i) result[r][i] = out[i * R + r];
+  std::vector<qubo::SpinVec> result(R, qubo::SpinVec(num_spins()));
+  sweep(betas, fields_rm, couplings_rm, replicated_coefficients, rng_ptrs.data(),
+        R, initial, mode, result.data());
   return result;
 }
 
@@ -477,22 +675,13 @@ qubo::SpinVec SaEngine::anneal_with(const std::vector<double>& betas,
           "SaEngine::anneal_with: field array size mismatch");
   require(couplings.size() == num_couplings(),
           "SaEngine::anneal_with: coupling array size mismatch");
+  // The R = 1 case of the batch with a per-replica block: threshold32
+  // rounds the caller's arrays to float32 exactly as the batch does, so on
+  // the base arrays it reproduces the precomputed float32 images.
   qubo::SpinVec spins(num_spins());
   Rng* rng_ptr = &rng;
-  if (mode == AcceptMode::kExact) {
-    run_batch_kernel<false, double>(1, betas, fields.data(), couplings.data(),
-                                    &rng_ptr, initial, spins.data());
-    return spins;
-  }
-  // Round the caller's arrays to float32 once up front — on the base arrays
-  // this reproduces the precomputed float32 images bit-for-bit, keeping the
-  // scalar path the R = 1 specialization of the batch.
-  thread_local std::vector<float> fields32;
-  thread_local std::vector<float> couplings32;
-  fields32.assign(fields.begin(), fields.end());
-  couplings32.assign(couplings.begin(), couplings.end());
-  run_batch_kernel<true, float>(1, betas, fields32.data(), couplings32.data(),
-                                &rng_ptr, initial, spins.data());
+  sweep(betas, fields.data(), couplings.data(), /*per_replica=*/true, &rng_ptr,
+        1, initial, mode, &spins);
   return spins;
 }
 

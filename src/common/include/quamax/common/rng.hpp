@@ -33,15 +33,32 @@ class Rng {
   }
 
   result_type operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    return next(state_[0], state_[1], state_[2], state_[3]);
+  }
+
+  /// One xoshiro256** step on the four state words s0..s3 — operator() is
+  /// this step on the generator's own state.  A kernel that advances
+  /// several generators in lockstep (SaEngine's threshold32 draw pass)
+  /// runs it on words copied out with state() and written back with
+  /// set_state(), replaying exactly the draws operator() would make.  U is
+  /// std::uint64_t or a GCC/Clang vector of them (one generator per lane);
+  /// the multiplies are written as shift-adds, which vector units have.
+  template <typename U>
+  static U next(U& s0, U& s1, U& s2, U& s3) noexcept {
+    const U x = rotl((s1 << 2) + s1, 7);  // rotl(s1 * 5, 7)
+    const U result = (x << 3) + x;        // * 9
+    const U t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
     return result;
+  }
+  const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
+  void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
+    state_ = state;
   }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
@@ -108,7 +125,8 @@ class Rng {
   }
 
  private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+  template <typename U>
+  static constexpr U rotl(U x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
 
