@@ -35,16 +35,29 @@ import sys
 
 
 def load_benchmarks(raw):
-    """name -> aggregate record; prefers *_median aggregates when present."""
+    """name -> aggregate record; prefers *_median aggregates when present.
+
+    With --benchmark_repetitions the median record also carries
+    items_per_second_spread: (max - min) / median over the repetitions.
+    """
     out = {}
     medians = {}
+    reps = {}
     for bench in raw.get("benchmarks", []):
         name = bench.get("name", "")
         if bench.get("run_type") == "aggregate":
             if bench.get("aggregate_name") == "median":
-                medians[bench.get("run_name", name)] = bench
+                medians[bench.get("run_name", name)] = dict(bench)
             continue
         out.setdefault(name, bench)
+        if bench.get("items_per_second"):
+            reps.setdefault(bench.get("run_name", name), []).append(
+                bench["items_per_second"])
+    for name, median in medians.items():
+        values = reps.get(name, [])
+        if len(values) > 1 and median.get("items_per_second"):
+            median["items_per_second_spread"] = (
+                (max(values) - min(values)) / median["items_per_second"])
     out.update(medians)  # aggregate medians shadow single runs
     return out
 
@@ -56,6 +69,8 @@ def record_of(bench):
         "cpu_time_ns": bench.get("cpu_time"),
         "iterations": bench.get("iterations"),
     }
+    if "items_per_second_spread" in bench:
+        rec["items_per_second_spread"] = bench["items_per_second_spread"]
     # Every bench binary publishes its domain counters under a quamax_
     # prefix, so the record carries them through without a hand-maintained
     # whitelist: adding a counter to a bench is enough to land it in the
