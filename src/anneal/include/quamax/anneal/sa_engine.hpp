@@ -14,14 +14,30 @@
 //    (spins[i*R + r], hloc[i*R + r]), walks the CSR adjacency ONCE per spin
 //    per temperature step, and updates every replica's local fields in the
 //    inner loop — so the row's neighbor/coupling indices are loaded once for
-//    all replicas, the per-neighbor local-field updates hit one cache line
-//    per R <= 8 replicas, and the compiler can vectorize across replicas.
-//    Replica r draws every random number (initial spins, Metropolis accepts,
-//    tie-breaks) from its OWN generator rngs[r], in exactly the order a
-//    scalar anneal with that generator would, and all floating-point
-//    accumulation per replica happens in the scalar path's order; the
-//    batched result is therefore BIT-IDENTICAL to R scalar anneal() calls
-//    with matched generators (batch_replica_test.cpp enforces this).
+//    all replicas and the per-neighbor local-field updates are packed
+//    operations across replicas.  Replica r draws every random number
+//    (initial spins, Metropolis accepts, tie-breaks) from its OWN generator
+//    rngs[r], in exactly the order a scalar anneal with that generator
+//    would, and all floating-point accumulation per replica happens in the
+//    scalar path's order; the batched result is therefore BIT-IDENTICAL to
+//    R scalar anneal() calls with matched generators (batch_replica_test.cpp
+//    enforces this, and sa_reference_test.cpp checks both against a scalar
+//    reference sweep written from this contract).
+//
+// Kernel layout per accept mode.  kExact runs one kernel at the runtime R
+// over int8 spins and double fields.  kThreshold32 runs at a compile-time
+// replica width W in {8, 4, 2, 1}, the call's R split into such chunks
+// (5 -> 4+1, 10 -> 8+2; invisible, as anneal a draws only from stream a):
+// spins are float +-1 and fields float32, interleaved at i*W + r; every
+// CSR slot carries its doubled coupling 2c (precomputed for the shared
+// coefficients, built per call from ICE blocks); the W generators advance
+// in lockstep two per SSE2 vector; each decision yields a 0/1 accept mask
+// m per replica, and a flip adds 2c * s * m to every replica's neighbor
+// fields.  Adding +-0 for a replica that did not flip can change only the
+// sign of a zero field, which no decision reads (delta == 0 and
+// delta <= t treat -0 and +0 alike), so the masked update is bit-identical
+// to flipping only the accepting replicas.  set_groups() compiles each
+// group into one gather list (members, then its internal couplings).
 //
 // Collective (group) moves: single-spin dynamics cannot serve embedded
 // problems — once the ferromagnetic chains freeze, flipping a logical
@@ -84,8 +100,8 @@ namespace quamax::anneal {
 ///    moves use the same u_r as the coin: accept iff u_r < 1/2).  Identical
 ///    acceptance probabilities, but no exp() and no data-dependent RNG
 ///    branches in the inner loop — the per-replica accept pass is
-///    straight-line code the compiler can vectorize
-///    (bench_micro_kernels' BM_SaSweepBatchedThreshold32 proves it).  Local
+///    straight-line packed code (bench_micro_kernels'
+///    BM_SaSweepBatchedThreshold32 and BM_SaSweepIceThreshold32).  Local
 ///    fields, accumulators, and coefficient reads run in float32, doubling
 ///    the SIMD width of every vector pass.  NOT bit-identical to kExact
 ///    (different draws and precision), but replica r's stream consumption

@@ -103,7 +103,7 @@ ThresholdScratch& threshold_scratch() {
   return scratch;
 }
 
-/// Decisions per pre-draw block: the uniforms and thresholds stay
+/// Decisions per pre-draw block: the thresholds and coins stay
 /// L1-resident while the draw and transform passes run as long
 /// straight-line loops; replica r's draw ORDER is unchanged (one uniform
 /// per decision, decisions in sweep order), so blocking is invisible.
@@ -599,21 +599,16 @@ void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
     // only from stream a, so the chunking is invisible in the results.
     for (std::size_t c0 = 0; c0 < R;) {
       const std::size_t left = R - c0;
-      const std::size_t f = per_replica ? c0 * n : 0;
-      const std::size_t c = per_replica ? c0 * m : 0;
-      const auto run = [&]<std::size_t W>() {
-        threshold_chunk<W>(betas, fields_rm + f, couplings_rm + c, per_replica,
-                           rngs + c0, initial, out + c0);
-        c0 += W;
-      };
-      if (left >= 8)
-        run.template operator()<8>();
-      else if (left >= 4)
-        run.template operator()<4>();
-      else if (left >= 2)
-        run.template operator()<2>();
-      else
-        run.template operator()<1>();
+      const std::size_t width = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
+      const double* f = fields_rm + (per_replica ? c0 * n : 0);
+      const double* c = couplings_rm + (per_replica ? c0 * m : 0);
+      switch (width) {
+        case 8: threshold_chunk<8>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        case 4: threshold_chunk<4>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        case 2: threshold_chunk<2>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        default: threshold_chunk<1>(betas, f, c, per_replica, rngs + c0, initial, out + c0);
+      }
+      c0 += width;
     }
     return;
   }
