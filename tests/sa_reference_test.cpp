@@ -157,6 +157,55 @@ std::vector<double> perturbed(const std::vector<double>& base, std::size_t R, Rn
   return out;
 }
 
+/// Runs one case of the differential table: R replicas of a fresh 37-spin
+/// problem through anneal_batch (or anneal_batch_with, for `ice`) and each
+/// through the reference sweep, comparing spins and stream states.
+void expect_matches_reference(const std::vector<double>& betas, bool smooth, bool grouped,
+                              bool warm, bool ice, anneal::AcceptMode mode, std::size_t R,
+                              std::uint64_t seed) {
+  const std::size_t n = 37;
+  const qubo::IsingModel problem = random_problem(n, smooth, seed);
+  anneal::SaEngine engine(problem);
+  const Groups groups = grouped ? chains(n) : Groups{};
+  engine.set_groups(groups);
+  Rng aux{seed ^ 0xACE};
+  qubo::SpinVec start(n);
+  for (auto& v : start) v = aux.coin() ? 1 : -1;
+  const qubo::SpinVec* initial = warm ? &start : nullptr;
+  const std::size_t nf = ice ? R : 1;
+  const std::vector<double> fields = perturbed(problem.fields(), nf, aux);
+  std::vector<double> base_couplings;
+  for (const auto& e : problem.couplings()) base_couplings.push_back(e.g);
+  const std::vector<double> couplings = perturbed(base_couplings, nf, aux);
+
+  std::vector<Rng> rngs;
+  for (std::size_t r = 0; r < R; ++r) rngs.push_back(Rng::for_stream(seed, r));
+  const auto batched = ice ? engine.anneal_batch_with(betas, fields, couplings, rngs, initial, mode)
+                           : engine.anneal_batch(betas, rngs, initial, mode);
+  ASSERT_EQ(batched.size(), R);
+  for (std::size_t r = 0; r < R; ++r) {
+    const std::size_t fo = ice ? r * n : 0;
+    const std::size_t co = ice ? r * base_couplings.size() : 0;
+    const std::vector<double> f_r(fields.begin() + fo, fields.begin() + fo + n);
+    const std::vector<double> c_r(couplings.begin() + co,
+                                  couplings.begin() + co + base_couplings.size());
+    // anneal_batch reads the engine's own coefficients.
+    const auto& f_ref = ice ? f_r : problem.fields();
+    const auto& c_ref = ice ? c_r : base_couplings;
+    Rng ref_rng = Rng::for_stream(seed, r);
+    const qubo::SpinVec expected =
+        mode == anneal::AcceptMode::kThreshold32
+            ? reference_anneal<float>(problem, f_ref, c_ref, groups, betas, ref_rng, initial)
+            : reference_anneal<double>(problem, f_ref, c_ref, groups, betas, ref_rng, initial);
+    const std::string where = std::string(anneal::to_string(mode)) + " R=" + std::to_string(R) +
+                              " r=" + std::to_string(r) + (smooth ? " smooth" : " integer") +
+                              (grouped ? " groups" : "") + (warm ? " warm" : " cold") +
+                              (ice ? " ice" : " shared");
+    EXPECT_EQ(batched[r], expected) << where;
+    EXPECT_EQ(rngs[r](), ref_rng()) << where << ": stream state";
+  }
+}
+
 TEST(SaReferenceTest, BatchedKernelMatchesReferenceSweep) {
   anneal::Schedule schedule;
   schedule.anneal_time_us = 3.0;
@@ -167,54 +216,25 @@ TEST(SaReferenceTest, BatchedKernelMatchesReferenceSweep) {
       for (const bool warm : {false, true})
         for (const bool ice : {false, true})
           for (const auto mode : {anneal::AcceptMode::kThreshold32, anneal::AcceptMode::kExact})
-            for (const std::size_t R : {1ul, 3ul, 5ul, 8ul, 16ul}) {
-              ++seed;
-              const std::size_t n = 37;
-              const qubo::IsingModel problem = random_problem(n, smooth, seed);
-              anneal::SaEngine engine(problem);
-              const Groups groups = grouped ? chains(n) : Groups{};
-              engine.set_groups(groups);
-              Rng aux{seed ^ 0xACE};
-              qubo::SpinVec start(n);
-              for (auto& v : start) v = aux.coin() ? 1 : -1;
-              const qubo::SpinVec* initial = warm ? &start : nullptr;
-              const std::size_t nf = ice ? R : 1;
-              const std::vector<double> fields = perturbed(problem.fields(), nf, aux);
-              std::vector<double> base_couplings;
-              for (const auto& e : problem.couplings()) base_couplings.push_back(e.g);
-              const std::vector<double> couplings = perturbed(base_couplings, nf, aux);
+            for (const std::size_t R : {1ul, 3ul, 5ul, 8ul, 16ul})
+              expect_matches_reference(betas, smooth, grouped, warm, ice, mode, R, ++seed);
+}
 
-              std::vector<Rng> rngs;
-              for (std::size_t r = 0; r < R; ++r) rngs.push_back(Rng::for_stream(seed, r));
-              const auto batched =
-                  ice ? engine.anneal_batch_with(betas, fields, couplings, rngs, initial, mode)
-                      : engine.anneal_batch(betas, rngs, initial, mode);
-              ASSERT_EQ(batched.size(), R);
-              for (std::size_t r = 0; r < R; ++r) {
-                const std::size_t fo = ice ? r * n : 0;
-                const std::size_t co = ice ? r * base_couplings.size() : 0;
-                const std::vector<double> f_r(fields.begin() + fo, fields.begin() + fo + n);
-                const std::vector<double> c_r(couplings.begin() + co,
-                                              couplings.begin() + co + base_couplings.size());
-                // anneal_batch reads the engine's own coefficients.
-                const auto& f_ref = ice ? f_r : problem.fields();
-                const auto& c_ref = ice ? c_r : base_couplings;
-                Rng ref_rng = Rng::for_stream(seed, r);
-                const qubo::SpinVec expected =
-                    mode == anneal::AcceptMode::kThreshold32
-                        ? reference_anneal<float>(problem, f_ref, c_ref, groups, betas,
-                                                  ref_rng, initial)
-                        : reference_anneal<double>(problem, f_ref, c_ref, groups, betas,
-                                                   ref_rng, initial);
-                const std::string where =
-                    std::string(anneal::to_string(mode)) + " R=" + std::to_string(R) +
-                    " r=" + std::to_string(r) + (smooth ? " smooth" : " integer") +
-                    (grouped ? " groups" : "") + (warm ? " warm" : " cold") +
-                    (ice ? " ice" : " shared");
-                EXPECT_EQ(batched[r], expected) << where;
-                EXPECT_EQ(rngs[r](), ref_rng()) << where << ": stream state";
-              }
-            }
+// Reverse anneals: warm-started, reheated from beta_final back to half the
+// ramp through a pause and forward again, so every decision runs at a beta
+// sequence that falls and then rises.
+TEST(SaReferenceTest, ReverseScheduleMatchesReferenceSweep) {
+  const std::vector<double> betas =
+      anneal::Schedule{.anneal_time_us = 3.0, .pause_time_us = 0.5, .reverse = true,
+                       .reverse_depth = 0.5}
+          .betas();
+  std::uint64_t seed = 0x7E0;
+  for (const bool smooth : {false, true})
+    for (const bool grouped : {false, true})
+      for (const bool ice : {false, true})
+        for (const auto mode : {anneal::AcceptMode::kThreshold32, anneal::AcceptMode::kExact})
+          for (const std::size_t R : {1ul, 3ul, 5ul, 8ul, 16ul})
+            expect_matches_reference(betas, smooth, grouped, /*warm=*/true, ice, mode, R, ++seed);
 }
 
 }  // namespace
