@@ -9,9 +9,9 @@
 //  * anneal()/anneal_with() — ONE replica per call (the R = 1
 //    specialization of the batched kernel below);
 //  * anneal_batch()/anneal_batch_with() — R independent replicas per call,
-//    swept together by one batched kernel.  The kernel keeps all replica
-//    state in contiguous arrays with the replica index fastest-varying
-//    (spins[i*R + r], hloc[i*R + r]), walks the CSR adjacency ONCE per spin
+//    swept together by one batched kernel.  The kernel keeps the state of
+//    W replicas in contiguous arrays with the replica index fastest-varying
+//    (spins[i*W + r], hloc[i*W + r]), walks the CSR adjacency ONCE per spin
 //    per temperature step, and updates every replica's local fields in the
 //    inner loop — so the row's neighbor/coupling indices are loaded once for
 //    all replicas and the per-neighbor local-field updates are packed
@@ -24,20 +24,19 @@
 //    enforces this, and sa_reference_test.cpp checks both against a scalar
 //    reference sweep written from this contract).
 //
-// Kernel layout per accept mode.  kExact runs one kernel at the runtime R
-// over int8 spins and double fields.  kThreshold32 runs at a compile-time
-// replica width W in {8, 4, 2, 1}, the call's R split into such chunks
-// (5 -> 4+1, 10 -> 8+2; invisible, as anneal a draws only from stream a):
-// spins are float +-1 and fields float32, interleaved at i*W + r; every
-// CSR slot carries its doubled coupling 2c (precomputed for the shared
-// coefficients, built per call from ICE blocks); the W generators advance
-// in lockstep two per SSE2 vector; each decision yields a 0/1 accept mask
-// m per replica, and a flip adds 2c * s * m to every replica's neighbor
-// fields.  Adding +-0 for a replica that did not flip can change only the
-// sign of a zero field, which no decision reads (delta == 0 and
-// delta <= t treat -0 and +0 alike), so the masked update is bit-identical
-// to flipping only the accepting replicas.  set_groups() compiles each
-// group into one gather list (members, then its internal couplings).
+// One kernel, two accept rules.  Both modes run at a compile-time replica
+// width W in {8, 4, 2, 1}, the call's R split into such chunks (5 -> 4+1,
+// 10 -> 8+2; invisible, as anneal a draws only from stream a), with spins
+// and fields in the rule's precision (float for kThreshold32, double for
+// kExact) interleaved at i*W + r.  Every CSR slot carries its doubled
+// coupling 2c (precomputed for the shared coefficients, built per call from
+// ICE blocks).  Each decision asks the accept rule for a 0/1 mask m per
+// replica, and a flip adds 2c * s * m to every replica's neighbor fields.
+// Adding +-0 for a replica that did not flip can change only the sign of a
+// zero field, which no decision reads (both rules' tests treat -0 and +0
+// alike), so the masked update is bit-identical to flipping only the
+// accepting replicas.  set_groups() compiles each group into one gather
+// list (members, then its internal couplings).
 //
 // Collective (group) moves: single-spin dynamics cannot serve embedded
 // problems — once the ferromagnetic chains freeze, flipping a logical
@@ -87,10 +86,11 @@ namespace quamax::anneal {
 ///  * kExact — the v1 contract: accept an uphill move iff
 ///    uniform() < exp(-beta * dE), flip zero-cost moves on a coin.  RNG
 ///    consumption is data-dependent (a uniform only on uphill proposals, a
-///    coin only on zero-cost ones), so the accept loop is inherently scalar
-///    per replica: a `std::exp` call and two branches per spin per replica
-///    per sweep.  Bit-compatible with every result the library has ever
-///    produced.
+///    coin only on zero-cost ones), so the accept decision is scalar per
+///    replica: a `std::exp` call and two branches per spin per replica per
+///    sweep, inside the same W-wide kernel as kThreshold32 (double spins and
+///    fields, masked flips).  Bit-compatible with every result the library
+///    has ever produced.
 ///
 ///  * kThreshold32 — the v2 branch-free contract, and the serving default:
 ///    each decision PRE-DRAWS one uniform u_r per replica in a fixed,
@@ -181,48 +181,30 @@ class SaEngine {
       AcceptMode mode = AcceptMode::kExact) const;
 
  private:
-  /// The exact-mode (v1) sweep kernel at a runtime replica count R.  With
-  /// SharedCoeffs == false, `fields_il` and `couplings_il` are replica-
-  /// interleaved (entry index*R + r); with SharedCoeffs == true they are the
-  /// plain flat arrays (num_spins() / num_couplings() entries) read by every
-  /// replica — the ICE-off fast path that skips the O(R*(N+M)) broadcast
-  /// copy per call.  `rngs` points at R generator pointers, and the result
-  /// is written replica-interleaved into `spins_il` (R*num_spins()
-  /// entries).  For R == 1 the interleaved layout degenerates to the plain
-  /// scalar arrays.
-  template <bool SharedCoeffs>
-  void run_batch_kernel(std::size_t num_replicas,
-                        const std::vector<double>& betas,
-                        const double* fields_il, const double* couplings_il,
-                        Rng* const* rngs, const qubo::SpinVec* initial,
-                        std::int8_t* spins_il) const;
+  /// The sweep kernel at a compile-time replica width W for both accept
+  /// rules: Real == float runs kThreshold32, Real == double runs kExact.
+  /// Real +-1 spins and local fields interleaved (entry i*W + r), a 0/1
+  /// accept mask per decision, and masked flips that add 2c * s * m to every
+  /// replica's neighbor fields.  Coefficients are interleaved Real blocks
+  /// (`fields` i*W + r, `couplings` id*W + r, `twice` CSR slot e*W + r) or,
+  /// with SharedCoeffs, flat arrays read by every replica.  Writes replica
+  /// r's spins to out[r].
+  template <typename Real, std::size_t W, bool SharedCoeffs>
+  void run_kernel(const std::vector<double>& betas, const Real* fields,
+                  const Real* couplings, const Real* twice, Rng* const* rngs,
+                  const qubo::SpinVec* initial, qubo::SpinVec* out) const;
 
-  /// The threshold32 (v2) sweep kernel at a compile-time replica width W:
-  /// float +-1 spins and float32 local fields interleaved (entry i*W + r),
-  /// a 0/1 accept mask per decision, and masked flips that add 2c * s * m
-  /// to every replica's neighbor fields.  Coefficients are interleaved
-  /// float32 blocks (`fields` i*W + r, `couplings` id*W + r, `twice` CSR
-  /// slot e*W + r) or, with SharedCoeffs, flat arrays read by every
-  /// replica.  Writes replica r's spins to out[r].
-  template <std::size_t W, bool SharedCoeffs>
-  void run_threshold_kernel(const std::vector<double>& betas,
-                            const float* fields, const float* couplings,
-                            const float* twice, Rng* const* rngs,
-                            const qubo::SpinVec* initial,
-                            qubo::SpinVec* out) const;
+  /// Runs W replicas through run_kernel: the engine's base arrays (their
+  /// float32 images for threshold32), or (per_replica) W replica-major
+  /// double blocks converted and interleaved into the per-thread scratch
+  /// with their doubled CSR slots.
+  template <typename Real, std::size_t W>
+  void chunk(const std::vector<double>& betas, const double* fields_rm,
+             const double* couplings_rm, bool per_replica, Rng* const* rngs,
+             const qubo::SpinVec* initial, qubo::SpinVec* out) const;
 
-  /// Runs W replicas through run_threshold_kernel: the engine's float32
-  /// base arrays, or (per_replica) W replica-major double blocks rounded
-  /// and interleaved into the per-thread scratch with their doubled CSR
-  /// slots.
-  template <std::size_t W>
-  void threshold_chunk(const std::vector<double>& betas,
-                       const double* fields_rm, const double* couplings_rm,
-                       bool per_replica, Rng* const* rngs,
-                       const qubo::SpinVec* initial, qubo::SpinVec* out) const;
-
-  /// Anneals R replicas into out[0..R): threshold32 in chunks of width 8,
-  /// 4, 2, 1; exact mode in one run_batch_kernel call.  `fields_rm` and
+  /// Anneals R replicas into out[0..R) in chunks of width 8, 4, 2, 1, at
+  /// float for threshold32 and double for exact.  `fields_rm` and
   /// `couplings_rm` hold R replica-major blocks when `per_replica`, else
   /// the one base array every replica reads.
   void sweep(const std::vector<double>& betas, const double* fields_rm,
@@ -248,6 +230,7 @@ class SaEngine {
   std::vector<std::uint32_t> edge_i_;  ///< coupling id -> endpoint i
   std::vector<double> fields_;
   std::vector<double> coupling_values_;
+  std::vector<double> twice_;  ///< CSR slot e -> 2 * its coupling (exact)
   // float32 images of the base arrays, precomputed at construction for the
   // kThreshold32 shared-coefficient path (identical to rounding the base
   // arrays per call, without the per-call conversion), and each CSR slot's

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <tuple>
+#include <type_traits>
 
 #include "quamax/obs/profile.hpp"
 
@@ -74,33 +75,35 @@ typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
 typedef double F64x2 __attribute__((vector_size(16)));
 typedef float F32x2 __attribute__((vector_size(8)));
 
-/// Transposes R replica-major blocks of `count` entries (block r at
-/// rm[r*count ..)) into the kernels' replica-interleaved layout
-/// (il[i*R + r]); for Real == float the transpose doubles as the float32
-/// rounding pass.  O(R*count) once per batch — negligible against the sweep
+/// Transposes W replica-major blocks of `count` entries (block r at
+/// rm[r*count ..)) into the kernel's replica-interleaved layout
+/// (il[i*W + r]); for Real == float the transpose doubles as the float32
+/// rounding pass.  O(W*count) once per chunk — negligible against the sweep
 /// loop.
 template <typename Real>
-void interleave(const double* rm, std::size_t count, std::size_t R,
+void interleave(const double* rm, std::size_t count, std::size_t W,
                 std::vector<Real>& il) {
-  il.resize(count * R);
-  for (std::size_t r = 0; r < R; ++r)
+  il.resize(count * W);
+  for (std::size_t r = 0; r < W; ++r)
     for (std::size_t i = 0; i < count; ++i)
-      il[i * R + r] = static_cast<Real>(rm[r * count + i]);
+      il[i * W + r] = static_cast<Real>(rm[r * count + i]);
 }
 
-/// Per-thread scratch of the threshold32 kernel, one set shared by every
+/// Per-thread scratch of the sweep kernel, one set per Real shared by every
 /// width: the per-lane sampling loops reuse its capacity across calls, so
 /// the kernel allocates nothing after a lane's first call (every element
 /// read is written first; the engine itself stays immutable and shareable).
-struct ThresholdScratch {
-  std::vector<float> spins, hloc;                // n*W state
-  std::vector<float> fields, couplings, twice;   // ICE coefficient blocks
-  std::vector<float> threshold, heads;           // kDrawBlock*W per decision
+template <typename Real>
+struct Scratch {
+  std::vector<Real> spins, hloc;                // n*W state
+  std::vector<Real> fields, couplings, twice;   // ICE coefficient blocks
+  std::vector<float> threshold, heads;          // threshold32: kDrawBlock*W
 };
 
-ThresholdScratch& threshold_scratch() {
-  thread_local ThresholdScratch scratch;
-  return scratch;
+template <typename Real>
+Scratch<Real>& scratch() {
+  thread_local Scratch<Real> s;
+  return s;
 }
 
 /// Decisions per pre-draw block: the thresholds and coins stay
@@ -109,18 +112,17 @@ ThresholdScratch& threshold_scratch() {
 /// per decision, decisions in sweep order), so blocking is invisible.
 constexpr std::size_t kDrawBlock = 64;
 
-/// W float lanes, one per replica, held as W/4 four-float hardware vectors
-/// (one vector of W floats when W < 4) through the GCC/Clang vector
-/// extension: each per-replica step of the threshold32 kernel is W/4
-/// packed operations at any ISA level, lane r computing exactly replica
-/// r's scalar expression.  (A single 32-byte vector would be lowered
-/// through the stack on baseline x86-64.)
-template <std::size_t W>
+/// W lanes of Real, one per replica, held as W/k hardware vectors of 16
+/// bytes (k = four floats or two doubles; one vector of W lanes when W < k)
+/// through the GCC/Clang vector extension: each per-replica step of the
+/// kernel is W/k packed operations at any ISA level, lane r computing
+/// exactly replica r's scalar expression.  (A single 32-byte vector would be
+/// lowered through the stack on baseline x86-64.)
+template <typename Real, std::size_t W>
 struct Lanes {
-  static constexpr std::size_t kWidth = W < 4 ? W : 4;
+  static constexpr std::size_t kWidth = std::min(W, 16 / sizeof(Real));
   static constexpr std::size_t kParts = W / kWidth;
-  typedef float Part __attribute__((vector_size(kWidth * sizeof(float))));
-  typedef std::int32_t Bits __attribute__((vector_size(kWidth * sizeof(float))));
+  typedef Real Part __attribute__((vector_size(kWidth * sizeof(Real))));
   Part part[kParts];
 
   friend Lanes operator+(Lanes a, const Lanes& b) noexcept {
@@ -138,53 +140,150 @@ struct Lanes {
 };
 
 // Unaligned loads and stores through memcpy (one movups per 16 bytes).
-template <std::size_t W>
-Lanes<W> load(const float* p) noexcept {
-  Lanes<W> v;
+template <std::size_t W, typename Real>
+Lanes<Real, W> load(const Real* p) noexcept {
+  Lanes<Real, W> v;
   std::memcpy(v.part, p, sizeof v.part);
   return v;
 }
-template <std::size_t W>
-void store(float* p, const Lanes<W>& v) noexcept {
+template <std::size_t W, typename Real>
+void store(Real* p, const Lanes<Real, W>& v) noexcept {
   std::memcpy(p, v.part, sizeof v.part);
 }
-template <std::size_t W>
-Lanes<W> splat(float x) noexcept {
-  Lanes<W> v;
+template <std::size_t W, typename Real>
+Lanes<Real, W> splat(Real x) noexcept {
+  Lanes<Real, W> v;
   for (auto& part : v.part)
-    for (std::size_t r = 0; r < Lanes<W>::kWidth; ++r) part[r] = x;
+    for (std::size_t r = 0; r < Lanes<Real, W>::kWidth; ++r) part[r] = x;
   return v;
 }
 
-/// The threshold32 accept rule per lane, as a 0/1 mask: heads (1 iff
-/// u < 1/2) where delta == 0, else delta <= t.
-template <std::size_t W>
-Lanes<W> accept_lanes(const Lanes<W>& delta, const float* t,
-                      const float* heads) noexcept {
-  using L = Lanes<W>;
-  const L thresholds = load<W>(t);
-  const L coins = load<W>(heads);
-  const auto one = std::bit_cast<typename L::Bits>(splat<W>(1.0f).part[0]);
-  L mask;
-  for (std::size_t p = 0; p < L::kParts; ++p) {
-    const auto zero = delta.part[p] == 0.0f;
-    const auto below = delta.part[p] <= thresholds.part[p];
-    mask.part[p] = std::bit_cast<typename L::Part>(
-        (zero & std::bit_cast<typename L::Bits>(coins.part[p])) |
-        (~zero & below & one));
-  }
-  return mask;
-}
-
 /// Whether any lane of a 0/1 mask is set.
-template <std::size_t W>
-bool any(const Lanes<W>& mask) noexcept {
-  std::uint32_t words[W];
+template <typename Real, std::size_t W>
+bool any(const Lanes<Real, W>& mask) noexcept {
+  std::uint32_t words[sizeof mask / sizeof(std::uint32_t)];
   std::memcpy(words, mask.part, sizeof words);
   std::uint32_t set = 0;
   for (const std::uint32_t w : words) set |= w;
   return set != 0;
 }
+
+/// The threshold32 accept rule.  The W generators advance in lockstep, two
+/// per vector (one lane per replica), and are written back by finish().
+/// draw(count, beta) consumes exactly `count` uniforms per replica, in
+/// decision order — data-independent, so any chunking of the replicas or
+/// thread placement replays the same per-replica stream — and lands
+/// decision k's thresholds t = -log(u) / beta and coins (1.0f iff u < 1/2)
+/// at [k*W, (k+1)*W).  accept(k, delta) is the masked compare: the coin
+/// where delta == 0, else delta <= t.
+template <std::size_t W>
+class ThresholdRule {
+ public:
+  using L = Lanes<float, W>;
+
+  ThresholdRule(Rng* const* rngs, Scratch<float>& scratch) : rngs_(rngs) {
+    scratch.threshold.resize(kDrawBlock * W);
+    scratch.heads.resize(kDrawBlock * W);
+    t_ = scratch.threshold.data();
+    heads_ = scratch.heads.data();
+    for (std::size_t r = 0; r < W; ++r)
+      for (std::size_t w = 0; w < 4; ++w) state_[w][r] = rngs[r]->state()[w];
+  }
+
+  void draw(std::size_t count, double beta) noexcept {
+    const double inv_beta = 1.0 / beta;
+    if constexpr (W == 1) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const double u = unit_double<double>(
+            Rng::next(state_[0][0], state_[1][0], state_[2][0], state_[3][0]));
+        t_[k] = static_cast<float>(branchless_neg_log<double, std::uint64_t>(u) * inv_beta);
+        heads_[k] = u < 0.5 ? 1.0f : 0.0f;
+      }
+    } else {
+      for (std::size_t r = 0; r < W; r += 2) {
+        U64x2 w[4];
+        for (std::size_t j = 0; j < 4; ++j) w[j] = U64x2{state_[j][r], state_[j][r + 1]};
+        for (std::size_t k = 0; k < count; ++k) {
+          const F64x2 u = unit_double<F64x2>(Rng::next(w[0], w[1], w[2], w[3]));
+          const F64x2 thr = branchless_neg_log<F64x2, U64x2>(u) * inv_beta;
+          // 1.0 where u < 1/2 (an all-ones compare lane masks 1.0's bits).
+          const F64x2 coin = std::bit_cast<F64x2>(
+              std::bit_cast<U64x2>(u < 0.5) & 0x3FF0000000000000ull);
+          const F32x2 thr32 = __builtin_convertvector(thr, F32x2);
+          const F32x2 coin32 = __builtin_convertvector(coin, F32x2);
+          std::memcpy(t_ + k * W + r, &thr32, sizeof thr32);
+          std::memcpy(heads_ + k * W + r, &coin32, sizeof coin32);
+        }
+        for (std::size_t j = 0; j < 4; ++j) {
+          state_[j][r] = w[j][0];
+          state_[j][r + 1] = w[j][1];
+        }
+      }
+    }
+  }
+
+  L accept(std::size_t k, const L& delta) const noexcept {
+    typedef std::int32_t Bits __attribute__((vector_size(sizeof(typename L::Part))));
+    const L thresholds = load<W>(t_ + k * W);
+    const L coins = load<W>(heads_ + k * W);
+    const auto one = std::bit_cast<Bits>(splat<W>(1.0f).part[0]);
+    L mask;
+    for (std::size_t p = 0; p < L::kParts; ++p) {
+      const auto zero = delta.part[p] == 0.0f;
+      const auto below = delta.part[p] <= thresholds.part[p];
+      mask.part[p] = std::bit_cast<typename L::Part>(
+          (zero & std::bit_cast<Bits>(coins.part[p])) | (~zero & below & one));
+    }
+    return mask;
+  }
+
+  void finish() noexcept {
+    for (std::size_t r = 0; r < W; ++r)
+      rngs_[r]->set_state({state_[0][r], state_[1][r], state_[2][r], state_[3][r]});
+  }
+
+ private:
+  Rng* const* rngs_;
+  std::uint64_t state_[4][W] = {};
+  float* t_ = nullptr;
+  float* heads_ = nullptr;
+};
+
+/// The exact (v1) accept rule: each lane runs the scalar Metropolis
+/// decision on its own generator — a uniform and std::exp only on an
+/// uphill move, a coin only on a zero-cost move — so RNG consumption is
+/// data-dependent and the pass is scalar per lane.  Zero-cost flips are
+/// taken with probability 1/2: accepting them deterministically makes
+/// domain walls translate in lock-step with the sequential sweep and orbit
+/// forever instead of diffusing/annihilating.
+template <std::size_t W>
+class ExactRule {
+ public:
+  using L = Lanes<double, W>;
+
+  ExactRule(Rng* const* rngs, Scratch<double>&) : rngs_(rngs) {}
+
+  void draw(std::size_t, double beta) noexcept { beta_ = beta; }
+
+  L accept(std::size_t, const L& delta) const {
+    double d[W], m[W];
+    std::memcpy(d, delta.part, sizeof d);
+    for (std::size_t r = 0; r < W; ++r) {
+      const bool reject = d[r] > 0.0 ? rngs_[r]->uniform() >= std::exp(-beta_ * d[r])
+                                     : d[r] == 0.0 && rngs_[r]->coin();
+      m[r] = reject ? 0.0 : 1.0;
+    }
+    L mask;
+    std::memcpy(mask.part, m, sizeof m);
+    return mask;
+  }
+
+  void finish() noexcept {}
+
+ private:
+  Rng* const* rngs_;
+  double beta_ = 0.0;
+};
 
 }  // namespace
 
@@ -219,9 +318,12 @@ SaEngine::SaEngine(const qubo::IsingModel& problem) {
 
   fields_f32_.assign(fields_.begin(), fields_.end());
   couplings_f32_.assign(coupling_values_.begin(), coupling_values_.end());
+  twice_.resize(neighbor_.size());
   twice_f32_.resize(neighbor_.size());
-  for (std::size_t e = 0; e < neighbor_.size(); ++e)
+  for (std::size_t e = 0; e < neighbor_.size(); ++e) {
+    twice_[e] = 2.0 * coupling_values_[coupling_index_[e]];
     twice_f32_[e] = 2.0f * couplings_f32_[coupling_index_[e]];
+  }
 }
 
 void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
@@ -236,7 +338,7 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
       member_of[m] = 1u;
     }
     // Walk each member's CSR row, taking an edge from its i endpoint only;
-    // ascending coupling id keeps the kernels' accumulation order.
+    // ascending coupling id keeps the kernel's accumulation order.
     internal.clear();
     for (const std::uint32_t m : members)
       for (std::uint32_t k = row_offset_[m]; k < row_offset_[m + 1]; ++k)
@@ -253,204 +355,65 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
   }
 }
 
-// The exact-mode (v1) sweep kernel.  State arrays (spins, local fields) are
-// replica-interleaved (entry index*R + r) so that at a fixed spin/edge the R
-// replica values are contiguous: the CSR row indices are loaded once per
-// spin for ALL replicas and the per-replica inner loops run over adjacent
-// memory.  Coefficients are replica-interleaved too (the ICE path, one
-// perturbed realization per replica) unless SharedCoeffs, in which case all
-// replicas read the same flat base arrays — identical values, so the two
-// modes are bit-identical whenever the per-replica blocks are copies of the
-// base arrays.  Bit-identity with the scalar path is preserved by (a)
-// drawing replica r's randomness only from rngs[r], under exactly the
-// scalar path's conditions and order, and (b) performing each replica's
-// floating-point accumulations in the scalar path's order (edges within a
-// CSR row, members within a group).  RNG consumption is data-dependent
-// (uniform only on uphill, coin only on zero cost), so the decision loop
-// carries two unpredictable branches and a libm exp() per uphill proposal
-// and cannot vectorize.
-template <bool SharedCoeffs>
-void SaEngine::run_batch_kernel(std::size_t num_replicas,
-                                const std::vector<double>& betas,
-                                const double* fields_il,
-                                const double* couplings_il, Rng* const* rngs,
-                                const qubo::SpinVec* initial,
-                                std::int8_t* spins_il) const {
-  const std::size_t n = num_spins();
-  const std::size_t R = num_replicas;
-
-  if (initial != nullptr) {
-    require(initial->size() == n, "SaEngine: initial state size");
-    for (std::size_t i = 0; i < n; ++i)  // warm start: broadcast to all replicas
-      for (std::size_t r = 0; r < R; ++r) spins_il[i * R + r] = (*initial)[i];
-  } else {
-    // Random initial configuration (uniform superposition analog); replica r
-    // draws its N coins in spin order, as the scalar path does.
-    for (std::size_t r = 0; r < R; ++r)
-      for (std::size_t i = 0; i < n; ++i)
-        spins_il[i * R + r] = rngs[r]->coin() ? 1 : -1;
-  }
-  const auto coeff = [&](const double* base, std::size_t index, std::size_t r) {
-    return SharedCoeffs ? base[index] : base[index * R + r];
-  };
-
-  // hloc[i*R+r] = f_i^(r) + sum_j J_ij^(r) s_j^(r); flipping spin i of
-  // replica r changes its energy by -2 s_i hloc.
-  thread_local std::vector<double> hloc;
-  thread_local std::vector<double> acc;
-  hloc.resize(n * R);
-  acc.resize(R);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < R; ++r) acc[r] = 0.0;
-    for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
-      const std::int8_t* sn = spins_il + std::size_t{neighbor_[e]} * R;
-      for (std::size_t r = 0; r < R; ++r)
-        acc[r] += coeff(couplings_il, coupling_index_[e], r) *
-                  static_cast<double>(sn[r]);
-    }
-    for (std::size_t r = 0; r < R; ++r)
-      hloc[i * R + r] = coeff(fields_il, i, r) + acc[r];
-  }
-
-  // Flips spin i of the replicas in flipped[0..num_flipped): negate the
-  // spin, then push the change into the neighbors' local fields.
-  thread_local std::vector<std::uint32_t> flipped;
-  flipped.resize(R);
-  const auto flip_replicas = [&](std::size_t i, std::size_t num_flipped) {
-    std::int8_t* si = spins_il + i * R;
-    for (std::size_t k = 0; k < num_flipped; ++k) si[flipped[k]] = static_cast<std::int8_t>(-si[flipped[k]]);
-    for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
-      double* hn = hloc.data() + std::size_t{neighbor_[e]} * R;
-      for (std::size_t k = 0; k < num_flipped; ++k) {
-        const std::uint32_t r = flipped[k];
-        hn[r] += 2.0 * coeff(couplings_il, coupling_index_[e], r) *
-                 static_cast<double>(si[r]);
-      }
-    }
-  };
-
-  // Zero-cost flips are taken with probability 1/2: accepting them
-  // deterministically makes domain walls translate in lock-step with the
-  // sequential sweep and orbit forever instead of diffusing/annihilating.
-  const auto accept_pass = [&](double beta, const auto& delta_of) {
-    std::size_t num_flipped = 0;
-    for (std::size_t r = 0; r < R; ++r) {
-      const double delta_e = delta_of(r);
-      if (delta_e > 0.0 && rngs[r]->uniform() >= std::exp(-beta * delta_e))
-        continue;
-      if (delta_e == 0.0 && rngs[r]->coin()) continue;
-      flipped[num_flipped++] = static_cast<std::uint32_t>(r);
-    }
-    return num_flipped;
-  };
-
-  thread_local std::vector<double> sum_local;
-  thread_local std::vector<double> sum_internal;
-  sum_local.resize(R);
-  sum_internal.resize(R);
-  for (const double beta : betas) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t base = i * R;
-      const std::size_t num_flipped = accept_pass(beta, [&](std::size_t r) {
-        return -2.0 * static_cast<double>(spins_il[base + r]) * hloc[base + r];
-      });
-      if (num_flipped != 0) flip_replicas(i, num_flipped);
-    }
-
-    // Collective pass: dE = -2 (sum_{i in G} s_i hloc_i
-    //                           - 2 sum_{(i,j) internal} J_ij s_i s_j).
-    for (std::size_t g = 0; g + 1 < group_start_.size(); ++g) {
-      const std::uint32_t* p = group_gather_.data() + group_start_[g];
-      const std::uint32_t* end = group_gather_.data() + group_start_[g + 1];
-      const std::uint32_t num_members = *p++;
-      const std::uint32_t* members = p;
-      for (std::size_t r = 0; r < R; ++r) sum_local[r] = sum_internal[r] = 0.0;
-      for (; p < members + num_members; ++p) {
-        const std::int8_t* sm = spins_il + std::size_t{*p} * R;
-        const double* hm = hloc.data() + std::size_t{*p} * R;
-        for (std::size_t r = 0; r < R; ++r)
-          sum_local[r] += static_cast<double>(sm[r]) * hm[r];
-      }
-      for (; p < end; p += 3) {
-        const std::int8_t* si = spins_il + std::size_t{p[0]} * R;
-        const std::int8_t* sj = spins_il + std::size_t{p[1]} * R;
-        for (std::size_t r = 0; r < R; ++r)
-          sum_internal[r] += coeff(couplings_il, p[2], r) *
-                             static_cast<double>(si[r]) *
-                             static_cast<double>(sj[r]);
-      }
-      const std::size_t num_flipped = accept_pass(beta, [&](std::size_t r) {
-        return -2.0 * (sum_local[r] - 2.0 * sum_internal[r]);
-      });
-      // Members flip in declaration order, exactly as the scalar path's
-      // sequential flips, so shared-neighbor local fields accumulate the
-      // member contributions in the same order per replica.
-      if (num_flipped != 0)
-        for (std::uint32_t k = 0; k < num_members; ++k)
-          flip_replicas(members[k], num_flipped);
-    }
-  }
-}
-
-// The threshold32 (v2) sweep kernel at a compile-time replica width W.
-// State is replica-interleaved as in the exact kernel, but every state array
-// is float: spins are +-1.0f until the output, local fields and accumulators
-// float32.  Each per-replica step is one Lanes<W> operation (W lanes, one per
-// replica; every lane computes exactly the scalar expression, in the same
-// order).  Coefficients are interleaved (entry index*W + r, the ICE path)
-// or, with SharedCoeffs, the engine's flat float32 base arrays broadcast to
-// every lane; `twice` holds each CSR slot's doubled coupling 2c (slot
-// e*W + r, or e shared), so a flip adds 2c * s to a neighbor's field with
-// one multiply.
+// The sweep kernel at a compile-time replica width W, for both accept
+// rules: Real == float is threshold32, Real == double is exact.  State is
+// replica-interleaved (entry index*W + r), so at a fixed spin or edge the W
+// replica values are contiguous and the CSR row indices are loaded once for
+// all replicas; spins are Real +-1 until the output, local fields and
+// accumulators Real.  Each per-replica step is one Lanes<Real, W> operation
+// (every lane computes exactly the scalar expression, in the same order).
+// Coefficients are interleaved (entry index*W + r, the ICE path) or, with
+// SharedCoeffs, the engine's flat base arrays broadcast to every lane;
+// `twice` holds each CSR slot's doubled coupling 2c (slot e*W + r, or e
+// shared), so a flip adds 2c * s to a neighbor's field with one multiply.
 //
-// Every replica pre-draws ONE uniform per decision in a fixed order, the
-// draws are transformed once into energy thresholds t_r = -log(u_r)/beta by
-// a branch-free vector pass, and acceptance is the straight-line compare
-// delta_e <= t_r (zero-cost moves reuse u_r as the coin: u_r < 1/2).  The
-// accept pass yields a 0/1 float mask m_r, and a flip of spin i is applied
-// to all W replicas at once: s_r -= 2 s_r m_r, then every neighbor field
-// gains 2c * (s_r m_r).  For m_r = 1 that is the scalar path's exact
-// arithmetic.  For m_r = 0 the replica adds +-0, which leaves every nonzero
-// field bit-identical and can change only the SIGN of a zero field; no
-// decision can read that sign, because a zero field yields delta_e = +-0
-// and both `delta_e == 0` and `delta_e <= t` treat -0 and +0 alike (a +-0
-// term added to a nonzero sum leaves it unchanged, so the sign cannot reach
-// a nonzero value either).  The result is therefore bit-identical to W
-// scalar anneals: replica r draws only from rngs[r], in the scalar order,
-// and accumulates every field and group sum in the scalar order.
-template <std::size_t W, bool SharedCoeffs>
-void SaEngine::run_threshold_kernel(const std::vector<double>& betas,
-                                    const float* fields, const float* couplings,
-                                    const float* twice, Rng* const* rngs,
-                                    const qubo::SpinVec* initial,
-                                    qubo::SpinVec* out) const {
-  using V = Lanes<W>;
+// Each decision asks the rule for a 0/1 accept mask m_r (see ThresholdRule
+// and ExactRule), and a flip of spin i is applied to all W replicas at
+// once: s_r -= 2 s_r m_r, then every neighbor field gains 2c * (s_r m_r).
+// For m_r = 1 that is the scalar path's exact arithmetic.  For m_r = 0 the
+// replica adds +-0, which leaves every nonzero field bit-identical and can
+// change only the SIGN of a zero field; no decision can read that sign,
+// because a zero field yields delta_e = +-0 and both rules' tests —
+// `delta_e == 0` and `delta_e <= t` for threshold32, `delta_e > 0` and
+// `delta_e == 0` for exact — treat -0 and +0 alike (a +-0 term added to a
+// nonzero sum leaves it unchanged, so the sign cannot reach a nonzero value
+// either).  The result is therefore bit-identical to W scalar anneals:
+// replica r draws only from rngs[r], in the scalar order (every draw, and
+// the order of draws, is the rule's scalar one), and accumulates every
+// field and group sum in the scalar order.
+template <typename Real, std::size_t W, bool SharedCoeffs>
+void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
+                          const Real* couplings, const Real* twice, Rng* const* rngs,
+                          const qubo::SpinVec* initial, qubo::SpinVec* out) const {
+  using V = Lanes<Real, W>;
+  using Rule = std::conditional_t<std::is_same_v<Real, float>, ThresholdRule<W>, ExactRule<W>>;
   // Coefficient `index` of every replica: W interleaved entries, or the one
   // shared entry in every lane.
-  const auto coeff = [](const float* base, std::size_t index) {
+  const auto coeff = [](const Real* base, std::size_t index) {
     return SharedCoeffs ? splat<W>(base[index]) : load<W>(base + index * W);
   };
   const std::size_t n = num_spins();
-  ThresholdScratch& scratch = threshold_scratch();
-  scratch.spins.resize(n * W);
-  scratch.hloc.resize(n * W);
-  scratch.threshold.resize(kDrawBlock * W);
-  scratch.heads.resize(kDrawBlock * W);
-  float* const s = scratch.spins.data();
-  float* const h = scratch.hloc.data();
+  Scratch<Real>& buffers = scratch<Real>();
+  buffers.spins.resize(n * W);
+  buffers.hloc.resize(n * W);
+  Real* const s = buffers.spins.data();
+  Real* const h = buffers.hloc.data();
 
   if (initial != nullptr) {
     require(initial->size() == n, "SaEngine: initial state size");
     for (std::size_t i = 0; i < n; ++i)  // warm start: broadcast to all replicas
-      store(s + i * W, splat<W>(static_cast<float>((*initial)[i])));
+      store(s + i * W, splat<W>(static_cast<Real>((*initial)[i])));
   } else {
-    // Replica r draws its N coins in spin order, as the scalar path does.
+    // Random initial configuration (uniform superposition analog); replica r
+    // draws its N coins in spin order, as the scalar path does.
     for (std::size_t r = 0; r < W; ++r)
-      for (std::size_t i = 0; i < n; ++i) s[i * W + r] = rngs[r]->coin() ? 1.0f : -1.0f;
+      for (std::size_t i = 0; i < n; ++i) s[i * W + r] = rngs[r]->coin() ? Real(1) : Real(-1);
   }
 
+  // hloc[i*W+r] = f_i^(r) + sum_j J_ij^(r) s_j^(r); flipping spin i of
+  // replica r changes its energy by -2 s_i hloc.
   for (std::size_t i = 0; i < n; ++i) {
-    V acc = splat<W>(0.0f);
+    V acc = splat<W>(Real(0));
     for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e)
       acc = acc + coeff(couplings, coupling_index_[e]) * load<W>(s + std::size_t{neighbor_[e]} * W);
     store(h + i * W, coeff(fields, i) + acc);
@@ -460,67 +423,25 @@ void SaEngine::run_threshold_kernel(const std::vector<double>& betas,
   // replicas; see the +-0 argument above.
   const auto flip = [&](std::size_t i, V mask) {
     V si = load<W>(s + i * W);
-    si = si - splat<W>(2.0f) * si * mask;
+    si = si - splat<W>(Real(2)) * si * mask;
     store(s + i * W, si);
     const V sm = si * mask;
     for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
-      float* hn = h + std::size_t{neighbor_[e]} * W;
+      Real* hn = h + std::size_t{neighbor_[e]} * W;
       store(hn, load<W>(hn) + coeff(twice, e) * sm);
     }
   };
 
-  // The W generators advance in lockstep, two per vector (one lane per
-  // replica), and are written back after the last sweep.  Pre-drawing
-  // `count` decisions consumes exactly `count` uniforms per replica, in
-  // decision order — data-independent, so any chunking of the replicas or
-  // thread placement replays the same per-replica stream.  Decision k's
-  // thresholds and coins (1.0f iff u < 1/2) land at [k*W, (k+1)*W).
-  std::uint64_t state[4][W];
-  for (std::size_t r = 0; r < W; ++r)
-    for (std::size_t w = 0; w < 4; ++w) state[w][r] = rngs[r]->state()[w];
-  float* const t = scratch.threshold.data();
-  float* const heads = scratch.heads.data();
-  const auto draw_thresholds = [&](std::size_t count, double inv_beta) {
-    if constexpr (W == 1) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const double u = unit_double<double>(
-            Rng::next(state[0][0], state[1][0], state[2][0], state[3][0]));
-        t[k] = static_cast<float>(branchless_neg_log<double, std::uint64_t>(u) * inv_beta);
-        heads[k] = u < 0.5 ? 1.0f : 0.0f;
-      }
-    } else {
-      for (std::size_t r = 0; r < W; r += 2) {
-        U64x2 w[4];
-        for (std::size_t j = 0; j < 4; ++j) w[j] = U64x2{state[j][r], state[j][r + 1]};
-        for (std::size_t k = 0; k < count; ++k) {
-          const F64x2 u = unit_double<F64x2>(Rng::next(w[0], w[1], w[2], w[3]));
-          const F64x2 thr = branchless_neg_log<F64x2, U64x2>(u) * inv_beta;
-          // 1.0 where u < 1/2 (an all-ones compare lane masks 1.0's bits).
-          const F64x2 coin = std::bit_cast<F64x2>(
-              std::bit_cast<U64x2>(u < 0.5) & 0x3FF0000000000000ull);
-          const F32x2 thr32 = __builtin_convertvector(thr, F32x2);
-          const F32x2 coin32 = __builtin_convertvector(coin, F32x2);
-          std::memcpy(t + k * W + r, &thr32, sizeof thr32);
-          std::memcpy(heads + k * W + r, &coin32, sizeof coin32);
-        }
-        for (std::size_t j = 0; j < 4; ++j) {
-          state[j][r] = w[j][0];
-          state[j][r + 1] = w[j][1];
-        }
-      }
-    }
-  };
-
+  // Constructed after the cold start: threshold32's lockstep generators
+  // copy the streams' states past their initial coins.
+  Rule rule(rngs, buffers);
   for (const double beta : betas) {
-    const double inv_beta = 1.0 / beta;
     for (std::size_t i0 = 0; i0 < n; i0 += kDrawBlock) {
       const std::size_t block = std::min(kDrawBlock, n - i0);
-      draw_thresholds(block, inv_beta);
+      rule.draw(block, beta);
       for (std::size_t k = 0; k < block; ++k) {
         const std::size_t i = i0 + k;
-        const V mask =
-            accept_lanes(splat<W>(-2.0f) * load<W>(s + i * W) * load<W>(h + i * W),
-                         t + k * W, heads + k * W);
+        const V mask = rule.accept(k, splat<W>(Real(-2)) * load<W>(s + i * W) * load<W>(h + i * W));
         if (any(mask)) flip(i, mask);
       }
     }
@@ -532,59 +453,62 @@ void SaEngine::run_threshold_kernel(const std::vector<double>& betas,
     const std::size_t num_groups = group_start_.size() - 1;
     for (std::size_t g0 = 0; g0 < num_groups; g0 += kDrawBlock) {
       const std::size_t block = std::min(kDrawBlock, num_groups - g0);
-      draw_thresholds(block, inv_beta);
+      rule.draw(block, beta);
       for (std::size_t k = 0; k < block; ++k) {
         const std::uint32_t* p = group_gather_.data() + group_start_[g0 + k];
         const std::uint32_t* end = group_gather_.data() + group_start_[g0 + k + 1];
         const std::uint32_t num_members = *p++;
         const std::uint32_t* members = p;
-        V sum_local = splat<W>(0.0f);
+        V sum_local = splat<W>(Real(0));
         for (; p < members + num_members; ++p)
           sum_local = sum_local + load<W>(s + std::size_t{*p} * W) * load<W>(h + std::size_t{*p} * W);
-        V sum_internal = splat<W>(0.0f);
+        V sum_internal = splat<W>(Real(0));
         for (; p < end; p += 3)
           sum_internal = sum_internal + coeff(couplings, p[2]) *
                                             load<W>(s + std::size_t{p[0]} * W) *
                                             load<W>(s + std::size_t{p[1]} * W);
         const V mask =
-            accept_lanes(splat<W>(-2.0f) * (sum_local - splat<W>(2.0f) * sum_internal),
-                         t + k * W, heads + k * W);
+            rule.accept(k, splat<W>(Real(-2)) * (sum_local - splat<W>(Real(2)) * sum_internal));
         // Members flip in declaration order, as the scalar path's
-        // sequential flips do.
+        // sequential flips do, so shared-neighbor fields accumulate the
+        // member contributions in the same order per replica.
         if (any(mask))
           for (std::uint32_t m = 0; m < num_members; ++m) flip(members[m], mask);
       }
     }
   }
+  rule.finish();
 
-  for (std::size_t r = 0; r < W; ++r) {
-    rngs[r]->set_state({state[0][r], state[1][r], state[2][r], state[3][r]});
+  for (std::size_t r = 0; r < W; ++r)
     for (std::size_t i = 0; i < n; ++i) out[r][i] = static_cast<std::int8_t>(s[i * W + r]);
-  }
 }
 
-template <std::size_t W>
-void SaEngine::threshold_chunk(const std::vector<double>& betas,
-                               const double* fields_rm,
-                               const double* couplings_rm, bool per_replica,
-                               Rng* const* rngs, const qubo::SpinVec* initial,
-                               qubo::SpinVec* out) const {
+template <typename Real, std::size_t W>
+void SaEngine::chunk(const std::vector<double>& betas, const double* fields_rm,
+                     const double* couplings_rm, bool per_replica, Rng* const* rngs,
+                     const qubo::SpinVec* initial, qubo::SpinVec* out) const {
   if (!per_replica) {
-    // The ICE-off serve workload: the precomputed float32 base arrays feed
-    // the shared-coefficient kernel — no per-call conversion, no broadcast.
-    run_threshold_kernel<W, true>(betas, fields_f32_.data(), couplings_f32_.data(),
-                                  twice_f32_.data(), rngs, initial, out);
+    // The ICE-off serve workload: the base arrays (float32 images for
+    // threshold32) and their doubled CSR slots, precomputed at construction,
+    // feed the shared-coefficient kernel — no per-call conversion, no
+    // broadcast.
+    if constexpr (std::is_same_v<Real, float>)
+      run_kernel<float, W, true>(betas, fields_f32_.data(), couplings_f32_.data(),
+                                 twice_f32_.data(), rngs, initial, out);
+    else
+      run_kernel<double, W, true>(betas, fields_.data(), coupling_values_.data(),
+                                  twice_.data(), rngs, initial, out);
     return;
   }
-  ThresholdScratch& scratch = threshold_scratch();
-  interleave(fields_rm, num_spins(), W, scratch.fields);
-  interleave(couplings_rm, num_couplings(), W, scratch.couplings);
-  scratch.twice.resize(neighbor_.size() * W);
+  Scratch<Real>& buffers = scratch<Real>();
+  interleave(fields_rm, num_spins(), W, buffers.fields);
+  interleave(couplings_rm, num_couplings(), W, buffers.couplings);
+  buffers.twice.resize(neighbor_.size() * W);
   for (std::size_t e = 0; e < neighbor_.size(); ++e)
     for (std::size_t r = 0; r < W; ++r)
-      scratch.twice[e * W + r] = 2.0f * scratch.couplings[coupling_index_[e] * W + r];
-  run_threshold_kernel<W, false>(betas, scratch.fields.data(), scratch.couplings.data(),
-                                 scratch.twice.data(), rngs, initial, out);
+      buffers.twice[e * W + r] = Real(2) * buffers.couplings[coupling_index_[e] * W + r];
+  run_kernel<Real, W, false>(betas, buffers.fields.data(), buffers.couplings.data(),
+                             buffers.twice.data(), rngs, initial, out);
 }
 
 void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
@@ -594,55 +518,28 @@ void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
                      qubo::SpinVec* out) const {
   const std::size_t n = num_spins();
   const std::size_t m = num_couplings();
-  if (mode == AcceptMode::kThreshold32) {
-    // Widths 8, 4, 2, 1 cover any R (5 -> 4+1, 10 -> 8+2): anneal a draws
-    // only from stream a, so the chunking is invisible in the results.
+  // Widths 8, 4, 2, 1 cover any R (5 -> 4+1, 10 -> 8+2): anneal a draws
+  // only from stream a, so the chunking is invisible in the results.
+  const auto run = [&](auto real) {
+    using Real = decltype(real);
     for (std::size_t c0 = 0; c0 < R;) {
       const std::size_t left = R - c0;
       const std::size_t width = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
       const double* f = fields_rm + (per_replica ? c0 * n : 0);
       const double* c = couplings_rm + (per_replica ? c0 * m : 0);
       switch (width) {
-        case 8: threshold_chunk<8>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        case 4: threshold_chunk<4>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        case 2: threshold_chunk<2>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        default: threshold_chunk<1>(betas, f, c, per_replica, rngs + c0, initial, out + c0);
+        case 8: chunk<Real, 8>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        case 4: chunk<Real, 4>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        case 2: chunk<Real, 2>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        default: chunk<Real, 1>(betas, f, c, per_replica, rngs + c0, initial, out + c0);
       }
       c0 += width;
     }
-    return;
-  }
-
-  // Exact mode.  R == 1 writes straight into the result (interleaved ==
-  // flat); larger R de-interleaves below.  The interleaved scratch is
-  // thread_local: the per-lane sampling loops call this once per block and
-  // every element is overwritten.
-  thread_local std::vector<std::int8_t> spins_il;
-  std::int8_t* spins = out[0].data();
-  if (R > 1) {
-    spins_il.resize(n * R);
-    spins = spins_il.data();
-  }
-  if (R == 1) {
-    // Scalar specialization: interleaved and flat layouts coincide, so the
-    // caller's arrays feed the kernel directly.
-    run_batch_kernel<false>(1, betas, fields_rm, couplings_rm, rngs, initial, spins);
-  } else if (!per_replica) {
-    // Shared-coefficient fast path (the ICE-off workload): every replica
-    // reads the same flat base arrays, so the O(R*(N+M)) broadcast into the
-    // interleaved layout is skipped entirely.
-    run_batch_kernel<true>(R, betas, fields_rm, couplings_rm, rngs, initial, spins);
-  } else {
-    thread_local std::vector<double> fields_il;
-    thread_local std::vector<double> couplings_il;
-    interleave(fields_rm, n, R, fields_il);
-    interleave(couplings_rm, m, R, couplings_il);
-    run_batch_kernel<false>(R, betas, fields_il.data(), couplings_il.data(),
-                            rngs, initial, spins);
-  }
-  if (R > 1)
-    for (std::size_t r = 0; r < R; ++r)
-      for (std::size_t i = 0; i < n; ++i) out[r][i] = spins[i * R + r];
+  };
+  if (mode == AcceptMode::kThreshold32)
+    run(0.0f);
+  else
+    run(0.0);
 }
 
 std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
