@@ -3,15 +3,12 @@
 
 Usage:
     metrics_check.py METRICS.json
-    metrics_check.py --emit BINARY [ARG...]
 
-The first form validates a metrics file written by
-`serve::RunObserver::finish` (the `--metrics FILE` / `QUAMAX_METRICS` knob
-of the serving binaries, JSON flavor).  The second form runs BINARY with
-QUAMAX_METRICS pointed at a temp file, then validates what it wrote —
-this is the `metrics_roundtrip` and `warmstart_metrics_roundtrip` CTests,
-so a change to the windowed collector that breaks the accounting
-invariants fails the suite offline.
+Validates a metrics file written by `serve::RunObserver::finish` (the
+`--metrics FILE` / `QUAMAX_METRICS` knob of the serving binaries).  The
+`output_pins` CTest (tools/output_pins.py) runs `validate` on every metrics
+file its commands write, so a change to the windowed collector that breaks
+the accounting invariants fails the suite offline.
 
 Checks, in order:
 
@@ -50,10 +47,7 @@ Exit code 0 = metrics valid, 1 = a check failed, 2 = bad input/usage.
 """
 
 import json
-import os
-import subprocess
 import sys
-import tempfile
 
 COUNTERS = ["submitted", "completed", "fallbacks", "dropped", "failed",
             "retries", "missed", "resolved", "waves", "failed_waves", "bits"]
@@ -216,22 +210,6 @@ def validate(path):
 
 
 def main(argv):
-    if len(argv) >= 3 and argv[1] == "--emit":
-        with tempfile.TemporaryDirectory() as tmp:
-            metrics_path = os.path.join(tmp, "metrics.json")
-            env = dict(os.environ, QUAMAX_METRICS=metrics_path,
-                       QUAMAX_SLO="miss_rate<=0.05,p99<=100000")
-            proc = subprocess.run(argv[2:], env=env,
-                                  stdout=subprocess.DEVNULL)
-            if proc.returncode != 0:
-                print(f"metrics_check: emitter exited {proc.returncode}",
-                      file=sys.stderr)
-                return 2
-            if not os.path.exists(metrics_path):
-                print("metrics_check: emitter wrote no metrics",
-                      file=sys.stderr)
-                return 2
-            return validate(metrics_path)
     if len(argv) == 2 and not argv[1].startswith("-"):
         return validate(argv[1])
     print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)

@@ -3,14 +3,12 @@
 
 Usage:
     trace_to_chrome.py TRACE.json
-    trace_to_chrome.py --emit BINARY [ARG...]
 
-The first form validates an existing trace written by
-`obs::write_chrome_trace` (the `--trace FILE` / `QUAMAX_TRACE` knob of the
-serving binaries).  The second form runs BINARY with QUAMAX_TRACE pointed
-at a temp file, then validates what it wrote — this is the `trace_roundtrip`
-CTest, so a change to the emitter that breaks the JSON, the span nesting,
-or the virtual-clock accounting fails the suite offline.
+Validates a trace written by `obs::write_chrome_trace` (the `--trace FILE`
+/ `QUAMAX_TRACE` knob of the serving binaries).  The `output_pins` CTest
+(tools/output_pins.py) runs `validate` on every trace its commands write,
+so a change to the emitter that breaks the JSON, the span nesting, or the
+virtual-clock accounting fails the suite offline.
 
 Checks, in order:
 
@@ -41,10 +39,7 @@ Exit code 0 = trace valid, 1 = a check failed, 2 = bad input/usage.
 """
 
 import json
-import os
-import subprocess
 import sys
-import tempfile
 
 
 def fail(problems):
@@ -217,20 +212,6 @@ def validate(path):
 
 
 def main(argv):
-    if len(argv) >= 3 and argv[1] == "--emit":
-        with tempfile.TemporaryDirectory() as tmp:
-            trace_path = os.path.join(tmp, "trace.json")
-            env = dict(os.environ, QUAMAX_TRACE=trace_path)
-            proc = subprocess.run(argv[2:], env=env, stdout=subprocess.DEVNULL)
-            if proc.returncode != 0:
-                print(f"trace_to_chrome: emitter exited "
-                      f"{proc.returncode}", file=sys.stderr)
-                return 2
-            if not os.path.exists(trace_path):
-                print("trace_to_chrome: emitter wrote no trace",
-                      file=sys.stderr)
-                return 2
-            return validate(trace_path)
     if len(argv) == 2 and not argv[1].startswith("-"):
         return validate(argv[1])
     print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
