@@ -2,10 +2,11 @@
 """Byte pins for every determinism command's output: one manifest.
 
 Usage:
-    output_pins.py --bin-dir BUILD [--record]
+    output_pins.py --bin-dir BUILD [--test NAME] [--record]
 
 Each ENTRIES row is one command -- a name, its QUAMAX_SCALE, a binary
-relative to the CMake build tree BUILD and its arguments -- plus variants
+relative to the CMake build tree BUILD and its arguments, and the CTest of
+TESTS that runs it -- plus variants
 that must print the same bytes: other --threads/--replicas settings, other
 spellings of the same knobs (`--f v`, `--f=v`, QUAMAX_* variables), and
 observed runs (--trace, --metrics, --slo, --prof).  Every variant runs with
@@ -26,12 +27,16 @@ Checks, in order:
 
 Every pinned byte is a pure function of the command: the virtual clock and
 the counter-derived RNG streams never depend on lanes, replica blocks,
-observation or host load.  `--record` prints the current PINS table
-instead of checking it, and refuses (exit 1) when a check 1-3 fails.
+observation or host load.  `--test NAME` runs only the entries of that
+CTest (tests/CMakeLists.txt registers one per TESTS name); without it the
+whole manifest runs.  `--record` prints the current PINS rows of the
+entries run instead of checking them, and refuses (exit 1) when a check
+1-3 fails.
 
 Exit code 0 = every pin holds, 1 = a check failed, 2 = bad usage.
 """
 
+import argparse
 import concurrent.futures
 import contextlib
 import difflib
@@ -62,9 +67,19 @@ def spellings(**knobs):
             ([], {f"QUAMAX_{k.upper()}": v for k, v in knobs.items()})]
 
 
-def entry(name, scale, binary, args, variants=THREADS, wall=()):
+# The CTests that run the manifest, each a share of its entries:
+# output_pins the stdout-only commands, trace_pins the observed serving
+# smokes and fault runs, and the round trips the walkthrough's trace and
+# metrics and bench_warmstart's full-mode metrics.
+TESTS = ("output_pins", "trace_pins", "trace_roundtrip", "metrics_roundtrip",
+         "warmstart_metrics_roundtrip")
+
+
+def entry(name, scale, binary, args, variants=THREADS, wall=(),
+          test="output_pins"):
+    assert test in TESTS, test
     return {"name": name, "scale": scale, "binary": binary, "args": args,
-            "variants": variants, "wall": wall}
+            "variants": variants, "wall": wall, "test": test}
 
 
 WARM_OBS = (T8[0] + ["--trace", "trace.json", "--metrics", "metrics.json",
@@ -98,12 +113,13 @@ ENTRIES = [
               ["smoke", "--downlink", "0.5", "--devices", dev]),
         entry(f"warm_d{dev}", "0.5", "bench/bench_warmstart",
               ["smoke", "--coherence", "0.9", "--devices", dev],
-              variants=THREADS + [WARM_OBS]),
+              variants=THREADS + [WARM_OBS], test="trace_pins"),
         entry(f"fault_d{dev}", "0.5", "bench/bench_fault",
-              ["smoke", "--devices", dev], variants=THREADS + [FAULT_OBS]),
+              ["smoke", "--devices", dev], variants=THREADS + [FAULT_OBS],
+              test="trace_pins"),
         entry(f"plan_d{dev}", "0.5", "bench/bench_fault",
               ["smoke", "--fault-plan", PLAN, "--devices", dev],
-              variants=THREADS + [PLAN_OBS]),
+              variants=THREADS + [PLAN_OBS], test="trace_pins"),
     )
 ] + [
     entry("knob_serve", "0.5", "bench/bench_serve_load", ["smoke"],
@@ -115,17 +131,22 @@ ENTRIES = [
     entry("fault_full", "0.5", "bench/bench_fault",
           ["--json", "raw.json", "--metrics", "metrics.json",
            "--trace", "trace.json"],
-          variants=[(["--threads", "0"], {}), T1], wall=("raw.json",)),
+          variants=[(["--threads", "0"], {}), T1], wall=("raw.json",),
+          test="trace_pins"),
     entry("warmstart_full", "0.5", "bench/bench_warmstart", [],
           variants=[(["--threads", "0"], {}), T1]),
     entry("warmstart_full_metrics", "0.05", "bench/bench_warmstart", [],
-          variants=[(T1[0], WARM_METRICS), (T8[0], WARM_METRICS)]),
-    entry("cran", "0.1", "examples/cran_service", [],
-          variants=[(T1[0] + ["--trace", "trace.json",
-                              "--metrics", "metrics.json"], {}),
-                    (T8[0], {"QUAMAX_TRACE": "trace.json",
-                             "QUAMAX_METRICS": "metrics.json"}),
-                    ([], {})]),
+          variants=[(T1[0], WARM_METRICS), (T8[0], WARM_METRICS)],
+          test="warmstart_metrics_roundtrip"),
+    entry("cran_trace", "0.1", "examples/cran_service", [],
+          variants=[(T1[0] + ["--trace", "trace.json"], {}),
+                    (T8[0], {"QUAMAX_TRACE": "trace.json"}),
+                    ([], {})],
+          test="trace_roundtrip"),
+    entry("cran_metrics", "0.1", "examples/cran_service", [],
+          variants=[(T1[0] + ["--metrics", "metrics.json"], {}),
+                    (T8[0], {"QUAMAX_METRICS": "metrics.json"})],
+          test="metrics_roundtrip"),
 ]
 
 # sha256 of every pinned output, "entry/stdout" and "entry/FILE" keys.
@@ -148,11 +169,13 @@ PINS = {
         "1a29706208146c9a98a185864dee399e26b797410ab6c59daa7b7cb70d130582",
     "bench_reverse_annealing/stdout":
         "2c346f7562d9e1cea9c778ab4b6b484d6d3b12eb18ee977f7edd90c97b63435c",
-    "cran/metrics.json":
+    "cran_metrics/metrics.json":
         "4f5fd443459cab8ab34c434429197b8337e341274b679b647cafc667852b23bf",
-    "cran/stdout":
+    "cran_metrics/stdout":
         "6211db644ef35565fa4f4d4047c2af8a755868690d522049e2c6f75cf0367d86",
-    "cran/trace.json":
+    "cran_trace/stdout":
+        "6211db644ef35565fa4f4d4047c2af8a755868690d522049e2c6f75cf0367d86",
+    "cran_trace/trace.json":
         "4f2223691e75862c29aaee29325e7503209a66ac8f7015beae8b9f6ebf00a1a0",
     "duplex_d1/stdout":
         "2145275fbe6d84c610c6af47bf1e2186092657efa5bd9f3cedb0c4ad0b7002e4",
@@ -253,9 +276,9 @@ def check_files(e, label, cwd, outputs, problems):
             problems.append(f"{label}: {file} differs from another variant's")
 
 
-def run_all(bin_dir):
-    """Runs every variant of every entry; returns ({key: sha256}, problems)."""
-    jobs = [(e, i, v) for e in ENTRIES for i, v in enumerate(e["variants"])]
+def run_all(bin_dir, entries):
+    """Runs every variant of `entries`; returns ({key: sha256}, problems)."""
+    jobs = [(e, i, v) for e in entries for i, v in enumerate(e["variants"])]
     workers = min(4, os.cpu_count() or 1)
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(run_variant, bin_dir, e, v) for e, _, v in jobs]
@@ -284,19 +307,26 @@ def run_all(bin_dir):
 
 
 def main(argv):
-    if len(argv) < 3 or argv[1] != "--bin-dir" or argv[3:] not in ([], ["--record"]):
-        print(__doc__, file=sys.stderr)
-        return 2
-    outputs, problems = run_all(os.path.abspath(argv[2]))
-    if argv[3:] == ["--record"]:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--bin-dir", required=True)
+    parser.add_argument("--test", choices=TESTS)
+    parser.add_argument("--record", action="store_true")
+    opts = parser.parse_args(argv[1:])
+    entries = [e for e in ENTRIES if opts.test in (None, e["test"])]
+    names = {e["name"] for e in entries}
+    outputs, problems = run_all(os.path.abspath(opts.bin_dir), entries)
+    if opts.record:
         if not problems:
             for key, digest in sorted(outputs.items()):
                 print(f'    "{key}":\n        "{digest}",')
     else:
-        for key in sorted(set(PINS) | set(outputs)):
-            if PINS.get(key) != outputs.get(key):
+        pins = {k: v for k, v in PINS.items()
+                if opts.test is None or k.split("/")[0] in names}
+        for key in sorted(set(pins) | set(outputs)):
+            if pins.get(key) != outputs.get(key):
                 problems.append(f"{key}: sha256 {outputs.get(key)} "
-                                f"!= pinned {PINS.get(key)}")
+                                f"!= pinned {pins.get(key)}")
     for problem in problems:
         print(f"output_pins: FAIL: {problem}", file=sys.stderr)
     return 1 if problems else 0
