@@ -5,9 +5,9 @@ Usage:
     output_pins.py --bin-dir BUILD [--test NAME] [--record]
 
 Each ENTRIES row is one command -- a name, its QUAMAX_SCALE, a binary
-relative to the CMake build tree BUILD and its arguments, and the CTest of
-TESTS that runs it -- plus variants
-that must print the same bytes: other --threads/--replicas settings, other
+relative to the CMake build tree BUILD and its arguments, the files it may
+write and the CTest of TESTS that runs it -- plus variants that must print
+the same bytes: other --threads/--replicas settings, other
 spellings of the same knobs (`--f v`, `--f=v`, QUAMAX_* variables), and
 observed runs (--trace, --metrics, --slo, --prof).  Every variant runs with
 no inherited QUAMAX_* variable, in a fresh temp dir as its cwd, so the
@@ -19,11 +19,13 @@ Checks, in order:
      miss, the gated benches on a failed acceptance line);
   2. all variants of an entry print the same stdout, and any file two
      variants write holds the same bytes in both;
-  3. every trace*.json passes trace_to_chrome.validate and every
+  3. every variant writes each of the entry's `files` that its arguments
+     or environment name (by flag or QUAMAX_* value alike), and no other
+     file; every trace*.json passes trace_to_chrome.validate and every
      metrics*.json passes metrics_check.validate;
   4. the sha256 of each entry's stdout and of each file it writes matches
-     PINS ("entry/stdout", "entry/FILE").  Files named in an entry's `wall`
-     hold wall-clock times: they must be written and are not pinned.
+     PINS ("entry/stdout", "entry/FILE").  Files of the entry's `wall`
+     hold wall-clock times: they are checked 1-3 but not pinned.
 
 Every pinned byte is a pure function of the command: the virtual clock and
 the counter-derived RNG streams never depend on lanes, replica blocks,
@@ -68,27 +70,32 @@ def spellings(**knobs):
 
 
 # The CTests that run the manifest, each a share of its entries:
-# output_pins the stdout-only commands, trace_pins the observed serving
-# smokes and fault runs, and the round trips the walkthrough's trace and
-# metrics and bench_warmstart's full-mode metrics.
+# output_pins the commands that write no file, trace_pins the serving
+# smokes and fault runs with observed variants, and the round trips the
+# walkthrough's trace and metrics and bench_warmstart's full-mode metrics.
+# They keep the names of the separate checks this manifest replaced, so
+# test lists that name those checks still run them.
 TESTS = ("output_pins", "trace_pins", "trace_roundtrip", "metrics_roundtrip",
          "warmstart_metrics_roundtrip")
 
 
-def entry(name, scale, binary, args, variants=THREADS, wall=(),
+def entry(name, scale, binary, args, variants=THREADS, files=(), wall=(),
           test="output_pins"):
     assert test in TESTS, test
     return {"name": name, "scale": scale, "binary": binary, "args": args,
-            "variants": variants, "wall": wall, "test": test}
+            "variants": variants, "files": files, "wall": wall, "test": test}
 
 
+OBS_FILES = ("trace.json", "metrics.json")
+
+
+SLO2 = "miss_rate<=0.05,p99<=100000"
 WARM_OBS = (T8[0] + ["--trace", "trace.json", "--metrics", "metrics.json",
-                     "--slo", "miss_rate<=0.05,p99<=100000", "--prof"], {})
+                     "--slo", SLO2, "--prof"], {})
 FAULT_OBS = (["--trace", "trace.json", "--metrics", "metrics.json",
               "--slo", "miss_rate<=0.05", "--prof"], {})
 PLAN_OBS = (["--trace", "trace.json"], {})
-WARM_METRICS = {"QUAMAX_METRICS": "metrics.json",
-                "QUAMAX_SLO": "miss_rate<=0.05,p99<=100000"}
+WARM_METRICS = {"QUAMAX_METRICS": "metrics.json", "QUAMAX_SLO": SLO2}
 
 ENTRIES = [
     # Slowest first, so the pool's last runs are short ones.  bench_vpp's
@@ -113,13 +120,15 @@ ENTRIES = [
               ["smoke", "--downlink", "0.5", "--devices", dev]),
         entry(f"warm_d{dev}", "0.5", "bench/bench_warmstart",
               ["smoke", "--coherence", "0.9", "--devices", dev],
-              variants=THREADS + [WARM_OBS], test="trace_pins"),
+              variants=THREADS + [WARM_OBS], files=OBS_FILES,
+              test="trace_pins"),
         entry(f"fault_d{dev}", "0.5", "bench/bench_fault",
               ["smoke", "--devices", dev], variants=THREADS + [FAULT_OBS],
-              test="trace_pins"),
+              files=OBS_FILES, test="trace_pins"),
         entry(f"plan_d{dev}", "0.5", "bench/bench_fault",
               ["smoke", "--fault-plan", PLAN, "--devices", dev],
-              variants=THREADS + [PLAN_OBS], test="trace_pins"),
+              variants=THREADS + [PLAN_OBS], files=("trace.json",),
+              test="trace_pins"),
     )
 ] + [
     entry("knob_serve", "0.5", "bench/bench_serve_load", ["smoke"],
@@ -131,22 +140,25 @@ ENTRIES = [
     entry("fault_full", "0.5", "bench/bench_fault",
           ["--json", "raw.json", "--metrics", "metrics.json",
            "--trace", "trace.json"],
-          variants=[(["--threads", "0"], {}), T1], wall=("raw.json",),
+          variants=[(["--threads", "0"], {}), T1],
+          files=OBS_FILES + ("raw.json",), wall=("raw.json",),
           test="trace_pins"),
     entry("warmstart_full", "0.5", "bench/bench_warmstart", [],
           variants=[(["--threads", "0"], {}), T1]),
     entry("warmstart_full_metrics", "0.05", "bench/bench_warmstart", [],
           variants=[(T1[0], WARM_METRICS), (T8[0], WARM_METRICS)],
-          test="warmstart_metrics_roundtrip"),
+          files=("metrics.json",), test="warmstart_metrics_roundtrip"),
     entry("cran_trace", "0.1", "examples/cran_service", [],
           variants=[(T1[0] + ["--trace", "trace.json"], {}),
                     (T8[0], {"QUAMAX_TRACE": "trace.json"}),
                     ([], {})],
-          test="trace_roundtrip"),
+          files=("trace.json",), test="trace_roundtrip"),
     entry("cran_metrics", "0.1", "examples/cran_service", [],
-          variants=[(T1[0] + ["--metrics", "metrics.json"], {}),
-                    (T8[0], {"QUAMAX_METRICS": "metrics.json"})],
-          test="metrics_roundtrip"),
+          variants=[(T1[0] + ["--metrics", "metrics.json", "--slo", SLO2],
+                     {}),
+                    (T8[0], {"QUAMAX_METRICS": "metrics.json",
+                             "QUAMAX_SLO": SLO2})],
+          files=("metrics.json",), test="metrics_roundtrip"),
 ]
 
 # sha256 of every pinned output, "entry/stdout" and "entry/FILE" keys.
@@ -170,9 +182,9 @@ PINS = {
     "bench_reverse_annealing/stdout":
         "2c346f7562d9e1cea9c778ab4b6b484d6d3b12eb18ee977f7edd90c97b63435c",
     "cran_metrics/metrics.json":
-        "4f5fd443459cab8ab34c434429197b8337e341274b679b647cafc667852b23bf",
+        "f3d9088040d84ede2056353ff77a78300a0fe79fb6f64c9f816b1a400179f84e",
     "cran_metrics/stdout":
-        "6211db644ef35565fa4f4d4047c2af8a755868690d522049e2c6f75cf0367d86",
+        "f45ca8372ec324c84417de2a68248976d847ea6febc815877eda86ff2fbaa46b",
     "cran_trace/stdout":
         "6211db644ef35565fa4f4d4047c2af8a755868690d522049e2c6f75cf0367d86",
     "cran_trace/trace.json":
@@ -254,13 +266,16 @@ def run_variant(bin_dir, e, variant):
     return cwd, proc
 
 
-def check_files(e, label, cwd, outputs, problems):
+def check_files(e, variant, label, cwd, outputs, problems):
     """Validates and hashes the files one variant wrote into `outputs`."""
+    args, env = variant
+    named = set(e["args"] + args) | set(env.values())
     written = set(os.listdir(cwd))
-    for wall in e["wall"]:
-        if wall not in written:
-            problems.append(f"{label}: wrote no {wall}")
-    for file in sorted(written - set(e["wall"])):
+    for file in sorted((set(e["files"]) & named) - written):
+        problems.append(f"{label}: wrote no {file}")
+    for file in sorted(written - set(e["files"])):
+        problems.append(f"{label}: wrote an unlisted {file}")
+    for file in sorted(written & set(e["files"])):
         path = os.path.join(cwd, file)
         validator = (trace_to_chrome.validate if file.startswith("trace")
                      else metrics_check.validate if file.startswith("metrics")
@@ -269,6 +284,8 @@ def check_files(e, label, cwd, outputs, problems):
             with contextlib.redirect_stdout(sys.stderr):
                 if validator(path) != 0:
                     problems.append(f"{label}: {file} fails validation")
+        if file in e["wall"]:
+            continue
         with open(path, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()
         key = f"{e['name']}/{file}"
@@ -283,7 +300,8 @@ def run_all(bin_dir, entries):
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(run_variant, bin_dir, e, v) for e, _, v in jobs]
         outputs, problems, stdouts = {}, [], {}
-        for (e, i, (args, env)), future in zip(jobs, futures):
+        for (e, i, variant), future in zip(jobs, futures):
+            args, env = variant
             cwd, proc = future.result()
             with cwd:
                 label = (f"{e['name']} variant {i} "
@@ -302,7 +320,7 @@ def run_all(bin_dir, entries):
                     problems.append(f"{label}: stdout differs from an earlier "
                                     f"variant's\n" + "\n".join(list(diff)[:12]))
                 outputs[f"{e['name']}/stdout"] = hashlib.sha256(first).hexdigest()
-                check_files(e, label, cwd.name, outputs, problems)
+                check_files(e, variant, label, cwd.name, outputs, problems)
     return outputs, problems
 
 
