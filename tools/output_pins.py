@@ -106,6 +106,11 @@ ENTRIES = [
           ["--accept-mode", "exact"]),
     entry("quickstart_threshold32", "0.2", "examples/quickstart",
           ["--accept-mode", "threshold32"]),
+    # The one command that runs threshold32 on shared coefficients (the
+    # logical sampler and the ICE-off arm); the serving smokes anneal ICE
+    # per-replica blocks only, and quickstart's stdout is mode-blind.
+    entry("ablations_threshold32", "0.1", "bench/bench_ablations",
+          ["--accept-mode", "threshold32"]),
 ] + [
     entry(bench, "0.1", f"bench/{bench}", [])
     for bench in ("bench_reverse_annealing", "bench_ablations",
@@ -165,6 +170,8 @@ ENTRIES = [
 # Re-record only when output is meant to move, and name every re-pinned
 # entry in CHANGES.md.
 PINS = {
+    "ablations_threshold32/stdout":
+        "54061855da404464d2db3c9e135daf50765f6563314677a2a4a29bc5a26eb97f",
     "bench_ablations/stdout":
         "512ed8d48dd0d24b3a76245d038abb020608743a7495a53dac6896aa2686c208",
     "bench_fig13_awgn_ttb/stdout":
