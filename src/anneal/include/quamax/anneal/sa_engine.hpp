@@ -113,6 +113,12 @@ enum class AcceptMode : std::uint8_t { kExact = 0, kThreshold32 = 1 };
 /// Canonical CLI spelling of an accept mode ("exact" / "threshold32").
 const char* to_string(AcceptMode mode) noexcept;
 
+/// The instruction set SaEngine sweeps `mode` at on this host: "avx2"
+/// (32-byte vector parts) for kThreshold32 when CPUID reports AVX2, read
+/// once per process; otherwise "baseline" (16-byte parts, any x86-64).
+/// Both give the same bytes.
+const char* kernel_isa(AcceptMode mode) noexcept;
+
 class SaEngine {
  public:
   explicit SaEngine(const qubo::IsingModel& problem);
@@ -185,11 +191,12 @@ class SaEngine {
   /// rules: Real == float runs kThreshold32, Real == double runs kExact.
   /// Real +-1 spins and local fields interleaved (entry i*W + r), a 0/1
   /// accept mask per decision, and masked flips that add 2c * s * m to every
-  /// replica's neighbor fields.  Coefficients are interleaved Real blocks
+  /// replica's neighbor fields, in vector parts of Bytes bytes (16, or 32
+  /// in the AVX2 copy of threshold32).  Coefficients are interleaved Real blocks
   /// (`fields` i*W + r, `couplings` id*W + r, `twice` CSR slot e*W + r) or,
   /// with SharedCoeffs, flat arrays read by every replica.  Writes replica
   /// r's spins to out[r].
-  template <typename Real, std::size_t W, bool SharedCoeffs>
+  template <typename Real, std::size_t W, bool SharedCoeffs, std::size_t Bytes>
   void run_kernel(const std::vector<double>& betas, const Real* fields,
                   const Real* couplings, const Real* twice, Rng* const* rngs,
                   const qubo::SpinVec* initial, qubo::SpinVec* out) const;
@@ -198,7 +205,7 @@ class SaEngine {
   /// float32 images for threshold32), or (per_replica) W replica-major
   /// double blocks converted and interleaved into the per-thread scratch
   /// with their doubled CSR slots.
-  template <typename Real, std::size_t W>
+  template <typename Real, std::size_t W, std::size_t Bytes>
   void chunk(const std::vector<double>& betas, const double* fields_rm,
              const double* couplings_rm, bool per_replica, Rng* const* rngs,
              const qubo::SpinVec* initial, qubo::SpinVec* out) const;
@@ -206,11 +213,14 @@ class SaEngine {
   /// Anneals R replicas into out[0..R) in chunks of width 8, 4, 2, 1, at
   /// float for threshold32 and double for exact.  `fields_rm` and
   /// `couplings_rm` hold R replica-major blocks when `per_replica`, else
-  /// the one base array every replica reads.
+  /// the one base array every replica reads.  The one ISA dispatch: with
+  /// `avx2` (the public entry points pass CPUID's answer, see kernel_isa)
+  /// threshold32 runs its copy compiled for AVX2 on 32-byte parts; exact
+  /// always runs 16-byte parts.
   void sweep(const std::vector<double>& betas, const double* fields_rm,
              const double* couplings_rm, bool per_replica, Rng* const* rngs,
              std::size_t R, const qubo::SpinVec* initial, AcceptMode mode,
-             qubo::SpinVec* out) const;
+             bool avx2, qubo::SpinVec* out) const;
 
   /// Shared front end of the two anneal_batch* entry points (the
   /// `anneal.batch_sweep` profiler scope): one result per stream.
@@ -220,7 +230,10 @@ class SaEngine {
                                             bool replicated_coefficients,
                                             std::vector<Rng>& rngs,
                                             const qubo::SpinVec* initial,
-                                            AcceptMode mode) const;
+                                            AcceptMode mode, bool avx2) const;
+
+  // tests/kernel_dispatch_test.cpp runs threshold32 through both copies.
+  friend struct KernelIsaSeam;
 
   // CSR adjacency: spin i's incident edges are entries
   // [row_offset_[i], row_offset_[i+1]) of neighbor_/coupling_index_.

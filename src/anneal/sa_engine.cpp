@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <tuple>
@@ -29,19 +28,23 @@ namespace {
 /// compare, which GCC 12 fails to if-convert.  Pure integer/FMA ops — no
 /// table, no division, no branch; the transform loop auto-vectorizes.
 /// D is double (U = std::uint64_t) or a vector of doubles (U the matching
-/// vector of uint64): every lane runs the scalar expression.
+/// vector of uint64): every lane runs the scalar expression.  Like the
+/// other draw helpers it passes vectors by reference and casts bits with
+/// the builtin, never through a function returning a vector: a 32-byte
+/// vector return changes the ABI between the AVX2 kernel and code compiled
+/// without AVX (-Wpsabi).
 template <typename D, typename U>
-inline D branchless_neg_log(D u) noexcept {
+inline void branchless_neg_log(const D& u_in, D& out) noexcept {
   constexpr double kMin = 0x1.0p-64;
-  u = u + kMin;  // branch-free zero guard; invisible above 2^-11
-  const U bits = std::bit_cast<U>(u);
+  const D u = u_in + kMin;  // branch-free zero guard; invisible above 2^-11
+  const U bits = __builtin_bit_cast(U, u);
   // Exponent extraction without an int64->double convert (which SSE2/AVX2
   // cannot vectorize): drop the 11-bit biased exponent into the mantissa of
   // 2^52 and subtract (2^52 + bias) — pure shift/or/sub, all packed ops.
-  const D e = std::bit_cast<D>((bits >> 52) | 0x4330000000000000ull) -
+  const D e = __builtin_bit_cast(D, (bits >> 52) | 0x4330000000000000ull) -
               (4503599627370496.0 + 1023.0);
-  const D m = std::bit_cast<D>((bits & 0x000FFFFFFFFFFFFFull) |
-                               0x3FF0000000000000ull);
+  const D m = __builtin_bit_cast(D, (bits & 0x000FFFFFFFFFFFFFull) |
+                                        0x3FF0000000000000ull);
   const D s = m - 1.0;  // log1p argument, in [0, 1)
   const D log_m =
       3.910905551047888e-08 +
@@ -54,7 +57,7 @@ inline D branchless_neg_log(D u) noexcept {
                                     s * (0.03426459993010727 +
                                          s * -0.006006605044038654)))))));
   constexpr double kLn2 = 0.693147180559945309417232121458;
-  return -(e * kLn2 + log_m);
+  out = -(e * kLn2 + log_m);
 }
 
 /// Rng::uniform()'s (x >> 11) * 2^-53, bit for bit, without the
@@ -63,17 +66,21 @@ inline D branchless_neg_log(D u) noexcept {
 /// 2^-53 (exact: the sum is a 53-bit multiple of 2^-53).  Pure integer and
 /// two exact double ops; D and U as for branchless_neg_log.
 template <typename D, typename U>
-inline D unit_double(U x) noexcept {
-  const D high = std::bit_cast<D>((x >> 12) | 0x3FF0000000000000ull) - 1.0;
+inline void unit_double(const U& x, D& out) noexcept {
+  const D high = __builtin_bit_cast(D, (x >> 12) | 0x3FF0000000000000ull) - 1.0;
   const U low_bit = (x >> 11) & 1u;
-  return high + std::bit_cast<D>((0 - low_bit) & 0x3CA0000000000000ull);
+  out = high + __builtin_bit_cast(D, (0 - low_bit) & 0x3CA0000000000000ull);
 }
 
-/// Two generators' state words or draws, and two doubles: one SSE2
-/// register each, the unit of the lockstep draw pass.
-typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
-typedef double F64x2 __attribute__((vector_size(16)));
-typedef float F32x2 __attribute__((vector_size(8)));
+/// N generators' state words or draws, their doubles and their float32
+/// images: the vectors of the lockstep draw pass, N = 2 in a 16-byte part
+/// and N = 4 in an AVX2 32-byte part.
+template <std::size_t N>
+struct DrawLanes {
+  typedef std::uint64_t U __attribute__((vector_size(8 * N)));
+  typedef double D __attribute__((vector_size(8 * N)));
+  typedef float F __attribute__((vector_size(4 * N)));
+};
 
 /// Transposes W replica-major blocks of `count` entries (block r at
 /// rm[r*count ..)) into the kernel's replica-interleaved layout
@@ -112,55 +119,61 @@ Scratch<Real>& scratch() {
 /// per decision, decisions in sweep order), so blocking is invisible.
 constexpr std::size_t kDrawBlock = 64;
 
-/// W lanes of Real, one per replica, held as W/k hardware vectors of 16
-/// bytes (k = four floats or two doubles; one vector of W lanes when W < k)
-/// through the GCC/Clang vector extension: each per-replica step of the
-/// kernel is W/k packed operations at any ISA level, lane r computing
-/// exactly replica r's scalar expression.  (A single 32-byte vector would be
-/// lowered through the stack on baseline x86-64.)
-template <typename Real, std::size_t W>
+/// W lanes of Real, one per replica, held as W/k hardware vectors of
+/// `Bytes` bytes (16, or AVX2's 32: k = Bytes / sizeof(Real); one vector of
+/// W lanes when W < k) through the GCC/Clang vector extension: each
+/// per-replica step of the kernel is W/k packed operations, lane r
+/// computing exactly replica r's scalar expression.  The 16-byte parts run
+/// at any ISA level (one 32-byte vector would be lowered through the stack
+/// on baseline x86-64); the 32-byte parts run only inside with_avx2.
+template <typename Real, std::size_t W, std::size_t Bytes>
 struct Lanes {
-  static constexpr std::size_t kWidth = std::min(W, 16 / sizeof(Real));
+  static constexpr std::size_t kWidth = std::min(W, Bytes / sizeof(Real));
   static constexpr std::size_t kParts = W / kWidth;
   typedef Real Part __attribute__((vector_size(kWidth * sizeof(Real))));
   Part part[kParts];
 
-  friend Lanes operator+(Lanes a, const Lanes& b) noexcept {
-    for (std::size_t p = 0; p < kParts; ++p) a.part[p] += b.part[p];
-    return a;
+  // Unaligned loads and stores, one movups per part, through a Part that
+  // may sit at any Real boundary (as the intrinsics' __m256_u does); a
+  // memcpy of 32 bytes would be split into 16-byte moves through the stack.
+  typedef Real Unaligned
+      __attribute__((vector_size(sizeof(Part)), aligned(sizeof(Real)), may_alias));
+  static Lanes load(const Real* p) noexcept {
+    Lanes v;
+    for (std::size_t k = 0; k < kParts; ++k)
+      v.part[k] = reinterpret_cast<const Unaligned*>(p)[k];
+    return v;
   }
-  friend Lanes operator-(Lanes a, const Lanes& b) noexcept {
-    for (std::size_t p = 0; p < kParts; ++p) a.part[p] -= b.part[p];
-    return a;
+  void store(Real* p) const noexcept {
+    for (std::size_t k = 0; k < kParts; ++k) reinterpret_cast<Unaligned*>(p)[k] = part[k];
   }
-  friend Lanes operator*(Lanes a, const Lanes& b) noexcept {
-    for (std::size_t p = 0; p < kParts; ++p) a.part[p] *= b.part[p];
-    return a;
+  static Lanes splat(Real x) noexcept {
+    Lanes v;
+    for (auto& vp : v.part)
+      for (std::size_t r = 0; r < kWidth; ++r) vp[r] = x;
+    return v;
+  }
+
+  friend Lanes operator+(const Lanes& a, const Lanes& b) noexcept {
+    Lanes v = a;
+    for (std::size_t p = 0; p < kParts; ++p) v.part[p] += b.part[p];
+    return v;
+  }
+  friend Lanes operator-(const Lanes& a, const Lanes& b) noexcept {
+    Lanes v = a;
+    for (std::size_t p = 0; p < kParts; ++p) v.part[p] -= b.part[p];
+    return v;
+  }
+  friend Lanes operator*(const Lanes& a, const Lanes& b) noexcept {
+    Lanes v = a;
+    for (std::size_t p = 0; p < kParts; ++p) v.part[p] *= b.part[p];
+    return v;
   }
 };
 
-// Unaligned loads and stores through memcpy (one movups per 16 bytes).
-template <std::size_t W, typename Real>
-Lanes<Real, W> load(const Real* p) noexcept {
-  Lanes<Real, W> v;
-  std::memcpy(v.part, p, sizeof v.part);
-  return v;
-}
-template <std::size_t W, typename Real>
-void store(Real* p, const Lanes<Real, W>& v) noexcept {
-  std::memcpy(p, v.part, sizeof v.part);
-}
-template <std::size_t W, typename Real>
-Lanes<Real, W> splat(Real x) noexcept {
-  Lanes<Real, W> v;
-  for (auto& part : v.part)
-    for (std::size_t r = 0; r < Lanes<Real, W>::kWidth; ++r) part[r] = x;
-  return v;
-}
-
 /// Whether any lane of a 0/1 mask is set.
-template <typename Real, std::size_t W>
-bool any(const Lanes<Real, W>& mask) noexcept {
+template <typename Real, std::size_t W, std::size_t Bytes>
+bool any(const Lanes<Real, W, Bytes>& mask) noexcept {
   std::uint32_t words[sizeof mask / sizeof(std::uint32_t)];
   std::memcpy(words, mask.part, sizeof words);
   std::uint32_t set = 0;
@@ -168,18 +181,19 @@ bool any(const Lanes<Real, W>& mask) noexcept {
   return set != 0;
 }
 
-/// The threshold32 accept rule.  The W generators advance in lockstep, two
-/// per vector (one lane per replica), and are written back by finish().
-/// draw(count, beta) consumes exactly `count` uniforms per replica, in
-/// decision order — data-independent, so any chunking of the replicas or
+/// The threshold32 accept rule.  The W generators advance in lockstep, one
+/// lane per replica and Bytes / 8 per vector (two in a 16-byte part, four
+/// in an AVX2 part), and are written back by finish().  draw(count, beta)
+/// consumes exactly `count` uniforms per replica, in decision order —
+/// data-independent, so any chunking of the replicas, vector width or
 /// thread placement replays the same per-replica stream — and lands
 /// decision k's thresholds t = -log(u) / beta and coins (1.0f iff u < 1/2)
 /// at [k*W, (k+1)*W).  accept(k, delta) is the masked compare: the coin
 /// where delta == 0, else delta <= t.
-template <std::size_t W>
+template <std::size_t W, std::size_t Bytes>
 class ThresholdRule {
  public:
-  using L = Lanes<float, W>;
+  using L = Lanes<float, W, Bytes>;
 
   ThresholdRule(Rng* const* rngs, Scratch<float>& scratch) : rngs_(rngs) {
     scratch.threshold.resize(kDrawBlock * W);
@@ -194,45 +208,54 @@ class ThresholdRule {
     const double inv_beta = 1.0 / beta;
     if constexpr (W == 1) {
       for (std::size_t k = 0; k < count; ++k) {
-        const double u = unit_double<double>(
-            Rng::next(state_[0][0], state_[1][0], state_[2][0], state_[3][0]));
-        t_[k] = static_cast<float>(branchless_neg_log<double, std::uint64_t>(u) * inv_beta);
+        std::uint64_t x;
+        Rng::next(state_[0][0], state_[1][0], state_[2][0], state_[3][0], x);
+        double u, t;
+        unit_double(x, u);
+        branchless_neg_log<double, std::uint64_t>(u, t);
+        t_[k] = static_cast<float>(t * inv_beta);
         heads_[k] = u < 0.5 ? 1.0f : 0.0f;
       }
     } else {
-      for (std::size_t r = 0; r < W; r += 2) {
-        U64x2 w[4];
-        for (std::size_t j = 0; j < 4; ++j) w[j] = U64x2{state_[j][r], state_[j][r + 1]};
+      constexpr std::size_t N = std::min(W, Bytes / 8);
+      using U = typename DrawLanes<N>::U;
+      using D = typename DrawLanes<N>::D;
+      using F = typename DrawLanes<N>::F;
+      for (std::size_t r = 0; r < W; r += N) {
+        U w[4];
+        for (std::size_t j = 0; j < 4; ++j) std::memcpy(&w[j], state_[j] + r, sizeof w[j]);
         for (std::size_t k = 0; k < count; ++k) {
-          const F64x2 u = unit_double<F64x2>(Rng::next(w[0], w[1], w[2], w[3]));
-          const F64x2 thr = branchless_neg_log<F64x2, U64x2>(u) * inv_beta;
+          U x;
+          Rng::next(w[0], w[1], w[2], w[3], x);
+          D u, t;
+          unit_double(x, u);
+          branchless_neg_log<D, U>(u, t);
+          const D thr = t * inv_beta;
           // 1.0 where u < 1/2 (an all-ones compare lane masks 1.0's bits).
-          const F64x2 coin = std::bit_cast<F64x2>(
-              std::bit_cast<U64x2>(u < 0.5) & 0x3FF0000000000000ull);
-          const F32x2 thr32 = __builtin_convertvector(thr, F32x2);
-          const F32x2 coin32 = __builtin_convertvector(coin, F32x2);
+          const D coin = __builtin_bit_cast(
+              D, __builtin_bit_cast(U, u < 0.5) & 0x3FF0000000000000ull);
+          const F thr32 = __builtin_convertvector(thr, F);
+          const F coin32 = __builtin_convertvector(coin, F);
           std::memcpy(t_ + k * W + r, &thr32, sizeof thr32);
           std::memcpy(heads_ + k * W + r, &coin32, sizeof coin32);
         }
-        for (std::size_t j = 0; j < 4; ++j) {
-          state_[j][r] = w[j][0];
-          state_[j][r + 1] = w[j][1];
-        }
+        for (std::size_t j = 0; j < 4; ++j) std::memcpy(state_[j] + r, &w[j], sizeof w[j]);
       }
     }
   }
 
   L accept(std::size_t k, const L& delta) const noexcept {
-    typedef std::int32_t Bits __attribute__((vector_size(sizeof(typename L::Part))));
-    const L thresholds = load<W>(t_ + k * W);
-    const L coins = load<W>(heads_ + k * W);
-    const auto one = std::bit_cast<Bits>(splat<W>(1.0f).part[0]);
+    using Part = typename L::Part;
+    typedef std::int32_t Bits __attribute__((vector_size(sizeof(Part))));
+    const L thresholds = L::load(t_ + k * W);
+    const L coins = L::load(heads_ + k * W);
+    const Bits one = __builtin_bit_cast(Bits, L::splat(1.0f).part[0]);
     L mask;
     for (std::size_t p = 0; p < L::kParts; ++p) {
-      const auto zero = delta.part[p] == 0.0f;
-      const auto below = delta.part[p] <= thresholds.part[p];
-      mask.part[p] = std::bit_cast<typename L::Part>(
-          (zero & std::bit_cast<Bits>(coins.part[p])) | (~zero & below & one));
+      const Bits zero = delta.part[p] == 0.0f;
+      const Bits below = delta.part[p] <= thresholds.part[p];
+      mask.part[p] = __builtin_bit_cast(
+          Part, (zero & __builtin_bit_cast(Bits, coins.part[p])) | (~zero & below & one));
     }
     return mask;
   }
@@ -256,10 +279,10 @@ class ThresholdRule {
 /// taken with probability 1/2: accepting them deterministically makes
 /// domain walls translate in lock-step with the sequential sweep and orbit
 /// forever instead of diffusing/annihilating.
-template <std::size_t W>
+template <std::size_t W, std::size_t Bytes>
 class ExactRule {
  public:
-  using L = Lanes<double, W>;
+  using L = Lanes<double, W, Bytes>;
 
   ExactRule(Rng* const* rngs, Scratch<double>&) : rngs_(rngs) {}
 
@@ -285,7 +308,38 @@ class ExactRule {
   double beta_ = 0.0;
 };
 
+#if defined(__x86_64__)
+/// Runs body() compiled for AVX2, on 32-byte vector parts: `flatten`
+/// inlines body's whole call tree (the kernel, its lambdas, its helpers and
+/// the accept rule) into this one target("avx2") function, so no
+/// translation unit is built with -mavx2 and no AVX2 instruction runs
+/// outside it.  -ffp-contract=off keeps FMA out (AVX2 does not imply FMA
+/// here anyway), so every lane runs the same IEEE operations in the same
+/// order as the 16-byte parts: the copies agree bit for bit.
+template <typename F>
+__attribute__((target("avx2"), flatten)) void with_avx2(const F& body) {
+  body();
+}
+
+/// Whether this CPU (and its OS) runs AVX2 code: CPUID, read once per
+/// process.
+bool host_avx2() noexcept {
+  static const bool avx2 = (__builtin_cpu_init(), __builtin_cpu_supports("avx2"));
+  return avx2;
+}
+#else
+template <typename F>
+void with_avx2(const F& body) {
+  body();
+}
+bool host_avx2() noexcept { return false; }
+#endif
+
 }  // namespace
+
+const char* kernel_isa(AcceptMode mode) noexcept {
+  return mode == AcceptMode::kThreshold32 && host_avx2() ? "avx2" : "baseline";
+}
 
 SaEngine::SaEngine(const qubo::IsingModel& problem) {
   const std::size_t n = problem.num_spins();
@@ -360,8 +414,9 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
 // replica-interleaved (entry index*W + r), so at a fixed spin or edge the W
 // replica values are contiguous and the CSR row indices are loaded once for
 // all replicas; spins are Real +-1 until the output, local fields and
-// accumulators Real.  Each per-replica step is one Lanes<Real, W> operation
-// (every lane computes exactly the scalar expression, in the same order).
+// accumulators Real.  Each per-replica step is one Lanes<Real, W, Bytes>
+// operation (every lane computes exactly the scalar expression, in the same
+// order, so the 16- and 32-byte instantiations agree bit for bit).
 // Coefficients are interleaved (entry index*W + r, the ICE path) or, with
 // SharedCoeffs, the engine's flat base arrays broadcast to every lane;
 // `twice` holds each CSR slot's doubled coupling 2c (slot e*W + r, or e
@@ -381,16 +436,17 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
 // replica r draws only from rngs[r], in the scalar order (every draw, and
 // the order of draws, is the rule's scalar one), and accumulates every
 // field and group sum in the scalar order.
-template <typename Real, std::size_t W, bool SharedCoeffs>
+template <typename Real, std::size_t W, bool SharedCoeffs, std::size_t Bytes>
 void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
                           const Real* couplings, const Real* twice, Rng* const* rngs,
                           const qubo::SpinVec* initial, qubo::SpinVec* out) const {
-  using V = Lanes<Real, W>;
-  using Rule = std::conditional_t<std::is_same_v<Real, float>, ThresholdRule<W>, ExactRule<W>>;
+  using V = Lanes<Real, W, Bytes>;
+  using Rule = std::conditional_t<std::is_same_v<Real, float>, ThresholdRule<W, Bytes>,
+                                  ExactRule<W, Bytes>>;
   // Coefficient `index` of every replica: W interleaved entries, or the one
   // shared entry in every lane.
   const auto coeff = [](const Real* base, std::size_t index) {
-    return SharedCoeffs ? splat<W>(base[index]) : load<W>(base + index * W);
+    return SharedCoeffs ? V::splat(base[index]) : V::load(base + index * W);
   };
   const std::size_t n = num_spins();
   Scratch<Real>& buffers = scratch<Real>();
@@ -402,7 +458,7 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
   if (initial != nullptr) {
     require(initial->size() == n, "SaEngine: initial state size");
     for (std::size_t i = 0; i < n; ++i)  // warm start: broadcast to all replicas
-      store(s + i * W, splat<W>(static_cast<Real>((*initial)[i])));
+      V::splat(static_cast<Real>((*initial)[i])).store(s + i * W);
   } else {
     // Random initial configuration (uniform superposition analog); replica r
     // draws its N coins in spin order, as the scalar path does.
@@ -413,22 +469,22 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
   // hloc[i*W+r] = f_i^(r) + sum_j J_ij^(r) s_j^(r); flipping spin i of
   // replica r changes its energy by -2 s_i hloc.
   for (std::size_t i = 0; i < n; ++i) {
-    V acc = splat<W>(Real(0));
+    V acc = V::splat(Real(0));
     for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e)
-      acc = acc + coeff(couplings, coupling_index_[e]) * load<W>(s + std::size_t{neighbor_[e]} * W);
-    store(h + i * W, coeff(fields, i) + acc);
+      acc = acc + coeff(couplings, coupling_index_[e]) * V::load(s + std::size_t{neighbor_[e]} * W);
+    (coeff(fields, i) + acc).store(h + i * W);
   }
 
   // Applies the accepted flips of spin i (mask lanes in {0, 1}) to all W
   // replicas; see the +-0 argument above.
-  const auto flip = [&](std::size_t i, V mask) {
-    V si = load<W>(s + i * W);
-    si = si - splat<W>(Real(2)) * si * mask;
-    store(s + i * W, si);
+  const auto flip = [&](std::size_t i, const V& mask) {
+    V si = V::load(s + i * W);
+    si = si - V::splat(Real(2)) * si * mask;
+    si.store(s + i * W);
     const V sm = si * mask;
     for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
       Real* hn = h + std::size_t{neighbor_[e]} * W;
-      store(hn, load<W>(hn) + coeff(twice, e) * sm);
+      (V::load(hn) + coeff(twice, e) * sm).store(hn);
     }
   };
 
@@ -441,7 +497,7 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
       rule.draw(block, beta);
       for (std::size_t k = 0; k < block; ++k) {
         const std::size_t i = i0 + k;
-        const V mask = rule.accept(k, splat<W>(Real(-2)) * load<W>(s + i * W) * load<W>(h + i * W));
+        const V mask = rule.accept(k, V::splat(Real(-2)) * V::load(s + i * W) * V::load(h + i * W));
         if (any(mask)) flip(i, mask);
       }
     }
@@ -459,16 +515,16 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
         const std::uint32_t* end = group_gather_.data() + group_start_[g0 + k + 1];
         const std::uint32_t num_members = *p++;
         const std::uint32_t* members = p;
-        V sum_local = splat<W>(Real(0));
+        V sum_local = V::splat(Real(0));
         for (; p < members + num_members; ++p)
-          sum_local = sum_local + load<W>(s + std::size_t{*p} * W) * load<W>(h + std::size_t{*p} * W);
-        V sum_internal = splat<W>(Real(0));
+          sum_local = sum_local + V::load(s + std::size_t{*p} * W) * V::load(h + std::size_t{*p} * W);
+        V sum_internal = V::splat(Real(0));
         for (; p < end; p += 3)
           sum_internal = sum_internal + coeff(couplings, p[2]) *
-                                            load<W>(s + std::size_t{p[0]} * W) *
-                                            load<W>(s + std::size_t{p[1]} * W);
+                                            V::load(s + std::size_t{p[0]} * W) *
+                                            V::load(s + std::size_t{p[1]} * W);
         const V mask =
-            rule.accept(k, splat<W>(Real(-2)) * (sum_local - splat<W>(Real(2)) * sum_internal));
+            rule.accept(k, V::splat(Real(-2)) * (sum_local - V::splat(Real(2)) * sum_internal));
         // Members flip in declaration order, as the scalar path's
         // sequential flips do, so shared-neighbor fields accumulate the
         // member contributions in the same order per replica.
@@ -483,7 +539,7 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
     for (std::size_t i = 0; i < n; ++i) out[r][i] = static_cast<std::int8_t>(s[i * W + r]);
 }
 
-template <typename Real, std::size_t W>
+template <typename Real, std::size_t W, std::size_t Bytes>
 void SaEngine::chunk(const std::vector<double>& betas, const double* fields_rm,
                      const double* couplings_rm, bool per_replica, Rng* const* rngs,
                      const qubo::SpinVec* initial, qubo::SpinVec* out) const {
@@ -493,11 +549,11 @@ void SaEngine::chunk(const std::vector<double>& betas, const double* fields_rm,
     // feed the shared-coefficient kernel — no per-call conversion, no
     // broadcast.
     if constexpr (std::is_same_v<Real, float>)
-      run_kernel<float, W, true>(betas, fields_f32_.data(), couplings_f32_.data(),
-                                 twice_f32_.data(), rngs, initial, out);
+      run_kernel<float, W, true, Bytes>(betas, fields_f32_.data(), couplings_f32_.data(),
+                                        twice_f32_.data(), rngs, initial, out);
     else
-      run_kernel<double, W, true>(betas, fields_.data(), coupling_values_.data(),
-                                  twice_.data(), rngs, initial, out);
+      run_kernel<double, W, true, Bytes>(betas, fields_.data(), coupling_values_.data(),
+                                         twice_.data(), rngs, initial, out);
     return;
   }
   Scratch<Real>& buffers = scratch<Real>();
@@ -507,46 +563,51 @@ void SaEngine::chunk(const std::vector<double>& betas, const double* fields_rm,
   for (std::size_t e = 0; e < neighbor_.size(); ++e)
     for (std::size_t r = 0; r < W; ++r)
       buffers.twice[e * W + r] = Real(2) * buffers.couplings[coupling_index_[e] * W + r];
-  run_kernel<Real, W, false>(betas, buffers.fields.data(), buffers.couplings.data(),
-                             buffers.twice.data(), rngs, initial, out);
+  run_kernel<Real, W, false, Bytes>(betas, buffers.fields.data(), buffers.couplings.data(),
+                                    buffers.twice.data(), rngs, initial, out);
 }
 
 void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
                      const double* couplings_rm, bool per_replica,
                      Rng* const* rngs, std::size_t R,
-                     const qubo::SpinVec* initial, AcceptMode mode,
+                     const qubo::SpinVec* initial, AcceptMode mode, bool avx2,
                      qubo::SpinVec* out) const {
   const std::size_t n = num_spins();
   const std::size_t m = num_couplings();
   // Widths 8, 4, 2, 1 cover any R (5 -> 4+1, 10 -> 8+2): anneal a draws
   // only from stream a, so the chunking is invisible in the results.
-  const auto run = [&](auto real) {
+  const auto run = [&](auto real, auto bytes) {
     using Real = decltype(real);
+    constexpr std::size_t Bytes = decltype(bytes)::value;
     for (std::size_t c0 = 0; c0 < R;) {
       const std::size_t left = R - c0;
       const std::size_t width = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
       const double* f = fields_rm + (per_replica ? c0 * n : 0);
       const double* c = couplings_rm + (per_replica ? c0 * m : 0);
       switch (width) {
-        case 8: chunk<Real, 8>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        case 4: chunk<Real, 4>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        case 2: chunk<Real, 2>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        default: chunk<Real, 1>(betas, f, c, per_replica, rngs + c0, initial, out + c0);
+        case 8: chunk<Real, 8, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        case 4: chunk<Real, 4, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        case 2: chunk<Real, 2, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
+        default: chunk<Real, 1, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0);
       }
       c0 += width;
     }
   };
-  if (mode == AcceptMode::kThreshold32)
-    run(0.0f);
+  // Exact keeps 16-byte parts on every host (at 32 bytes it is slower).
+  using Parts16 = std::integral_constant<std::size_t, 16>;
+  if (mode == AcceptMode::kExact)
+    run(0.0, Parts16{});
+  else if (avx2)
+    with_avx2([&] { run(0.0f, std::integral_constant<std::size_t, 32>{}); });
   else
-    run(0.0);
+    run(0.0f, Parts16{});
 }
 
 std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
     const std::vector<double>& betas, const double* fields_rm,
     const double* couplings_rm, bool replicated_coefficients,
     std::vector<Rng>& rngs, const qubo::SpinVec* initial,
-    AcceptMode mode) const {
+    AcceptMode mode, bool avx2) const {
   QUAMAX_PROF_SCOPE("anneal.batch_sweep");
   const std::size_t R = rngs.size();
   require(R >= 1, "SaEngine::anneal_batch: need at least one replica stream");
@@ -554,7 +615,7 @@ std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
   for (std::size_t r = 0; r < R; ++r) rng_ptrs[r] = &rngs[r];
   std::vector<qubo::SpinVec> result(R, qubo::SpinVec(num_spins()));
   sweep(betas, fields_rm, couplings_rm, replicated_coefficients, rng_ptrs.data(),
-        R, initial, mode, result.data());
+        R, initial, mode, avx2, result.data());
   return result;
 }
 
@@ -573,7 +634,7 @@ qubo::SpinVec SaEngine::anneal_with(const std::vector<double>& betas,
   qubo::SpinVec spins(num_spins());
   Rng* rng_ptr = &rng;
   sweep(betas, fields.data(), couplings.data(), /*per_replica=*/true, &rng_ptr,
-        1, initial, mode, &spins);
+        1, initial, mode, host_avx2(), &spins);
   return spins;
 }
 
@@ -581,7 +642,8 @@ std::vector<qubo::SpinVec> SaEngine::anneal_batch(
     const std::vector<double>& betas, std::vector<Rng>& rngs,
     const qubo::SpinVec* initial, AcceptMode mode) const {
   return batch_dispatch(betas, fields_.data(), coupling_values_.data(),
-                        /*replicated_coefficients=*/false, rngs, initial, mode);
+                        /*replicated_coefficients=*/false, rngs, initial, mode,
+                        host_avx2());
 }
 
 std::vector<qubo::SpinVec> SaEngine::anneal_batch_with(
@@ -594,7 +656,8 @@ std::vector<qubo::SpinVec> SaEngine::anneal_batch_with(
   require(couplings.size() == R * num_couplings(),
           "SaEngine::anneal_batch_with: coupling array size mismatch");
   return batch_dispatch(betas, fields.data(), couplings.data(),
-                        /*replicated_coefficients=*/true, rngs, initial, mode);
+                        /*replicated_coefficients=*/true, rngs, initial, mode,
+                        host_avx2());
 }
 
 }  // namespace quamax::anneal

@@ -33,28 +33,33 @@ class Rng {
   }
 
   result_type operator()() noexcept {
-    return next(state_[0], state_[1], state_[2], state_[3]);
+    result_type result;
+    next(state_[0], state_[1], state_[2], state_[3], result);
+    return result;
   }
 
-  /// One xoshiro256** step on the four state words s0..s3 — operator() is
-  /// this step on the generator's own state.  A kernel that advances
-  /// several generators in lockstep (SaEngine's threshold32 draw pass)
-  /// runs it on words copied out with state() and written back with
-  /// set_state(), replaying exactly the draws operator() would make.  U is
-  /// std::uint64_t or a GCC/Clang vector of them (one generator per lane);
-  /// the multiplies are written as shift-adds, which vector units have.
+  /// One xoshiro256** step on the four state words s0..s3, its draw written
+  /// to `result` — operator() is this step on the generator's own state.  A
+  /// kernel that advances several generators in lockstep (SaEngine's
+  /// threshold32 draw pass) runs it on words copied out with state() and
+  /// written back with set_state(), replaying exactly the draws operator()
+  /// would make.  U is std::uint64_t or a GCC/Clang vector of them (one
+  /// generator per lane); the multiplies are written as shift-adds, which
+  /// vector units have.  The draw is an out-parameter, and the rotations
+  /// are written out, because a function compiled without AVX that returns
+  /// a 32-byte vector has another ABI than an AVX caller (-Wpsabi).
   template <typename U>
-  static U next(U& s0, U& s1, U& s2, U& s3) noexcept {
-    const U x = rotl((s1 << 2) + s1, 7);  // rotl(s1 * 5, 7)
-    const U result = (x << 3) + x;        // * 9
+  static void next(U& s0, U& s1, U& s2, U& s3, U& result) noexcept {
+    U x = (s1 << 2) + s1;      // s1 * 5
+    x = (x << 7) | (x >> 57);  // rotl(x, 7)
+    result = (x << 3) + x;     // * 9
     const U t = s1 << 17;
     s2 ^= s0;
     s3 ^= s1;
     s1 ^= s2;
     s0 ^= s3;
     s2 ^= t;
-    s3 = rotl(s3, 45);
-    return result;
+    s3 = (s3 << 45) | (s3 >> 19);  // rotl(s3, 45)
   }
   const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
@@ -125,11 +130,6 @@ class Rng {
   }
 
  private:
-  template <typename U>
-  static constexpr U rotl(U x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-  }
-
   static std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     x += 0x9e3779b97f4a7c15ull;
     std::uint64_t z = x;
