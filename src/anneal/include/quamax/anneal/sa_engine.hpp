@@ -38,6 +38,17 @@
 // accepting replicas.  set_groups() compiles each group into one gather
 // list (members, then its internal couplings).
 //
+// Vector width and the one ISA dispatch.  The per-replica lanes are held
+// in 16-byte vector parts, which run on any x86-64.  kThreshold32 is also
+// compiled a second time, from the same source, on AVX2's 32-byte parts
+// (eight float lanes per operation, four generators per draw vector) inside
+// one target("avx2") function, so no translation unit is built with -mavx2.
+// Every entry point runs that copy when CPUID reports AVX2, read once per
+// process (kernel_isa); kExact and hosts without AVX2 keep the 16-byte
+// parts.  Both copies run the same IEEE operations in the same order (no
+// FMA: the build passes -ffp-contract=off), so results are identical on
+// every host.
+//
 // Collective (group) moves: single-spin dynamics cannot serve embedded
 // problems — once the ferromagnetic chains freeze, flipping a logical
 // variable means dragging a domain wall through the whole chain, an
@@ -192,10 +203,10 @@ class SaEngine {
   /// Real +-1 spins and local fields interleaved (entry i*W + r), a 0/1
   /// accept mask per decision, and masked flips that add 2c * s * m to every
   /// replica's neighbor fields, in vector parts of Bytes bytes (16, or 32
-  /// in the AVX2 copy of threshold32).  Coefficients are interleaved Real blocks
-  /// (`fields` i*W + r, `couplings` id*W + r, `twice` CSR slot e*W + r) or,
-  /// with SharedCoeffs, flat arrays read by every replica.  Writes replica
-  /// r's spins to out[r].
+  /// in the AVX2 copy of threshold32).  Coefficients are interleaved Real
+  /// blocks (`fields` i*W + r, `couplings` id*W + r, `twice` CSR slot
+  /// e*W + r) or, with SharedCoeffs, flat arrays read by every replica.
+  /// Writes replica r's spins to out[r].
   template <typename Real, std::size_t W, bool SharedCoeffs, std::size_t Bytes>
   void run_kernel(const std::vector<double>& betas, const Real* fields,
                   const Real* couplings, const Real* twice, Rng* const* rngs,

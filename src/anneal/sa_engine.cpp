@@ -593,7 +593,8 @@ void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
       c0 += width;
     }
   };
-  // Exact keeps 16-byte parts on every host (at 32 bytes it is slower).
+  // Exact keeps 16-byte parts on every host: an AVX2 copy of it measured
+  // no faster, and its scalar accept pass is the bottleneck.
   using Parts16 = std::integral_constant<std::size_t, 16>;
   if (mode == AcceptMode::kExact)
     run(0.0, Parts16{});
