@@ -28,10 +28,11 @@
 // width W in {8, 4, 2, 1}, the call's R split into such chunks (5 -> 4+1,
 // 10 -> 8+2; invisible, as anneal a draws only from stream a), with spins
 // and fields in the rule's precision (float for kThreshold32, double for
-// kExact) interleaved at i*W + r.  Every CSR slot carries its doubled
-// coupling 2c (precomputed for the shared coefficients, built per call from
-// ICE blocks).  Each decision asks the accept rule for a 0/1 mask m per
-// replica, and a flip adds 2c * s * m to every replica's neighbor fields.
+// kExact) interleaved at i*W + r, and so are the coefficients: each call
+// stages them from R ICE blocks or, at a replica stride of 0, from the
+// problem's own arrays, with every CSR slot's doubled coupling 2c.  Each
+// decision asks the accept rule for a 0/1 mask m per replica, and a flip
+// adds 2c * s * m to every replica's neighbor fields.
 // Adding +-0 for a replica that did not flip can change only the sign of a
 // zero field, which no decision reads (both rules' tests treat -0 and +0
 // alike), so the masked update is bit-identical to flipping only the
@@ -163,9 +164,7 @@ class SaEngine {
 
   /// One anneal with caller-supplied (e.g. ICE-perturbed) coefficients;
   /// `fields` must have num_spins() entries and `couplings` num_couplings()
-  /// entries in base-array order.  kThreshold32 rounds the supplied arrays
-  /// to float32 once up front (same values anneal_batch's precomputed
-  /// float32 base arrays hold when the caller passes the base arrays).
+  /// entries in base-array order.
   qubo::SpinVec anneal_with(const std::vector<double>& betas,
                             const std::vector<double>& fields,
                             const std::vector<double>& couplings, Rng& rng,
@@ -198,28 +197,15 @@ class SaEngine {
       AcceptMode mode = AcceptMode::kExact) const;
 
  private:
-  /// The sweep kernel at a compile-time replica width W for both accept
-  /// rules: Real == float runs kThreshold32, Real == double runs kExact.
-  /// Real +-1 spins and local fields interleaved (entry i*W + r), a 0/1
-  /// accept mask per decision, and masked flips that add 2c * s * m to every
-  /// replica's neighbor fields, in vector parts of Bytes bytes (16, or 32
-  /// in the AVX2 copy of threshold32).  Coefficients are interleaved Real
-  /// blocks (`fields` i*W + r, `couplings` id*W + r, `twice` CSR slot
-  /// e*W + r) or, with SharedCoeffs, flat arrays read by every replica.
-  /// Writes replica r's spins to out[r].
-  template <typename Real, std::size_t W, bool SharedCoeffs, std::size_t Bytes>
-  void run_kernel(const std::vector<double>& betas, const Real* fields,
-                  const Real* couplings, const Real* twice, Rng* const* rngs,
-                  const qubo::SpinVec* initial, qubo::SpinVec* out) const;
-
-  /// Runs W replicas through run_kernel: the engine's base arrays (their
-  /// float32 images for threshold32), or (per_replica) W replica-major
-  /// double blocks converted and interleaved into the per-thread scratch
-  /// with their doubled CSR slots.
+  /// The sweep kernel at a compile-time replica width W, on vector parts of
+  /// Bytes bytes: Real == float runs kThreshold32, Real == double kExact.
+  /// Reads W replica-major coefficient blocks of `fields_rm` and
+  /// `couplings_rm` when `per_replica`, else the one base array every
+  /// replica reads, and writes replica r's spins to out[r].
   template <typename Real, std::size_t W, std::size_t Bytes>
-  void chunk(const std::vector<double>& betas, const double* fields_rm,
-             const double* couplings_rm, bool per_replica, Rng* const* rngs,
-             const qubo::SpinVec* initial, qubo::SpinVec* out) const;
+  void run_kernel(const std::vector<double>& betas, const double* fields_rm,
+                  const double* couplings_rm, bool per_replica, Rng* const* rngs,
+                  const qubo::SpinVec* initial, qubo::SpinVec* out) const;
 
   /// Anneals R replicas into out[0..R) in chunks of width 8, 4, 2, 1, at
   /// float for threshold32 and double for exact.  `fields_rm` and
@@ -243,8 +229,15 @@ class SaEngine {
                                             const qubo::SpinVec* initial,
                                             AcceptMode mode, bool avx2) const;
 
-  // tests/kernel_dispatch_test.cpp runs threshold32 through both copies.
+  /// threshold32's draw pass alone: `count` <= 64 decisions of W in {1, 2,
+  /// 4, 8} lockstep streams rngs[0..W), on the AVX2 copy when `avx2`; the
+  /// rule's thresholds and coins land at [k*W + r] of the two outputs.
+  static void draw_thresholds(Rng* const* rngs, std::size_t W, std::size_t count,
+                              double beta, bool avx2, float* thresholds, float* coins);
+
+  // Seams of tests/kernel_dispatch_test.cpp and threshold_draw_test.cpp.
   friend struct KernelIsaSeam;
+  friend struct ThresholdDrawSeam;
 
   // CSR adjacency: spin i's incident edges are entries
   // [row_offset_[i], row_offset_[i+1]) of neighbor_/coupling_index_.
@@ -254,14 +247,6 @@ class SaEngine {
   std::vector<std::uint32_t> edge_i_;  ///< coupling id -> endpoint i
   std::vector<double> fields_;
   std::vector<double> coupling_values_;
-  std::vector<double> twice_;  ///< CSR slot e -> 2 * its coupling (exact)
-  // float32 images of the base arrays, precomputed at construction for the
-  // kThreshold32 shared-coefficient path (identical to rounding the base
-  // arrays per call, without the per-call conversion), and each CSR slot's
-  // doubled coupling 2 * float(c).
-  std::vector<float> fields_f32_;
-  std::vector<float> couplings_f32_;
-  std::vector<float> twice_f32_;
   // Compiled groups: group g's gather list is
   // group_gather_[group_start_[g] .. group_start_[g+1]) = {k, its k member
   // spins in declaration order, then one (i, j, coupling id) triple per

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <tuple>
@@ -73,8 +74,8 @@ inline void unit_double(const U& x, D& out) noexcept {
 }
 
 /// N generators' state words or draws, their doubles and their float32
-/// images: the vectors of the lockstep draw pass, N = 2 in a 16-byte part
-/// and N = 4 in an AVX2 32-byte part.
+/// images: the vectors of the lockstep draw pass, N = 2 in a 16-byte part,
+/// N = 4 in an AVX2 32-byte part and N = 1 at replica width 1.
 template <std::size_t N>
 struct DrawLanes {
   typedef std::uint64_t U __attribute__((vector_size(8 * N)));
@@ -82,18 +83,17 @@ struct DrawLanes {
   typedef float F __attribute__((vector_size(4 * N)));
 };
 
-/// Transposes W replica-major blocks of `count` entries (block r at
-/// rm[r*count ..)) into the kernel's replica-interleaved layout
-/// (il[i*W + r]); for Real == float the transpose doubles as the float32
-/// rounding pass.  O(W*count) once per chunk — negligible against the sweep
-/// loop.
+/// Transposes W blocks of `count` entries, block r at rm[r*stride ..), into
+/// the kernel's interleaved layout il[i*W + r]: stride `count` for ICE
+/// blocks, 0 for the one base array every replica reads.  For Real == float
+/// the transpose is also the float32 rounding pass.  O(W*count) per call.
 template <typename Real>
-void interleave(const double* rm, std::size_t count, std::size_t W,
-                std::vector<Real>& il) {
+void interleave(const double* rm, std::size_t count, std::size_t stride,
+                std::size_t W, std::vector<Real>& il) {
   il.resize(count * W);
   for (std::size_t r = 0; r < W; ++r)
     for (std::size_t i = 0; i < count; ++i)
-      il[i * W + r] = static_cast<Real>(rm[r * count + i]);
+      il[i * W + r] = static_cast<Real>(rm[r * stride + i]);
 }
 
 /// Per-thread scratch of the sweep kernel, one set per Real shared by every
@@ -103,7 +103,7 @@ void interleave(const double* rm, std::size_t count, std::size_t W,
 template <typename Real>
 struct Scratch {
   std::vector<Real> spins, hloc;                // n*W state
-  std::vector<Real> fields, couplings, twice;   // ICE coefficient blocks
+  std::vector<Real> fields, couplings, twice;   // interleaved coefficients
   std::vector<float> threshold, heads;          // threshold32: kDrawBlock*W
 };
 
@@ -182,14 +182,14 @@ bool any(const Lanes<Real, W, Bytes>& mask) noexcept {
 }
 
 /// The threshold32 accept rule.  The W generators advance in lockstep, one
-/// lane per replica and Bytes / 8 per vector (two in a 16-byte part, four
-/// in an AVX2 part), and are written back by finish().  draw(count, beta)
-/// consumes exactly `count` uniforms per replica, in decision order —
-/// data-independent, so any chunking of the replicas, vector width or
-/// thread placement replays the same per-replica stream — and lands
-/// decision k's thresholds t = -log(u) / beta and coins (1.0f iff u < 1/2)
-/// at [k*W, (k+1)*W).  accept(k, delta) is the masked compare: the coin
-/// where delta == 0, else delta <= t.
+/// lane per replica and min(W, Bytes / 8) per vector (two in a 16-byte
+/// part, four in an AVX2 part), and are written back by finish().
+/// draw(count, beta) consumes exactly `count` uniforms per replica, in
+/// decision order — data-independent, so any chunking of the replicas,
+/// vector width or thread placement replays the same per-replica stream —
+/// and lands decision k's thresholds t = -log(u) / beta and coins (1.0f iff
+/// u < 1/2) at [k*W, (k+1)*W).  accept(k, delta) is the masked compare: the
+/// coin where delta == 0, else delta <= t.
 template <std::size_t W, std::size_t Bytes>
 class ThresholdRule {
  public:
@@ -206,41 +206,29 @@ class ThresholdRule {
 
   void draw(std::size_t count, double beta) noexcept {
     const double inv_beta = 1.0 / beta;
-    if constexpr (W == 1) {
+    constexpr std::size_t N = std::min(W, Bytes / 8);
+    using U = typename DrawLanes<N>::U;
+    using D = typename DrawLanes<N>::D;
+    using F = typename DrawLanes<N>::F;
+    for (std::size_t r = 0; r < W; r += N) {
+      U w[4];
+      for (std::size_t j = 0; j < 4; ++j) std::memcpy(&w[j], state_[j] + r, sizeof w[j]);
       for (std::size_t k = 0; k < count; ++k) {
-        std::uint64_t x;
-        Rng::next(state_[0][0], state_[1][0], state_[2][0], state_[3][0], x);
-        double u, t;
+        U x;
+        Rng::next(w[0], w[1], w[2], w[3], x);
+        D u, t;
         unit_double(x, u);
-        branchless_neg_log<double, std::uint64_t>(u, t);
-        t_[k] = static_cast<float>(t * inv_beta);
-        heads_[k] = u < 0.5 ? 1.0f : 0.0f;
+        branchless_neg_log<D, U>(u, t);
+        const D thr = t * inv_beta;
+        // 1.0 where u < 1/2 (an all-ones compare lane masks 1.0's bits).
+        const D coin = __builtin_bit_cast(
+            D, __builtin_bit_cast(U, u < 0.5) & 0x3FF0000000000000ull);
+        const F thr32 = __builtin_convertvector(thr, F);
+        const F coin32 = __builtin_convertvector(coin, F);
+        std::memcpy(t_ + k * W + r, &thr32, sizeof thr32);
+        std::memcpy(heads_ + k * W + r, &coin32, sizeof coin32);
       }
-    } else {
-      constexpr std::size_t N = std::min(W, Bytes / 8);
-      using U = typename DrawLanes<N>::U;
-      using D = typename DrawLanes<N>::D;
-      using F = typename DrawLanes<N>::F;
-      for (std::size_t r = 0; r < W; r += N) {
-        U w[4];
-        for (std::size_t j = 0; j < 4; ++j) std::memcpy(&w[j], state_[j] + r, sizeof w[j]);
-        for (std::size_t k = 0; k < count; ++k) {
-          U x;
-          Rng::next(w[0], w[1], w[2], w[3], x);
-          D u, t;
-          unit_double(x, u);
-          branchless_neg_log<D, U>(u, t);
-          const D thr = t * inv_beta;
-          // 1.0 where u < 1/2 (an all-ones compare lane masks 1.0's bits).
-          const D coin = __builtin_bit_cast(
-              D, __builtin_bit_cast(U, u < 0.5) & 0x3FF0000000000000ull);
-          const F thr32 = __builtin_convertvector(thr, F);
-          const F coin32 = __builtin_convertvector(coin, F);
-          std::memcpy(t_ + k * W + r, &thr32, sizeof thr32);
-          std::memcpy(heads_ + k * W + r, &coin32, sizeof coin32);
-        }
-        for (std::size_t j = 0; j < 4; ++j) std::memcpy(state_[j] + r, &w[j], sizeof w[j]);
-      }
+      for (std::size_t j = 0; j < 4; ++j) std::memcpy(state_[j] + r, &w[j], sizeof w[j]);
     }
   }
 
@@ -335,6 +323,16 @@ void with_avx2(const F& body) {
 bool host_avx2() noexcept { return false; }
 #endif
 
+/// Calls f(std::integral_constant<std::size_t, W>{}) at the widest replica
+/// width W in {8, 4, 2, 1} that is at most `left`, and returns W.
+template <typename F>
+std::size_t at_width(std::size_t left, const F& f) {
+  if (left >= 8) return f(std::integral_constant<std::size_t, 8>{}), 8;
+  if (left >= 4) return f(std::integral_constant<std::size_t, 4>{}), 4;
+  if (left >= 2) return f(std::integral_constant<std::size_t, 2>{}), 2;
+  return f(std::integral_constant<std::size_t, 1>{}), 1;
+}
+
 }  // namespace
 
 const char* kernel_isa(AcceptMode mode) noexcept {
@@ -368,15 +366,6 @@ SaEngine::SaEngine(const qubo::IsingModel& problem) {
     coupling_index_[cursor[c.i]++] = static_cast<std::uint32_t>(idx);
     neighbor_[cursor[c.j]] = c.i;
     coupling_index_[cursor[c.j]++] = static_cast<std::uint32_t>(idx);
-  }
-
-  fields_f32_.assign(fields_.begin(), fields_.end());
-  couplings_f32_.assign(coupling_values_.begin(), coupling_values_.end());
-  twice_.resize(neighbor_.size());
-  twice_f32_.resize(neighbor_.size());
-  for (std::size_t e = 0; e < neighbor_.size(); ++e) {
-    twice_[e] = 2.0 * coupling_values_[coupling_index_[e]];
-    twice_f32_[e] = 2.0f * couplings_f32_[coupling_index_[e]];
   }
 }
 
@@ -417,10 +406,9 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
 // accumulators Real.  Each per-replica step is one Lanes<Real, W, Bytes>
 // operation (every lane computes exactly the scalar expression, in the same
 // order, so the 16- and 32-byte instantiations agree bit for bit).
-// Coefficients are interleaved (entry index*W + r, the ICE path) or, with
-// SharedCoeffs, the engine's flat base arrays broadcast to every lane;
-// `twice` holds each CSR slot's doubled coupling 2c (slot e*W + r, or e
-// shared), so a flip adds 2c * s to a neighbor's field with one multiply.
+// Coefficients are staged in the same layout from W ICE blocks or, at a
+// replica stride of 0, the one base array; `twice` holds each CSR slot's
+// doubled coupling 2c, so a flip adds 2c * s to a field with one multiply.
 //
 // Each decision asks the rule for a 0/1 accept mask m_r (see ThresholdRule
 // and ExactRule), and a flip of spin i is applied to all W replicas at
@@ -436,20 +424,25 @@ void SaEngine::set_groups(std::vector<std::vector<std::uint32_t>> groups) {
 // replica r draws only from rngs[r], in the scalar order (every draw, and
 // the order of draws, is the rule's scalar one), and accumulates every
 // field and group sum in the scalar order.
-template <typename Real, std::size_t W, bool SharedCoeffs, std::size_t Bytes>
-void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
-                          const Real* couplings, const Real* twice, Rng* const* rngs,
+template <typename Real, std::size_t W, std::size_t Bytes>
+void SaEngine::run_kernel(const std::vector<double>& betas, const double* fields_rm,
+                          const double* couplings_rm, bool per_replica, Rng* const* rngs,
                           const qubo::SpinVec* initial, qubo::SpinVec* out) const {
   using V = Lanes<Real, W, Bytes>;
   using Rule = std::conditional_t<std::is_same_v<Real, float>, ThresholdRule<W, Bytes>,
                                   ExactRule<W, Bytes>>;
-  // Coefficient `index` of every replica: W interleaved entries, or the one
-  // shared entry in every lane.
-  const auto coeff = [](const Real* base, std::size_t index) {
-    return SharedCoeffs ? V::splat(base[index]) : V::load(base + index * W);
-  };
   const std::size_t n = num_spins();
+  const std::size_t m = num_couplings();
   Scratch<Real>& buffers = scratch<Real>();
+  interleave(fields_rm, n, per_replica ? n : 0, W, buffers.fields);
+  interleave(couplings_rm, m, per_replica ? m : 0, W, buffers.couplings);
+  buffers.twice.resize(neighbor_.size() * W);
+  for (std::size_t e = 0; e < neighbor_.size(); ++e)
+    for (std::size_t r = 0; r < W; ++r)
+      buffers.twice[e * W + r] = Real(2) * buffers.couplings[coupling_index_[e] * W + r];
+  const Real* const fields = buffers.fields.data();
+  const Real* const couplings = buffers.couplings.data();
+  const Real* const twice = buffers.twice.data();
   buffers.spins.resize(n * W);
   buffers.hloc.resize(n * W);
   Real* const s = buffers.spins.data();
@@ -471,8 +464,9 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
   for (std::size_t i = 0; i < n; ++i) {
     V acc = V::splat(Real(0));
     for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e)
-      acc = acc + coeff(couplings, coupling_index_[e]) * V::load(s + std::size_t{neighbor_[e]} * W);
-    (coeff(fields, i) + acc).store(h + i * W);
+      acc = acc + V::load(couplings + coupling_index_[e] * W) *
+                      V::load(s + std::size_t{neighbor_[e]} * W);
+    (V::load(fields + i * W) + acc).store(h + i * W);
   }
 
   // Applies the accepted flips of spin i (mask lanes in {0, 1}) to all W
@@ -484,7 +478,7 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
     const V sm = si * mask;
     for (std::uint32_t e = row_offset_[i]; e < row_offset_[i + 1]; ++e) {
       Real* hn = h + std::size_t{neighbor_[e]} * W;
-      (V::load(hn) + coeff(twice, e) * sm).store(hn);
+      (V::load(hn) + V::load(twice + e * W) * sm).store(hn);
     }
   };
 
@@ -520,7 +514,7 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
           sum_local = sum_local + V::load(s + std::size_t{*p} * W) * V::load(h + std::size_t{*p} * W);
         V sum_internal = V::splat(Real(0));
         for (; p < end; p += 3)
-          sum_internal = sum_internal + coeff(couplings, p[2]) *
+          sum_internal = sum_internal + V::load(couplings + std::size_t{p[2]} * W) *
                                             V::load(s + std::size_t{p[0]} * W) *
                                             V::load(s + std::size_t{p[1]} * W);
         const V mask =
@@ -539,58 +533,21 @@ void SaEngine::run_kernel(const std::vector<double>& betas, const Real* fields,
     for (std::size_t i = 0; i < n; ++i) out[r][i] = static_cast<std::int8_t>(s[i * W + r]);
 }
 
-template <typename Real, std::size_t W, std::size_t Bytes>
-void SaEngine::chunk(const std::vector<double>& betas, const double* fields_rm,
-                     const double* couplings_rm, bool per_replica, Rng* const* rngs,
-                     const qubo::SpinVec* initial, qubo::SpinVec* out) const {
-  if (!per_replica) {
-    // The ICE-off serve workload: the base arrays (float32 images for
-    // threshold32) and their doubled CSR slots, precomputed at construction,
-    // feed the shared-coefficient kernel — no per-call conversion, no
-    // broadcast.
-    if constexpr (std::is_same_v<Real, float>)
-      run_kernel<float, W, true, Bytes>(betas, fields_f32_.data(), couplings_f32_.data(),
-                                        twice_f32_.data(), rngs, initial, out);
-    else
-      run_kernel<double, W, true, Bytes>(betas, fields_.data(), coupling_values_.data(),
-                                         twice_.data(), rngs, initial, out);
-    return;
-  }
-  Scratch<Real>& buffers = scratch<Real>();
-  interleave(fields_rm, num_spins(), W, buffers.fields);
-  interleave(couplings_rm, num_couplings(), W, buffers.couplings);
-  buffers.twice.resize(neighbor_.size() * W);
-  for (std::size_t e = 0; e < neighbor_.size(); ++e)
-    for (std::size_t r = 0; r < W; ++r)
-      buffers.twice[e * W + r] = Real(2) * buffers.couplings[coupling_index_[e] * W + r];
-  run_kernel<Real, W, false, Bytes>(betas, buffers.fields.data(), buffers.couplings.data(),
-                                    buffers.twice.data(), rngs, initial, out);
-}
-
 void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
                      const double* couplings_rm, bool per_replica,
                      Rng* const* rngs, std::size_t R,
                      const qubo::SpinVec* initial, AcceptMode mode, bool avx2,
                      qubo::SpinVec* out) const {
-  const std::size_t n = num_spins();
-  const std::size_t m = num_couplings();
   // Widths 8, 4, 2, 1 cover any R (5 -> 4+1, 10 -> 8+2): anneal a draws
   // only from stream a, so the chunking is invisible in the results.
   const auto run = [&](auto real, auto bytes) {
-    using Real = decltype(real);
-    constexpr std::size_t Bytes = decltype(bytes)::value;
     for (std::size_t c0 = 0; c0 < R;) {
-      const std::size_t left = R - c0;
-      const std::size_t width = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
-      const double* f = fields_rm + (per_replica ? c0 * n : 0);
-      const double* c = couplings_rm + (per_replica ? c0 * m : 0);
-      switch (width) {
-        case 8: chunk<Real, 8, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        case 4: chunk<Real, 4, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        case 2: chunk<Real, 2, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0); break;
-        default: chunk<Real, 1, Bytes>(betas, f, c, per_replica, rngs + c0, initial, out + c0);
-      }
-      c0 += width;
+      const double* f = fields_rm + (per_replica ? c0 * num_spins() : 0);
+      const double* c = couplings_rm + (per_replica ? c0 * num_couplings() : 0);
+      c0 += at_width(R - c0, [&](auto w) {
+        run_kernel<decltype(real), decltype(w)::value, decltype(bytes)::value>(
+            betas, f, c, per_replica, rngs + c0, initial, out + c0);
+      });
     }
   };
   // Exact keeps 16-byte parts on every host: an AVX2 copy of it measured
@@ -602,6 +559,25 @@ void SaEngine::sweep(const std::vector<double>& betas, const double* fields_rm,
     with_avx2([&] { run(0.0f, std::integral_constant<std::size_t, 32>{}); });
   else
     run(0.0f, Parts16{});
+}
+
+void SaEngine::draw_thresholds(Rng* const* rngs, std::size_t W, std::size_t count,
+                               double beta, bool avx2, float* thresholds, float* coins) {
+  require(count <= kDrawBlock && W <= 8 && std::has_single_bit(W),
+          "SaEngine::draw_thresholds: one block at width 1, 2, 4 or 8");
+  const auto draw = [&](auto bytes) {
+    at_width(W, [&](auto w) {
+      ThresholdRule<decltype(w)::value, decltype(bytes)::value> rule(rngs, scratch<float>());
+      rule.draw(count, beta);
+      rule.finish();
+    });
+  };
+  if (avx2)
+    with_avx2([&] { draw(std::integral_constant<std::size_t, 32>{}); });
+  else
+    draw(std::integral_constant<std::size_t, 16>{});
+  std::copy_n(scratch<float>().threshold.data(), count * W, thresholds);
+  std::copy_n(scratch<float>().heads.data(), count * W, coins);
 }
 
 std::vector<qubo::SpinVec> SaEngine::batch_dispatch(
@@ -630,8 +606,7 @@ qubo::SpinVec SaEngine::anneal_with(const std::vector<double>& betas,
   require(couplings.size() == num_couplings(),
           "SaEngine::anneal_with: coupling array size mismatch");
   // The R = 1 case of the batch with a per-replica block: threshold32
-  // rounds the caller's arrays to float32 exactly as the batch does, so on
-  // the base arrays it reproduces the precomputed float32 images.
+  // rounds the caller's arrays to float32 exactly as the batch does.
   qubo::SpinVec spins(num_spins());
   Rng* rng_ptr = &rng;
   sweep(betas, fields.data(), couplings.data(), /*per_replica=*/true, &rng_ptr,
