@@ -149,8 +149,11 @@ void BM_SaSweepScalar(benchmark::State& state) {
 BENCHMARK(BM_SaSweepScalar)->Arg(1)->Arg(8)->Arg(16);
 
 // The same R replicas through one anneal_batch() call (bit-identical output;
-// batch_replica_test proves it).  Compare items/s against BM_SaSweepScalar
-// at the same R for the batched-kernel sweep-throughput speedup, and against
+// batch_replica_test proves it).  anneal_batch hands the problem's own
+// arrays to the one interleaved kernel at a replica stride of 0, so each
+// call's coefficient transpose is timed, as in BM_SaSweepIceThreshold32.
+// Compare items/s against BM_SaSweepScalar at the same R for the
+// batched-kernel sweep-throughput speedup, and against
 // BM_SaSweepBatchedThreshold32 at the same R for the accept-mode speedup.
 // items/s is spin-updates per second; the quamax_spin_updates_per_s counter
 // repeats it under a stable name (the quamax_ prefix is what
@@ -196,11 +199,12 @@ void BM_SaSweepBatchedThreshold32(benchmark::State& state) {
 }
 BENCHMARK(BM_SaSweepBatchedThreshold32)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 
-// The instantiation serving runs: threshold32 with ICE on, so every
-// replica carries its own perturbed coefficient block through
-// anneal_batch_with (the blocks are drawn once outside the timed loop; the
-// kernel's per-call rounding and interleaving is timed).  items/s is
-// spin-updates per second, comparable with BM_SaSweepBatchedThreshold32.
+// The input serving anneals: threshold32 with ICE on, so every replica
+// carries its own perturbed coefficient block through anneal_batch_with
+// (the blocks are drawn once outside the timed loop; the kernel's per-call
+// rounding and interleaving is timed).  Same kernel as
+// BM_SaSweepBatchedThreshold32, which reads one block at a replica stride
+// of 0; items/s is spin-updates per second, comparable with it.
 void BM_SaSweepIceThreshold32(benchmark::State& state) {
   const auto R = static_cast<std::size_t>(state.range(0));
   const anneal::SaEngine& engine = merged_wave_engine();

@@ -10,8 +10,9 @@ namespace {
 /// realization (fields, then couplings) from streams[j], exactly the scalar
 /// path's order, so the batched samples stay bit-identical to per-sample
 /// anneals.  ICE off skips the perturbation: a disabled ICE copies the base
-/// arrays and draws no RNG, so the shared-coefficient fast path is
-/// bit-identical while skipping the O(R*(N+M)) block copies.
+/// arrays and draws no RNG, so anneal_batch, which hands the kernel the
+/// base arrays at a replica stride of 0, is bit-identical while skipping
+/// the O(R*(N+M)) block copies.
 std::vector<qubo::SpinVec> anneal_block(const SaEngine& engine,
                                         const IceConfig& ice,
                                         const std::vector<double>& betas,

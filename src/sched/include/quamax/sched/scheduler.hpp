@@ -68,9 +68,11 @@ namespace quamax::sched {
 /// The serving stack's annealer defaults: the library baseline with the
 /// sweep kernel switched to branch-free float32 threshold acceptance.
 /// bench_serve_load's soak gate holds threshold32's miss-rate / goodput /
-/// BER curves to parity with exact at paper-scale load, and the float32
-/// kernel is the throughput winner on the ICE-off shared-coefficient
-/// serving path.  Override via --accept-mode / QUAMAX_ACCEPT_MODE.
+/// BER curves to parity with exact at paper-scale load.  Serving anneals
+/// with ICE on, one coefficient block per replica; on that input
+/// bench_micro_kernels' BM_SaSweepIceThreshold32 and the e2e workloads'
+/// jobs/s (BENCH_pr29.json, BENCH_pr32.json) record the float32 kernel's
+/// speed.  Override via --accept-mode / QUAMAX_ACCEPT_MODE.
 inline anneal::AnnealerConfig serving_annealer_defaults() {
   anneal::AnnealerConfig cfg;
   cfg.accept_mode = anneal::AcceptMode::kThreshold32;

@@ -112,8 +112,8 @@ TEST(BatchReplicaTest, BatchMatchesScalarWithIceCoefficients) {
 }
 
 TEST(BatchReplicaTest, SharedCoefficientFastPathMatchesReplicatedBlocks) {
-  // anneal_batch feeds the kernel the flat base arrays (the ICE-off
-  // shared-coefficient fast path); it must be bit-identical to
+  // anneal_batch hands the kernel the base arrays at a replica stride of 0
+  // (the ICE-off input); it must be bit-identical to
   // anneal_batch_with on R verbatim copies of those arrays — with and
   // without collective groups, which read coefficients too.
   const qubo::IsingModel problem = random_clique(20, 0xB005);
